@@ -14,8 +14,10 @@
  *                     exists for A/B verification and perf comparison.
  *
  * Benches build a flat RunSpec list (row-major over the table) and hand
- * it to a SweepExecutor; results come back indexed by input order, so
- * tables and CSVs are byte-identical at any job count.
+ * it to a SweepExecutor, or, for generated programs (pds structures,
+ * service tapes, storms), a per-point callback to runPoints(); results
+ * come back indexed by input order, so tables and CSVs are
+ * byte-identical at any job count.
  */
 
 #ifndef LWSP_BENCH_BENCH_UTIL_HH
@@ -115,17 +117,38 @@ selectedProfiles(const BenchArgs &args)
     return out;
 }
 
+/**
+ * The report outcome of a run of @p sys that produced @p res: thread
+ * count and recovery lineage come from the system itself.
+ */
+inline harness::RunOutcome
+outcomeOf(const core::System &sys, const core::RunResult &res,
+          const compiler::CompileStats &compile)
+{
+    return {res, compile, sys.numThreads(), sys.recovered(),
+            sys.bootOutcome(), sys.failuresSurvived()};
+}
+
+/**
+ * Print @p table and write whatever --csv/--sweep-json/--report asked
+ * for. @p csv, when non-empty, is written instead of the table's own CSV
+ * (benches whose CSV carries columns the console table cannot).
+ */
 inline void
 finish(const harness::ResultTable &table, const BenchArgs &args,
-       const harness::SweepExecutor &exec, bool per_app = true)
+       const harness::SweepExecutor &exec, bool per_app = true,
+       const std::string &csv = "")
 {
     if (per_app)
         table.print(std::cout);
     else
         table.printSuiteSummary(std::cout);
     if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        table.writeCsv(csv);
+        std::ofstream os(args.csvPath);
+        if (csv.empty())
+            table.writeCsv(os);
+        else
+            os << csv;
         std::cout << "csv written to " << args.csvPath << '\n';
     }
     if (!args.sweepJsonPath.empty()) {

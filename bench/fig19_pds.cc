@@ -9,24 +9,10 @@
  * cycles(scheme, Perf mode) / cycles(same program, persistence-free
  * baseline machine) — the same normalization as fig07, but over real
  * crash-consistent structures instead of the paper's synthetic kernels.
- *
- * The pds sweep does not go through SweepExecutor/Runner: those resolve
- * workloads by paper-profile name, and the pds programs are generated
- * IR, not profiles. The sweep here is a flat parallelFor over the
- * (structure x scheme) grid with results landing in input-indexed
- * slots, so the table/CSV stay byte-identical at any job count — same
- * contract, local implementation. Quick mode runs the identical grid
- * (it is already small); bench_all.sh row-subset checking then works
- * unchanged.
+ * Quick mode runs the identical (already small) grid.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <thread>
-
 #include "bench_util.hh"
-#include "core/system.hh"
 #include "pds/pds.hh"
 
 using namespace lwsp;
@@ -57,7 +43,6 @@ struct Point
     pds::PdsSpec spec;
     bool baseline = false;
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    Tick cycles = 0;
 };
 
 } // namespace
@@ -66,18 +51,18 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
+    auto exec = bench::makeExecutor(args);
 
     // Row-major grid plus one trailing baseline point per structure.
     std::vector<Point> points;
     for (auto k : kKinds) {
         for (auto s : kSchemes)
-            points.push_back({specFor(k), false, s, 0});
-        points.push_back({specFor(k), true, pds::PdsScheme::LightWsp, 0});
+            points.push_back({specFor(k), false, s});
+        points.push_back({specFor(k), true, pds::PdsScheme::LightWsp});
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
-        Point &p = points[i];
+    auto recs = exec.runPoints(points.size(), [&](std::size_t i) {
+        const Point &p = points[i];
         core::SystemConfig cfg =
             p.baseline ? pds::makePdsBaselineConfig()
                        : pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
@@ -96,19 +81,14 @@ main(int argc, char **argv)
                     p.spec.toString());
         std::string err = pds::checkSemantics(p.spec, sys.execImage());
         LWSP_ASSERT(err.empty(), "fig19 semantic check failed: ", err);
-        p.cycles = res.cycles;
+        std::string wl = p.spec.toString();
+        std::string scheme =
+            p.baseline ? "baseline" : pds::pdsSchemeName(p.scheme);
+        return harness::PointRun{
+            {wl + "/" + scheme, wl, scheme,
+             bench::outcomeOf(sys, res, prog.stats)},
+            res.cycles};
     });
-
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.cycles;
 
     harness::ResultTable table(
         "Fig 19: pds per-op slowdown vs persistence-free baseline "
@@ -119,40 +99,16 @@ main(int argc, char **argv)
     constexpr std::size_t stride =
         sizeof(kSchemes) / sizeof(kSchemes[0]) + 1;
     for (std::size_t k = 0; k < 3; ++k) {
-        const Point &base = points[k * stride + stride - 1];
+        auto cycles = [&](std::size_t s) {
+            return static_cast<double>(
+                recs[k * stride + s].outcome.result.cycles);
+        };
         std::vector<double> row;
-        for (std::size_t s = 0; s + 1 < stride; ++s) {
-            const Point &p = points[k * stride + s];
-            row.push_back(static_cast<double>(p.cycles) /
-                          static_cast<double>(base.cycles));
-        }
+        for (std::size_t s = 0; s + 1 < stride; ++s)
+            row.push_back(cycles(s) / cycles(stride - 1));
         table.addRow(pds::kindName(kKinds[k]), "pds", row);
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        table.writeCsv(csv);
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        // The harness run-report schema resolves workloads by paper
-        // profile; pds points are generated programs, so they get their
-        // own (smaller) versioned record stream.
-        std::ofstream rep(args.reportPath);
-        rep << "{\"schema\":\"lwsp-pds-report-v1\",\"bench\":\""
-            << args.benchName << "\",\"points\":[";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
-            rep << (i ? "," : "") << "{\"spec\":\"" << p.spec.toString()
-                << "\",\"scheme\":\""
-                << (p.baseline ? "baseline" : pds::pdsSchemeName(p.scheme))
-                << "\",\"cycles\":" << p.cycles << "}";
-        }
-        rep << "]}\n";
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec);
     return 0;
 }

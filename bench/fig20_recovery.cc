@@ -17,21 +17,11 @@
  * Recovery mode substitutes the LightWSP gated-commit binary for
  * capri/ppa/cwsp's hardware checkpoint mechanisms (their timing knobs
  * are kept) so that recovery is exact — see DESIGN.md §13; the column
- * trend, not cross-scheme magnitude, is the result here.
- *
- * Like fig19_pds this sweeps with parallelFor instead of the
- * profile-name-keyed SweepExecutor; output-indexed result slots keep
- * the CSV byte-identical at any job count, and quick mode runs the
- * identical (already small) grid.
+ * trend, not cross-scheme magnitude, is the result here. Quick mode runs
+ * the identical (already small) grid.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <thread>
-
 #include "bench_util.hh"
-#include "core/system.hh"
 #include "pds/pds.hh"
 
 using namespace lwsp;
@@ -53,8 +43,6 @@ struct Point
     pds::PdsSpec spec;
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
     unsigned threshold = 0;  ///< 0 for pmtx (opsPerTx is in the spec)
-    Tick latency = 0;        ///< power-on to first served op
-    Tick goldenCycles = 0;
 };
 
 } // namespace
@@ -63,6 +51,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
+    auto exec = bench::makeExecutor(args);
 
     std::vector<Point> points;
     for (auto k : kKinds) {
@@ -84,9 +73,11 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
-        Point &p = points[i];
+    // A point's record is its recovered run, stopped at the first served
+    // op (so its `completed` is false by design).
+    std::vector<Tick> latency(points.size());
+    exec.runPoints(points.size(), [&](std::size_t i) {
+        const Point &p = points[i];
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
         cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
         auto prog = pds::preparePdsProgram(
@@ -97,7 +88,6 @@ main(int argc, char **argv)
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig20 golden did not complete: ",
                     p.spec.toString());
-        p.goldenCycles = gres.cycles;
 
         core::System victim(cfg, prog, 1);
         victim.runWithPowerFailure(gres.cycles * 6 / 10);
@@ -108,19 +98,15 @@ main(int argc, char **argv)
         LWSP_ASSERT(probe.served, "fig20 recovered run served nothing: ",
                     p.spec.toString(), " scheme ",
                     pds::pdsSchemeName(p.scheme));
-        p.latency = probe.serveTick;
-    });
+        latency[i] = probe.serveTick;
 
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.goldenCycles + p.latency;
+        std::string wl = p.spec.toString();
+        std::string scheme = pds::pdsSchemeName(p.scheme);
+        return harness::PointRun{
+            {wl + "/" + scheme + "/st=" + std::to_string(p.threshold), wl,
+             scheme, bench::outcomeOf(*rec, probe.result, prog.stats)},
+            gres.cycles + probe.serveTick};
+    });
 
     harness::ResultTable table(
         "Fig 20: pds recovery latency, power-on to first served op "
@@ -135,36 +121,13 @@ main(int argc, char **argv)
         for (auto s : kSchemes) {
             std::vector<double> row;
             for (std::size_t d = 0; d < kDists; ++d)
-                row.push_back(
-                    static_cast<double>(points[idx++].latency));
+                row.push_back(static_cast<double>(latency[idx++]));
             table.addRow(std::string(pds::kindName(k)) + "/" +
                              pds::pdsSchemeName(s),
                          pds::pdsSchemeName(s), row);
         }
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        table.writeCsv(csv);
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        std::ofstream rep(args.reportPath);
-        rep << "{\"schema\":\"lwsp-pds-report-v1\",\"bench\":\""
-            << args.benchName << "\",\"points\":[";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
-            rep << (i ? "," : "") << "{\"spec\":\"" << p.spec.toString()
-                << "\",\"scheme\":\"" << pds::pdsSchemeName(p.scheme)
-                << "\",\"threshold\":" << p.threshold
-                << ",\"golden_cycles\":" << p.goldenCycles
-                << ",\"latency_cycles\":" << p.latency << "}";
-        }
-        rep << "]}\n";
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec);
     return 0;
 }

@@ -16,15 +16,10 @@
  * view a service operator cares about (which ROADMAP item 1 asked for).
  */
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
-#include "core/system.hh"
 #include "pds/pds.hh"
 #include "serve/serve.hh"
 #include "trace/events.hh"
@@ -60,7 +55,6 @@ struct SimPoint
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
     serve::ServeWorkload wl;
     serve::OpMarks marks;
-    Tick cycles = 0;
 };
 
 } // namespace
@@ -69,6 +63,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
+    auto exec = bench::makeExecutor(args);
 
     std::vector<SimPoint> sims;
     for (auto prof : kProfiles) {
@@ -80,8 +75,7 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, sims.size(), [&](std::size_t i) {
+    exec.runPoints(sims.size(), [&](std::size_t i) {
         SimPoint &p = sims[i];
         p.wl = serve::buildWorkload(specFor(p.profile));
 
@@ -109,19 +103,13 @@ main(int argc, char **argv)
         LWSP_ASSERT(err.empty(), "fig21 semantic check failed: ", err);
         p.marks = serve::LatencyRecorder::extractMarks(
             p.wl, sys.traceSink()->snapshot());
-        p.cycles = res.cycles;
+        std::string wl = p.wl.spec.toString();
+        std::string scheme = pds::pdsSchemeName(p.scheme);
+        return harness::PointRun{
+            {wl + "/" + scheme, wl, scheme,
+             bench::outcomeOf(sys, res, prog.stats)},
+            res.cycles};
     });
-
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = sims.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : sims)
-        stats.simulatedCycles += p.cycles;
 
     // Fold the arrival grid (pure post-processing, deterministic). The
     // console table carries only the latency columns (strictly positive,
@@ -137,7 +125,6 @@ main(int argc, char **argv)
 
     std::ostringstream csvBody;
     csvBody << "workload,suite,p50,p99,p999,max,stall99,wpq99\n";
-    std::vector<std::string> repRows;
     for (const SimPoint &p : sims) {
         for (unsigned ia : kMeanIas) {
             for (unsigned b : kBursts) {
@@ -158,35 +145,10 @@ main(int argc, char **argv)
                         << rep.p99 << ',' << rep.p999 << ',' << rep.max
                         << ',' << rep.stallAtP99 << ','
                         << rep.wpqOccAtP99 << '\n';
-                std::ostringstream rec;
-                rec << "{\"row\":\"" << name << "\",\"spec\":\""
-                    << aspec.toString() << "\",\"p50\":" << rep.p50
-                    << ",\"p99\":" << rep.p99 << ",\"p999\":" << rep.p999
-                    << ",\"max\":" << rep.max << ",\"mean\":" << rep.mean
-                    << ",\"stall_p99\":" << rep.stallAtP99
-                    << ",\"wpq_p99\":" << rep.wpqOccAtP99
-                    << ",\"requests\":" << rep.requests << "}";
-                repRows.push_back(rec.str());
             }
         }
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        csv << csvBody.str();
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        std::ofstream rep(args.reportPath);
-        rep << "{\"schema\":\"lwsp-serve-report-v1\",\"bench\":\""
-            << args.benchName << "\",\"cells\":[";
-        for (std::size_t i = 0; i < repRows.size(); ++i)
-            rep << (i ? "," : "") << repRows[i];
-        rep << "]}\n";
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec, true, csvBody.str());
     return 0;
 }

@@ -27,14 +27,10 @@
  */
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
-#include "core/system.hh"
 #include "fault/storm.hh"
 #include "pds/pds.hh"
 #include "serve/serve.hh"
@@ -82,6 +78,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
+    auto exec = bench::makeExecutor(args);
 
     std::vector<Point> points;
     for (auto prof : kProfiles) {
@@ -93,8 +90,9 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
+    // A point's record is the boot that finished the tape, stamped with
+    // the storm's lineage.
+    exec.runPoints(points.size(), [&](std::size_t i) {
         Point &p = points[i];
         auto wl = serve::buildWorkload(specFor(p.profile));
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
@@ -139,6 +137,7 @@ main(int argc, char **argv)
         // is the one to recover from.
         const core::System *cur = &victim;
         std::unique_ptr<core::System> hold;
+        core::RunResult last;
         while (true) {
             auto recres = core::System::recoverChecked(
                 cfg, prog, 1, cur->pmImage(), {}, &cur->crashReport());
@@ -188,9 +187,9 @@ main(int argc, char **argv)
                 Tick gap = p.storm.events[stormIdx].at;
                 ++stormIdx;
                 ++p.failures;
-                auto er = hold->runWithFailureStorm(gap, takeDrains());
-                p.wallCycles += er.cycles;
-                if (er.completed) {
+                last = hold->runWithFailureStorm(gap, takeDrains());
+                p.wallCycles += last.cycles;
+                if (last.completed) {
                     // Finished before the failure landed; the schedule
                     // tail is moot.
                     p.failures = 1 + static_cast<unsigned>(stormIdx);
@@ -202,26 +201,24 @@ main(int argc, char **argv)
                 cur = hold.get();
                 continue;
             }
-            auto fr = hold->run();
-            p.wallCycles += fr.cycles;
-            LWSP_ASSERT(fr.completed, "fig22 final boot did not complete");
+            last = hold->run();
+            p.wallCycles += last.cycles;
+            LWSP_ASSERT(last.completed,
+                        "fig22 final boot did not complete");
             break;
         }
         std::string err =
             pds::checkSemantics(wl.pdsSpec, wl.ops, hold->execImage());
         LWSP_ASSERT(err.empty(), "fig22 semantic check failed: ", err);
-    });
 
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.goldenCycles + p.wallCycles;
+        hold->setRecoveryLineage(hold->bootOutcome(), p.failures);
+        std::string wlName = wl.spec.toString();
+        std::string scheme = pds::pdsSchemeName(p.scheme);
+        return harness::PointRun{
+            {wlName + "/" + scheme + "/storm=" + p.storm.toString(),
+             wlName, scheme, bench::outcomeOf(*hold, last, prog.stats)},
+            p.goldenCycles + p.wallCycles};
+    });
 
     harness::ResultTable table(
         "Fig 22: availability under failure storms (96-request service "
@@ -254,35 +251,6 @@ main(int argc, char **argv)
                 << avail << '\n';
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        csv << csvBody.str();
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        // Emit the storm rows through the shared v1.2 run-report writer
-        // so the recovery-lineage fields carry real values for once.
-        std::vector<harness::RunRecord> recs;
-        for (const Point &p : points) {
-            harness::RunRecord rec;
-            rec.spec.workload =
-                std::string(serve::profileName(p.profile)) + "/" +
-                pds::pdsSchemeName(p.scheme) + "+storm=" +
-                p.storm.toString();
-            rec.outcome.threads = 1;
-            rec.outcome.result.completed = true;
-            rec.outcome.result.cycles = p.wallCycles;
-            rec.outcome.recovered = true;
-            rec.outcome.recoveryOutcome = core::RecoveryOutcome::Recovered;
-            rec.outcome.failuresSurvived = p.failures;
-            recs.push_back(std::move(rec));
-        }
-        harness::writeRunReports(args.reportPath, args.benchName, recs,
-                                 stats);
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec, true, csvBody.str());
     return 0;
 }

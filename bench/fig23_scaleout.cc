@@ -23,15 +23,10 @@
  * either --engine.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
-#include "core/system.hh"
 #include "pds/pds.hh"
 #include "serve/serve.hh"
 
@@ -49,7 +44,14 @@ struct Point
     unsigned mcs = 2;
     bool lossy = false;
     unsigned threads = 0;     ///< workload rows; 0 = serve row
-    core::RunResult res;
+
+    /** The row's unique CSV key (and run-report key). */
+    std::string
+    name() const
+    {
+        return topo.toString() + "/" + std::to_string(mcs) + "/" +
+               workload + (lossy ? "/loss100" : "");
+    }
 };
 
 fault::FaultConfig
@@ -65,7 +67,7 @@ faultsFor(const Point &p, std::size_t row)
 }
 
 /** One fig16-style thread point on the `rb` profile. */
-core::RunResult
+harness::RunOutcome
 runWorkloadRow(const Point &p, std::size_t row)
 {
     const auto &profile = workloads::profileByName("rb");
@@ -88,11 +90,11 @@ runWorkloadRow(const Point &p, std::size_t row)
     auto res = sys.run();
     LWSP_ASSERT(res.completed, "fig23 workload row did not complete: ",
                 p.workload, " mcs=", p.mcs, " ", p.topo.toString());
-    return res;
+    return bench::outcomeOf(sys, res, prog.stats);
 }
 
 /** One fig21-style service tape on the pds hash table. */
-core::RunResult
+harness::RunOutcome
 runServeRow(const Point &p, std::size_t row)
 {
     serve::ServeSpec spec;
@@ -116,7 +118,7 @@ runServeRow(const Point &p, std::size_t row)
     auto res = sys.run();
     LWSP_ASSERT(res.completed, "fig23 serve row did not complete: mcs=",
                 p.mcs, " ", p.topo.toString());
-    return res;
+    return bench::outcomeOf(sys, res, prog.stats);
 }
 
 } // namespace
@@ -125,6 +127,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
+    auto exec = bench::makeExecutor(args);
 
     noc::TopologyConfig flat;
     noc::TopologyConfig tree4;
@@ -154,22 +157,14 @@ main(int argc, char **argv)
         }
     }
 
-    auto t0 = std::chrono::steady_clock::now();
-    harness::parallelFor(args.jobs, points.size(), [&](std::size_t i) {
-        Point &p = points[i];
-        p.res = p.threads ? runWorkloadRow(p, i) : runServeRow(p, i);
+    auto recs = exec.runPoints(points.size(), [&](std::size_t i) {
+        const Point &p = points[i];
+        harness::RunOutcome o =
+            p.threads ? runWorkloadRow(p, i) : runServeRow(p, i);
+        std::uint64_t cycles = o.result.cycles;
+        return harness::PointRun{
+            {p.name(), p.workload, "lightwsp", std::move(o)}, cycles};
     });
-
-    harness::SweepStats stats;
-    stats.jobs = args.jobs ? args.jobs
-                           : std::max(1u,
-                                      std::thread::hardware_concurrency());
-    stats.points = points.size();
-    stats.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    for (const auto &p : points)
-        stats.simulatedCycles += p.res.cycles;
 
     harness::ResultTable table(
         "Fig 23: control-plane scale-out — boundary-ACK latency, WPQ "
@@ -188,47 +183,22 @@ main(int argc, char **argv)
     csvBody << "name,topology,mcs,workload,fault,cycles,boundaries,"
                "bcast_lat_avg,bcast_lat_max,max_wpq_occupancy,"
                "noc_messages,bcast_retries\n";
-    for (const Point &p : points) {
-        std::string name = p.topo.toString() + "/" +
-                           std::to_string(p.mcs) + "/" + p.workload +
-                           (p.lossy ? "/loss100" : "");
-        table.addRow(name, p.topo.toString(),
-                     {static_cast<double>(p.res.cycles),
-                      static_cast<double>(p.res.boundaries),
-                      static_cast<double>(p.res.nocMessages)});
-        csvBody << name << ',' << p.topo.toString() << ',' << p.mcs
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Point &p = points[i];
+        const core::RunResult &r = recs[i].outcome.result;
+        table.addRow(p.name(), p.topo.toString(),
+                     {static_cast<double>(r.cycles),
+                      static_cast<double>(r.boundaries),
+                      static_cast<double>(r.nocMessages)});
+        csvBody << p.name() << ',' << p.topo.toString() << ',' << p.mcs
                 << ',' << p.workload << ','
-                << (p.lossy ? "loss100" : "none") << ',' << p.res.cycles
-                << ',' << p.res.boundaries << ','
-                << std::setprecision(10) << p.res.bcastLatencyAvg << ','
-                << p.res.bcastLatencyMax << ','
-                << p.res.maxWpqOccupancy << ',' << p.res.nocMessages
-                << ',' << p.res.bcastRetries << '\n';
+                << (p.lossy ? "loss100" : "none") << ',' << r.cycles
+                << ',' << r.boundaries << ',' << std::setprecision(10)
+                << r.bcastLatencyAvg << ',' << r.bcastLatencyMax << ','
+                << r.maxWpqOccupancy << ',' << r.nocMessages << ','
+                << r.bcastRetries << '\n';
     }
 
-    table.print(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream csv(args.csvPath);
-        csv << csvBody.str();
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty())
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName, stats);
-    if (!args.reportPath.empty()) {
-        std::vector<harness::RunRecord> recs;
-        for (const Point &p : points) {
-            harness::RunRecord rec;
-            rec.spec.workload = p.topo.toString() + "/" +
-                                std::to_string(p.mcs) + "/" + p.workload;
-            rec.spec.numMcs = p.mcs;
-            rec.spec.topology = p.topo;
-            rec.outcome.threads = p.threads ? p.threads : 1;
-            rec.outcome.result = p.res;
-            recs.push_back(std::move(rec));
-        }
-        harness::writeRunReports(args.reportPath, args.benchName, recs,
-                                 stats);
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
+    bench::finish(table, args, exec, true, csvBody.str());
     return 0;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run every figure/table reproduction through the parallel sweep engine,
 # check the CSVs against the checked-in references, and aggregate the
-# per-bench telemetry into one BENCH_sweep.json.
+# per-bench telemetry into one BENCH_sweep.json. Every bench also writes
+# its lwsp-run-report-v1.2 run report to OUT_DIR/<bench>.report.json.
 #
 #   scripts/bench_all.sh [--quick] [--jobs N] [--build-dir DIR]
 #                        [--out-dir DIR] [--speedup] [--fuzz] [--faults]
@@ -142,7 +143,8 @@ for b in $BENCHES; do
     csv="$OUT_DIR/$b.csv"
     json="$OUT_DIR/$b.sweep.json"
     if ! "$BENCH_DIR/$b" $QUICK --jobs "$JOBS" --csv "$csv" \
-            --sweep-json "$json" > "$OUT_DIR/$b.txt"; then
+            --sweep-json "$json" --report "$OUT_DIR/$b.report.json" \
+            > "$OUT_DIR/$b.txt"; then
         echo "  BENCH FAILED (exit $?)"
         FAILED=1
         continue

@@ -901,60 +901,6 @@ System::persistsDrained(CoreId core_id)
 }
 
 void
-System::dumpStats(std::ostream &os) const
-{
-    auto line = [&](const std::string &name, const std::string &stat,
-                    double v) { os << name << '.' << stat << ' ' << v
-                                   << '\n'; };
-    for (const auto &c : cores_) {
-        line(c->name(), "instsRetired",
-             static_cast<double>(c->instsRetired()));
-        line(c->name(), "storesRetired",
-             static_cast<double>(c->storesRetired()));
-        line(c->name(), "boundariesRetired",
-             static_cast<double>(c->boundariesRetired()));
-        line(c->name(), "sbFullCycles",
-             static_cast<double>(c->sbFullCycles()));
-        line(c->name(), "febFullCycles",
-             static_cast<double>(c->febFullCycles()));
-        line(c->name(), "boundaryWaitCycles",
-             static_cast<double>(c->boundaryWaitCycles()));
-        line(c->name(), "lockBlockedCycles",
-             static_cast<double>(c->lockBlockedCycles()));
-        line(c->name(), "branchMisses",
-             static_cast<double>(c->branchMisses()));
-        line(c->name(), "regionInsts.mean",
-             c->regionInsts().summary().mean());
-        line(c->name(), "regionStores.mean",
-             c->regionStores().summary().mean());
-    }
-    for (const auto &l1 : l1d_) {
-        line(l1->name(), "hits", static_cast<double>(l1->hits()));
-        line(l1->name(), "misses", static_cast<double>(l1->misses()));
-        line(l1->name(), "bufferConflicts",
-             static_cast<double>(l1->bufferConflicts()));
-    }
-    line(l2_->name(), "hits", static_cast<double>(l2_->hits()));
-    line(l2_->name(), "misses", static_cast<double>(l2_->misses()));
-    for (const auto &mc : mcs_) {
-        line(mc->name(), "flushedEntries",
-             static_cast<double>(mc->flushedEntries()));
-        line(mc->name(), "fallbackFlushes",
-             static_cast<double>(mc->fallbackFlushes()));
-        line(mc->name(), "wpqLoadHits",
-             static_cast<double>(mc->wpqLoadHits()));
-        line(mc->name(), "regionsCommitted",
-             static_cast<double>(mc->regionsCommitted()));
-        line(mc->name(), "flushId",
-             static_cast<double>(mc->flushId()));
-    }
-    line(noc_.name(), "messagesSent",
-         static_cast<double>(noc_.messagesSent()));
-    line(noc_.name(), "boundariesBroadcast",
-         static_cast<double>(noc_.boundariesBroadcast()));
-}
-
-void
 System::registerStats(stats::Registry &registry) const
 {
     auto fn = [](auto getter) {

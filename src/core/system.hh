@@ -16,7 +16,6 @@
 #define LWSP_CORE_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -295,12 +294,6 @@ class System : public cpu::MemPort
 
     /** MC owning @p addr (cacheline interleaving). */
     McId mcForAddr(Addr addr) const;
-
-    /**
-     * Dump every component's statistics in gem5-style
-     * "component.stat value" lines (cores, caches, MCs, NoC).
-     */
-    void dumpStats(std::ostream &os) const;
 
     /**
      * Register every component's statistics (callback-backed) with

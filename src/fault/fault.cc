@@ -1,7 +1,8 @@
 #include "fault/fault.hh"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/parse.hh"
 
 namespace lwsp {
 namespace fault {
@@ -89,39 +90,44 @@ FaultConfig::parse(const std::string &s, FaultConfig &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        char *end = nullptr;
-        std::uint64_t v = std::strtoull(val.c_str(), &end, 10);
-        if (val.empty() || end == nullptr || *end != '\0') {
-            err = "bad fault value in '" + tok + "'";
-            return false;
-        }
+        std::string_view val(tok);
+        val.remove_prefix(eq + 1);
+        std::uint64_t flag = 0;
+        bool ok;
         if (key == "seed") {
-            cfg.seed = v;
+            ok = parseUnsigned(val, cfg.seed);
         } else if (key == "loss") {
-            cfg.bcastLossPm = static_cast<unsigned>(v);
+            ok = parseUnsigned(val, cfg.bcastLossPm);
         } else if (key == "delay") {
-            cfg.bcastDelayPm = static_cast<unsigned>(v);
+            ok = parseUnsigned(val, cfg.bcastDelayPm);
         } else if (key == "delayc") {
-            cfg.bcastDelayCycles = v;
+            ok = parseUnsigned(val, cfg.bcastDelayCycles);
         } else if (key == "dup") {
-            cfg.bcastDupPm = static_cast<unsigned>(v);
+            ok = parseUnsigned(val, cfg.bcastDupPm);
         } else if (key == "losspin") {
-            cfg.bcastLossPinTick = v;
+            ok = parseUnsigned(val, cfg.bcastLossPinTick);
         } else if (key == "flip") {
-            cfg.wpqBitFlip = v != 0;
+            ok = parseUnsigned(val, flag);
+            cfg.wpqBitFlip = flag != 0;
         } else if (key == "tear") {
-            cfg.wpqTear = v != 0;
+            ok = parseUnsigned(val, flag);
+            cfg.wpqTear = flag != 0;
         } else if (key == "ckpt") {
-            cfg.ckptEntryDamage = v != 0;
+            ok = parseUnsigned(val, flag);
+            cfg.ckptEntryDamage = flag != 0;
         } else if (key == "poison") {
-            cfg.pmPoisonWords = static_cast<unsigned>(v);
+            ok = parseUnsigned(val, cfg.pmPoisonWords);
         } else if (key == "silent") {
-            cfg.silentCkptFlip = v != 0;
+            ok = parseUnsigned(val, flag);
+            cfg.silentCkptFlip = flag != 0;
         } else if (key == "stall") {
-            cfg.mcStallIters = static_cast<unsigned>(v);
+            ok = parseUnsigned(val, cfg.mcStallIters);
         } else {
             err = "unknown fault key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            err = "bad fault value in '" + tok + "'";
             return false;
         }
         if (cfg.bcastLossPm > 1000 || cfg.bcastDelayPm > 1000 ||

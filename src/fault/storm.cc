@@ -1,8 +1,8 @@
 #include "fault/storm.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/parse.hh"
 #include "common/random.hh"
 
 namespace lwsp {
@@ -81,13 +81,7 @@ FailureSchedule::parse(const std::string &s, FailureSchedule &out,
                 return false;
             }
         } else {
-            // Digits only — strtoull would happily wrap "x-3" around.
-            bool digits = !num.empty();
-            for (char c : num)
-                digits = digits && c >= '0' && c <= '9';
-            char *end = nullptr;
-            e.at = std::strtoull(num.c_str(), &end, 10);
-            if (!digits || end == nullptr || *end != '\0') {
+            if (!parseUnsigned(num, e.at)) {
                 err = "bad storm event value in '" + tok + "'";
                 return false;
             }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/wsp_checker.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "compiler/compiler.hh"
 #include "core/system.hh"
@@ -118,74 +119,72 @@ CaseSpec::parse(const std::string &s, CaseSpec &out, std::string &err)
         }
         std::string key = tok.substr(0, eq);
         std::string val = tok.substr(eq + 1);
-        try {
-            if (key == "seed") {
-                spec.seed = std::stoull(val);
-            } else if (key == "shrink") {
-                spec.shrink = static_cast<unsigned>(std::stoul(val));
-            } else if (key == "mode") {
-                if (val == "campaign") spec.mode = CrashMode::None;
-                else if (val == "single") spec.mode = CrashMode::Single;
-                else if (val == "dbl-rec")
-                    spec.mode = CrashMode::DoubleRecovery;
-                else if (val == "dbl-drain")
-                    spec.mode = CrashMode::DoubleDrain;
-                else if (val == "storm")
-                    spec.mode = CrashMode::Storm;
-                else {
-                    err = "unknown mode '" + val + "'";
-                    return false;
-                }
-            } else if (key == "crash") {
-                spec.crashAt = std::stoull(val);
-            } else if (key == "crash2") {
-                spec.crashAt2 = std::stoull(val);
-            } else if (key == "drain") {
-                spec.drainIters = static_cast<unsigned>(std::stoul(val));
-            } else if (key == "storm") {
-                std::string serr;
-                if (!fault::FailureSchedule::parse(val, spec.storm,
-                                                   serr)) {
-                    err = "bad storm schedule: " + serr;
-                    return false;
-                }
-            } else if (key == "pds") {
-                std::string perr;
-                if (!pds::PdsSpec::parse(val, spec.pds, perr)) {
-                    err = "bad pds spec: " + perr;
-                    return false;
-                }
-            } else if (key == "serve") {
-                std::string serr;
-                if (!serve::ServeSpec::parse(val, spec.serve, serr)) {
-                    err = "bad serve spec: " + serr;
-                    return false;
-                }
-            } else if (key == "fault") {
-                spec.fault = val != "0";
-            } else if (key == "faults") {
-                std::string ferr;
-                if (!fault::FaultConfig::parse(val, spec.faults, ferr)) {
-                    err = "bad faults spec: " + ferr;
-                    return false;
-                }
-            } else if (key == "mcs") {
-                spec.mcs = static_cast<unsigned>(std::stoul(val));
-                if (spec.mcs == 0) {
-                    err = "mcs must be >= 1";
-                    return false;
-                }
-            } else if (key == "topo") {
-                if (!noc::TopologyConfig::parse(val, spec.topo)) {
-                    err = "bad topology '" + val +
-                          "' (want flat|tree<radix>)";
-                    return false;
-                }
-            } else {
-                err = "unknown key '" + key + "'";
+        bool ok = true;
+        if (key == "seed") {
+            ok = parseUnsigned(val, spec.seed);
+        } else if (key == "shrink") {
+            ok = parseUnsigned(val, spec.shrink);
+        } else if (key == "mode") {
+            if (val == "campaign") spec.mode = CrashMode::None;
+            else if (val == "single") spec.mode = CrashMode::Single;
+            else if (val == "dbl-rec")
+                spec.mode = CrashMode::DoubleRecovery;
+            else if (val == "dbl-drain")
+                spec.mode = CrashMode::DoubleDrain;
+            else if (val == "storm")
+                spec.mode = CrashMode::Storm;
+            else {
+                err = "unknown mode '" + val + "'";
                 return false;
             }
-        } catch (const std::exception &) {
+        } else if (key == "crash") {
+            ok = parseUnsigned(val, spec.crashAt);
+        } else if (key == "crash2") {
+            ok = parseUnsigned(val, spec.crashAt2);
+        } else if (key == "drain") {
+            ok = parseUnsigned(val, spec.drainIters);
+        } else if (key == "storm") {
+            std::string serr;
+            if (!fault::FailureSchedule::parse(val, spec.storm, serr)) {
+                err = "bad storm schedule: " + serr;
+                return false;
+            }
+        } else if (key == "pds") {
+            std::string perr;
+            if (!pds::PdsSpec::parse(val, spec.pds, perr)) {
+                err = "bad pds spec: " + perr;
+                return false;
+            }
+        } else if (key == "serve") {
+            std::string serr;
+            if (!serve::ServeSpec::parse(val, spec.serve, serr)) {
+                err = "bad serve spec: " + serr;
+                return false;
+            }
+        } else if (key == "fault") {
+            spec.fault = val != "0";
+        } else if (key == "faults") {
+            std::string ferr;
+            if (!fault::FaultConfig::parse(val, spec.faults, ferr)) {
+                err = "bad faults spec: " + ferr;
+                return false;
+            }
+        } else if (key == "mcs") {
+            ok = parseUnsigned(val, spec.mcs);
+            if (ok && spec.mcs == 0) {
+                err = "mcs must be >= 1";
+                return false;
+            }
+        } else if (key == "topo") {
+            if (!noc::TopologyConfig::parse(val, spec.topo)) {
+                err = "bad topology '" + val + "' (want flat|tree<radix>)";
+                return false;
+            }
+        } else {
+            err = "unknown key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
             err = "bad value in '" + tok + "'";
             return false;
         }

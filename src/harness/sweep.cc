@@ -90,9 +90,16 @@ SweepExecutor::record(Runner &runner, const RunSpec &spec)
     // re-run instant, and serial insertion keeps the record order (and
     // so the report file) independent of worker scheduling.
     std::string key = specKey(spec);
-    if (!recordedKeys_.insert(key).second)
-        return;
-    records_.push_back({spec, runner.run(spec)});
+    if (!recordedKeys_.count(key))
+        keep({key, spec.workload, core::schemeName(spec.scheme),
+              runner.run(spec)});
+}
+
+void
+SweepExecutor::keep(RunRecord rec)
+{
+    if (recordedKeys_.insert(rec.key).second)
+        records_.push_back(std::move(rec));
 }
 
 std::vector<RunOutcome>
@@ -144,6 +151,24 @@ SweepExecutor::slowdowns(Runner &runner, const std::vector<RunSpec> &specs)
     return out;
 }
 
+std::vector<RunRecord>
+SweepExecutor::runPoints(std::size_t n,
+                         const std::function<PointRun(std::size_t)> &point)
+{
+    std::vector<PointRun> runs(n);
+    sweep(n, [&](std::size_t i) { runs[i] = point(i); });
+    std::vector<RunRecord> out;
+    out.reserve(n);
+    last_.simulatedCycles = 0;
+    for (auto &r : runs) {
+        last_.simulatedCycles += r.simulatedCycles;
+        keep(r.record);
+        out.push_back(std::move(r.record));
+    }
+    total_.simulatedCycles += last_.simulatedCycles;
+    return out;
+}
+
 void
 writeSweepJson(const std::string &path, const std::string &bench,
                const SweepStats &stats)
@@ -185,10 +210,9 @@ writeRunReports(const std::string &path, const std::string &bench,
     for (const auto &rec : records) {
         const auto &r = rec.outcome.result;
         const auto &c = rec.outcome.compileStats;
-        os << (first ? "\n" : ",\n") << " {\"key\":\""
-           << specKey(rec.spec) << "\",\"workload\":\""
-           << rec.spec.workload << "\",\"scheme\":\""
-           << core::schemeName(rec.spec.scheme) << "\",\"threads\":"
+        os << (first ? "\n" : ",\n") << " {\"key\":\"" << rec.key
+           << "\",\"workload\":\"" << rec.workload
+           << "\",\"scheme\":\"" << rec.scheme << "\",\"threads\":"
            << rec.outcome.threads
            << ",\"compile\":{\"input_insts\":" << c.inputInsts
            << ",\"output_insts\":" << c.outputInsts

@@ -69,11 +69,27 @@ struct SweepStats
     }
 };
 
-/** One executed experiment point, retained for run-report emission. */
+/**
+ * One executed experiment point, retained for run-report emission. The
+ * key, workload label and scheme name are fixed when the record is made
+ * (specKey for RunSpec points; the point's own spec string for generated
+ * programs), so writing a report never resolves a workload by name.
+ */
 struct RunRecord
 {
-    RunSpec spec;
+    std::string key;       ///< canonical point key, unique per point
+    std::string workload;  ///< workload label
+    std::string scheme;    ///< scheme name
     RunOutcome outcome;
+};
+
+/** What a runPoints() callback returns for its point. */
+struct PointRun
+{
+    RunRecord record;
+    /** Cycles of every simulation the point ran (a point may run
+     *  several, e.g. a crash-free golden run plus a recovery probe). */
+    std::uint64_t simulatedCycles = 0;
 };
 
 class SweepExecutor
@@ -100,7 +116,18 @@ class SweepExecutor
     std::vector<double> slowdowns(Runner &runner,
                                   const std::vector<RunSpec> &specs);
 
-    /** Telemetry for the most recent runAll/slowdowns call. */
+    /**
+     * Execute @p n points that are not paper-profile RunSpecs:
+     * point(i) simulates point i however it needs to and returns its
+     * record. Returns the records in input order; timing, telemetry and
+     * record retention are as for runAll. @p point runs on worker
+     * threads, so it may write only state owned by index i.
+     */
+    std::vector<RunRecord>
+    runPoints(std::size_t n,
+              const std::function<PointRun(std::size_t)> &point);
+
+    /** Telemetry for the most recent runAll/slowdowns/runPoints call. */
     const SweepStats &lastStats() const { return last_; }
 
     /** Telemetry accumulated over every sweep this executor ran. */
@@ -108,12 +135,13 @@ class SweepExecutor
 
     /**
      * Every point executed by this executor (baselines included),
-     * deduplicated by canonical spec key in first-execution order.
+     * deduplicated by record key in first-execution order.
      */
     const std::vector<RunRecord> &runRecords() const { return records_; }
 
   private:
     void record(Runner &runner, const RunSpec &spec);
+    void keep(RunRecord rec);
     template <typename Fn>
     void sweep(std::size_t n, Fn &&fn);
 

@@ -33,6 +33,7 @@
 
 #include "common/bitset.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/types.hh"
 
 namespace lwsp {
@@ -65,18 +66,9 @@ struct TopologyConfig
             return true;
         }
         if (text.rfind("tree", 0) == 0) {
-            const std::string digits = text.substr(4);
-            if (digits.empty())
-                return false;
             unsigned radix = 0;
-            for (char c : digits) {
-                if (c < '0' || c > '9')
-                    return false;
-                radix = radix * 10 + static_cast<unsigned>(c - '0');
-                if (radix > 1024)
-                    return false;
-            }
-            if (radix < 2)
+            if (!parseUnsigned(std::string_view(text).substr(4), radix) ||
+                radix < 2 || radix > 1024)
                 return false;
             out.kind = Kind::Tree;
             out.radix = radix;

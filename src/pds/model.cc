@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "workloads/generator.hh"
 
@@ -108,21 +109,27 @@ PdsSpec::parse(const std::string &text, PdsSpec &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::uint64_t val = std::strtoull(tok.c_str() + eq + 1, nullptr, 10);
+        std::string_view val(tok);
+        val.remove_prefix(eq + 1);
+        bool ok;
         if (key == "sz") {
-            spec.sizeClass = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.sizeClass);
         } else if (key == "ops") {
-            spec.numOps = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.numOps);
         } else if (key == "mix") {
-            spec.mix = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.mix);
         } else if (key == "pseed") {
-            spec.seed = val;
+            ok = parseUnsigned(val, spec.seed);
         } else if (key == "tx") {
-            spec.opsPerTx = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.opsPerTx);
         } else if (key == "broken") {
-            spec.broken = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.broken);
         } else {
             err = "unknown pds key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            err = "bad pds value in '" + tok + "'";
             return false;
         }
     }

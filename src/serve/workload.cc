@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace lwsp {
 namespace serve {
@@ -78,21 +79,27 @@ ServeSpec::parse(const std::string &text, ServeSpec &out, std::string &err)
             return false;
         }
         std::string key = tok.substr(0, eq);
-        std::uint64_t val = std::strtoull(tok.c_str() + eq + 1, nullptr, 10);
+        std::string_view val(tok);
+        val.remove_prefix(eq + 1);
+        bool ok;
         if (key == "sz") {
-            spec.sizeClass = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.sizeClass);
         } else if (key == "reqs") {
-            spec.numRequests = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.numRequests);
         } else if (key == "ia") {
-            spec.meanIa = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.meanIa);
         } else if (key == "burst") {
-            spec.burst = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.burst);
         } else if (key == "sseed") {
-            spec.seed = val;
+            ok = parseUnsigned(val, spec.seed);
         } else if (key == "tx") {
-            spec.opsPerTx = static_cast<unsigned>(val);
+            ok = parseUnsigned(val, spec.opsPerTx);
         } else {
             err = "unknown serve key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            err = "bad serve value in '" + tok + "'";
             return false;
         }
     }

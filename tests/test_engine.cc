@@ -68,7 +68,6 @@ expectResultEq(const core::RunResult &a, const core::RunResult &b,
 struct EngineRun
 {
     core::RunResult result;
-    std::string stats;           ///< dumpStats text
     std::string statsJson;       ///< stat-registry JSON
     std::vector<trace::Event> events;
     mem::MemImage pm;
@@ -98,9 +97,6 @@ execute(core::SystemConfig cfg, const compiler::CompiledProgram &prog,
         out.result = sys.runWithDoubleFailureDuringDrain(
             fail_at, static_cast<unsigned>(drain_iters));
 
-    std::ostringstream os;
-    sys.dumpStats(os);
-    out.stats = os.str();
     {
         stats::Registry reg;
         sys.registerStats(reg);
@@ -130,7 +126,6 @@ expectRunsEq(const EngineRun &ev, const EngineRun &cy,
              const std::string &what)
 {
     expectResultEq(ev.result, cy.result, what);
-    EXPECT_EQ(ev.stats, cy.stats) << what << ": dumpStats differs";
     EXPECT_EQ(ev.statsJson, cy.statsJson)
         << what << ": stat-registry JSON differs";
     EXPECT_TRUE(ev.pm.diff(cy.pm).empty()) << what << ": PM image differs";

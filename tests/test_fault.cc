@@ -165,7 +165,8 @@ TEST(FaultSpec, ParseRejectsGarbage)
     std::string err;
     for (const char *bad :
          {"loss", "loss=", "loss=abc", "loss=1001", "dup=2000",
-          "unknown=1", "=5", "loss=100,,ckpt"}) {
+          "unknown=1", "=5", "loss=100,,ckpt", "loss=4294967396",
+          "loss=-1", "seed=7x", "flip=+1"}) {
         EXPECT_FALSE(fault::FaultConfig::parse(bad, fc, err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }

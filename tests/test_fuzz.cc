@@ -81,6 +81,17 @@ TEST(FuzzSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(
         CaseSpec::parse("lwsp-fuzz:v1:wl:seed=1:bogus=3", spec, err));
     EXPECT_FALSE(err.empty());
+    // Numbers are strict: trailing text, signs and values too large for
+    // the field are errors, not silently truncated or narrowed.
+    for (const char *s :
+         {"lwsp-fuzz:v1:wl:seed=7x", "lwsp-fuzz:v1:wl:seed=-1",
+          "lwsp-fuzz:v1:wl:seed= 7",
+          "lwsp-fuzz:v1:pds:seed=9:mcs=4294967297",
+          "lwsp-fuzz:v1:wl:seed=1:drain=4294967296",
+          "lwsp-fuzz:v1:wl:seed=1:crash=12x"}) {
+        EXPECT_FALSE(CaseSpec::parse(s, spec, err)) << s;
+        EXPECT_FALSE(err.empty()) << s;
+    }
 }
 
 TEST(FuzzSpec, RoundTripsMachineShapeTokens)

@@ -78,6 +78,15 @@ TEST(PdsSpec, ToStringParseFixpoint)
     EXPECT_FALSE(PdsSpec::parse("tree,sz=1,ops=1,mix=0,pseed=1", bad, err));
     EXPECT_FALSE(PdsSpec::parse("hash,sz=1,ops=8,mix=0,pseed=1,tx=3",
                                 bad, err));
+    // Numbers are strict: no trailing text, no sign, nothing that would
+    // narrow or wrap.
+    for (const char *t :
+         {"hash,sz=1,ops=12x,mix=0,pseed=-1", "hash,sz=1,ops=12x",
+          "hash,pseed=-1", "hash,pseed=", "hash,pseed=+3",
+          "hash,ops=4294967297", "hash,pseed=18446744073709551616"}) {
+        EXPECT_FALSE(PdsSpec::parse(t, bad, err)) << t;
+        EXPECT_FALSE(err.empty()) << t;
+    }
 }
 
 TEST(PdsBuilder, ModuleTextRoundTrip)

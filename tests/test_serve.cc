@@ -124,6 +124,11 @@ TEST(ServeSpec, RoundTripsThroughString)
     EXPECT_FALSE(serve::ServeSpec::parse("squid,sz=1", bad, err));
     EXPECT_FALSE(serve::ServeSpec::parse("varnish,burst=9", bad, err));
     EXPECT_FALSE(serve::ServeSpec::parse("varnish,tx=3", bad, err));
+    // Numbers are strict: garbage is an error, not 0 or a wrapped value.
+    for (const char *t : {"varnish,sseed=abc", "varnish,sseed=",
+                          "varnish,reqs=96x", "varnish,ia=-5",
+                          "varnish,reqs=4294967393"})
+        EXPECT_FALSE(serve::ServeSpec::parse(t, bad, err)) << t;
 }
 
 TEST(ServeWorkload, LoweringIsFeasibleAndCoversRequests)

@@ -85,7 +85,8 @@ TEST(FailureSchedule, RejectsMalformed)
 {
     fault::FailureSchedule sched;
     std::string err;
-    for (const char *s : {"q", "d", "x", "d1+", "+r", "x-3", "r5", "dx1"})
+    for (const char *s : {"q", "d", "x", "d1+", "+r", "x-3", "r5", "dx1",
+                          "x18446744073709551616"})
         EXPECT_FALSE(fault::FailureSchedule::parse(s, sched, err)) << s;
 }
 

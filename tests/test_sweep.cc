@@ -11,11 +11,18 @@
  *     (where context-switch timing caps the jump).
  *
  * Plus the Runner memo: repeated runs of one spec hand back the cached
- * outcome, and SweepExecutor::slowdowns agrees with the scalar
- * slowdownVsBaseline path.
+ * outcome, SweepExecutor::slowdowns agrees with the scalar
+ * slowdownVsBaseline path, and the runPoints entry for bench-defined
+ * points keeps the same contracts (input order, key dedup, telemetry,
+ * job-count-independent reports).
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <regex>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "core/system.hh"
@@ -143,6 +150,61 @@ runDirect(const workloads::WorkloadProfile &profile, core::Scheme scheme,
     return sys.run();
 }
 
+/** One runPoints sweep over the scratch profile, as a bench runs it. */
+struct PointSweep
+{
+    std::vector<harness::RunRecord> records;  ///< as returned, input order
+    std::vector<harness::RunRecord> retained; ///< exec.runRecords()
+    harness::SweepStats stats;
+    std::uint64_t reportedCycles = 0;         ///< sum the callbacks gave
+    std::string report;                       ///< run-report JSON text
+};
+
+/** Six points cycling three schemes, so every key repeats once. */
+constexpr core::Scheme kPointSchemes[] = {
+    core::Scheme::Baseline, core::Scheme::Capri, core::Scheme::LightWsp};
+
+PointSweep
+sweepPoints(unsigned jobs)
+{
+    auto profile = scratchProfile(1);
+    std::vector<std::uint64_t> reported(6);
+    harness::SweepExecutor exec(jobs);
+    PointSweep out;
+    out.records = exec.runPoints(6, [&](std::size_t i) {
+        harness::RunSpec spec;
+        spec.workload = profile.name;
+        spec.scheme = kPointSchemes[i % 3];
+        auto cfg = harness::makeConfig(profile, spec);
+        auto prog =
+            harness::prepareProgram(workloads::generate(profile), spec);
+        core::System sys(cfg, prog, 1);
+        auto res = sys.run();
+        std::string scheme = core::schemeName(spec.scheme);
+        // Report more cycles than the record holds, as a point running
+        // several simulations does.
+        reported[i] = 2 * res.cycles + i;
+        return harness::PointRun{
+            {profile.name + "/" + scheme, profile.name, scheme,
+             {res, prog.stats}},
+            reported[i]};
+    });
+    out.retained = exec.runRecords();
+    out.stats = exec.lastStats();
+    for (auto c : reported)
+        out.reportedCycles += c;
+
+    std::string path = testing::TempDir() + "lwsp_points_report.json";
+    harness::writeRunReports(path, "test", exec.runRecords(),
+                             exec.totalStats());
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    out.report = ss.str();
+    std::remove(path.c_str());
+    return out;
+}
+
 } // namespace
 
 TEST(Sweep, ParallelMatchesSerialBitForBit)
@@ -263,4 +325,48 @@ TEST(Sweep, ParallelForCoversAllIndicesAndRethrows)
                                      throw std::runtime_error("boom");
                              }),
         std::runtime_error);
+}
+
+TEST(Sweep, RunPointsKeepsInputOrderAndDedupsByKey)
+{
+    setLogQuiet(true);
+    PointSweep sw = sweepPoints(4);
+    ASSERT_EQ(sw.records.size(), 6u);
+    for (std::size_t i = 0; i < sw.records.size(); ++i) {
+        EXPECT_EQ(sw.records[i].scheme,
+                  core::schemeName(kPointSchemes[i % 3]))
+            << i;
+        expectResultEq(sw.records[i].outcome.result,
+                       sw.records[i % 3].outcome.result,
+                       "repeat of point " + std::to_string(i % 3));
+    }
+    ASSERT_EQ(sw.retained.size(), 3u);
+    for (std::size_t i = 0; i < sw.retained.size(); ++i)
+        EXPECT_EQ(sw.retained[i].key, sw.records[i].key) << i;
+
+    EXPECT_EQ(sw.stats.points, 6u);
+    EXPECT_EQ(sw.stats.jobs, 4u);
+    EXPECT_EQ(sw.stats.simulatedCycles, sw.reportedCycles);
+}
+
+TEST(Sweep, RunPointsParallelMatchesSerial)
+{
+    setLogQuiet(true);
+    PointSweep serial = sweepPoints(1);
+    PointSweep parallel = sweepPoints(4);
+    ASSERT_EQ(serial.records.size(), parallel.records.size());
+    for (std::size_t i = 0; i < serial.records.size(); ++i) {
+        EXPECT_EQ(serial.records[i].key, parallel.records[i].key);
+        expectOutcomeEq(serial.records[i].outcome,
+                        parallel.records[i].outcome,
+                        "point " + std::to_string(i));
+    }
+    EXPECT_EQ(serial.stats.simulatedCycles,
+              parallel.stats.simulatedCycles);
+
+    // The reports differ only in the header's jobs and wall_seconds.
+    std::regex header("\"jobs\":[0-9]+,\"wall_seconds\":[-+.0-9e]+");
+    ASSERT_TRUE(std::regex_search(serial.report, header));
+    EXPECT_EQ(std::regex_replace(serial.report, header, ""),
+              std::regex_replace(parallel.report, header, ""));
 }

@@ -10,6 +10,7 @@
 
 #include <sstream>
 
+#include "common/stats.hh"
 #include "compiler/compiler.hh"
 #include "core/system.hh"
 #include "harness/runner.hh"
@@ -227,7 +228,7 @@ TEST(System, SlowdownOrderingAcrossSchemes)
     EXPECT_GT(psp, 1.5);  // no DRAM cache hurts badly here
 }
 
-TEST(System, DumpStatsEmitsEveryComponent)
+TEST(System, StatRegistryCoversEveryComponent)
 {
     setLogQuiet(true);
     auto w = workloads::generate(tiny());
@@ -238,15 +239,33 @@ TEST(System, DumpStatsEmitsEveryComponent)
     cfg.applySchemeDefaults();
     System sys(cfg, prog, 1);
     sys.run();
+    stats::Registry reg;
+    sys.registerStats(reg);
     std::ostringstream os;
-    sys.dumpStats(os);
+    reg.dumpJson(os);
     std::string s = os.str();
-    EXPECT_NE(s.find("core0.instsRetired"), std::string::npos);
-    EXPECT_NE(s.find("core0.l1d.hits"), std::string::npos);
-    EXPECT_NE(s.find("l2.misses"), std::string::npos);
-    EXPECT_NE(s.find("mc0.flushedEntries"), std::string::npos);
-    EXPECT_NE(s.find("mc1.flushId"), std::string::npos);
-    EXPECT_NE(s.find("noc.boundariesBroadcast"), std::string::npos);
+    // {"group":{...,"stat":v,...},...}: the stat must sit inside its
+    // group's object.
+    auto has = [&s](const std::string &group, const std::string &stat) {
+        std::size_t at = s.find('"' + group + "\":{");
+        if (at == std::string::npos)
+            return false;
+        int depth = 0;
+        for (std::size_t i = s.find('{', at); i < s.size(); ++i) {
+            if (s[i] == '{')
+                ++depth;
+            else if (s[i] == '}' && --depth == 0)
+                return s.substr(at, i - at).find('"' + stat + "\":") !=
+                       std::string::npos;
+        }
+        return false;
+    };
+    EXPECT_TRUE(has("core0", "instsRetired"));
+    EXPECT_TRUE(has("core0.l1d", "hits"));
+    EXPECT_TRUE(has("l2", "misses"));
+    EXPECT_TRUE(has("mc0", "flushedEntries"));
+    EXPECT_TRUE(has("mc1", "flushId"));
+    EXPECT_TRUE(has("noc", "boundariesBroadcast"));
 }
 
 TEST(System, WpqSizeSensitivityDirection)

@@ -628,9 +628,19 @@ TEST(TraceReport, RunReportJsonIsValidAndVersioned)
     exec.runAll(runner, {spec});
     ASSERT_EQ(exec.runRecords().size(), 1u);
 
+    // Second case: a point whose workload is not a paper profile (a
+    // storm-driven service tape). Its stored key and label are printed
+    // as-is, never resolved through the profile registry.
+    std::vector<harness::RunRecord> records = exec.runRecords();
+    harness::RunRecord storm{
+        "varnish,sz=1,reqs=96/lightwsp/storm=x733+x2173+r",
+        "varnish,sz=1,reqs=96", "lightwsp", {}};
+    storm.outcome.recovered = true;
+    storm.outcome.failuresSurvived = 3;
+    records.push_back(storm);
+
     std::string path = testing::TempDir() + "lwsp_run_report.json";
-    harness::writeRunReports(path, "test", exec.runRecords(),
-                             exec.totalStats());
+    harness::writeRunReports(path, "test", records, exec.totalStats());
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::stringstream ss;
@@ -651,4 +661,11 @@ TEST(TraceReport, RunReportJsonIsValidAndVersioned)
     EXPECT_NE(json.find("\"recovery_outcome\":\"none\""),
               std::string::npos);
     EXPECT_NE(json.find("\"failures_survived\":0"), std::string::npos);
+    EXPECT_NE(json.find("\"key\":\"varnish,sz=1,reqs=96/lightwsp/"
+                        "storm=x733+x2173+r\",\"workload\":\"varnish,"
+                        "sz=1,reqs=96\",\"scheme\":\"lightwsp\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"recovery_outcome\":\"recovered\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"failures_survived\":3"), std::string::npos);
 }
