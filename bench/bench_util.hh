@@ -71,15 +71,13 @@ parseArgs(int argc, char **argv)
             args.reportPath = argv[++i];
         } else if (a == "--engine" && i + 1 < argc) {
             std::string e = argv[++i];
-            if (e == "event") {
-                harness::setDefaultSimEngine(SimEngine::Event);
-            } else if (e == "cycle") {
-                harness::setDefaultSimEngine(SimEngine::Cycle);
-            } else {
+            SimEngine engine = SimEngine::Event;
+            if (!parseSimEngine(e, engine)) {
                 std::cerr << "unknown engine '" << e
                           << "' (want event|cycle)\n";
                 std::exit(2);
             }
+            harness::setDefaultSimEngine(engine);
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--quick] [--csv FILE] [--jobs N]"

@@ -88,11 +88,10 @@ applyFaultSpec(core::SystemConfig &cfg, const std::string &spec)
 SimEngine
 engineFromName(const std::string &name)
 {
-    if (name == "event")
-        return SimEngine::Event;
-    if (name == "cycle")
-        return SimEngine::Cycle;
-    fatal("unknown engine '", name, "' (want event|cycle)");
+    SimEngine e = SimEngine::Event;
+    if (!parseSimEngine(name, e))
+        fatal("unknown engine '", name, "' (want event|cycle)");
+    return e;
 }
 
 core::Scheme

@@ -48,41 +48,31 @@ bool
 FailureSchedule::parse(const std::string &s, FailureSchedule &out,
                        std::string &err)
 {
-    FailureSchedule sched;
-    if (!s.empty() && s.back() == '+') {
-        err = "empty storm event (trailing '+')";
+    std::vector<std::string_view> toks;
+    if (!spec::split(s, '+', "storm", toks, err))
         return false;
-    }
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t plus = s.find('+', pos);
-        std::string tok = s.substr(
-            pos, plus == std::string::npos ? std::string::npos
-                                           : plus - pos);
-        pos = plus == std::string::npos ? s.size() : plus + 1;
-        if (tok.empty()) {
-            err = "empty storm event (stray '+')";
-            return false;
-        }
+    FailureSchedule sched;
+    for (std::string_view tok : toks) {
         FailureEvent e;
         switch (tok[0]) {
           case 'd': e.phase = FailurePhase::Drain; break;
           case 'r': e.phase = FailurePhase::Recovery; break;
           case 'x': e.phase = FailurePhase::Exec; break;
           default:
-            err = "bad storm event '" + tok + "' (want d<N>|r|x<N>)";
+            err = "bad storm event '" + std::string(tok) +
+                  "' (want d<N>|r|x<N>)";
             return false;
         }
-        std::string num = tok.substr(1);
+        std::string_view num = tok.substr(1);
         if (e.phase == FailurePhase::Recovery) {
             if (!num.empty()) {
-                err = "storm event '" + tok +
+                err = "storm event '" + std::string(tok) +
                       "' takes no parameter (want plain 'r')";
                 return false;
             }
         } else {
             if (!parseUnsigned(num, e.at)) {
-                err = "bad storm event value in '" + tok + "'";
+                err = "bad storm event value in '" + std::string(tok) + "'";
                 return false;
             }
         }

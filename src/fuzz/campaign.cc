@@ -21,177 +21,73 @@ namespace fuzz {
 
 namespace {
 
-constexpr const char *specPrefix = "lwsp-fuzz:v1:";
+constexpr std::string_view specPrefix = "lwsp-fuzz:v1:";
 
-const char *
-modeToken(CrashMode m)
+constexpr const char *sourceNames[] = {"wl", "ir", "pds", "serve"};
+constexpr const char *modeNames[] = {"campaign", "single", "dbl-rec",
+                                     "dbl-drain", "storm"};
+
+using spec::Print;
+
+// Print predicates: a key is spelled (and accepted) only where it acts.
+template <CaseSpec::Source S>
+bool
+fromSource(const CaseSpec &c)
 {
-    switch (m) {
-      case CrashMode::None: return "campaign";
-      case CrashMode::Single: return "single";
-      case CrashMode::DoubleRecovery: return "dbl-rec";
-      case CrashMode::DoubleDrain: return "dbl-drain";
-      case CrashMode::Storm: return "storm";
-    }
-    return "?";
+    return c.source == S;
 }
+
+template <CrashMode M>
+bool
+inMode(const CaseSpec &c)
+{
+    return c.mode == M;
+}
+
+bool
+crashes(const CaseSpec &c)
+{
+    return c.mode != CrashMode::None;
+}
+
+constexpr spec::Field<CaseSpec> caseFields[] = {
+    spec::word<&CaseSpec::source, sourceNames>(nullptr),
+    spec::number<&CaseSpec::seed>("seed"),
+    spec::number<&CaseSpec::shrink>("shrink"),
+    spec::nested<&CaseSpec::pds>("pds", Print::When,
+                                 fromSource<CaseSpec::Source::Pds>),
+    spec::nested<&CaseSpec::serve>("serve", Print::When,
+                                   fromSource<CaseSpec::Source::Serve>),
+    spec::word<&CaseSpec::mode, modeNames>("mode", Print::UnlessDefault),
+    spec::number<&CaseSpec::crashAt>("crash", Print::When, crashes),
+    spec::number<&CaseSpec::crashAt2>("crash2", Print::When,
+                                      inMode<CrashMode::DoubleRecovery>),
+    spec::number<&CaseSpec::drainIters>("drain", Print::When,
+                                        inMode<CrashMode::DoubleDrain>),
+    spec::nested<&CaseSpec::storm>("storm"),
+    spec::flag<&CaseSpec::fault>("fault"),
+    spec::nested<&CaseSpec::faults>("faults"),
+    spec::number<&CaseSpec::mcs, 1>("mcs", Print::UnlessDefault),
+    spec::nested<&CaseSpec::topo>("topo"),
+};
 
 } // namespace
 
 std::string
 CaseSpec::toString() const
 {
-    std::ostringstream os;
-    const char *src = source == Source::Workload ? "wl"
-                      : source == Source::Ir     ? "ir"
-                      : source == Source::Pds    ? "pds"
-                                                 : "serve";
-    os << specPrefix << src << ":seed=" << seed << ":shrink=" << shrink;
-    if (source == Source::Pds)
-        os << ":pds=" << pds.toString();
-    if (source == Source::Serve)
-        os << ":serve=" << serve.toString();
-    if (mode != CrashMode::None) {
-        os << ":mode=" << modeToken(mode) << ":crash=" << crashAt;
-        if (mode == CrashMode::DoubleRecovery)
-            os << ":crash2=" << crashAt2;
-        if (mode == CrashMode::DoubleDrain)
-            os << ":drain=" << drainIters;
-    }
-    if (!storm.empty())
-        os << ":storm=" << storm.toString();
-    if (fault)
-        os << ":fault=1";
-    if (std::string f = faults.toString(); !f.empty())
-        os << ":faults=" << f;
-    if (mcs != 0)
-        os << ":mcs=" << mcs;
-    if (topo.isTree())
-        os << ":topo=" << topo.toString();
-    return os.str();
+    return std::string(specPrefix) + spec::print(*this, ':', caseFields);
 }
 
 bool
 CaseSpec::parse(const std::string &s, CaseSpec &out, std::string &err)
 {
-    if (s.rfind(specPrefix, 0) != 0) {
+    if (!s.starts_with(specPrefix)) {
         err = "spec must start with '" + std::string(specPrefix) + "'";
         return false;
     }
-    std::string rest = s.substr(std::string(specPrefix).size());
-    std::vector<std::string> tokens;
-    std::size_t pos = 0;
-    while (pos <= rest.size()) {
-        std::size_t colon = rest.find(':', pos);
-        if (colon == std::string::npos)
-            colon = rest.size();
-        tokens.push_back(rest.substr(pos, colon - pos));
-        pos = colon + 1;
-    }
-    if (tokens.empty()) {
-        err = "empty spec";
-        return false;
-    }
-
-    CaseSpec spec;
-    if (tokens[0] == "wl") {
-        spec.source = Source::Workload;
-    } else if (tokens[0] == "ir") {
-        spec.source = Source::Ir;
-    } else if (tokens[0] == "pds") {
-        spec.source = Source::Pds;
-    } else if (tokens[0] == "serve") {
-        spec.source = Source::Serve;
-    } else {
-        err = "unknown source '" + tokens[0] +
-              "' (want wl|ir|pds|serve)";
-        return false;
-    }
-
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::string &tok = tokens[i];
-        if (tok.empty())
-            continue;
-        std::size_t eq = tok.find('=');
-        if (eq == std::string::npos) {
-            err = "token '" + tok + "' is not key=value";
-            return false;
-        }
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        bool ok = true;
-        if (key == "seed") {
-            ok = parseUnsigned(val, spec.seed);
-        } else if (key == "shrink") {
-            ok = parseUnsigned(val, spec.shrink);
-        } else if (key == "mode") {
-            if (val == "campaign") spec.mode = CrashMode::None;
-            else if (val == "single") spec.mode = CrashMode::Single;
-            else if (val == "dbl-rec")
-                spec.mode = CrashMode::DoubleRecovery;
-            else if (val == "dbl-drain")
-                spec.mode = CrashMode::DoubleDrain;
-            else if (val == "storm")
-                spec.mode = CrashMode::Storm;
-            else {
-                err = "unknown mode '" + val + "'";
-                return false;
-            }
-        } else if (key == "crash") {
-            ok = parseUnsigned(val, spec.crashAt);
-        } else if (key == "crash2") {
-            ok = parseUnsigned(val, spec.crashAt2);
-        } else if (key == "drain") {
-            ok = parseUnsigned(val, spec.drainIters);
-        } else if (key == "storm") {
-            std::string serr;
-            if (!fault::FailureSchedule::parse(val, spec.storm, serr)) {
-                err = "bad storm schedule: " + serr;
-                return false;
-            }
-        } else if (key == "pds") {
-            std::string perr;
-            if (!pds::PdsSpec::parse(val, spec.pds, perr)) {
-                err = "bad pds spec: " + perr;
-                return false;
-            }
-        } else if (key == "serve") {
-            std::string serr;
-            if (!serve::ServeSpec::parse(val, spec.serve, serr)) {
-                err = "bad serve spec: " + serr;
-                return false;
-            }
-        } else if (key == "fault") {
-            spec.fault = val != "0";
-        } else if (key == "faults") {
-            std::string ferr;
-            if (!fault::FaultConfig::parse(val, spec.faults, ferr)) {
-                err = "bad faults spec: " + ferr;
-                return false;
-            }
-        } else if (key == "mcs") {
-            ok = parseUnsigned(val, spec.mcs);
-            if (ok && spec.mcs == 0) {
-                err = "mcs must be >= 1";
-                return false;
-            }
-        } else if (key == "topo") {
-            if (!noc::TopologyConfig::parse(val, spec.topo)) {
-                err = "bad topology '" + val + "' (want flat|tree<radix>)";
-                return false;
-            }
-        } else {
-            err = "unknown key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            err = "bad value in '" + tok + "'";
-            return false;
-        }
-    }
-    out = spec;
-    err.clear();
-    return true;
+    return spec::parse(std::string_view(s).substr(specPrefix.size()), ':',
+                       "fuzz", caseFields, nullptr, out, err);
 }
 
 // ---- Case construction -----------------------------------------------------

@@ -195,13 +195,10 @@ main(int argc, char **argv)
             if (matrix_step == 0)
                 matrix_step = 1;
         } else if (const char *v = arg("--engine")) {
-            if (std::strcmp(v, "event") == 0) {
-                harness::setDefaultSimEngine(SimEngine::Event);
-            } else if (std::strcmp(v, "cycle") == 0) {
-                harness::setDefaultSimEngine(SimEngine::Cycle);
-            } else {
+            SimEngine e = SimEngine::Event;
+            if (!parseSimEngine(v, e))
                 return usage(argv[0]);
-            }
+            harness::setDefaultSimEngine(e);
         } else if (std::strcmp(argv[i], "--recovery-matrix") == 0) {
             matrix = true;
         } else if (std::strcmp(argv[i], "--storm") == 0) {

@@ -55,111 +55,58 @@ constexpr unsigned opHashInsert = 0, opHashDelete = 1, opHashLookup = 2,
                    opHashResize = 3;
 constexpr unsigned opAllocAlloc = 0, opAllocFree = 1;
 
+constexpr const char *kindNames[] = {"log", "hash", "alloc"};
+
+using spec::Print;
+
+constexpr spec::Field<PdsSpec> pdsFields[] = {
+    spec::word<&PdsSpec::kind, kindNames>(nullptr),
+    spec::number<&PdsSpec::sizeClass>("sz"),
+    spec::number<&PdsSpec::numOps>("ops"),
+    spec::number<&PdsSpec::mix>("mix"),
+    spec::number<&PdsSpec::seed>("pseed"),
+    spec::number<&PdsSpec::opsPerTx>("tx", Print::UnlessDefault),
+    spec::number<&PdsSpec::broken>("broken", Print::UnlessDefault),
+};
+
+bool
+validate(const PdsSpec &spec, std::string &err)
+{
+    if (spec.sizeClass > 2)
+        err = "pds sz out of range";
+    else if (spec.mix > 2)
+        err = "pds mix out of range";
+    else if (spec.numOps < 1 || spec.numOps > 100000)
+        err = "pds ops out of range";
+    else if (spec.opsPerTx == 0 ||
+             (spec.opsPerTx & (spec.opsPerTx - 1)) != 0 ||
+             spec.opsPerTx > 64)
+        err = "pds tx must be a power of two <= 64";
+    else if (spec.broken > 2)
+        err = "pds broken out of range";
+    else
+        return true;
+    return false;
+}
+
 } // namespace
 
 const char *
 kindName(Kind k)
 {
-    switch (k) {
-      case Kind::Log: return "log";
-      case Kind::Hash: return "hash";
-      case Kind::Alloc: return "alloc";
-    }
-    return "?";
+    return spec::enumName(kindNames, k);
 }
 
 std::string
 PdsSpec::toString() const
 {
-    std::ostringstream os;
-    os << kindName(kind) << ",sz=" << sizeClass << ",ops=" << numOps
-       << ",mix=" << mix << ",pseed=" << seed;
-    if (opsPerTx != 4)
-        os << ",tx=" << opsPerTx;
-    if (broken != 0)
-        os << ",broken=" << broken;
-    return os.str();
+    return spec::print(*this, ',', pdsFields);
 }
 
 bool
 PdsSpec::parse(const std::string &text, PdsSpec &out, std::string &err)
 {
-    PdsSpec spec;
-    std::istringstream is(text);
-    std::string tok;
-    bool first = true;
-    while (std::getline(is, tok, ',')) {
-        if (first) {
-            first = false;
-            if (tok == "log") {
-                spec.kind = Kind::Log;
-            } else if (tok == "hash") {
-                spec.kind = Kind::Hash;
-            } else if (tok == "alloc") {
-                spec.kind = Kind::Alloc;
-            } else {
-                err = "unknown pds kind '" + tok + "'";
-                return false;
-            }
-            continue;
-        }
-        auto eq = tok.find('=');
-        if (eq == std::string::npos) {
-            err = "malformed pds field '" + tok + "'";
-            return false;
-        }
-        std::string key = tok.substr(0, eq);
-        std::string_view val(tok);
-        val.remove_prefix(eq + 1);
-        bool ok;
-        if (key == "sz") {
-            ok = parseUnsigned(val, spec.sizeClass);
-        } else if (key == "ops") {
-            ok = parseUnsigned(val, spec.numOps);
-        } else if (key == "mix") {
-            ok = parseUnsigned(val, spec.mix);
-        } else if (key == "pseed") {
-            ok = parseUnsigned(val, spec.seed);
-        } else if (key == "tx") {
-            ok = parseUnsigned(val, spec.opsPerTx);
-        } else if (key == "broken") {
-            ok = parseUnsigned(val, spec.broken);
-        } else {
-            err = "unknown pds key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            err = "bad pds value in '" + tok + "'";
-            return false;
-        }
-    }
-    if (first) {
-        err = "empty pds spec";
-        return false;
-    }
-    if (spec.sizeClass > 2) {
-        err = "pds sz out of range";
-        return false;
-    }
-    if (spec.mix > 2) {
-        err = "pds mix out of range";
-        return false;
-    }
-    if (spec.numOps < 1 || spec.numOps > 100000) {
-        err = "pds ops out of range";
-        return false;
-    }
-    if (spec.opsPerTx == 0 || (spec.opsPerTx & (spec.opsPerTx - 1)) != 0 ||
-        spec.opsPerTx > 64) {
-        err = "pds tx must be a power of two <= 64";
-        return false;
-    }
-    if (spec.broken > 2) {
-        err = "pds broken out of range";
-        return false;
-    }
-    out = spec;
-    return true;
+    return spec::parse(text, ',', "pds", pdsFields, validate, out, err);
 }
 
 // ---------------------------------------------------------------------------

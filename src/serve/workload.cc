@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -18,14 +17,48 @@
 namespace lwsp {
 namespace serve {
 
+namespace {
+
+constexpr const char *profileNames[] = {"varnish", "horde"};
+
+using spec::Print;
+
+constexpr spec::Field<ServeSpec> serveFields[] = {
+    spec::word<&ServeSpec::profile, profileNames>(nullptr),
+    spec::number<&ServeSpec::sizeClass>("sz"),
+    spec::number<&ServeSpec::numRequests>("reqs"),
+    spec::number<&ServeSpec::meanIa>("ia"),
+    spec::number<&ServeSpec::burst>("burst"),
+    spec::number<&ServeSpec::seed>("sseed"),
+    spec::number<&ServeSpec::opsPerTx>("tx", Print::UnlessDefault),
+};
+
+bool
+validate(const ServeSpec &spec, std::string &err)
+{
+    if (spec.sizeClass > 2)
+        err = "serve sz out of range";
+    else if (spec.numRequests < 1 || spec.numRequests > 50000)
+        err = "serve reqs out of range";
+    else if (spec.meanIa < 1 || spec.meanIa > 10'000'000)
+        err = "serve ia out of range";
+    else if (spec.burst > 2)
+        err = "serve burst out of range";
+    else if (spec.opsPerTx == 0 ||
+             (spec.opsPerTx & (spec.opsPerTx - 1)) != 0 ||
+             spec.opsPerTx > 64)
+        err = "serve tx must be a power of two <= 64";
+    else
+        return true;
+    return false;
+}
+
+} // namespace
+
 const char *
 profileName(Profile p)
 {
-    switch (p) {
-      case Profile::Varnish: return "varnish";
-      case Profile::Horde: return "horde";
-    }
-    return "?";
+    return spec::enumName(profileNames, p);
 }
 
 const char *
@@ -44,92 +77,13 @@ reqTypeName(ReqType t)
 std::string
 ServeSpec::toString() const
 {
-    std::ostringstream os;
-    os << profileName(profile) << ",sz=" << sizeClass << ",reqs="
-       << numRequests << ",ia=" << meanIa << ",burst=" << burst
-       << ",sseed=" << seed;
-    if (opsPerTx != 4)
-        os << ",tx=" << opsPerTx;
-    return os.str();
+    return spec::print(*this, ',', serveFields);
 }
 
 bool
 ServeSpec::parse(const std::string &text, ServeSpec &out, std::string &err)
 {
-    ServeSpec spec;
-    std::istringstream is(text);
-    std::string tok;
-    bool first = true;
-    while (std::getline(is, tok, ',')) {
-        if (first) {
-            first = false;
-            if (tok == "varnish") {
-                spec.profile = Profile::Varnish;
-            } else if (tok == "horde") {
-                spec.profile = Profile::Horde;
-            } else {
-                err = "unknown serve profile '" + tok + "'";
-                return false;
-            }
-            continue;
-        }
-        auto eq = tok.find('=');
-        if (eq == std::string::npos) {
-            err = "malformed serve field '" + tok + "'";
-            return false;
-        }
-        std::string key = tok.substr(0, eq);
-        std::string_view val(tok);
-        val.remove_prefix(eq + 1);
-        bool ok;
-        if (key == "sz") {
-            ok = parseUnsigned(val, spec.sizeClass);
-        } else if (key == "reqs") {
-            ok = parseUnsigned(val, spec.numRequests);
-        } else if (key == "ia") {
-            ok = parseUnsigned(val, spec.meanIa);
-        } else if (key == "burst") {
-            ok = parseUnsigned(val, spec.burst);
-        } else if (key == "sseed") {
-            ok = parseUnsigned(val, spec.seed);
-        } else if (key == "tx") {
-            ok = parseUnsigned(val, spec.opsPerTx);
-        } else {
-            err = "unknown serve key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            err = "bad serve value in '" + tok + "'";
-            return false;
-        }
-    }
-    if (first) {
-        err = "empty serve spec";
-        return false;
-    }
-    if (spec.sizeClass > 2) {
-        err = "serve sz out of range";
-        return false;
-    }
-    if (spec.numRequests < 1 || spec.numRequests > 50000) {
-        err = "serve reqs out of range";
-        return false;
-    }
-    if (spec.meanIa < 1 || spec.meanIa > 10'000'000) {
-        err = "serve ia out of range";
-        return false;
-    }
-    if (spec.burst > 2) {
-        err = "serve burst out of range";
-        return false;
-    }
-    if (spec.opsPerTx == 0 || (spec.opsPerTx & (spec.opsPerTx - 1)) != 0 ||
-        spec.opsPerTx > 64) {
-        err = "serve tx must be a power of two <= 64";
-        return false;
-    }
-    out = spec;
-    return true;
+    return spec::parse(text, ',', "serve", serveFields, validate, out, err);
 }
 
 // ---------------------------------------------------------------------------

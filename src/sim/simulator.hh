@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -53,6 +54,19 @@ constexpr const char *
 simEngineName(SimEngine e)
 {
     return e == SimEngine::Event ? "event" : "cycle";
+}
+
+/** Inverse of simEngineName(); false, leaving @p out untouched, else. */
+constexpr bool
+parseSimEngine(std::string_view name, SimEngine &out)
+{
+    for (SimEngine e : {SimEngine::Event, SimEngine::Cycle}) {
+        if (name == simEngineName(e)) {
+            out = e;
+            return true;
+        }
+    }
+    return false;
 }
 
 class Simulator : public Scheduler

@@ -30,39 +30,11 @@
 #include "workloads/generator.hh"
 #include "workloads/profile.hh"
 
+#include "result_eq.hh"
+
 using namespace lwsp;
 
 namespace {
-
-void
-expectResultEq(const core::RunResult &a, const core::RunResult &b,
-               const std::string &what)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.instsRetired, b.instsRetired) << what;
-    EXPECT_EQ(a.storesRetired, b.storesRetired) << what;
-    EXPECT_EQ(a.boundaries, b.boundaries) << what;
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.boundaryWaitCycles, b.boundaryWaitCycles) << what;
-    EXPECT_EQ(a.sbFullCycles, b.sbFullCycles) << what;
-    EXPECT_EQ(a.febFullCycles, b.febFullCycles) << what;
-    EXPECT_EQ(a.snoopBlockedCycles, b.snoopBlockedCycles) << what;
-    EXPECT_EQ(a.lockBlockedCycles, b.lockBlockedCycles) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << what;
-    EXPECT_EQ(a.staleLoads, b.staleLoads) << what;
-    EXPECT_EQ(a.bufferConflicts, b.bufferConflicts) << what;
-    EXPECT_EQ(a.divertedVictims, b.divertedVictims) << what;
-    EXPECT_EQ(a.wpqLoadHits, b.wpqLoadHits) << what;
-    EXPECT_EQ(a.wpqFlushedEntries, b.wpqFlushedEntries) << what;
-    EXPECT_EQ(a.wpqFallbackFlushes, b.wpqFallbackFlushes) << what;
-    EXPECT_EQ(a.wpqOverflowEvents, b.wpqOverflowEvents) << what;
-    EXPECT_EQ(a.maxWpqOccupancy, b.maxWpqOccupancy) << what;
-    EXPECT_EQ(a.regionsCommitted, b.regionsCommitted) << what;
-    EXPECT_DOUBLE_EQ(a.avgRegionInsts, b.avgRegionInsts) << what;
-    EXPECT_DOUBLE_EQ(a.avgRegionStores, b.avgRegionStores) << what;
-}
 
 /** Everything observable about one System run, captured for diffing. */
 struct EngineRun

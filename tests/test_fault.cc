@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -169,6 +170,14 @@ TEST(FaultSpec, ParseRejectsGarbage)
           "loss=-1", "seed=7x", "flip=+1"}) {
         EXPECT_FALSE(fault::FaultConfig::parse(bad, fc, err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
+    }
+    // Strict grammar: a trailing separator, a flag other than 0/1 and a
+    // repeated key are errors naming the bad token.
+    for (auto [bad, tok] : {std::pair{"loss=5,", "loss=5,"},
+                            {"flip=7", "flip=7"},
+                            {"loss=1,loss=2", "loss=2"}}) {
+        EXPECT_FALSE(fault::FaultConfig::parse(bad, fc, err)) << bad;
+        EXPECT_NE(err.find(tok), std::string::npos) << bad << ": " << err;
     }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "fuzz/campaign.hh"
@@ -91,6 +92,26 @@ TEST(FuzzSpec, RejectsMalformedSpecs)
           "lwsp-fuzz:v1:wl:seed=1:crash=12x"}) {
         EXPECT_FALSE(CaseSpec::parse(s, spec, err)) << s;
         EXPECT_FALSE(err.empty()) << s;
+    }
+    // The grammar is strict: a repeated key, a flag other than 0/1 and an
+    // empty token are errors naming the bad token, and so is a key that
+    // would have no effect on the parsed case (crash without a mode, pds
+    // on a wl case), since the replay would run a different case.
+    for (auto [s, tok] : {
+             std::pair{"lwsp-fuzz:v1:wl:seed=3:seed=4", "seed=4"},
+             {"lwsp-fuzz:v1:wl:seed=3:fault=abc", "fault=abc"},
+             {"lwsp-fuzz:v1:wl:seed=3:fault=", "fault="},
+             {"lwsp-fuzz:v1:wl::seed=3", "wl::seed=3"},
+             {"lwsp-fuzz:v1:wl:seed=3:", "wl:seed=3:"},
+             {"lwsp-fuzz:v1:wl:seed=3:crash=9", "crash=9"},
+             {"lwsp-fuzz:v1:wl:seed=3:pds=log,sz=0", "pds=log,sz=0"},
+             {"lwsp-fuzz:v1:wl:seed=3:mode=single:crash=1:drain=2",
+              "drain=2"},
+             {"lwsp-fuzz:v1:wl:seed=3:mode=single:crash=1:crash2=2",
+              "crash2=2"},
+             {"lwsp-fuzz:v1:pds:seed=3:serve=varnish", "serve=varnish"}}) {
+        EXPECT_FALSE(CaseSpec::parse(s, spec, err)) << s;
+        EXPECT_NE(err.find(tok), std::string::npos) << s << ": " << err;
     }
 }
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "analysis/wsp_checker.hh"
 #include "common/logging.hh"
 #include "core/system.hh"
@@ -86,6 +88,14 @@ TEST(PdsSpec, ToStringParseFixpoint)
           "hash,ops=4294967297", "hash,pseed=18446744073709551616"}) {
         EXPECT_FALSE(PdsSpec::parse(t, bad, err)) << t;
         EXPECT_FALSE(err.empty()) << t;
+    }
+    // Strict grammar: a repeated key or a trailing separator is an error
+    // naming the bad token.
+    for (auto [t, tok] :
+         {std::pair{"hash,sz=1,sz=2", "sz=2"},
+          {"hash,sz=1,ops=12,mix=0,pseed=1,", "pseed=1,"}}) {
+        EXPECT_FALSE(PdsSpec::parse(t, bad, err)) << t;
+        EXPECT_NE(err.find(tok), std::string::npos) << t << ": " << err;
     }
 }
 

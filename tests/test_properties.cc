@@ -1,8 +1,9 @@
 /**
  * @file
  * Property tests cross-checking the compiler's dataflow analyses against
- * brute-force oracles on randomized CFGs, plus randomized persist-order
- * properties on the protocol.
+ * brute-force oracles on randomized CFGs, randomized persist-order
+ * properties on the protocol, and a print/parse fixpoint over random
+ * specs of every spec grammar.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/random.hh"
 #include "compiler/liveness.hh"
+#include "fuzz/campaign.hh"
 #include "ir/cfg.hh"
 #include "ir/verifier.hh"
 #include "mem/mem_controller.hh"
@@ -295,3 +297,151 @@ TEST_P(PersistOrderProperty, RegionOrderHoldsUnderRandomArrival)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PersistOrderProperty,
                          ::testing::Range<std::uint64_t>(300, 316));
+
+// ---- Spec grammars: print -> parse -> print is a fixpoint ------------------
+
+namespace {
+
+/** parse(toString(x)) succeeds and prints back as toString(x). */
+template <typename T>
+::testing::AssertionResult
+reprints(const T &x)
+{
+    std::string s = x.toString(), err;
+    T back;
+    bool ok;
+    if constexpr (requires { T::parse(s, back); })
+        ok = T::parse(s, back);
+    else
+        ok = T::parse(s, back, err);
+    if (!ok)
+        return ::testing::AssertionFailure()
+               << "'" << s << "' rejected: " << err;
+    if (back.toString() != s)
+        return ::testing::AssertionFailure()
+               << "'" << s << "' reprints as '" << back.toString() << "'";
+    return ::testing::AssertionSuccess();
+}
+
+/** A tick-sized value of random magnitude. */
+std::uint64_t
+anyTick(Rng &rng)
+{
+    return rng.next() >> rng.below(64);
+}
+
+pds::PdsSpec
+randomPds(Rng &rng)
+{
+    pds::PdsSpec p;
+    p.kind = static_cast<pds::Kind>(rng.below(3));
+    p.sizeClass = static_cast<unsigned>(rng.below(3));
+    p.numOps = static_cast<unsigned>(rng.range(1, 100000));
+    p.mix = static_cast<unsigned>(rng.below(3));
+    p.seed = rng.next();
+    p.opsPerTx = 1u << rng.below(7);
+    p.broken = static_cast<unsigned>(rng.below(3));
+    return p;
+}
+
+serve::ServeSpec
+randomServe(Rng &rng)
+{
+    serve::ServeSpec s;
+    s.profile = static_cast<serve::Profile>(rng.below(2));
+    s.sizeClass = static_cast<unsigned>(rng.below(3));
+    s.numRequests = static_cast<unsigned>(rng.range(1, 50000));
+    s.meanIa = static_cast<unsigned>(rng.range(1, 10'000'000));
+    s.burst = static_cast<unsigned>(rng.below(3));
+    s.seed = rng.next();
+    s.opsPerTx = 1u << rng.below(7);
+    return s;
+}
+
+fault::FaultConfig
+randomFaults(Rng &rng)
+{
+    fault::FaultConfig f;
+    auto pm = [&] { return static_cast<unsigned>(rng.range(0, 1000)); };
+    auto some = [&] { return rng.chance(0.5); };
+    if (some())
+        f.seed = rng.next();
+    if (some())
+        f.bcastLossPm = pm();
+    if (some())
+        f.bcastDelayPm = pm();
+    if (some())
+        f.bcastDelayCycles = anyTick(rng);
+    if (some())
+        f.bcastDupPm = pm();
+    if (some())
+        f.bcastLossPinTick = anyTick(rng);
+    f.wpqBitFlip = some();
+    f.wpqTear = some();
+    f.ckptEntryDamage = some();
+    if (some())
+        f.pmPoisonWords = static_cast<unsigned>(rng.below(1u << 20));
+    f.silentCkptFlip = some();
+    if (some())
+        f.mcStallIters = static_cast<unsigned>(rng.below(1u << 20));
+    return f;
+}
+
+fault::FailureSchedule
+randomStorm(Rng &rng)
+{
+    fault::FailureSchedule s;
+    for (auto n = rng.below(6); n > 0; --n) {
+        fault::FailureEvent e;
+        e.phase = static_cast<fault::FailurePhase>(rng.below(3));
+        if (e.phase != fault::FailurePhase::Recovery)
+            e.at = anyTick(rng);
+        s.events.push_back(e);
+    }
+    return s;
+}
+
+noc::TopologyConfig
+randomTopo(Rng &rng)
+{
+    noc::TopologyConfig t;
+    if (rng.chance(0.5)) {
+        t.kind = noc::TopologyConfig::Kind::Tree;
+        t.radix = static_cast<unsigned>(rng.range(2, 1024));
+    }
+    return t;
+}
+
+} // namespace
+
+TEST(SpecGrammarProperty, PrintParsePrintIsFixpoint)
+{
+    constexpr unsigned perGrammar = 600;
+    Rng rng(0x5bec);
+    for (unsigned i = 0; i < perGrammar; ++i) {
+        EXPECT_TRUE(reprints(randomPds(rng)));
+        EXPECT_TRUE(reprints(randomServe(rng)));
+        EXPECT_TRUE(reprints(randomFaults(rng)));
+        EXPECT_TRUE(reprints(randomStorm(rng)));
+        EXPECT_TRUE(reprints(randomTopo(rng)));
+
+        // Cycle every source x mode pair; every nested axis is drawn.
+        fuzz::CaseSpec c;
+        c.source = static_cast<fuzz::CaseSpec::Source>(i % 4);
+        c.mode = static_cast<fuzz::CrashMode>(i / 4 % 5);
+        c.seed = rng.next();
+        c.shrink = static_cast<unsigned>(rng.below(16));
+        c.pds = randomPds(rng);
+        c.serve = randomServe(rng);
+        c.crashAt = anyTick(rng);
+        c.crashAt2 = anyTick(rng);
+        c.drainIters = static_cast<unsigned>(rng.below(8));
+        c.storm = randomStorm(rng);
+        c.fault = rng.chance(0.5);
+        c.faults = randomFaults(rng);
+        c.mcs = rng.chance(0.5) ? 0u
+                                : static_cast<unsigned>(rng.range(1, 256));
+        c.topo = randomTopo(rng);
+        EXPECT_TRUE(reprints(c));
+    }
+}

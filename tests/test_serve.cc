@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "core/system.hh"
 #include "pds/pds.hh"
@@ -129,6 +130,13 @@ TEST(ServeSpec, RoundTripsThroughString)
                           "varnish,reqs=96x", "varnish,ia=-5",
                           "varnish,reqs=4294967393"})
         EXPECT_FALSE(serve::ServeSpec::parse(t, bad, err)) << t;
+    // Strict grammar: a repeated key or a trailing separator is an error
+    // naming the bad token.
+    for (auto [t, tok] : {std::pair{"varnish,sz=1,sz=2", "sz=2"},
+                          {"varnish,reqs=10,", "reqs=10,"}}) {
+        EXPECT_FALSE(serve::ServeSpec::parse(t, bad, err)) << t;
+        EXPECT_NE(err.find(tok), std::string::npos) << t << ": " << err;
+    }
 }
 
 TEST(ServeWorkload, LoweringIsFeasibleAndCoversRequests)
