@@ -2,7 +2,7 @@
 # Run every figure/table reproduction through the parallel sweep engine,
 # check the CSVs against the checked-in references, and aggregate the
 # per-bench telemetry into one BENCH_sweep.json. Every bench also writes
-# its lwsp-run-report-v1.2 run report to OUT_DIR/<bench>.report.json.
+# its lwsp-run-report-v1.3 run report to OUT_DIR/<bench>.report.json.
 #
 #   scripts/bench_all.sh [--quick] [--jobs N] [--build-dir DIR]
 #                        [--out-dir DIR] [--speedup] [--fuzz] [--faults]

@@ -13,6 +13,7 @@
 #ifndef LWSP_COMMON_LOGGING_HH
 #define LWSP_COMMON_LOGGING_HH
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -88,6 +89,9 @@ inform(Args &&...args)
 
 /** Silence or re-enable warn()/inform() output (panic/fatal always print). */
 void setLogQuiet(bool quiet);
+
+/** warn() calls quiet mode has suppressed since the process started. */
+std::uint64_t suppressedWarnings();
 
 /** panic() unless @p cond holds. */
 #define LWSP_ASSERT(cond, ...)                                              \

@@ -169,21 +169,27 @@ StatGroup::dumpJson(std::ostream &os) const
 }
 
 double
-StatGroup::scalarValue(const std::string &stat_name) const
+StatGroup::value(std::string_view stat) const
 {
-    auto it = scalars_.find(stat_name);
-    if (it == scalars_.end())
-        panic("StatGroup ", name_, " has no scalar '", stat_name, "'");
-    return it->second.stat->value();
-}
-
-double
-StatGroup::funcValue(const std::string &stat_name) const
-{
-    auto it = funcs_.find(stat_name);
-    if (it == funcs_.end())
-        panic("StatGroup ", name_, " has no func stat '", stat_name, "'");
-    return it->second.fn();
+    if (auto it = funcs_.find(stat); it != funcs_.end())
+        return it->second.fn();
+    if (auto it = scalars_.find(stat); it != scalars_.end())
+        return it->second.stat->value();
+    std::size_t dot = stat.rfind('.');
+    auto it = dot == std::string_view::npos
+                  ? dists_.end()
+                  : dists_.find(stat.substr(0, dot));
+    if (it != dists_.end()) {
+        const Average &a = it->second.stat->summary();
+        std::string_view field = stat.substr(dot + 1);
+        if (field == "sum")
+            return a.sum();
+        if (field == "count")
+            return static_cast<double>(a.count());
+        if (field == "max")
+            return a.max();
+    }
+    panic("StatGroup ", name_, " has no stat '", stat, "'");
 }
 
 StatGroup &

@@ -14,6 +14,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logging.hh"
@@ -230,11 +231,16 @@ class StatGroup
 
     const std::string &name() const { return name_; }
 
-    /** Look up a registered scalar's value (for tests); panics if missing. */
-    double scalarValue(const std::string &stat_name) const;
+    /**
+     * Value of the stat with dump name @p stat: a scalar or func stat,
+     * or a distribution's "<dist>.sum", "<dist>.count" or "<dist>.max".
+     * Panics if there is none.
+     */
+    double value(std::string_view stat) const;
 
-    /** Evaluate a registered func stat (for tests); panics if missing. */
-    double funcValue(const std::string &stat_name) const;
+    /** value() of a scalar or func stat (the older, typed names). */
+    double scalarValue(const std::string &s) const { return value(s); }
+    double funcValue(const std::string &s) const { return value(s); }
 
   private:
     template <typename T>
@@ -251,11 +257,11 @@ class StatGroup
     };
 
     std::string name_;
-    std::map<std::string, Entry<Scalar>> scalars_;
+    std::map<std::string, Entry<Scalar>, std::less<>> scalars_;
     std::map<std::string, Entry<Average>> averages_;
-    std::map<std::string, Entry<Distribution>> dists_;
+    std::map<std::string, Entry<Distribution>, std::less<>> dists_;
     std::map<std::string, Entry<Percentiles>> percs_;
-    std::map<std::string, FuncEntry> funcs_;
+    std::map<std::string, FuncEntry, std::less<>> funcs_;
 };
 
 /**
@@ -276,6 +282,9 @@ class Registry
     void dumpJson(std::ostream &os) const;
 
     std::size_t numGroups() const { return groups_.size(); }
+
+    /** Every group, in creation order. */
+    const auto &groups() const { return groups_; }
 
   private:
     std::vector<std::unique_ptr<StatGroup>> groups_;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
+#include <type_traits>
 
 namespace lwsp {
 namespace core {
@@ -1009,12 +1012,16 @@ System::registerStats(stats::Registry &registry) const
     ng.addFunc("boundariesBroadcast",
                fn([noc] { return noc->boundariesBroadcast(); }),
                "boundary broadcasts");
+    ng.addFunc("bcastRetries", fn([noc] { return noc->bcastRetries(); }),
+               "broadcast retry rounds (lossy links)");
 
     stats::StatGroup &sg = registry.group("system");
     sg.addFunc("cycles", fn([this] { return now() - warmupCycles_; }),
                "simulated cycles (post-warmup)");
     sg.addFunc("staleLoads", fn([this] { return staleLoads_; }),
                "loads that returned stale data (no buffer snooping)");
+    sg.addFunc("staleExtraMisses", fn([this] { return staleExtraMisses_; }),
+               "L1 refetches of stale fills (one extra miss each)");
     sg.addFunc("crashed", fn([this] { return crashed_ ? 1 : 0; }),
                "1 if the crash-drain protocol executed");
     sg.addFunc("traceEvents", fn([this] {
@@ -1032,60 +1039,125 @@ System::registerStats(stats::Registry &registry) const
                "power failures survived by the recovered state");
 }
 
+std::span<const ResultField>
+resultFields()
+{
+    using enum Reduce;
+    using R = RunResult;
+    static constexpr ResultField fields[] = {
+        {"cycles", &R::cycles, Sum, {"system", "cycles"}},
+        {"completed", &R::completed, Given},
+        {"insts_retired", &R::instsRetired, Sum, {"core#", "instsRetired"}},
+        {"stores_retired", &R::storesRetired, Sum,
+         {"core#", "storesRetired"}},
+        {"boundaries", &R::boundaries, Sum, {"core#", "boundariesRetired"}},
+        {"ipc", &R::ipc, Ratio, {"core#", "instsRetired"},
+         {"system", "cycles"}},
+        {"boundary_wait_cycles", &R::boundaryWaitCycles, Sum,
+         {"core#", "boundaryWaitCycles"}},
+        {"sb_full_cycles", &R::sbFullCycles, Sum, {"core#", "sbFullCycles"}},
+        {"feb_full_cycles", &R::febFullCycles, Sum,
+         {"core#", "febFullCycles"}},
+        {"snoop_blocked_cycles", &R::snoopBlockedCycles, Sum,
+         {"core#", "snoopBlockedCycles"}},
+        {"lock_blocked_cycles", &R::lockBlockedCycles, Sum,
+         {"core#", "lockBlockedCycles"}},
+        {"l1_hits", &R::l1Hits, Sum, {"core#.l1d", "hits"}},
+        // A stale fill's refetch (§IV-G) is one more L1 miss.
+        {"l1_misses", &R::l1Misses, Sum, {"core#.l1d", "misses"},
+         {"system", "staleExtraMisses"}},
+        {"stale_loads", &R::staleLoads, Sum, {"system", "staleLoads"}},
+        {"buffer_conflicts", &R::bufferConflicts, Sum,
+         {"core#.l1d", "bufferConflicts"}},
+        {"diverted_victims", &R::divertedVictims, Sum,
+         {"core#.l1d", "divertedVictims"}},
+        {"wpq_load_hits", &R::wpqLoadHits, Sum, {"mc#", "wpqLoadHits"}},
+        {"wpq_flushed_entries", &R::wpqFlushedEntries, Sum,
+         {"mc#", "flushedEntries"}},
+        {"wpq_fallback_flushes", &R::wpqFallbackFlushes, Sum,
+         {"mc#", "fallbackFlushes"}},
+        {"wpq_overflow_events", &R::wpqOverflowEvents, Sum,
+         {"mc#", "overflowEvents"}},
+        {"max_wpq_occupancy", &R::maxWpqOccupancy, Max,
+         {"mc#", "maxWpqOccupancy"}},
+        {"regions_committed", &R::regionsCommitted, Max,
+         {"mc#", "regionsCommitted"}},
+        {"noc_messages", &R::nocMessages, Sum, {"noc", "messagesSent"}},
+        {"bcast_retries", &R::bcastRetries, Sum, {"noc", "bcastRetries"}},
+        {"bcast_latency_avg", &R::bcastLatencyAvg, Ratio,
+         {"mc#", "bcastLatency.sum"}, {"mc#", "bcastLatency.count"}},
+        {"bcast_latency_max", &R::bcastLatencyMax, Max,
+         {"mc#", "bcastLatency.max"}},
+        {"avg_region_insts", &R::avgRegionInsts, Ratio,
+         {"core#", "regionInsts.sum"}, {"core#", "regionInsts.count"}},
+        {"avg_region_stores", &R::avgRegionStores, Ratio,
+         {"core#", "regionStores.sum"}, {"core#", "regionStores.count"}},
+    };
+    // Every member is eight bytes (`completed` pads to eight), so a
+    // member added without an entry here fails the build.
+    static_assert(std::size(fields) * 8 == sizeof(RunResult),
+                  "RunResult changed: give every member a field entry");
+    return fields;
+}
+
+namespace {
+
+/** Does registry group @p name match @p pattern ('#': an index)? */
+bool
+groupMatches(std::string_view pattern, std::string_view name)
+{
+    std::size_t hash = pattern.find('#');
+    if (hash == std::string_view::npos)
+        return pattern == name;
+    std::string_view head = pattern.substr(0, hash);
+    std::string_view tail = pattern.substr(hash + 1);
+    if (name.size() <= head.size() + tail.size() ||
+        !name.starts_with(head) || !name.ends_with(tail))
+        return false;
+    std::string_view index =
+        name.substr(head.size(), name.size() - head.size() - tail.size());
+    return std::all_of(index.begin(), index.end(),
+                       [](char c) { return c >= '0' && c <= '9'; });
+}
+
+/** Sum (or max) of @p ref over its groups, in registration order. */
+double
+reduceStat(const stats::Registry &reg, const StatRef &ref, bool take_max)
+{
+    double v = 0;
+    for (const auto &g : reg.groups()) {
+        if (ref.group && groupMatches(ref.group, g->name())) {
+            double x = g->value(ref.stat);
+            v = take_max ? std::max(v, x) : v + x;
+        }
+    }
+    return v;
+}
+
+} // namespace
+
 RunResult
 System::collectResult(bool completed)
 {
+    stats::Registry reg;
+    registerStats(reg);
+    auto sum = [&reg](const StatRef &s) { return reduceStat(reg, s, false); };
     RunResult r;
-    r.cycles = sim_.now() - warmupCycles_;
-    r.completed = completed;
-
-    double region_insts_sum = 0, region_stores_sum = 0;
-    std::uint64_t region_count = 0;
-    for (const auto &c : cores_) {
-        r.instsRetired += c->instsRetired();
-        r.storesRetired += c->storesRetired();
-        r.boundaries += c->boundariesRetired();
-        r.boundaryWaitCycles += c->boundaryWaitCycles();
-        r.sbFullCycles += c->sbFullCycles();
-        r.febFullCycles += c->febFullCycles();
-        r.snoopBlockedCycles += c->snoopBlockedCycles();
-        r.lockBlockedCycles += c->lockBlockedCycles();
-        region_insts_sum += c->regionInsts().summary().sum();
-        region_stores_sum += c->regionStores().summary().sum();
-        region_count += c->regionInsts().summary().count();
-    }
-    for (const auto &l1 : l1d_) {
-        r.l1Hits += l1->hits();
-        r.l1Misses += l1->misses();
-        r.bufferConflicts += l1->bufferConflicts();
-        r.divertedVictims += l1->divertedVictims();
-    }
-    r.l1Misses += staleExtraMisses_;
-    r.staleLoads = staleLoads_;
-    double bcast_sum = 0;
-    std::uint64_t bcast_count = 0;
-    for (const auto &mc : mcs_) {
-        r.wpqLoadHits += mc->wpqLoadHits();
-        r.wpqFlushedEntries += mc->flushedEntries();
-        r.wpqFallbackFlushes += mc->fallbackFlushes();
-        r.wpqOverflowEvents += mc->overflowEvents();
-        r.maxWpqOccupancy =
-            std::max(r.maxWpqOccupancy, mc->maxWpqOccupancy());
-        r.regionsCommitted =
-            std::max(r.regionsCommitted, mc->regionsCommitted());
-        const auto &bl = mc->bcastLatency().summary();
-        bcast_sum += bl.sum();
-        bcast_count += bl.count();
-        r.bcastLatencyMax = std::max(r.bcastLatencyMax, bl.max());
-    }
-    r.nocMessages = noc_.messagesSent();
-    r.bcastRetries = noc_.bcastRetries();
-    if (bcast_count > 0)
-        r.bcastLatencyAvg = bcast_sum / static_cast<double>(bcast_count);
-    r.ipc = r.cycles ? static_cast<double>(r.instsRetired) / r.cycles : 0;
-    if (region_count > 0) {
-        r.avgRegionInsts = region_insts_sum / region_count;
-        r.avgRegionStores = region_stores_sum / region_count;
+    for (const ResultField &f : resultFields()) {
+        double v = completed;
+        if (f.reduce == Reduce::Sum) {
+            v = sum(f.a) + sum(f.b);
+        } else if (f.reduce == Reduce::Max) {
+            v = reduceStat(reg, f.a, true);
+        } else if (f.reduce == Reduce::Ratio) {
+            double den = sum(f.b);
+            v = den != 0 ? sum(f.a) / den : 0;
+        }
+        std::visit(
+            [&](auto m) {
+                r.*m = static_cast<std::remove_cvref_t<decltype(r.*m)>>(v);
+            },
+            f.member);
     }
     return r;
 }

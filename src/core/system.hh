@@ -16,7 +16,9 @@
 #define LWSP_CORE_SYSTEM_HH
 
 #include <memory>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -80,7 +82,10 @@ struct RecoveryResult
     unsigned maskedPoisonRegs = 0;  ///< poisoned slots recipes masked
 };
 
-/** Aggregated outcome of one run (normalized by the harness). */
+/**
+ * Aggregated outcome of one run: a typed view of the stat registry
+ * System::registerStats builds, read through resultFields().
+ */
 struct RunResult
 {
     Tick cycles = 0;
@@ -125,6 +130,44 @@ struct RunResult
         return t ? static_cast<double>(l1Misses) / t : 0.0;
     }
 };
+
+/** How a RunResult member reduces over registry stats a and b. */
+enum class Reduce
+{
+    Given,  ///< not a stat: the run's completion flag
+    Sum,    ///< Σ a, plus Σ b when b is set
+    Max,    ///< largest a (0 with none)
+    Ratio,  ///< Σ a / Σ b (0 when Σ b is 0)
+};
+
+/**
+ * A registry stat: its group, where '#' stands for any component index
+ * ("core#.l1d"), and its dump name ("bcastLatency.sum" for a
+ * distribution's field). Groups are visited in registration order, so
+ * sums run in core and MC order.
+ */
+struct StatRef
+{
+    const char *group = nullptr;
+    const char *stat = nullptr;
+};
+
+/** One RunResult member: run-report key, member, registry reduction. */
+struct ResultField
+{
+    const char *key;
+    std::variant<std::uint64_t RunResult::*, double RunResult::*,
+                 bool RunResult::*> member;
+    Reduce reduce;
+    StatRef a{};
+    StatRef b{};
+};
+
+/**
+ * Every RunResult member, in declaration and run-report order: the one
+ * table collectResult, the run report and result equality walk.
+ */
+std::span<const ResultField> resultFields();
 
 /**
  * Result of System::runUntilWordChanges(): used by the recovery-latency

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 #include <thread>
+#include <variant>
 
 namespace lwsp {
 namespace harness {
@@ -186,7 +187,8 @@ writeSweepJson(const std::string &path, const std::string &bench,
        << stats.wallSeconds << ",\"points_per_second\":"
        << stats.pointsPerSecond() << ",\"simulated_cycles\":"
        << stats.simulatedCycles << ",\"simulated_cycles_per_second\":"
-       << stats.cyclesPerSecond() << "}\n";
+       << stats.cyclesPerSecond() << ",\"suppressed_warnings\":"
+       << suppressedWarnings() << "}\n";
 }
 
 void
@@ -201,10 +203,11 @@ writeRunReports(const std::string &path, const std::string &bench,
     }
     // v1.1: adds the "cycles_percentiles" footer (stats::Percentiles
     // over per-run cycle counts). v1.2: adds per-run "recovery_outcome"
-    // ("none" for fresh boots) and "failures_survived". Fields are
-    // additive; v1 consumers that ignore unknown keys keep working.
-    os << "{\"schema\":\"lwsp-run-report-v1.2\",\"bench\":\"" << bench
-       << "\",\"jobs\":" << stats.jobs << ",\"wall_seconds\":"
+    // ("none" for fresh boots) and "failures_survived". v1.3: "result"
+    // walks core::resultFields, adding the four fabric counters. Fields
+    // are additive; v1 consumers that ignore unknown keys keep working.
+    os << std::boolalpha << "{\"schema\":\"lwsp-run-report-v1.3\",\"bench\":\""
+       << bench << "\",\"jobs\":" << stats.jobs << ",\"wall_seconds\":"
        << stats.wallSeconds << ",\"runs\":[";
     bool first = true;
     for (const auto &rec : records) {
@@ -221,31 +224,14 @@ writeRunReports(const std::string &path, const std::string &bench,
            << ",\"pruned_ckpts\":" << c.prunedCheckpoints
            << ",\"unrolled_loops\":" << c.unrolledLoops
            << ",\"fixpoint_iters\":" << c.fixpointIterations
-           << "},\"result\":{\"cycles\":" << r.cycles
-           << ",\"completed\":" << (r.completed ? "true" : "false")
-           << ",\"insts_retired\":" << r.instsRetired
-           << ",\"stores_retired\":" << r.storesRetired
-           << ",\"boundaries\":" << r.boundaries
-           << ",\"ipc\":" << r.ipc
-           << ",\"boundary_wait_cycles\":" << r.boundaryWaitCycles
-           << ",\"sb_full_cycles\":" << r.sbFullCycles
-           << ",\"feb_full_cycles\":" << r.febFullCycles
-           << ",\"snoop_blocked_cycles\":" << r.snoopBlockedCycles
-           << ",\"lock_blocked_cycles\":" << r.lockBlockedCycles
-           << ",\"l1_hits\":" << r.l1Hits
-           << ",\"l1_misses\":" << r.l1Misses
-           << ",\"stale_loads\":" << r.staleLoads
-           << ",\"buffer_conflicts\":" << r.bufferConflicts
-           << ",\"diverted_victims\":" << r.divertedVictims
-           << ",\"wpq_load_hits\":" << r.wpqLoadHits
-           << ",\"wpq_flushed_entries\":" << r.wpqFlushedEntries
-           << ",\"wpq_fallback_flushes\":" << r.wpqFallbackFlushes
-           << ",\"wpq_overflow_events\":" << r.wpqOverflowEvents
-           << ",\"max_wpq_occupancy\":" << r.maxWpqOccupancy
-           << ",\"regions_committed\":" << r.regionsCommitted
-           << ",\"avg_region_insts\":" << r.avgRegionInsts
-           << ",\"avg_region_stores\":" << r.avgRegionStores
-           << "},\"recovery_outcome\":\""
+           << "},\"result\":{";
+        const char *sep = "";
+        for (const core::ResultField &f : core::resultFields()) {
+            os << sep << '"' << f.key << "\":";
+            std::visit([&](auto m) { os << r.*m; }, f.member);
+            sep = ",";
+        }
+        os << "},\"recovery_outcome\":\""
            << (rec.outcome.recovered
                    ? core::recoveryOutcomeName(rec.outcome.recoveryOutcome)
                    : "none")

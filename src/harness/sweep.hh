@@ -154,7 +154,9 @@ class SweepExecutor
 
 /**
  * Write one BENCH_sweep.json record (single-line JSON object so shell
- * aggregation in scripts/bench_all.sh stays trivial).
+ * aggregation in scripts/bench_all.sh stays trivial). It carries the
+ * process's suppressedWarnings() count, so a quiet bench whose runs
+ * warned (a cycle-cap hit, say) still leaves a trace.
  */
 void writeSweepJson(const std::string &path, const std::string &bench,
                     const SweepStats &stats);
@@ -163,11 +165,12 @@ void writeSweepJson(const std::string &path, const std::string &bench,
  * Versioned machine-readable run report: one record per distinct
  * simulation point with its canonical spec key, resolved configuration
  * axes, compile stats and the full RunResult, plus a cross-run
- * cycles-percentiles footer. Schema identifier "lwsp-run-report-v1.2"
+ * cycles-percentiles footer. Schema identifier "lwsp-run-report-v1.3"
  * (minor bumps are additive: v1.1 added the percentiles footer, v1.2
  * the per-run recovery lineage — "recovery_outcome", "none" on fresh
- * boots, and "failures_survived"); consumers must reject unknown major
- * versions.
+ * boots, and "failures_survived" — and v1.3 writes "result" from
+ * core::resultFields, which adds the four fabric counters); consumers
+ * must reject unknown major versions.
  */
 void writeRunReports(const std::string &path, const std::string &bench,
                      const std::vector<RunRecord> &records,

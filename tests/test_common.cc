@@ -134,6 +134,19 @@ TEST(Logging, PanicAndFatalThrow)
     }
 }
 
+TEST(Logging, QuietModeCountsSuppressedWarnings)
+{
+    std::uint64_t before = suppressedWarnings();
+    setLogQuiet(true);
+    warn("hidden ", 1);
+    warn("hidden ", 2);
+    inform("status is not a warning");
+    setLogQuiet(false);
+    EXPECT_EQ(suppressedWarnings(), before + 2);
+    warn("printed, so not counted");
+    EXPECT_EQ(suppressedWarnings(), before + 2);
+}
+
 TEST(Stats, ScalarBasics)
 {
     stats::Scalar s;

@@ -32,6 +32,7 @@
 #include "fault/fault.hh"
 #include "fuzz/campaign.hh"
 #include "noc/noc.hh"
+#include "result_eq.hh"
 #include "workloads/generator.hh"
 
 using namespace lwsp;
@@ -226,10 +227,7 @@ TEST(FaultAB, ArmedButInertIsBitIdentical)
     auto [r_hard, ev_hard, img_hard] = run(true, true);
 
     // Armed-but-inert: everything identical, trace included.
-    EXPECT_EQ(r_inert.cycles, r_off.cycles);
-    EXPECT_EQ(r_inert.instsRetired, r_off.instsRetired);
-    EXPECT_EQ(r_inert.boundaries, r_off.boundaries);
-    EXPECT_EQ(r_inert.wpqFlushedEntries, r_off.wpqFlushedEntries);
+    expectResultEq(r_inert, r_off, "armed but inert");
     ASSERT_EQ(ev_inert.size(), ev_off.size());
     for (std::size_t i = 0; i < ev_off.size(); ++i) {
         const auto &a = ev_off[i];
@@ -244,9 +242,7 @@ TEST(FaultAB, ArmedButInertIsBitIdentical)
 
     // Hardened checkpoints: timing untouched; only PC-slot word values
     // (checksum in the upper half) may differ.
-    EXPECT_EQ(r_hard.cycles, r_off.cycles);
-    EXPECT_EQ(r_hard.instsRetired, r_off.instsRetired);
-    EXPECT_EQ(r_hard.boundaries, r_off.boundaries);
+    expectResultEq(r_hard, r_off, "hardened checkpoints");
     ASSERT_EQ(ev_hard.size(), ev_off.size());
     for (std::size_t i = 0; i < ev_off.size(); ++i) {
         EXPECT_EQ(ev_hard[i].tick, ev_off[i].tick) << "event " << i;

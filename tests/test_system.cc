@@ -266,6 +266,9 @@ TEST(System, StatRegistryCoversEveryComponent)
     EXPECT_TRUE(has("mc0", "flushedEntries"));
     EXPECT_TRUE(has("mc1", "flushId"));
     EXPECT_TRUE(has("noc", "boundariesBroadcast"));
+    // RunResult reads these two; the registry once lacked them.
+    EXPECT_TRUE(has("noc", "bcastRetries"));
+    EXPECT_TRUE(has("system", "staleExtraMisses"));
 }
 
 TEST(System, WpqSizeSensitivityDirection)

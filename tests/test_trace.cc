@@ -23,6 +23,7 @@
 #include "fuzz/campaign.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
+#include "result_eq.hh"
 #include "trace/export.hh"
 #include "trace/sink.hh"
 #include "workloads/generator.hh"
@@ -478,11 +479,7 @@ TEST(TraceSystem, TracingDoesNotPerturbTiming)
     // behave identically to the pre-telemetry simulator.
     auto off = runTiny(2, false);
     auto on = runTiny(2, true);
-    EXPECT_EQ(off.result.cycles, on.result.cycles);
-    EXPECT_EQ(off.result.instsRetired, on.result.instsRetired);
-    EXPECT_EQ(off.result.storesRetired, on.result.storesRetired);
-    EXPECT_EQ(off.result.boundaries, on.result.boundaries);
-    EXPECT_EQ(off.result.wpqFlushedEntries, on.result.wpqFlushedEntries);
+    expectResultEq(off.result, on.result, "tracing off vs on");
     EXPECT_TRUE(off.events.empty());
     EXPECT_FALSE(on.events.empty());
 }
@@ -639,6 +636,23 @@ TEST(TraceReport, RunReportJsonIsValidAndVersioned)
     storm.outcome.failuresSurvived = 3;
     records.push_back(storm);
 
+    // Third case: a lossy 8-MC tree point, whose fabric counters must
+    // reach the report as the run counted them.
+    harness::RunSpec lossy = spec;
+    lossy.numMcs = 8;
+    lossy.topology = noc::TopologyConfig{noc::TopologyConfig::Kind::Tree, 4};
+    const auto &profile = workloads::profileByName("rb");
+    core::SystemConfig cfg = harness::makeConfig(profile, lossy);
+    cfg.faults.enabled = true;
+    cfg.faults.bcastLossPm = 100;
+    auto prog = harness::prepareProgram(workloads::generate(profile), lossy);
+    core::RunResult lossyResult = core::System(cfg, prog, 1).run();
+    ASSERT_TRUE(lossyResult.completed);
+    ASSERT_GT(lossyResult.bcastRetries, 0u) << "loss never fired";
+    records.push_back(
+        {"rb/lightwsp/tree4/mcs=8/loss100", "rb", "lightwsp", {}});
+    records.back().outcome.result = lossyResult;
+
     std::string path = testing::TempDir() + "lwsp_run_report.json";
     harness::writeRunReports(path, "test", records, exec.totalStats());
     std::ifstream in(path);
@@ -650,7 +664,18 @@ TEST(TraceReport, RunReportJsonIsValidAndVersioned)
 
     JsonChecker checker(json);
     EXPECT_TRUE(checker.valid()) << json.substr(0, 400);
-    EXPECT_NE(json.find("\"schema\":\"lwsp-run-report-v1.2\""),
+    EXPECT_NE(json.find("\"schema\":\"lwsp-run-report-v1.3\""),
+              std::string::npos);
+    // v1.3: "result" carries every RunResult field, the fabric too.
+    for (const char *key : {"noc_messages", "bcast_retries",
+                            "bcast_latency_avg", "bcast_latency_max"})
+        EXPECT_NE(json.find('"' + std::string(key) + "\":"),
+                  std::string::npos) << key;
+    std::size_t at = json.find("rb/lightwsp/tree4/mcs=8/loss100");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_NE(json.find("\"bcast_retries\":" +
+                            std::to_string(lossyResult.bcastRetries) + ",",
+                        at),
               std::string::npos);
     EXPECT_NE(json.find("\"workload\":\"rb\""), std::string::npos);
     EXPECT_NE(json.find("\"cycles\""), std::string::npos);
