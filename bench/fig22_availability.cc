@@ -7,16 +7,22 @@
  * Each row puts a fig21 service tape (96 requests, Zipf keys) through a
  * seeded fault::FailureSchedule: an initial power failure at 60% of the
  * crash-free run, then the schedule's drain interrupts, recovery
- * re-entries and post-recovery exec failures, exactly as the fuzz storm
- * campaign replays them. Every boot is recovered with
- * System::recoverChecked (a fault-free image must never be classified
- * unrecoverable) and probed for MTTR on a throwaway replica —
- * System::recover + runUntilWordChanges on the serve counter, the fig20
- * measurement — while the real lineage machine runs on into the next
- * failure. Availability is goldenCycles / wallCycles: the crash-free
- * run's cycle count over the powered cycles the stormed lifetime needed
- * to finish the same tape (re-execution waste + drain/recovery overhead
- * push it below 1).
+ * re-entries and post-recovery exec failures, walked by
+ * core::walkLifetime exactly as the fuzz storm campaign replays them.
+ * Every boot is recovered with System::recoverChecked (a fault-free
+ * image must never be classified unrecoverable) and probed for MTTR on
+ * a throwaway replica — System::recover + runUntilWordChanges on the
+ * serve counter, the fig20 measurement — while the real lineage machine
+ * runs on into the next failure. Availability is goldenCycles /
+ * wallCycles: the crash-free run's cycle count over the powered cycles
+ * the stormed lifetime needed to finish the same tape (re-execution
+ * waste + drain/recovery overhead push it below 1).
+ *
+ * The `failures` column (and the report's failures_survived) counts the
+ * initial failure, its drain interrupts, recovery re-entries and exec
+ * failures, but not the drain interrupts that follow an exec failure:
+ * the reference CSV was recorded that way. `boots` counts every
+ * recoverChecked call, re-entries included.
  *
  * Recovery mode substitutes the LightWSP gated-commit binary for
  * capri/ppa/cwsp's hardware checkpoints (DESIGN.md §13); pmtx rides its
@@ -31,6 +37,7 @@
 #include <sstream>
 
 #include "bench_util.hh"
+#include "core/lifetime.hh"
 #include "fault/storm.hh"
 #include "pds/pds.hh"
 #include "serve/serve.hh"
@@ -63,7 +70,7 @@ struct Point
     serve::Profile profile = serve::Profile::Varnish;
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
     fault::FailureSchedule storm;
-    unsigned failures = 0;  ///< power failures actually fired
+    unsigned failures = 0;  ///< see the file comment
     unsigned boots = 0;     ///< recoveries (incl. re-entered preambles)
     unsigned mttrSamples = 0;
     Tick mttrSum = 0;
@@ -112,63 +119,21 @@ main(int argc, char **argv)
         p.storm = fault::FailureSchedule::random(
             0xf22u + 7919u * static_cast<std::uint64_t>(i), kStormEvents,
             gres.cycles / 4 + 1);
-        std::size_t stormIdx = 0;
-        auto takeDrains = [&p, &stormIdx] {
-            std::vector<unsigned> iters;
-            while (stormIdx < p.storm.events.size() &&
-                   p.storm.events[stormIdx].phase ==
-                       fault::FailurePhase::Drain) {
-                iters.push_back(static_cast<unsigned>(
-                    p.storm.events[stormIdx].at));
-                ++stormIdx;
-            }
-            return iters;
-        };
-
         core::System victim(cfg, prog, 1);
         auto vr = victim.runWithFailureStorm(gres.cycles * 6 / 10,
-                                             takeDrains());
+                                             p.storm.drainsFrom(0));
         LWSP_ASSERT(!vr.completed, "fig22 victim outran its failure: ",
                     wl.spec.toString());
         p.wallCycles += vr.cycles;
-        p.failures = 1 + static_cast<unsigned>(stormIdx);
 
-        // Loop-head invariant: *cur is a crashed machine whose PM image
-        // is the one to recover from.
-        const core::System *cur = &victim;
-        std::unique_ptr<core::System> hold;
-        core::RunResult last;
-        while (true) {
-            auto recres = core::System::recoverChecked(
-                cfg, prog, 1, cur->pmImage(), {}, &cur->crashReport());
-            ++p.boots;
-            while (stormIdx < p.storm.events.size() &&
-                   p.storm.events[stormIdx].phase ==
-                       fault::FailurePhase::Recovery) {
-                ++stormIdx;
-                ++p.failures;
-                auto retry = core::System::recoverChecked(
-                    cfg, prog, 1, cur->pmImage(), {},
-                    &cur->crashReport());
-                ++p.boots;
-                LWSP_ASSERT(retry.outcome == recres.outcome,
-                            "fig22 recovery re-entry changed verdict: ",
-                            core::recoveryOutcomeName(recres.outcome),
-                            " -> ",
-                            core::recoveryOutcomeName(retry.outcome));
-                recres = std::move(retry);
-            }
-            LWSP_ASSERT(recres.outcome !=
-                            core::RecoveryOutcome::DetectedUnrecoverable,
-                        "fig22 fault-free image unrecoverable: ",
-                        recres.detail);
-
-            // MTTR probe: a throwaway replica recovered from the same
-            // image, run until the serve counter first moves. Late
-            // crashes may leave nothing to serve; then there is no
-            // sample (MTTR of a finished tape is not defined).
+        core::LifetimeHooks hooks;
+        // MTTR probe: a throwaway replica recovered from the same image,
+        // run until the serve counter first moves. Late crashes may leave
+        // nothing to serve; then there is no sample (MTTR of a finished
+        // tape is not defined).
+        hooks.beforeRecovery = [&](const core::System &crashed) {
             auto probeSys = core::System::recover(cfg, prog, 1,
-                                                  cur->pmImage(), {});
+                                                  crashed.pmImage(), {});
             std::uint64_t servedAtBoot =
                 probeSys->execImage().read(params.served);
             auto probe = probeSys->runUntilWordChanges(params.served,
@@ -178,45 +143,36 @@ main(int argc, char **argv)
                 p.mttrSum += probe.serveTick;
                 p.mttrMax = std::max(p.mttrMax, probe.serveTick);
             }
-
-            // All uses of *cur are done; the move below may destroy the
-            // machine it points into.
-            hold = std::move(recres.sys);
-            cur = nullptr;
-            if (stormIdx < p.storm.events.size()) {
-                Tick gap = p.storm.events[stormIdx].at;
-                ++stormIdx;
-                ++p.failures;
-                last = hold->runWithFailureStorm(gap, takeDrains());
-                p.wallCycles += last.cycles;
-                if (last.completed) {
-                    // Finished before the failure landed; the schedule
-                    // tail is moot.
-                    p.failures = 1 + static_cast<unsigned>(stormIdx);
-                    break;
-                }
-                LWSP_ASSERT(hold->crashed(),
-                            "fig22 exec round neither completed nor "
-                            "crashed");
-                cur = hold.get();
-                continue;
-            }
-            last = hold->run();
-            p.wallCycles += last.cycles;
-            LWSP_ASSERT(last.completed,
-                        "fig22 final boot did not complete");
-            break;
-        }
+        };
+        hooks.afterSegment = [&p](const core::System &,
+                                  const core::RunResult &r) {
+            p.wallCycles += r.cycles;
+            return std::string();
+        };
+        core::Lifetime lt =
+            core::walkLifetime(victim, p.storm, cfg, prog, 1, {}, hooks);
+        LWSP_ASSERT(lt.error.empty(), "fig22 storm: ", lt.error);
+        LWSP_ASSERT(lt.sys, "fig22 fault-free image unrecoverable: ",
+                    lt.detail);
+        LWSP_ASSERT(lt.last.completed, "fig22 final boot did not complete");
         std::string err =
-            pds::checkSemantics(wl.pdsSpec, wl.ops, hold->execImage());
+            pds::checkSemantics(wl.pdsSpec, wl.ops, lt.sys->execImage());
         LWSP_ASSERT(err.empty(), "fig22 semantic check failed: ", err);
 
-        hold->setRecoveryLineage(hold->bootOutcome(), p.failures);
+        // The reference definition of `failures` (file comment), not
+        // lt.failures(), which also counts the drain interrupts that
+        // follow an exec failure.
+        p.boots = lt.boots;
+        p.failures = 1 +
+                     static_cast<unsigned>(p.storm.drainsFrom(0).size()) +
+                     lt.reentries + lt.execFailures;
+        lt.sys->setRecoveryLineage(lt.verdict, p.failures);
         std::string wlName = wl.spec.toString();
         std::string scheme = pds::pdsSchemeName(p.scheme);
         return harness::PointRun{
             {wlName + "/" + scheme + "/storm=" + p.storm.toString(),
-             wlName, scheme, bench::outcomeOf(*hold, last, prog.stats)},
+             wlName, scheme,
+             bench::outcomeOf(*lt.sys, lt.last, prog.stats)},
             p.goldenCycles + p.wallCycles};
     });
 

@@ -46,6 +46,7 @@
 
 #include "analysis/wsp_checker.hh"
 #include "compiler/compiler.hh"
+#include "core/lifetime.hh"
 #include "core/system.hh"
 #include "fault/storm.hh"
 #include "harness/runner.hh"
@@ -328,25 +329,10 @@ cmdCrash(const std::string &app, double fraction,
         rcfg.faults.hardenedCkpt = true;
     }
 
-    // Schedule cursor: runs of consecutive Drain events become the
-    // interrupt budgets of whichever crash drain comes next.
-    std::size_t stormIdx = 0;
-    auto takeDrains = [&storm, &stormIdx] {
-        std::vector<unsigned> iters;
-        while (stormIdx < storm.events.size() &&
-               storm.events[stormIdx].phase ==
-                   fault::FailurePhase::Drain) {
-            iters.push_back(static_cast<unsigned>(
-                storm.events[stormIdx].at));
-            ++stormIdx;
-        }
-        return iters;
-    };
-
     core::System victim(vcfg, prog, profile.threads);
     auto vr = victim.runWithFailureStorm(
         static_cast<Tick>(fraction * static_cast<double>(gr.cycles)),
-        takeDrains());
+        storm.drainsFrom(0));
     if (vr.completed) {
         std::printf("program finished before the failure point\n");
         return 0;
@@ -368,68 +354,38 @@ cmdCrash(const std::string &app, double fraction,
                         cr.truncationHazard ? " (truncation hazard)" : "");
     }
 
-    // Crash/recover rounds through the rest of the schedule. Loop-head
-    // invariant: *cur is a crashed machine whose image we recover from.
-    const core::System *cur = &victim;
-    std::unique_ptr<core::System> sys;
-    core::RunResult rr;
-    while (true) {
-        auto recres = core::System::recoverChecked(
-            rcfg, prog, profile.threads, cur->pmImage(), lock_addrs,
-            &cur->crashReport());
-        // Recovery-phase failures: power died during the preamble, so
-        // the retry re-validates the same image and must agree.
-        while (stormIdx < storm.events.size() &&
-               storm.events[stormIdx].phase ==
-                   fault::FailurePhase::Recovery) {
-            ++stormIdx;
-            auto retry = core::System::recoverChecked(
-                rcfg, prog, profile.threads, cur->pmImage(), lock_addrs,
-                &cur->crashReport());
+    core::LifetimeHooks hooks;
+    hooks.afterRecover = [](const core::RecoveryResult &r,
+                            bool interrupted) {
+        if (interrupted)
             std::printf("storm         recovery re-entered\n");
-            if (retry.outcome != recres.outcome) {
-                std::printf("verdict       CHANGED on re-entry: "
-                            "%s -> %s\n",
-                            core::recoveryOutcomeName(recres.outcome),
-                            core::recoveryOutcomeName(retry.outcome));
-                return 1;
-            }
-            recres = std::move(retry);
-        }
-        std::printf("verdict       %s%s%s\n",
-                    core::recoveryOutcomeName(recres.outcome),
-                    recres.detail.empty() ? "" : ": ",
-                    recres.detail.c_str());
-        if (recres.outcome ==
-            core::RecoveryOutcome::DetectedUnrecoverable) {
-            return 3;
-        }
-        // All uses of *cur are done; the assignment below may destroy
-        // the machine it points into.
-        sys = std::move(recres.sys);
-        cur = nullptr;
-        sys->setRecoveryLineage(recres.outcome,
-                                1 + static_cast<unsigned>(stormIdx));
-        if (stormIdx >= storm.events.size()) {
-            rr = sys->run();
-            break;
-        }
-        Tick gap = storm.events[stormIdx].at;
-        ++stormIdx;
-        rr = sys->runWithFailureStorm(gap, takeDrains());
-        if (rr.completed) {
-            std::printf("storm         finished before the next "
-                        "failure landed\n");
-            break;
-        }
-        if (!sys->crashed()) {
-            std::printf("storm         neither completed nor crashed\n");
-            return 1;
-        }
-        std::printf("crashed again at cycle %llu; recovering...\n",
-                    static_cast<unsigned long long>(rr.cycles));
-        cur = sys.get();
+        else
+            std::printf("verdict       %s%s%s\n",
+                        core::recoveryOutcomeName(r.outcome),
+                        r.detail.empty() ? "" : ": ", r.detail.c_str());
+    };
+    hooks.afterSegment = [](const core::System &sys,
+                            const core::RunResult &r) {
+        if (sys.crashed())
+            std::printf("crashed again at cycle %llu; recovering...\n",
+                        static_cast<unsigned long long>(r.cycles));
+        return std::string();
+    };
+    core::Lifetime lt = core::walkLifetime(victim, storm, rcfg, prog,
+                                           profile.threads, lock_addrs,
+                                           hooks);
+    if (!lt.error.empty()) {
+        std::printf("storm         %s\n", lt.error.c_str());
+        return 1;
     }
+    if (!lt.sys)
+        return 3;
+    // Fewer failures fired than scheduled: a run beat its `x` event.
+    if (lt.failures() <= storm.size())
+        std::printf("storm         finished before the next failure "
+                    "landed\n");
+    const core::RunResult &rr = lt.last;
+    const auto &sys = lt.sys;
 
     Addr lo = workloads::Workload::heapBase;
     Addr hi = lo + static_cast<Addr>(profile.threads) *

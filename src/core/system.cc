@@ -345,16 +345,7 @@ System::run()
 RunResult
 System::runWithPowerFailure(Tick fail_at)
 {
-    if (advance(fail_at))
-        return collectResult(true);
-    executeCrashDrain(sim_.now());
-    return collectResult(false);
-}
-
-RunResult
-System::runWithDoubleFailureDuringDrain(Tick fail_at, unsigned drain_iters)
-{
-    return runWithFailureStorm(fail_at, {drain_iters});
+    return runWithFailureStorm(fail_at, {});
 }
 
 RunResult
@@ -756,8 +747,8 @@ System::recoverChecked(const SystemConfig &cfg,
                            : RecoveryOutcome::Recovered;
     if (degraded)
         res.detail = "resumed from an older persisted epoch";
-    // Default lineage: one failure survived. Storm orchestrators that
-    // chain multiple crash/recover rounds overwrite the running total.
+    // Default lineage: one failure survived. walkLifetime(), which
+    // chains crash/recover rounds, overwrites the running total.
     res.sys->setRecoveryLineage(res.outcome, 1);
     trace::emitIf<trace::Category::Power>(
         res.sys->traceSink_.get(),

@@ -205,26 +205,15 @@ class System : public cpu::MemPort
     RunResult runWithPowerFailure(Tick fail_at);
 
     /**
-     * Like runWithPowerFailure(), but a second power failure interrupts
-     * the §IV-F drain protocol after @p drain_iters quiescence
-     * iterations. The WPQ and MC protocol registers are battery-backed,
-     * so the drain simply resumes from where it stopped — the paper's
-     * argument for why repeated failures are no worse than one. The
-     * interrupted progress must therefore be invisible: recovery matches
-     * a single-failure run at the same cycle.
-     */
-    RunResult runWithDoubleFailureDuringDrain(Tick fail_at,
-                                              unsigned drain_iters);
-
-    /**
      * Failure-storm drain: run until cycle @p fail_at, then execute the
      * §IV-F drain protocol with power failing again after each entry of
      * @p drain_interrupts quiescence iterations (in order), and once
      * more to completion after the last. Battery-backed WPQ and MC
      * protocol registers survive every interruption, so each re-entered
-     * drain resumes where the previous one stopped; crashFinish() runs
-     * exactly once no matter how the drain loop was sliced. An empty
-     * vector is exactly runWithPowerFailure(fail_at).
+     * drain resumes where the previous one stopped — the paper's
+     * argument for why repeated failures are no worse than one — and
+     * crashFinish() runs exactly once no matter how the drain loop was
+     * sliced. An empty vector is exactly runWithPowerFailure(fail_at).
      */
     RunResult runWithFailureStorm(Tick fail_at,
                                   const std::vector<unsigned>
@@ -292,8 +281,8 @@ class System : public cpu::MemPort
     // ---- Recovery lineage --------------------------------------------------
     // A system built by recover()/recoverChecked() carries how it came to
     // be: its boot classification and how many power failures the state
-    // it resumed from has survived so far. Storm orchestrators overwrite
-    // the count as the storm unfolds; reports and --stats-json read it.
+    // it resumed from has survived so far. walkLifetime() overwrites the
+    // count as the storm unfolds; reports and --stats-json read it.
 
     /** True iff this system was built by recover()/recoverChecked(). */
     bool recovered() const { return recovered_; }
@@ -304,7 +293,7 @@ class System : public cpu::MemPort
     /** Power failures survived by the state this system resumed from. */
     unsigned failuresSurvived() const { return failuresSurvived_; }
 
-    /** Stamp the lineage (recoverChecked() and storm orchestrators). */
+    /** Stamp the lineage (recoverChecked() and walkLifetime()). */
     void setRecoveryLineage(RecoveryOutcome outcome, unsigned failures)
     {
         recovered_ = true;

@@ -19,6 +19,16 @@ failurePhaseName(FailurePhase p)
     return "<bad>";
 }
 
+std::vector<unsigned>
+FailureSchedule::drainsFrom(std::size_t first) const
+{
+    std::vector<unsigned> iters;
+    for (std::size_t i = first;
+         i < events.size() && events[i].phase == FailurePhase::Drain; ++i)
+        iters.push_back(static_cast<unsigned>(events[i].at));
+    return iters;
+}
+
 std::string
 FailureSchedule::toString() const
 {

@@ -71,6 +71,7 @@ struct FailureEvent
  * that failure's drain. The schedule is finite, so every storm
  * terminates: once it is exhausted the final recovered machine runs to
  * completion and is checked against the crash-free golden state.
+ * core::walkLifetime (core/lifetime.hh) is the one walker.
  */
 struct FailureSchedule
 {
@@ -89,6 +90,14 @@ struct FailureSchedule
     {
         return static_cast<unsigned>(events.size());
     }
+
+    /**
+     * Interrupt budgets of the run of Drain events starting at index
+     * @p first, in order (empty if events[first] is not a Drain): what
+     * the drain of the failure before @p first takes, as
+     * System::runWithFailureStorm's argument.
+     */
+    std::vector<unsigned> drainsFrom(std::size_t first) const;
 
     /** Canonical '+'-joined form ("d1+r+x1500"); "" when empty. */
     std::string toString() const;

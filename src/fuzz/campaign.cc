@@ -9,6 +9,7 @@
 #include "common/parse.hh"
 #include "common/random.hh"
 #include "compiler/compiler.hh"
+#include "core/lifetime.hh"
 #include "core/system.hh"
 #include "fuzz/random_program.hh"
 #include "fuzz/random_workload.hh"
@@ -361,7 +362,8 @@ diffAppState(const core::System &got, const core::System &golden,
 
 /** Harvest a finished system's oracle; returns a violation or "". */
 std::string
-harvestOracle(core::System &sys, const char *what, std::uint64_t &checks)
+harvestOracle(const core::System &sys, const char *what,
+              std::uint64_t &checks)
 {
     const auto *o = sys.oracle();
     if (!o)
@@ -374,9 +376,25 @@ harvestOracle(core::System &sys, const char *what, std::uint64_t &checks)
 }
 
 /**
- * Execute one injection point. @return "" on pass, else the failure.
- * pt.mode selects single / double-recovery / double-drain.
+ * The failure schedule a crash mode lowers to: every mode is one
+ * initial failure at crashAt followed by a (possibly empty) storm.
  */
+fault::FailureSchedule
+scheduleOf(const CaseSpec &pt)
+{
+    switch (pt.mode) {
+      case CrashMode::DoubleRecovery:
+        return {{{fault::FailurePhase::Exec, pt.crashAt2}}};
+      case CrashMode::DoubleDrain:
+        return {{{fault::FailurePhase::Drain, pt.drainIters}}};
+      case CrashMode::Storm:
+        return pt.storm;
+      default:
+        return {};
+    }
+}
+
+/** Execute one injection point. @return "" on pass, else the failure. */
 std::string
 checkPoint(const CaseBuild &bc, const core::System &golden,
            const CaseSpec &pt, std::uint64_t &checks, unsigned &runs,
@@ -402,34 +420,11 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
     if (capture)
         vcfg.traceEnabled = true;
 
-    // Storm mode walks pt.storm with a cursor: runs of consecutive Drain
-    // events become interrupt budgets for the next crash drain, Recovery
-    // events re-enter recoverChecked on the same image, Exec events run
-    // the recovered machine into the next failure.
-    std::size_t stormIdx = 0;
-    auto takeDrains = [&pt, &stormIdx] {
-        std::vector<unsigned> iters;
-        while (stormIdx < pt.storm.events.size() &&
-               pt.storm.events[stormIdx].phase ==
-                   fault::FailurePhase::Drain) {
-            iters.push_back(static_cast<unsigned>(
-                pt.storm.events[stormIdx].at));
-            ++stormIdx;
-        }
-        return iters;
-    };
-
+    const fault::FailureSchedule storm = scheduleOf(pt);
     core::System victim(vcfg, bc.prog, bc.threads);
     ++runs;
-    core::RunResult vr;
-    if (pt.mode == CrashMode::DoubleDrain) {
-        vr = victim.runWithDoubleFailureDuringDrain(pt.crashAt,
-                                                    pt.drainIters);
-    } else if (pt.mode == CrashMode::Storm) {
-        vr = victim.runWithFailureStorm(pt.crashAt, takeDrains());
-    } else {
-        vr = victim.runWithPowerFailure(pt.crashAt);
-    }
+    core::RunResult vr =
+        victim.runWithFailureStorm(pt.crashAt, storm.drainsFrom(0));
     if (capture) {
         if (const auto *sink = victim.traceSink())
             capture->victimTrace = sink->snapshot();
@@ -457,8 +452,6 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
         return e;
     if (vr.completed)
         return finalCheck(victim, "uncrashed victim");
-    if (!victim.crashed())
-        return "victim neither completed nor crashed";
 
     if (bc.isPds && bc.pdsPrefixOk && !pt.fault && !hw_faults) {
         // Gated LightWSP + converged compile: the crash image must be a
@@ -469,8 +462,9 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
         }
     }
 
-    auto tallyOutcome = [&tally](core::RecoveryOutcome o) {
-        switch (o) {
+    core::LifetimeHooks hooks;
+    hooks.afterRecover = [&tally](const core::RecoveryResult &r, bool) {
+        switch (r.outcome) {
           case core::RecoveryOutcome::Recovered:
             ++tally.recoveredExact;
             break;
@@ -482,157 +476,31 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
             break;
         }
     };
-    if (pt.mode == CrashMode::Storm) {
-        // Chain crash/recover rounds through the rest of the schedule.
-        // Invariant at the loop head: *cur is a crashed machine whose
-        // PM image is the one to recover from.
-        const core::System *cur = &victim;
-        std::unique_ptr<core::System> hold;
-        while (true) {
-            auto recres = core::System::recoverChecked(
-                rcfg, bc.prog, bc.threads, cur->pmImage(), bc.lockAddrs,
-                &cur->crashReport());
-            tallyOutcome(recres.outcome);
-            // Recovery-phase failures: power died during the recovery
-            // preamble. PM is untouched, so the retry re-validates the
-            // very same image — recoverChecked must be idempotent.
-            while (stormIdx < pt.storm.events.size() &&
-                   pt.storm.events[stormIdx].phase ==
-                       fault::FailurePhase::Recovery) {
-                ++stormIdx;
-                auto retry = core::System::recoverChecked(
-                    rcfg, bc.prog, bc.threads, cur->pmImage(),
-                    bc.lockAddrs, &cur->crashReport());
-                tallyOutcome(retry.outcome);
-                if (retry.outcome != recres.outcome) {
-                    return std::string("recovery re-entry changed "
-                                       "verdict: ") +
-                           core::recoveryOutcomeName(recres.outcome) +
-                           " -> " +
-                           core::recoveryOutcomeName(retry.outcome);
-                }
-                recres = std::move(retry);
-            }
-            if (recres.outcome ==
-                core::RecoveryOutcome::DetectedUnrecoverable) {
-                if (!hw_faults && !pt.fault)
-                    return "fault-free image classified unrecoverable: " +
-                           recres.detail;
-                return {};
-            }
-            // All uses of *cur are done: reassigning hold below may
-            // destroy the machine cur points into.
-            hold = std::move(recres.sys);
-            cur = nullptr;
-            hold->setRecoveryLineage(
-                recres.outcome, 1 + static_cast<unsigned>(stormIdx));
-            ++runs;
-            if (stormIdx < pt.storm.events.size()) {
-                // Next event is Exec: run into the next power failure
-                // (its drain eats any immediately following Drain
-                // events' interrupt budgets).
-                Tick gap = pt.storm.events[stormIdx].at;
-                unsigned firedSoFar = static_cast<unsigned>(stormIdx);
-                ++stormIdx;
-                auto er = hold->runWithFailureStorm(gap, takeDrains());
-                if (auto e = harvestOracle(*hold, "storm-exec", checks);
-                    !e.empty()) {
-                    return e;
-                }
-                if (er.completed) {
-                    // Finished before the failure landed: the tail of
-                    // the schedule is moot (this Exec and its trailing
-                    // Drain budgets never fired).
-                    tally.failuresSurvived = std::max(
-                        tally.failuresSurvived, 1 + firedSoFar);
-                    return finalCheck(*hold, "storm");
-                }
-                if (!hold->crashed())
-                    return "storm-exec neither completed nor crashed";
-                cur = hold.get();
-                continue;
-            }
-            // Schedule exhausted: the last recovered machine runs out.
-            auto fr = hold->run();
-            if (auto e = harvestOracle(*hold, "storm-final", checks);
-                !e.empty()) {
-                return e;
-            }
-            if (!fr.completed)
-                return "storm-final did not complete";
-            tally.failuresSurvived =
-                std::max(tally.failuresSurvived,
-                         1 + static_cast<unsigned>(stormIdx));
-            return finalCheck(*hold, "storm");
-        }
-    }
-
-    auto recres = core::System::recoverChecked(
-        rcfg, bc.prog, bc.threads, victim.pmImage(), bc.lockAddrs,
-        &victim.crashReport());
-    tallyOutcome(recres.outcome);
-    if (recres.outcome == core::RecoveryOutcome::DetectedUnrecoverable) {
+    hooks.afterSegment = [&](const core::System &sys,
+                             const core::RunResult &) {
+        ++runs;
+        return harvestOracle(sys, "recovery", checks);
+    };
+    core::Lifetime lt = core::walkLifetime(victim, storm, rcfg, bc.prog,
+                                           bc.threads, bc.lockAddrs,
+                                           hooks);
+    if (!lt.error.empty())
+        return lt.error;
+    if (lt.verdict == core::RecoveryOutcome::DetectedUnrecoverable) {
         // The hardening contract allows giving up, never lying: a
-        // reported-unrecoverable image passes. Sanity-check the claim —
-        // refusal without any armed fault would be a regression.
+        // reported-unrecoverable image passes (unhealed poison from the
+        // first fault can also survive into a later image). Sanity-check
+        // the claim — refusal without any armed fault is a regression.
         if (!hw_faults && !pt.fault)
             return "fault-free image classified unrecoverable: " +
-                   recres.detail;
+                   lt.detail;
         return {};
     }
-    auto rec = std::move(recres.sys);
-    ++runs;
-    core::RunResult rr;
-    if (pt.mode == CrashMode::DoubleRecovery) {
-        rr = rec->runWithPowerFailure(pt.crashAt2);
-        if (auto e = harvestOracle(*rec, "recovery-1", checks);
-            !e.empty()) {
-            return e;
-        }
-        if (!rr.completed) {
-            if (!rec->crashed())
-                return "recovery-1 neither completed nor crashed";
-            auto rec2res = core::System::recoverChecked(
-                rcfg, bc.prog, bc.threads, rec->pmImage(), bc.lockAddrs,
-                &rec->crashReport());
-            tallyOutcome(rec2res.outcome);
-            if (rec2res.outcome ==
-                core::RecoveryOutcome::DetectedUnrecoverable) {
-                // Unhealed poison from the first fault can survive into
-                // the second image; refusing it is within contract.
-                if (!hw_faults && !pt.fault)
-                    return "fault-free image classified unrecoverable: " +
-                           rec2res.detail;
-                return {};
-            }
-            auto rec2 = std::move(rec2res.sys);
-            ++runs;
-            auto r2 = rec2->run();
-            if (auto e = harvestOracle(*rec2, "recovery-2", checks);
-                !e.empty()) {
-                return e;
-            }
-            if (!r2.completed)
-                return "recovery-2 did not complete";
-            tally.failuresSurvived =
-                std::max(tally.failuresSurvived, 2u);
-            return finalCheck(*rec2, "double-crash");
-        }
-        tally.failuresSurvived = std::max(tally.failuresSurvived, 2u);
-        return finalCheck(*rec, "double-crash(early)");
-    }
-
-    rr = rec->run();
-    if (auto e = harvestOracle(*rec, "recovery", checks); !e.empty())
-        return e;
-    if (!rr.completed)
+    if (!lt.last.completed)
         return "recovery did not complete";
-    tally.failuresSurvived = std::max(
-        tally.failuresSurvived,
-        pt.mode == CrashMode::DoubleDrain ? 2u : 1u);
-    return finalCheck(*rec, pt.mode == CrashMode::DoubleDrain
-                                ? "drain-interrupted"
-                                : "recovered");
+    tally.failuresSurvived =
+        std::max(tally.failuresSurvived, lt.failures());
+    return finalCheck(*lt.sys, "recovered");
 }
 
 /**

@@ -33,14 +33,18 @@
 namespace lwsp {
 namespace fuzz {
 
-/** How power failure is injected when replaying a single point. */
+/**
+ * How power failure is injected when replaying a single point. Every
+ * mode is a failure at crashAt followed by a fault::FailureSchedule,
+ * walked by core::walkLifetime: the modes differ only in the schedule.
+ */
 enum class CrashMode : std::uint8_t
 {
     None,           ///< full campaign: mine points, try them all
-    Single,         ///< one failure at crashAt
-    DoubleRecovery, ///< failure at crashAt, second during the recovery run
-    DoubleDrain,    ///< failure at crashAt, second mid-§IV-F drain
-    Storm,          ///< failure at crashAt, then the whole storm schedule
+    Single,         ///< the empty schedule
+    DoubleRecovery, ///< `x<crashAt2>`: fail the recovered run again
+    DoubleDrain,    ///< `d<drainIters>`: fail again mid-§IV-F drain
+    Storm,          ///< the `storm=` schedule
 };
 
 /**

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "compiler/compiler.hh"
-#include "core/system.hh"
+#include "core/lifetime.hh"
 #include "fuzz/random_workload.hh"
 #include "workloads/generator.hh"
 
@@ -233,74 +233,50 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
     auto vr = victim.runWithPowerFailure(gr.cycles * 6 / 10);
     if (vr.completed)
         return fail("victim completed before the crash point");
-    if (!victim.crashed())
-        return fail("victim neither completed nor crashed");
 
-    auto recoverFrom =
-        [&](const core::System &crashed,
-            std::unique_ptr<core::System> &out) -> std::string {
-        auto rr = core::System::recoverChecked(
-            b.cfg, b.prog, b.threads, crashed.pmImage(), b.lockAddrs,
-            &crashed.crashReport());
-        if (rr.outcome == core::RecoveryOutcome::DetectedUnrecoverable)
-            return "fault-free image classified unrecoverable: " +
-                   rr.detail;
-        if (rr.outcome == core::RecoveryOutcome::Recovered)
+    // Walks a storm from the victim; "" when it ends golden-equal.
+    core::LifetimeHooks hooks;
+    hooks.afterRecover = [&res](const core::RecoveryResult &r, bool) {
+        if (r.outcome == core::RecoveryOutcome::Recovered)
             ++res.recoveredExact;
-        else
+        else if (r.outcome == core::RecoveryOutcome::RecoveredDegraded)
             ++res.recoveredDegraded;
-        out = std::move(rr.sys);
-        return {};
+    };
+    hooks.afterSegment = [&res](const core::System &,
+                                const core::RunResult &) {
+        ++res.runsExecuted;
+        return std::string();
+    };
+    auto walk = [&](const fault::FailureSchedule &storm,
+                    core::Lifetime &lt) -> std::string {
+        lt = core::walkLifetime(victim, storm, b.cfg, b.prog, b.threads,
+                                b.lockAddrs, hooks);
+        if (!lt.error.empty())
+            return lt.error;
+        if (lt.verdict == core::RecoveryOutcome::DetectedUnrecoverable)
+            return "fault-free image classified unrecoverable: " +
+                   lt.detail;
+        if (!lt.last.completed)
+            return "recovered run did not complete (possible hang)";
+        return finalCheck(*lt.sys, golden, "recovered");
     };
 
     // Reference recovered run: its crash-free length R bounds the sweep.
-    std::unique_ptr<core::System> ref;
-    if (auto e = recoverFrom(victim, ref); !e.empty())
+    core::Lifetime ref;
+    if (auto e = walk({}, ref); !e.empty())
         return fail(e);
-    ++res.runsExecuted;
-    auto refr = ref->run();
-    if (!refr.completed)
-        return fail("recovered run did not complete (possible hang)");
-    res.recoveryCycles = refr.cycles;
-    if (auto e = finalCheck(*ref, golden, "recovered"); !e.empty())
-        return fail(e);
+    res.recoveryCycles = ref.last.cycles;
 
-    // Crash the recovery run at every stride-th cycle of [0, R).
+    // Crash the recovery run at every stride-th cycle of [0, R). Engine
+    // fast-forward can land the completion check past t; the run is
+    // clean either way.
     Tick step = opt.step ? opt.step : 1;
     for (Tick t = 0; t < res.recoveryCycles; t += step) {
         ++res.pointsTried;
-        std::unique_ptr<core::System> rec;
-        if (auto e = recoverFrom(victim, rec); !e.empty())
+        core::Lifetime lt;
+        if (auto e = walk({{{fault::FailurePhase::Exec, t}}}, lt);
+            !e.empty())
             return fail(e + " at t=" + std::to_string(t));
-        ++res.runsExecuted;
-        auto rr = rec->runWithPowerFailure(t);
-        if (rr.completed) {
-            // Engine fast-forward can land the completion check past t;
-            // the run is clean either way.
-            if (auto e = finalCheck(*rec, golden, "recovery(uncrashed)");
-                !e.empty()) {
-                return fail(e + " at t=" + std::to_string(t));
-            }
-            continue;
-        }
-        if (!rec->crashed())
-            return fail("recovery run neither completed nor crashed "
-                        "at t=" +
-                        std::to_string(t));
-        std::unique_ptr<core::System> rec2;
-        if (auto e = recoverFrom(*rec, rec2); !e.empty())
-            return fail(e + " at t=" + std::to_string(t));
-        ++res.runsExecuted;
-        auto r2 = rec2->run();
-        if (!r2.completed)
-            return fail("second recovery did not complete (possible "
-                        "hang) at t=" +
-                        std::to_string(t));
-        if (auto e = finalCheck(*rec2, golden, "second recovery");
-            !e.empty()) {
-            return fail(e + " (recovery crashed at t=" +
-                        std::to_string(t) + ")");
-        }
     }
     return res;
 }

@@ -15,6 +15,7 @@
 
 #include "common/logging.hh"
 #include "compiler/compiler.hh"
+#include "core/lifetime.hh"
 #include "core/system.hh"
 #include "workloads/generator.hh"
 
@@ -213,20 +214,15 @@ TEST(CrashRecovery, DoubleCrashStillRecovers)
     auto vr = victim.runWithPowerFailure(gr.cycles / 3);
     ASSERT_FALSE(vr.completed);
 
-    auto rec1 = core::System::recover(cfg, prog, c.threads,
-                                      victim.pmImage(), lock_addrs);
-    auto r1 = rec1->runWithPowerFailure(gr.cycles / 3);
-    if (!r1.completed) {
-        auto rec2 = core::System::recover(cfg, prog, c.threads,
-                                          rec1->pmImage(), lock_addrs);
-        auto r2 = rec2->run();
-        ASSERT_TRUE(r2.completed);
-        expectAppStateEqual(rec2->pmImage(), golden.pmImage(), c.threads,
-                            32 * 1024, "double-crash");
-    } else {
-        expectAppStateEqual(rec1->pmImage(), golden.pmImage(), c.threads,
-                            32 * 1024, "single-crash");
-    }
+    auto lt = core::walkLifetime(
+        victim, {{{fault::FailurePhase::Exec, gr.cycles / 3}}}, cfg, prog,
+        c.threads, lock_addrs);
+    ASSERT_TRUE(lt.error.empty()) << lt.error;
+    ASSERT_NE(lt.sys, nullptr) << lt.detail;
+    ASSERT_TRUE(lt.last.completed);
+    expectAppStateEqual(lt.sys->pmImage(), golden.pmImage(), c.threads,
+                        32 * 1024,
+                        lt.execFailures ? "double-crash" : "single-crash");
 }
 
 /**
@@ -268,8 +264,7 @@ TEST(CrashRecovery, DoubleFailureDuringDrainRecovers)
             SCOPED_TRACE("f=" + std::to_string(f) +
                          " drain_iters=" + std::to_string(iters));
             core::System victim(cfg, prog, c.threads);
-            auto vr =
-                victim.runWithDoubleFailureDuringDrain(fail_at, iters);
+            auto vr = victim.runWithFailureStorm(fail_at, {iters});
             ASSERT_FALSE(vr.completed);
             ASSERT_TRUE(victim.crashed());
             expectOracleClean(victim, "double-failure victim");

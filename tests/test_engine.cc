@@ -50,8 +50,8 @@ struct EngineRun
 
 /**
  * Run @p prog once under @p engine. fail_at > 0 crashes at that cycle
- * (via runWithPowerFailure, or runWithDoubleFailureDuringDrain when
- * drain_iters >= 0).
+ * (via runWithPowerFailure, or runWithFailureStorm with one drain
+ * interrupt when drain_iters >= 0).
  */
 EngineRun
 execute(core::SystemConfig cfg, const compiler::CompiledProgram &prog,
@@ -66,8 +66,8 @@ execute(core::SystemConfig cfg, const compiler::CompiledProgram &prog,
     else if (drain_iters < 0)
         out.result = sys.runWithPowerFailure(fail_at);
     else
-        out.result = sys.runWithDoubleFailureDuringDrain(
-            fail_at, static_cast<unsigned>(drain_iters));
+        out.result = sys.runWithFailureStorm(
+            fail_at, {static_cast<unsigned>(drain_iters)});
 
     {
         stats::Registry reg;

@@ -500,7 +500,7 @@ TEST(FaultCrash, DoubleFailureDuringRetryWindowStaysSound)
     vcfg.faults.seed = 9;
     vcfg.faults.bcastLossPinTick = pin;
     core::System victim(vcfg, b.prog, b.threads);
-    auto vr = victim.runWithDoubleFailureDuringDrain(pin + 60, 1);
+    auto vr = victim.runWithFailureStorm(pin + 60, {1});
     ASSERT_FALSE(vr.completed);
     ASSERT_TRUE(victim.crashed());
     expectOracleClean(victim, "retry-window victim");

@@ -220,3 +220,42 @@ TEST(FuzzCampaign, FaultInjectionIsCaughtShrunkAndReplayable)
     auto clean = runCampaign(replay);
     EXPECT_TRUE(clean.passed) << clean.failure;
 }
+
+// Every crash mode lowers to one failure schedule and one recover path:
+// dbl-drain is storm d<N> and dbl-rec is storm x<T>, point for point.
+TEST(FuzzCampaign, CrashModesAreSchedules)
+{
+    setLogQuiet(true);
+    const std::string base = "lwsp-fuzz:v1:wl:seed=3:shrink=1:";
+    auto expectSame = [&](const std::string &mode,
+                          const std::string &storm) {
+        auto a = runCampaign(parseOk(base + mode));
+        auto b = runCampaign(parseOk(base + storm));
+        EXPECT_TRUE(a.passed) << mode << ": " << a.failure;
+        EXPECT_EQ(a.passed, b.passed) << mode;
+        EXPECT_EQ(a.runsExecuted, b.runsExecuted) << mode;
+        EXPECT_EQ(a.oracleChecks, b.oracleChecks) << mode;
+        EXPECT_EQ(a.recoveredExact, b.recoveredExact) << mode;
+        EXPECT_EQ(a.recoveredDegraded, b.recoveredDegraded) << mode;
+        EXPECT_EQ(a.detectedUnrecoverable, b.detectedUnrecoverable)
+            << mode;
+        EXPECT_EQ(a.failuresSurvived, b.failuresSurvived) << mode;
+        return a;
+    };
+    for (unsigned n : {0u, 1u, 3u}) {
+        auto r = expectSame(
+            "mode=dbl-drain:crash=5000:drain=" + std::to_string(n),
+            "mode=storm:crash=5000:storm=d" + std::to_string(n));
+        EXPECT_EQ(r.failuresSurvived, 2u);
+    }
+    // The second failure lands: golden, victim and two recovered runs.
+    auto landed = expectSame("mode=dbl-rec:crash=5000:crash2=800",
+                             "mode=storm:crash=5000:storm=x800");
+    EXPECT_EQ(landed.runsExecuted, 4u);
+    EXPECT_EQ(landed.failuresSurvived, 2u);
+    // The recovered run finishes first: the second failure never fires.
+    auto early = expectSame("mode=dbl-rec:crash=5000:crash2=100000000",
+                            "mode=storm:crash=5000:storm=x100000000");
+    EXPECT_EQ(early.runsExecuted, 3u);
+    EXPECT_EQ(early.failuresSurvived, 1u);
+}

@@ -14,14 +14,16 @@
  *  - pmtx: crashing the recovered machine mid-undo-replay leaves the
  *    rollback itself recoverable (absolute old-values, so replaying a
  *    replayed prefix is idempotent).
- *  - Storm chains are engine-independent: the event-driven and
- *    cycle-stepped cores produce bit-identical storm lifetimes.
+ *  - Storm lifetimes (core::walkLifetime) are engine-independent: the
+ *    event-driven and cycle-stepped cores produce bit-identical
+ *    lifetimes, and the walker counts exactly the failures that fired.
  *  - One reduced crash-at-every-Nth-cycle-of-recovery matrix case and a
  *    small seeded storm campaign run clean end to end.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/lifetime.hh"
 #include "core/system.hh"
 #include "fault/storm.hh"
 #include "fuzz/campaign.hh"
@@ -60,6 +62,48 @@ build(pds::PdsScheme scheme, const pds::PdsSpec &spec)
                                    pds::PdsRunMode::Recovery),
             pds::PdsModel(spec).params()};
     return b;
+}
+
+/** A storm lifetime: each run's cycle count, golden first, and its end. */
+struct Walked
+{
+    std::vector<Tick> segs;
+    core::Lifetime lt;
+};
+
+/**
+ * Crash a fresh machine halfway through the golden run, then walk the
+ * rest of @p sched; the lifetime must finish with the tape's semantics.
+ * The finished machine refers to b.prog.
+ */
+Walked
+walkFromMidRun(const Built &b, const pds::PdsSpec &spec, const char *sched)
+{
+    fault::FailureSchedule storm;
+    std::string err;
+    EXPECT_TRUE(fault::FailureSchedule::parse(sched, storm, err)) << err;
+    core::System golden(b.cfg, b.prog, 1);
+    Walked w{{golden.run().cycles}, {}};
+
+    core::System victim(b.cfg, b.prog, 1);
+    auto vr = victim.runWithFailureStorm(w.segs[0] / 2,
+                                         storm.drainsFrom(0));
+    EXPECT_FALSE(vr.completed) << sched;
+    w.segs.push_back(vr.cycles);
+    core::LifetimeHooks hooks;
+    hooks.afterSegment = [&w](const core::System &,
+                              const core::RunResult &r) {
+        w.segs.push_back(r.cycles);
+        return std::string();
+    };
+    w.lt = core::walkLifetime(victim, storm, b.cfg, b.prog, 1, {}, hooks);
+    EXPECT_TRUE(w.lt.error.empty()) << sched << ": " << w.lt.error;
+    EXPECT_TRUE(w.lt.last.completed) << sched << ": " << w.lt.detail;
+    if (w.lt.sys) {
+        EXPECT_EQ(pds::checkSemantics(spec, w.lt.sys->execImage()), "")
+            << sched;
+    }
+    return w;
 }
 
 } // namespace
@@ -269,22 +313,16 @@ TEST(Storm, PmtxCrashMidUndoReplay)
                      .completed);
 
     for (Tick mid : {Tick(1), Tick(3), Tick(7), Tick(15), Tick(40)}) {
-        auto rec = core::System::recoverChecked(
-            b.cfg, b.prog, 1, victim.pmImage(), {},
-            &victim.crashReport());
-        ASSERT_NE(rec.outcome,
-                  core::RecoveryOutcome::DetectedUnrecoverable);
-        auto rr = rec.sys->runWithPowerFailure(mid);
-        if (rr.completed)
-            continue; // replay + rest of tape fit under `mid` cycles
-        auto rec2 = core::System::recoverChecked(
-            b.cfg, b.prog, 1, rec.sys->pmImage(), {},
-            &rec.sys->crashReport());
-        ASSERT_NE(rec2.outcome,
-                  core::RecoveryOutcome::DetectedUnrecoverable)
-            << "mid-undo-replay crash at +" << mid << ": " << rec2.detail;
-        ASSERT_TRUE(rec2.sys->run().completed);
-        EXPECT_EQ(pds::checkSemantics(spec, rec2.sys->execImage()), "")
+        // A lifetime whose recovered run completes inside `mid` cycles
+        // simply never loses power again.
+        auto lt = core::walkLifetime(
+            victim, {{{fault::FailurePhase::Exec, mid}}}, b.cfg, b.prog, 1,
+            {});
+        ASSERT_TRUE(lt.error.empty()) << lt.error;
+        ASSERT_NE(lt.sys, nullptr)
+            << "mid-undo-replay crash at +" << mid << ": " << lt.detail;
+        ASSERT_TRUE(lt.last.completed);
+        EXPECT_EQ(pds::checkSemantics(spec, lt.sys->execImage()), "")
             << "mid-undo-replay crash at +" << mid;
     }
 }
@@ -294,81 +332,45 @@ TEST(Storm, PmtxCrashMidUndoReplay)
 TEST(Storm, EngineABBitIdentity)
 {
     auto spec = smallSpec(pds::Kind::Alloc);
-    fault::FailureSchedule storm;
-    std::string err;
-    ASSERT_TRUE(fault::FailureSchedule::parse("d1+r+x200+d0+x90", storm,
-                                              err));
+    auto b = build(pds::PdsScheme::LightWsp, spec);
+    b.cfg.engine = SimEngine::Event;
+    Walked ev = walkFromMidRun(b, spec, "d1+r+x200+d0+x90");
+    b.cfg.engine = SimEngine::Cycle;
+    Walked cy = walkFromMidRun(b, spec, "d1+r+x200+d0+x90");
+    EXPECT_EQ(ev.segs, cy.segs);
+    ASSERT_TRUE(ev.lt.sys && cy.lt.sys);
+    EXPECT_TRUE(ev.lt.sys->pmImage()
+                    .diffInRange(cy.lt.sys->pmImage(), 0, ~Addr(0))
+                    .empty());
+}
 
-    // Runs the whole storm chain, returning each segment's cycle count
-    // and leaving the final image in `final_img`.
-    auto lifetime = [&](SimEngine engine, mem::MemImage &final_img) {
-        auto b = build(pds::PdsScheme::LightWsp, spec);
-        b.cfg.engine = engine;
-        core::System golden(b.cfg, b.prog, 1);
-        auto gres = golden.run();
-        std::vector<Tick> segs{gres.cycles};
+// The walker counts failures that fired: a failure scheduled past the
+// end of the run it would cut does not count, and neither do the drain
+// interrupts that would have followed it.
+TEST(Storm, LifetimeCountsEveryFiredFailure)
+{
+    auto spec = smallSpec(pds::Kind::Alloc);
+    auto b = build(pds::PdsScheme::LightWsp, spec);
 
-        std::size_t idx = 0;
-        auto takeDrains = [&] {
-            std::vector<unsigned> iters;
-            while (idx < storm.events.size() &&
-                   storm.events[idx].phase == fault::FailurePhase::Drain)
-                iters.push_back(
-                    static_cast<unsigned>(storm.events[idx++].at));
-            return iters;
-        };
+    // Every failure lands: initial + d1 + x200 + d1.
+    core::Lifetime all = walkFromMidRun(b, spec, "d1+x200+d1").lt;
+    ASSERT_NE(all.sys, nullptr);
+    EXPECT_EQ(all.failures(), 4u);
+    EXPECT_EQ(all.boots, 2u);
+    EXPECT_EQ(all.reentries, 0u);
+    EXPECT_EQ(all.execFailures, 1u);
+    EXPECT_EQ(all.drainInterrupts, 2u);
+    EXPECT_EQ(all.sys->failuresSurvived(), 4u);
 
-        core::System victim(b.cfg, b.prog, 1);
-        auto vr = victim.runWithFailureStorm(gres.cycles / 2,
-                                             takeDrains());
-        EXPECT_FALSE(vr.completed);
-        segs.push_back(vr.cycles);
-
-        const core::System *cur = &victim;
-        std::unique_ptr<core::System> hold;
-        while (true) {
-            auto rec = core::System::recoverChecked(
-                b.cfg, b.prog, 1, cur->pmImage(), {},
-                &cur->crashReport());
-            while (idx < storm.events.size() &&
-                   storm.events[idx].phase ==
-                       fault::FailurePhase::Recovery) {
-                ++idx;
-                auto retry = core::System::recoverChecked(
-                    b.cfg, b.prog, 1, cur->pmImage(), {},
-                    &cur->crashReport());
-                EXPECT_EQ(retry.outcome, rec.outcome);
-                rec = std::move(retry);
-            }
-            EXPECT_NE(rec.outcome,
-                      core::RecoveryOutcome::DetectedUnrecoverable);
-            hold = std::move(rec.sys);
-            cur = nullptr;
-            if (idx < storm.events.size()) {
-                Tick gap = storm.events[idx++].at;
-                auto er = hold->runWithFailureStorm(gap, takeDrains());
-                segs.push_back(er.cycles);
-                if (!er.completed) {
-                    cur = hold.get();
-                    continue;
-                }
-                break;
-            }
-            auto fr = hold->run();
-            segs.push_back(fr.cycles);
-            EXPECT_TRUE(fr.completed);
-            break;
-        }
-        EXPECT_EQ(pds::checkSemantics(spec, hold->execImage()), "");
-        final_img = hold->pmImage();
-        return segs;
-    };
-
-    mem::MemImage event_img, cycle_img;
-    auto event_segs = lifetime(SimEngine::Event, event_img);
-    auto cycle_segs = lifetime(SimEngine::Cycle, cycle_img);
-    EXPECT_EQ(event_segs, cycle_segs);
-    EXPECT_TRUE(event_img.diffInRange(cycle_img, 0, ~Addr(0)).empty());
+    // The recovered run finishes long before its exec failure: only the
+    // initial failure and its drain interrupt fired.
+    core::Lifetime cut = walkFromMidRun(b, spec, "d1+x100000000+d1").lt;
+    ASSERT_NE(cut.sys, nullptr);
+    EXPECT_EQ(cut.failures(), 2u);
+    EXPECT_EQ(cut.boots, 1u);
+    EXPECT_EQ(cut.execFailures, 0u);
+    EXPECT_EQ(cut.drainInterrupts, 1u);
+    EXPECT_EQ(cut.sys->failuresSurvived(), 2u);
 }
 
 // One reduced crash-at-every-Nth-cycle-of-recovery matrix case; the
