@@ -19,10 +19,6 @@ using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr pds::Kind kKinds[] = {pds::Kind::Log, pds::Kind::Hash,
                                 pds::Kind::Alloc};
 
@@ -56,7 +52,7 @@ main(int argc, char **argv)
     // Row-major grid plus one trailing baseline point per structure.
     std::vector<Point> points;
     for (auto k : kKinds) {
-        for (auto s : kSchemes)
+        for (auto s : pds::allSchemes)
             points.push_back({specFor(k), false, s});
         points.push_back({specFor(k), true, pds::PdsScheme::LightWsp});
     }
@@ -67,19 +63,18 @@ main(int argc, char **argv)
             p.baseline ? pds::makePdsBaselineConfig()
                        : pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
         cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-        compiler::CompiledProgram prog;
-        if (p.baseline) {
-            auto built = pds::buildPdsProgram(p.spec, false);
-            prog = compiler::makeUncompiled(std::move(built.module));
-        } else {
-            prog = pds::preparePdsProgram(p.spec, p.scheme,
-                                          pds::PdsRunMode::Perf);
-        }
+        const auto ops = pds::generateTape(p.spec);
+        compiler::CompiledProgram prog =
+            p.baseline
+                ? compiler::makeUncompiled(
+                      pds::buildPdsProgram(p.spec, ops, false).module)
+                : pds::preparePdsProgram(p.spec, ops, p.scheme,
+                                         pds::PdsRunMode::Perf);
         core::System sys(cfg, prog, 1);
         auto res = sys.run();
         LWSP_ASSERT(res.completed, "fig19 point did not complete: ",
                     p.spec.toString());
-        std::string err = pds::checkSemantics(p.spec, sys.execImage());
+        std::string err = pds::checkSemantics(p.spec, ops, sys.execImage());
         LWSP_ASSERT(err.empty(), "fig19 semantic check failed: ", err);
         std::string wl = p.spec.toString();
         std::string scheme =
@@ -93,11 +88,10 @@ main(int argc, char **argv)
     harness::ResultTable table(
         "Fig 19: pds per-op slowdown vs persistence-free baseline "
         "(sz=1, 192 ops, mix 0)");
-    for (auto s : kSchemes)
+    for (auto s : pds::allSchemes)
         table.addColumn(pds::pdsSchemeName(s));
 
-    constexpr std::size_t stride =
-        sizeof(kSchemes) / sizeof(kSchemes[0]) + 1;
+    constexpr std::size_t stride = std::size(pds::allSchemes) + 1;
     for (std::size_t k = 0; k < 3; ++k) {
         auto cycles = [&](std::size_t s) {
             return static_cast<double>(

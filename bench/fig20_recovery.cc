@@ -28,10 +28,6 @@ using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr pds::Kind kKinds[] = {pds::Kind::Log, pds::Kind::Hash,
                                 pds::Kind::Alloc};
 constexpr unsigned kThresholds[] = {8, 16, 32, 64}; ///< compiled schemes
@@ -55,7 +51,7 @@ main(int argc, char **argv)
 
     std::vector<Point> points;
     for (auto k : kKinds) {
-        for (auto s : kSchemes) {
+        for (auto s : pds::allSchemes) {
             for (std::size_t d = 0; d < kDists; ++d) {
                 Point p;
                 p.spec.kind = k;
@@ -80,9 +76,10 @@ main(int argc, char **argv)
         const Point &p = points[i];
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
         cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
-        auto prog = pds::preparePdsProgram(
-            p.spec, p.scheme, pds::PdsRunMode::Recovery, p.threshold);
-        pds::PdsParams params = pds::PdsModel(p.spec).params();
+        auto prog = pds::preparePdsProgram(p.spec, pds::generateTape(p.spec),
+                                           p.scheme, pds::PdsRunMode::Recovery,
+                                           p.threshold);
+        const Addr served = pds::pdsGeometry(p.spec).served;
 
         core::System golden(cfg, prog, 1);
         auto gres = golden.run();
@@ -93,8 +90,8 @@ main(int argc, char **argv)
         victim.runWithPowerFailure(gres.cycles * 6 / 10);
         auto rec =
             core::System::recover(cfg, prog, 1, victim.pmImage(), {});
-        std::uint64_t servedAtBoot = rec->execImage().read(params.served);
-        auto probe = rec->runUntilWordChanges(params.served, servedAtBoot);
+        std::uint64_t servedAtBoot = rec->execImage().read(served);
+        auto probe = rec->runUntilWordChanges(served, servedAtBoot);
         LWSP_ASSERT(probe.served, "fig20 recovered run served nothing: ",
                     p.spec.toString(), " scheme ",
                     pds::pdsSchemeName(p.scheme));
@@ -118,7 +115,7 @@ main(int argc, char **argv)
 
     std::size_t idx = 0;
     for (auto k : kKinds) {
-        for (auto s : kSchemes) {
+        for (auto s : pds::allSchemes) {
             std::vector<double> row;
             for (std::size_t d = 0; d < kDists; ++d)
                 row.push_back(static_cast<double>(latency[idx++]));

@@ -28,10 +28,6 @@ using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr serve::Profile kProfiles[] = {serve::Profile::Varnish,
                                         serve::Profile::Horde};
 constexpr unsigned kMeanIas[] = {2000, 1000, 500};  ///< arrival rates
@@ -67,7 +63,7 @@ main(int argc, char **argv)
 
     std::vector<SimPoint> sims;
     for (auto prof : kProfiles) {
-        for (auto s : kSchemes) {
+        for (auto s : pds::allSchemes) {
             SimPoint p;
             p.profile = prof;
             p.scheme = s;
@@ -87,9 +83,7 @@ main(int argc, char **argv)
         // Must hold every Serve+Wpq event of the run: a wrapped ring
         // would silently drop early request marks (extractMarks panics).
         cfg.traceBufferEvents = std::size_t(1) << 18;
-        pds::PdsParams params =
-            pds::PdsModel(p.wl.pdsSpec, p.wl.ops).params();
-        cfg.core.serveMarkAddr = params.served;
+        cfg.core.serveMarkAddr = pds::pdsGeometry(p.wl.pdsSpec).served;
 
         auto prog = pds::preparePdsProgram(p.wl.pdsSpec, p.wl.ops,
                                            p.scheme, pds::PdsRunMode::Perf);

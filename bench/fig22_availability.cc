@@ -46,10 +46,6 @@ using namespace lwsp;
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
 constexpr serve::Profile kProfiles[] = {serve::Profile::Varnish,
                                         serve::Profile::Horde};
 constexpr unsigned kStormEvents = 3; ///< extra failures per lifetime
@@ -89,7 +85,7 @@ main(int argc, char **argv)
 
     std::vector<Point> points;
     for (auto prof : kProfiles) {
-        for (auto s : kSchemes) {
+        for (auto s : pds::allSchemes) {
             Point p;
             p.profile = prof;
             p.scheme = s;
@@ -106,7 +102,7 @@ main(int argc, char **argv)
         cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
         auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops, p.scheme,
                                            pds::PdsRunMode::Recovery);
-        pds::PdsParams params = pds::PdsModel(wl.pdsSpec, wl.ops).params();
+        const Addr served = pds::pdsGeometry(wl.pdsSpec).served;
 
         core::System golden(cfg, prog, 1);
         auto gres = golden.run();
@@ -135,8 +131,8 @@ main(int argc, char **argv)
             auto probeSys = core::System::recover(cfg, prog, 1,
                                                   crashed.pmImage(), {});
             std::uint64_t servedAtBoot =
-                probeSys->execImage().read(params.served);
-            auto probe = probeSys->runUntilWordChanges(params.served,
+                probeSys->execImage().read(served);
+            auto probe = probeSys->runUntilWordChanges(served,
                                                        servedAtBoot);
             if (probe.served) {
                 ++p.mttrSamples;

@@ -107,13 +107,8 @@ struct CaseBuild
 
     /** Pds- or serve-sourced case: arm the structure-specific oracles. */
     bool isPds = false;
-    /** Post-shrink structure spec (what the oracles replay). */
+    /** Post-shrink structure program (what the oracles replay). */
     pds::PdsSpec pdsSpec;
-    /**
-     * Serve-sourced case: the lowered request op tape. Non-empty means
-     * the structure oracles replay this injected tape instead of the
-     * spec-generated one.
-     */
     std::vector<pds::PdsOp> pdsOps;
     /**
      * The crash-prefix oracle is sound only for converged compiles on
@@ -122,23 +117,6 @@ struct CaseBuild
      */
     bool pdsPrefixOk = false;
 };
-
-/** Structure-oracle dispatch: generated tape vs injected (serve) tape. */
-std::string
-pdsSemanticsOf(const CaseBuild &bc, const mem::MemImage &img)
-{
-    return bc.pdsOps.empty()
-               ? pds::checkSemantics(bc.pdsSpec, img)
-               : pds::checkSemantics(bc.pdsSpec, bc.pdsOps, img);
-}
-
-std::string
-pdsPrefixOf(const CaseBuild &bc, const mem::MemImage &img)
-{
-    return bc.pdsOps.empty()
-               ? pds::checkCrashPrefix(bc.pdsSpec, img)
-               : pds::checkCrashPrefix(bc.pdsSpec, bc.pdsOps, img);
-}
 
 /**
  * The hardware/compiler shape shared by the structure-program sources
@@ -210,7 +188,6 @@ buildCase(const CaseSpec &spec, bool oracles)
         // so it stays fixed.
         pds::PdsSpec ps;
         std::vector<pds::PdsOp> ops;
-        pds::PdsProgram pp;
         std::string srcSummary;
         if (spec.source == CaseSpec::Source::Serve) {
             serve::ServeSpec ss = spec.serve;
@@ -219,15 +196,14 @@ buildCase(const CaseSpec &spec, bool oracles)
             serve::ServeWorkload wl = serve::buildWorkload(ss);
             ps = wl.pdsSpec;
             ops = std::move(wl.ops);
-            pp = pds::buildPdsProgram(ps, /*pmtx=*/false, ops);
-            srcSummary = "serve " + ss.toString() + " -> " + pp.summary;
+            srcSummary = "serve " + ss.toString() + " -> ";
         } else {
             ps = spec.pds;
             for (unsigned i = 0; i < spec.shrink; ++i)
                 ps.numOps = std::max(8u, ps.numOps / 2);
-            pp = pds::buildPdsProgram(ps, /*pmtx=*/false);
-            srcSummary = pp.summary;
+            ops = pds::generateTape(ps);
         }
+        pds::PdsProgram pp = pds::buildPdsProgram(ps, ops, /*pmtx=*/false);
 
         core::SystemConfig cfg;
         compiler::CompilerConfig ccfg;
@@ -245,7 +221,7 @@ buildCase(const CaseSpec &spec, bool oracles)
         out.pdsSpec = ps;
         out.pdsOps = std::move(ops);
         out.pdsPrefixOk = out.prog.stats.thresholdConverged;
-        out.summary = srcSummary + shapeSummary(cfg) +
+        out.summary = srcSummary + pp.summary + shapeSummary(cfg) +
                       " wpq=" + std::to_string(cfg.mc.wpqEntries) +
                       " thr=" + std::to_string(ccfg.storeThreshold) +
                       (cfg.mc.strictFlushAcks ? " strict" : "");
@@ -326,7 +302,8 @@ runGolden(const CaseBuild &bc, std::uint64_t &checks, unsigned &runs)
         // Structure-walk the clean final state: a mismatch here is an
         // emission/model bug, not a crash-consistency one — report it
         // before any power failures muddy the water.
-        if (auto msg = pdsSemanticsOf(bc, g.sys->execImage());
+        if (auto msg = pds::checkSemantics(bc.pdsSpec, bc.pdsOps,
+                                           g.sys->execImage());
             !msg.empty()) {
             g.error = "golden " + msg;
         }
@@ -440,7 +417,8 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
         if (auto e = diffAppState(sys, golden, bc, what); !e.empty())
             return e;
         if (bc.isPds) {
-            if (auto msg = pdsSemanticsOf(bc, sys.execImage());
+            if (auto msg = pds::checkSemantics(bc.pdsSpec, bc.pdsOps,
+                                               sys.execImage());
                 !msg.empty()) {
                 return std::string(what) + " " + msg;
             }
@@ -456,7 +434,8 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
     if (bc.isPds && bc.pdsPrefixOk && !pt.fault && !hw_faults) {
         // Gated LightWSP + converged compile: the crash image must be a
         // program-order prefix of the recorded store stream.
-        if (auto msg = pdsPrefixOf(bc, victim.pmImage());
+        if (auto msg = pds::checkCrashPrefix(bc.pdsSpec, bc.pdsOps,
+                                             victim.pmImage());
             !msg.empty()) {
             return "victim " + msg;
         }

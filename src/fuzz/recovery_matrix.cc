@@ -14,11 +14,6 @@ namespace fuzz {
 
 namespace {
 
-constexpr pds::PdsScheme kSchemes[] = {
-    pds::PdsScheme::LightWsp, pds::PdsScheme::Capri, pds::PdsScheme::Ppa,
-    pds::PdsScheme::Cwsp,     pds::PdsScheme::Pmtx,
-};
-
 /** Everything one case needs to run: binary, machine, oracles. */
 struct MatrixBuild
 {
@@ -77,19 +72,16 @@ build(const MatrixCase &c, const MatrixOptions &opt)
         return b;
     }
 
-    pds::PdsSpec ps;
-    std::vector<pds::PdsOp> ops;
     if (c.source == MatrixCase::Source::Serve) {
         serve::ServeWorkload wl = serve::buildWorkload(c.serve);
-        ps = wl.pdsSpec;
-        ops = std::move(wl.ops);
-        b.prog = pds::preparePdsProgram(ps, ops, c.scheme,
-                                        pds::PdsRunMode::Recovery);
+        b.pdsSpec = wl.pdsSpec;
+        b.pdsOps = std::move(wl.ops);
     } else {
-        ps = c.pds;
-        b.prog = pds::preparePdsProgram(ps, c.scheme,
-                                        pds::PdsRunMode::Recovery);
+        b.pdsSpec = c.pds;
+        b.pdsOps = pds::generateTape(c.pds);
     }
+    b.prog = pds::preparePdsProgram(b.pdsSpec, b.pdsOps, c.scheme,
+                                    pds::PdsRunMode::Recovery);
     b.cfg = pds::makePdsConfig(c.scheme, pds::PdsRunMode::Recovery);
     applyShape(c, b.cfg);
     // Tight hang backstop: matrix cases are tiny (tens of ops), so a run
@@ -98,8 +90,6 @@ build(const MatrixCase &c, const MatrixOptions &opt)
     b.cfg.engine = opt.engine;
     b.threads = 1;
     b.isPds = true;
-    b.pdsSpec = ps;
-    b.pdsOps = std::move(ops);
     return b;
 }
 
@@ -112,7 +102,7 @@ recoveryMatrixCases()
     constexpr pds::Kind kinds[] = {pds::Kind::Log, pds::Kind::Hash,
                                    pds::Kind::Alloc};
     for (auto k : kinds) {
-        for (auto s : kSchemes) {
+        for (auto s : pds::allSchemes) {
             MatrixCase c;
             c.source = MatrixCase::Source::Pds;
             c.scheme = s;
@@ -129,7 +119,7 @@ recoveryMatrixCases()
             cases.push_back(c);
         }
     }
-    for (auto s : kSchemes) {
+    for (auto s : pds::allSchemes) {
         MatrixCase c;
         c.source = MatrixCase::Source::Serve;
         c.scheme = s;
@@ -188,11 +178,8 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
                            const core::System &golden,
                            const char *what) -> std::string {
         if (b.isPds) {
-            auto msg = b.pdsOps.empty()
-                           ? pds::checkSemantics(b.pdsSpec,
-                                                 sys.execImage())
-                           : pds::checkSemantics(b.pdsSpec, b.pdsOps,
-                                                 sys.execImage());
+            auto msg =
+                pds::checkSemantics(b.pdsSpec, b.pdsOps, sys.execImage());
             if (!msg.empty())
                 return std::string(what) + " " + msg;
             return {};

@@ -736,9 +736,13 @@ buildDriver(Emitter &e, const PdsSpec &spec,
     e.emit(Instruction::simple(Opcode::Halt));
 }
 
+} // namespace
+
 PdsProgram
-buildFromModel(const PdsModel &model, bool pmtx)
+buildPdsProgram(const PdsSpec &tapeSpec, const std::vector<PdsOp> &ops,
+                bool pmtx)
 {
+    PdsModel model(tapeSpec, ops);
     const PdsSpec &spec = model.spec();
     PdsProgram out;
     out.params = model.params();
@@ -798,23 +802,6 @@ buildFromModel(const PdsModel &model, bool pmtx)
        << " footprint=" << out.params.footprintBytes;
     out.summary = os.str();
     return out;
-}
-
-} // namespace
-
-PdsProgram
-buildPdsProgram(const PdsSpec &spec, bool pmtx)
-{
-    PdsModel model(spec);
-    return buildFromModel(model, pmtx);
-}
-
-PdsProgram
-buildPdsProgram(const PdsSpec &spec, bool pmtx,
-                const std::vector<PdsOp> &ops)
-{
-    PdsModel model(spec, ops);
-    return buildFromModel(model, pmtx);
 }
 
 } // namespace pds

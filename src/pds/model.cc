@@ -50,11 +50,6 @@ hashOf(std::uint64_t key, std::uint64_t mask)
     return (key * hashMult) & mask;
 }
 
-constexpr unsigned opLogAppend = 0, opLogTrim = 1;
-constexpr unsigned opHashInsert = 0, opHashDelete = 1, opHashLookup = 2,
-                   opHashResize = 3;
-constexpr unsigned opAllocAlloc = 0, opAllocFree = 1;
-
 constexpr const char *kindNames[] = {"log", "hash", "alloc"};
 
 using spec::Print;
@@ -212,32 +207,13 @@ pdsGeometry(const PdsSpec &spec)
 }
 
 // ---------------------------------------------------------------------------
-// PdsModel.
+// Shadow replay.
 
-PdsModel::PdsModel(const PdsSpec &spec) : spec_(spec)
+namespace detail {
+
+PdsShadow::PdsShadow(const PdsSpec &spec)
+    : spec_(spec), params_(deriveBaseParams(spec))
 {
-    initStructure();
-    generateTape();
-    finishInit();
-}
-
-PdsModel::PdsModel(const PdsSpec &spec, const std::vector<PdsOp> &ops)
-    : spec_(spec)
-{
-    LWSP_ASSERT(!ops.empty() && ops.size() <= 100000,
-                "injected pds tape size out of range");
-    spec_.numOps = static_cast<unsigned>(ops.size());
-    initStructure();
-    ops_ = ops;
-    replayInjected();
-    finishInit();
-}
-
-void
-PdsModel::initStructure()
-{
-    params_ = deriveBaseParams(spec_);
-
     // Nonzero initial data only (absent words read as zero).
     switch (spec_.kind) {
       case Kind::Log:
@@ -254,125 +230,8 @@ PdsModel::initStructure()
     }
 }
 
-void
-PdsModel::finishInit()
-{
-    for (unsigned i = 0; i < spec_.numOps; ++i) {
-        tape_.push_back(ops_[i].op | (ops_[i].a << 8));
-        tape_.push_back(ops_[i].v);
-    }
-    for (unsigned i = 0; i < tape_.size(); ++i) {
-        if (tape_[i])
-            init_[params_.tapeBase + Addr(i) * 8] = tape_[i];
-    }
-
-    params_.undoCap = maxTxStores_ + 4;
-    std::size_t end =
-        params_.undoBase + std::size_t(params_.undoCap) * 16 - params_.base;
-    params_.footprintBytes = (end + 63) & ~std::size_t(63);
-
-    reset();
-}
-
-/**
- * Replay an injected tape forward (mirrors generateTape's replay loop):
- * asserts each op's feasibility invariant — the emitted IR has no
- * precondition checks, so an infeasible op writes outside the structure
- * — and accumulates maxTxStores_ for the pmtx undo-area sizing.
- */
-void
-PdsModel::replayInjected()
-{
-    const PdsParams &p = params_;
-    unsigned txStores = 0;
-    for (unsigned i = 0; i < spec_.numOps; ++i) {
-        const OpRec &rec = ops_[i];
-        LWSP_ASSERT(rec.a <= 0xffffffull,
-                    "injected pds op arg exceeds the 24-bit tape field");
-        switch (spec_.kind) {
-          case Kind::Log:
-            LWSP_ASSERT(rec.op <= opLogTrim, "bad injected log op");
-            if (rec.op == opLogAppend) {
-                std::uint64_t off = read(logCurOff(p));
-                if (off >= p.slotsPerSeg) {
-                    std::uint64_t seg = read(logCurSeg(p));
-                    seg = seg + 1 == p.segs ? 0 : seg + 1;
-                    std::uint64_t u = read(logSegUsed(p, unsigned(seg)));
-                    std::uint64_t trim = read(logTrimId(p));
-                    std::uint64_t kept = 0;
-                    for (std::uint64_t j = 0; j < u; ++j) {
-                        if ((read(logSegEntry(p, unsigned(seg),
-                                              unsigned(j))) >>
-                             32) >= trim)
-                            ++kept;
-                    }
-                    LWSP_ASSERT(kept < p.slotsPerSeg,
-                                "injected log append into a full log");
-                }
-            }
-            break;
-          case Kind::Hash:
-            LWSP_ASSERT(rec.op <= opHashResize, "bad injected hash op");
-            if (rec.op == opHashInsert) {
-                LWSP_ASSERT(rec.a != 0, "injected hash insert of key 0");
-                LWSP_ASSERT(!hashLive_.count(rec.a),
-                            "injected hash insert of a live key ", rec.a);
-                LWSP_ASSERT(hashLive_.size() < p.pool,
-                            "injected hash insert with node pool full");
-            }
-            break;
-          case Kind::Alloc:
-            LWSP_ASSERT(rec.op <= opAllocFree, "bad injected alloc op");
-            LWSP_ASSERT(rec.a < p.handles,
-                        "injected alloc handle out of range");
-            if (rec.op == opAllocAlloc) {
-                LWSP_ASSERT(read(allocFreeHead(p)) != 0 &&
-                                !allocLive_.count(rec.a),
-                            "injected alloc with no free block or live "
-                            "handle ", rec.a);
-            } else {
-                LWSP_ASSERT(allocLive_.count(rec.a),
-                            "injected free of unallocated handle ", rec.a);
-            }
-            break;
-        }
-
-        lastWrites_.clear();
-        lastInstrumented_ = 0;
-        applyOp(rec);
-        ++applied_;
-        w(p.opsDone, applied_);
-        w(p.served, read(p.served) + 1, false);
-
-        txStores += lastInstrumented_;
-        if ((i + 1) % spec_.opsPerTx == 0 || i + 1 == spec_.numOps) {
-            maxTxStores_ = std::max(maxTxStores_, txStores);
-            txStores = 0;
-        }
-    }
-}
-
-std::vector<std::pair<Addr, std::uint64_t>>
-PdsModel::initialData() const
-{
-    std::vector<std::pair<Addr, std::uint64_t>> out(init_.begin(),
-                                                    init_.end());
-    return out;
-}
-
-void
-PdsModel::reset()
-{
-    state_.clear();
-    applied_ = 0;
-    lastWrites_.clear();
-    logAll_.clear();
-    hashLive_.clear();
-    allocLive_.clear();
-}
-
 std::uint64_t
-PdsModel::read(Addr a) const
+PdsShadow::read(Addr a) const
 {
     auto it = state_.find(a);
     if (it != state_.end())
@@ -382,7 +241,19 @@ PdsModel::read(Addr a) const
 }
 
 void
-PdsModel::w(Addr a, std::uint64_t v, bool instrumented)
+PdsShadow::reset()
+{
+    state_.clear();
+    applied_ = 0;
+    lastWrites_.clear();
+    txStores_ = 0;
+    logAll_.clear();
+    hashLive_.clear();
+    allocLive_.clear();
+}
+
+void
+PdsShadow::w(Addr a, std::uint64_t v, bool instrumented)
 {
     state_[a] = v;
     lastWrites_.push_back({a, v});
@@ -390,30 +261,82 @@ PdsModel::w(Addr a, std::uint64_t v, bool instrumented)
         ++lastInstrumented_;
 }
 
-const std::vector<PdsWrite> &
-PdsModel::step()
+bool
+PdsShadow::logAppendFits() const
 {
-    LWSP_ASSERT(applied_ < spec_.numOps, "PdsModel::step past tape end");
+    const PdsParams &p = params_;
+    if (read(logCurOff(p)) < p.slotsPerSeg)
+        return true;
+    // The append advances to the next segment and compacts it: only its
+    // entries below the trim floor are reclaimed.
+    std::uint64_t seg = read(logCurSeg(p));
+    seg = seg + 1 == p.segs ? 0 : seg + 1;
+    std::uint64_t u = read(logSegUsed(p, unsigned(seg)));
+    std::uint64_t trim = read(logTrimId(p));
+    std::uint64_t kept = 0;
+    for (std::uint64_t j = 0; j < u; ++j) {
+        if ((read(logSegEntry(p, unsigned(seg), unsigned(j))) >> 32) >= trim)
+            ++kept;
+    }
+    return kept < p.slotsPerSeg;
+}
+
+/**
+ * The emitted IR has no precondition checks, so an infeasible op writes
+ * outside the structure: every check here guards one such write.
+ */
+const std::vector<PdsWrite> &
+PdsShadow::advance(const PdsOp &rec)
+{
+    const PdsParams &p = params_;
+    LWSP_ASSERT(rec.a <= 0xffffffull,
+                "pds op arg exceeds the 24-bit tape field");
+    switch (spec_.kind) {
+      case Kind::Log:
+        LWSP_ASSERT(rec.op <= pdsLogTrim, "bad pds log op ", rec.op);
+        LWSP_ASSERT(rec.op != pdsLogAppend || logAppendFits(),
+                    "pds log append into a full log");
+        break;
+      case Kind::Hash:
+        LWSP_ASSERT(rec.op <= pdsHashResize, "bad pds hash op ", rec.op);
+        if (rec.op == pdsHashInsert) {
+            LWSP_ASSERT(rec.a != 0, "pds hash insert of key 0");
+            LWSP_ASSERT(!hashLive_.count(rec.a),
+                        "pds hash insert of a live key ", rec.a);
+            LWSP_ASSERT(hashLive_.size() < p.pool,
+                        "pds hash insert with node pool full");
+        }
+        break;
+      case Kind::Alloc:
+        LWSP_ASSERT(rec.op <= pdsAllocFree, "bad pds alloc op ", rec.op);
+        LWSP_ASSERT(rec.a < p.handles, "pds alloc handle out of range");
+        if (rec.op == pdsAllocAlloc) {
+            LWSP_ASSERT(read(allocFreeHead(p)) != 0 &&
+                            !allocLive_.count(rec.a),
+                        "pds alloc with no free block or live handle ",
+                        rec.a);
+        } else {
+            LWSP_ASSERT(allocLive_.count(rec.a),
+                        "pds free of unallocated handle ", rec.a);
+        }
+        break;
+    }
+
     lastWrites_.clear();
     lastInstrumented_ = 0;
-    applyOp(ops_[applied_]);
+    applyOp(rec);
     ++applied_;
     // The driver epilogue: opsDone (instrumented), then the exec-level
     // served counter (plain store, not undo-logged).
-    w(params_.opsDone, applied_);
-    w(params_.served, read(params_.served) + 1, /*instrumented=*/false);
-    return lastWrites_;
-}
+    w(p.opsDone, applied_);
+    w(p.served, read(p.served) + 1, /*instrumented=*/false);
 
-std::map<std::uint64_t, std::uint64_t>
-PdsModel::liveLog() const
-{
-    std::map<std::uint64_t, std::uint64_t> out;
-    std::uint64_t trim = read(logTrimId(params_));
-    std::uint64_t next = read(logNextId(params_));
-    for (std::uint64_t id = trim; id < next; ++id)
-        out[id] = logAll_.at(id);
-    return out;
+    txStores_ += lastInstrumented_;
+    if (applied_ % spec_.opsPerTx == 0 || applied_ == spec_.numOps) {
+        maxTxStores_ = std::max(maxTxStores_, txStores_);
+        txStores_ = 0;
+    }
+    return lastWrites_;
 }
 
 /**
@@ -421,12 +344,12 @@ PdsModel::liveLog() const
  * them. Comments name the builder blocks each group corresponds to.
  */
 void
-PdsModel::applyOp(const OpRec &rec)
+PdsShadow::applyOp(const PdsOp &rec)
 {
     const PdsParams &p = params_;
     switch (spec_.kind) {
       case Kind::Log:
-        if (rec.op == opLogAppend) {
+        if (rec.op == pdsLogAppend) {
             std::uint64_t seg = read(logCurSeg(p));
             std::uint64_t off = read(logCurOff(p));
             if (off >= p.slotsPerSeg) {           // advance + reclaim
@@ -466,7 +389,7 @@ PdsModel::applyOp(const OpRec &rec)
       case Kind::Hash: {
         unsigned t = unsigned(read(hashCurTbl(p)));
         std::uint64_t m = read(hashMask(p));
-        if (rec.op == opHashInsert) {
+        if (rec.op == pdsHashInsert) {
             std::uint64_t h = hashOf(rec.a, m);
             std::uint64_t f = read(hashFree(p));
             std::uint64_t idx1;
@@ -484,7 +407,7 @@ PdsModel::applyOp(const OpRec &rec)
             w(np + 16, read(hashBucket(p, t, h)));
             w(hashBucket(p, t, h), idx1);
             hashLive_[rec.a] = rec.v;
-        } else if (rec.op == opHashDelete) {
+        } else if (rec.op == pdsHashDelete) {
             std::uint64_t h = hashOf(rec.a, m);
             std::uint64_t cur = read(hashBucket(p, t, h));
             Addr prev = 0;
@@ -504,7 +427,7 @@ PdsModel::applyOp(const OpRec &rec)
                 prev = np;
                 cur = read(np + 16);
             }
-        } else if (rec.op == opHashLookup) {
+        } else if (rec.op == pdsHashLookup) {
             std::uint64_t h = hashOf(rec.a, m);
             std::uint64_t cur = read(hashBucket(p, t, h));
             std::uint64_t found = 0;
@@ -540,7 +463,7 @@ PdsModel::applyOp(const OpRec &rec)
       }
 
       case Kind::Alloc:
-        if (rec.op == opAllocAlloc) {
+        if (rec.op == pdsAllocAlloc) {
             std::uint64_t idx1 = read(allocFreeHead(p));
             Addr bp = allocBlock(p, idx1 - 1);
             w(allocFreeHead(p), read(bp + 0));
@@ -560,120 +483,182 @@ PdsModel::applyOp(const OpRec &rec)
     }
 }
 
-/**
- * Tape generation: draw op types from the mix preset, overriding
- * infeasible choices (full log, exhausted pool, empty free list...)
- * with a feasible one so the emitted IR needs no precondition checks.
- * Runs the shadow forward as it draws, then reset() rewinds.
- */
-void
-PdsModel::generateTape()
+} // namespace detail
+
+// ---------------------------------------------------------------------------
+// PdsModel.
+
+namespace {
+
+/** @p spec sized to @p ops (the tape, not the spec, fixes numOps). */
+PdsSpec
+sizedTo(PdsSpec spec, const std::vector<PdsOp> &ops)
 {
-    Rng rng(spec_.seed ^ 0x7064732d74617065ull);  // "pds-tape"
-    const PdsParams &p = params_;
+    LWSP_ASSERT(!ops.empty() && ops.size() <= 100000,
+                "pds tape size out of range");
+    spec.numOps = static_cast<unsigned>(ops.size());
+    return spec;
+}
 
-    unsigned txStores = 0;
-    for (unsigned i = 0; i < spec_.numOps; ++i) {
-        OpRec rec{0, 0, 0};
-        switch (spec_.kind) {
-          case Kind::Log: {
-            static constexpr unsigned appendPct[3] = {85, 70, 95};
-            bool wantAppend = rng.below(100) < appendPct[spec_.mix];
-            bool canAppend = true;
-            std::uint64_t off = read(logCurOff(p));
-            if (off >= p.slotsPerSeg) {
-                std::uint64_t seg = read(logCurSeg(p));
-                seg = seg + 1 == p.segs ? 0 : seg + 1;
-                std::uint64_t u = read(logSegUsed(p, unsigned(seg)));
-                std::uint64_t trim = read(logTrimId(p));
-                std::uint64_t kept = 0;
-                for (std::uint64_t j = 0; j < u; ++j) {
-                    if ((read(logSegEntry(p, unsigned(seg), unsigned(j))) >>
-                         32) >= trim)
-                        ++kept;
-                }
-                canAppend = kept < p.slotsPerSeg;
-            }
-            if (wantAppend && canAppend) {
-                rec = {opLogAppend, 0, rng.next() & 0xffffffffull};
-            } else {
-                std::uint64_t live =
-                    read(logNextId(p)) - read(logTrimId(p));
-                std::uint64_t n = wantAppend
-                                      ? std::max<std::uint64_t>(
-                                            1, (live + 3) / 4)
-                                      : rng.range(1, p.slotsPerSeg);
-                rec = {opLogTrim, n, 0};
-            }
-            break;
-          }
-          case Kind::Hash: {
-            // ins / del / lookup / resize percent per mix.
-            static constexpr unsigned cut[3][3] = {
-                {40, 65, 98}, {20, 30, 98}, {45, 90, 99}};
-            unsigned roll = unsigned(rng.below(100));
-            unsigned want = roll < cut[spec_.mix][0]      ? opHashInsert
-                            : roll < cut[spec_.mix][1]    ? opHashDelete
-                            : roll < cut[spec_.mix][2]    ? opHashLookup
-                                                          : opHashResize;
-            std::uint64_t universe = 2 * std::uint64_t(p.pool);
-            if (want == opHashInsert && hashLive_.size() >= p.pool)
-                want = hashLive_.empty() ? opHashResize : opHashLookup;
-            if ((want == opHashDelete || want == opHashLookup) &&
-                hashLive_.empty())
-                want = opHashInsert;
-            if (want == opHashInsert) {
-                std::uint64_t k = 0;
-                do {
-                    k = 1 + rng.below(universe);
-                } while (hashLive_.count(k));
-                rec = {opHashInsert, k, rng.next() & 0xffffffffull};
-            } else if (want == opHashDelete || want == opHashLookup) {
-                auto it = hashLive_.begin();
-                std::advance(it, long(rng.below(hashLive_.size())));
-                rec = {want, it->first, 0};
-            } else {
-                rec = {opHashResize, 0, 0};
-            }
-            break;
-          }
-          case Kind::Alloc: {
-            static constexpr unsigned allocPct[3] = {55, 70, 50};
-            bool wantAlloc = rng.below(100) < allocPct[spec_.mix];
-            bool canAlloc = read(allocFreeHead(p)) != 0 &&
-                            allocLive_.size() < p.handles;
-            bool canFree = !allocLive_.empty();
-            unsigned op = wantAlloc ? (canAlloc ? opAllocAlloc : opAllocFree)
-                                    : (canFree ? opAllocFree : opAllocAlloc);
-            if (op == opAllocAlloc) {
-                std::uint64_t h = 0;
-                do {
-                    h = rng.below(p.handles);
-                } while (allocLive_.count(h));
-                rec = {opAllocAlloc, h, rng.next() & 0xffffffffull};
-            } else {
-                auto it = allocLive_.begin();
-                std::advance(it, long(rng.below(allocLive_.size())));
-                rec = {opAllocFree, it->first, 0};
-            }
-            break;
-          }
-        }
-        ops_.push_back(rec);
+} // namespace
 
-        lastWrites_.clear();
-        lastInstrumented_ = 0;
-        applyOp(rec);
-        ++applied_;
-        w(p.opsDone, applied_);
-        w(p.served, read(p.served) + 1, false);
+PdsModel::PdsModel(const PdsSpec &spec, const std::vector<PdsOp> &ops)
+    : PdsShadow(sizedTo(spec, ops)), ops_(ops)
+{
+    for (const PdsOp &rec : ops_)
+        advance(rec);
 
-        txStores += lastInstrumented_;
-        if ((i + 1) % spec_.opsPerTx == 0 || i + 1 == spec_.numOps) {
-            maxTxStores_ = std::max(maxTxStores_, txStores);
-            txStores = 0;
-        }
+    for (const PdsOp &rec : ops_) {
+        tape_.push_back(rec.op | (rec.a << 8));
+        tape_.push_back(rec.v);
     }
+    for (unsigned i = 0; i < tape_.size(); ++i) {
+        if (tape_[i])
+            init_[params_.tapeBase + Addr(i) * 8] = tape_[i];
+    }
+
+    params_.undoCap = maxTxStores_ + 4;
+    std::size_t end =
+        params_.undoBase + std::size_t(params_.undoCap) * 16 - params_.base;
+    params_.footprintBytes = (end + 63) & ~std::size_t(63);
+
+    reset();
+}
+
+std::vector<std::pair<Addr, std::uint64_t>>
+PdsModel::initialData() const
+{
+    return {init_.begin(), init_.end()};
+}
+
+const std::vector<PdsWrite> &
+PdsModel::step()
+{
+    LWSP_ASSERT(applied_ < ops_.size(), "PdsModel::step past tape end");
+    return advance(ops_[applied_]);
+}
+
+std::map<std::uint64_t, std::uint64_t>
+PdsModel::liveLog() const
+{
+    std::map<std::uint64_t, std::uint64_t> out;
+    std::uint64_t trim = read(logTrimId(params_));
+    std::uint64_t next = read(logNextId(params_));
+    for (std::uint64_t id = trim; id < next; ++id)
+        out[id] = logAll_.at(id);
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// Tape generation.
+
+namespace {
+
+/**
+ * The seeded draw: pick op types from the mix preset, overriding
+ * infeasible choices with a feasible one, against the shadow state the
+ * ops drawn so far left behind.
+ */
+class TapeDraw : private detail::PdsShadow
+{
+  public:
+    explicit TapeDraw(const PdsSpec &spec)
+        : PdsShadow(spec),
+          rng_(spec.seed ^ 0x7064732d74617065ull) // "pds-tape"
+    {
+    }
+
+    std::vector<PdsOp>
+    run()
+    {
+        std::vector<PdsOp> ops;
+        for (unsigned i = 0; i < spec_.numOps; ++i) {
+            ops.push_back(draw());
+            advance(ops.back());
+        }
+        return ops;
+    }
+
+  private:
+    PdsOp draw();
+
+    Rng rng_;
+};
+
+PdsOp
+TapeDraw::draw()
+{
+    const PdsParams &p = params_;
+    switch (spec_.kind) {
+      case Kind::Log: {
+        static constexpr unsigned appendPct[3] = {85, 70, 95};
+        bool wantAppend = rng_.below(100) < appendPct[spec_.mix];
+        if (wantAppend && logAppendFits())
+            return {pdsLogAppend, 0, rng_.next() & 0xffffffffull};
+        std::uint64_t live = read(logNextId(p)) - read(logTrimId(p));
+        std::uint64_t n = wantAppend
+                              ? std::max<std::uint64_t>(1, (live + 3) / 4)
+                              : rng_.range(1, p.slotsPerSeg);
+        return {pdsLogTrim, n, 0};
+      }
+      case Kind::Hash: {
+        // ins / del / lookup / resize percent per mix.
+        static constexpr unsigned cut[3][3] = {
+            {40, 65, 98}, {20, 30, 98}, {45, 90, 99}};
+        unsigned roll = unsigned(rng_.below(100));
+        unsigned want = roll < cut[spec_.mix][0]      ? pdsHashInsert
+                        : roll < cut[spec_.mix][1]    ? pdsHashDelete
+                        : roll < cut[spec_.mix][2]    ? pdsHashLookup
+                                                      : pdsHashResize;
+        std::uint64_t universe = 2 * std::uint64_t(p.pool);
+        if (want == pdsHashInsert && hashLive_.size() >= p.pool)
+            want = hashLive_.empty() ? pdsHashResize : pdsHashLookup;
+        if ((want == pdsHashDelete || want == pdsHashLookup) &&
+            hashLive_.empty())
+            want = pdsHashInsert;
+        if (want == pdsHashInsert) {
+            std::uint64_t k = 0;
+            do {
+                k = 1 + rng_.below(universe);
+            } while (hashLive_.count(k));
+            return {pdsHashInsert, k, rng_.next() & 0xffffffffull};
+        }
+        if (want == pdsHashDelete || want == pdsHashLookup) {
+            auto it = hashLive_.begin();
+            std::advance(it, long(rng_.below(hashLive_.size())));
+            return {want, it->first, 0};
+        }
+        return {pdsHashResize, 0, 0};
+      }
+      case Kind::Alloc: {
+        static constexpr unsigned allocPct[3] = {55, 70, 50};
+        bool wantAlloc = rng_.below(100) < allocPct[spec_.mix];
+        bool canAlloc = read(allocFreeHead(p)) != 0 &&
+                        allocLive_.size() < p.handles;
+        bool canFree = !allocLive_.empty();
+        unsigned op = wantAlloc ? (canAlloc ? pdsAllocAlloc : pdsAllocFree)
+                                : (canFree ? pdsAllocFree : pdsAllocAlloc);
+        if (op == pdsAllocAlloc) {
+            std::uint64_t h = 0;
+            do {
+                h = rng_.below(p.handles);
+            } while (allocLive_.count(h));
+            return {pdsAllocAlloc, h, rng_.next() & 0xffffffffull};
+        }
+        auto it = allocLive_.begin();
+        std::advance(it, long(rng_.below(allocLive_.size())));
+        return {pdsAllocFree, it->first, 0};
+      }
+    }
+    return {};
+}
+
+} // namespace
+
+std::vector<PdsOp>
+generateTape(const PdsSpec &spec)
+{
+    return TapeDraw(spec).run();
 }
 
 // ---------------------------------------------------------------------------
@@ -690,11 +675,11 @@ failMsg(const PdsSpec &spec, const std::string &what)
 
 } // namespace
 
-namespace {
-
 std::string
-checkSemanticsModel(PdsModel &model, const mem::MemImage &img)
+checkSemantics(const PdsSpec &tapeSpec, const std::vector<PdsOp> &ops,
+               const mem::MemImage &img)
 {
+    PdsModel model(tapeSpec, ops);
     const PdsSpec &spec = model.spec();
     while (model.opsApplied() < model.numOps())
         model.step();
@@ -866,31 +851,14 @@ checkSemanticsModel(PdsModel &model, const mem::MemImage &img)
     return "";
 }
 
-} // namespace
-
-std::string
-checkSemantics(const PdsSpec &spec, const mem::MemImage &img)
-{
-    PdsModel model(spec);
-    return checkSemanticsModel(model, img);
-}
-
-std::string
-checkSemantics(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-               const mem::MemImage &img)
-{
-    PdsModel model(spec, ops);
-    return checkSemanticsModel(model, img);
-}
-
 // ---------------------------------------------------------------------------
 // Crash-prefix oracle.
 
-namespace {
-
 std::string
-checkCrashPrefixModel(PdsModel &model, const mem::MemImage &img)
+checkCrashPrefix(const PdsSpec &tapeSpec, const std::vector<PdsOp> &ops,
+                 const mem::MemImage &img)
 {
+    PdsModel model(tapeSpec, ops);
     const PdsSpec &spec = model.spec();
     const PdsParams &p = model.params();
     std::size_t words = p.footprintBytes / 8;
@@ -912,7 +880,6 @@ checkCrashPrefixModel(PdsModel &model, const mem::MemImage &img)
     std::vector<std::uint64_t> cand(words, 0);
     for (const auto &kv : model.initialData())
         cand[(kv.first - p.base) / 8] = kv.second;
-    model.reset();
     for (unsigned i = 0; i < done; ++i) {
         for (const PdsWrite &wr : model.step())
             cand[(wr.addr - p.base) / 8] = wr.val;
@@ -937,23 +904,6 @@ checkCrashPrefixModel(PdsModel &model, const mem::MemImage &img)
     os << "pds crash-prefix [" << spec.toString() << "]: PM image is not "
        << "initial+prefix of the store stream at opsDone=" << done;
     return os.str();
-}
-
-} // namespace
-
-std::string
-checkCrashPrefix(const PdsSpec &spec, const mem::MemImage &img)
-{
-    PdsModel model(spec);
-    return checkCrashPrefixModel(model, img);
-}
-
-std::string
-checkCrashPrefix(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-                 const mem::MemImage &img)
-{
-    PdsModel model(spec, ops);
-    return checkCrashPrefixModel(model, img);
 }
 
 } // namespace pds

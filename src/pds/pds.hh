@@ -10,6 +10,12 @@
  * software-transaction baseline (`pmtx`, undo-log transactions in the
  * style of Persistent Memory Transactions, Marathe et al.).
  *
+ * A structure program is always described by a (PdsSpec, op tape)
+ * pair. generateTape() is the one place a spec becomes a tape (a seeded,
+ * feasibility-aware draw); the serve subsystem's request compiler lowers
+ * request streams to tapes of its own. Every entry point below takes
+ * both halves.
+ *
  * A C++ shadow model (PdsModel) transliterates the emitted IR store for
  * store, in program order. That gives the fuzzer two oracles that no
  * synthetic program has:
@@ -111,20 +117,18 @@ struct PdsWrite
 };
 
 /**
- * One tape operation. Normally drawn by PdsModel's seeded
- * feasibility-aware generator; callers (the serve subsystem's request
- * compiler) may instead inject an externally lowered tape. Meanings of
- * (op, a, v) per Kind match the builder's dispatch table:
+ * One tape operation. Meanings of (op, a, v) per Kind match the
+ * builder's dispatch table:
  *   Log:   0 append(value=v)  1 trim(count=a)
  *   Hash:  0 insert(key=a, value=v)  1 delete(key=a)  2 lookup(key=a)
  *          3 resize
  *   Alloc: 0 alloc(handle=a, payload=v)  1 free(handle=a)
  * `a` must fit in 24 bits — the tape word packs op | a<<8 and the
- * driver decodes a with a 0xffffff mask. Injected tapes must satisfy
- * the same feasibility invariants the generator maintains (e.g. hash
- * insert only of a non-live key with pool room); the injected-tape
- * constructor replays and asserts them, because the emitted IR carries
- * no precondition checks and an infeasible op corrupts memory silently.
+ * driver decodes a with a 0xffffff mask. Every op must also be feasible
+ * where it lands (e.g. hash insert only of a non-live key with pool
+ * room): the emitted IR carries no precondition checks and an
+ * infeasible op corrupts memory silently, so the shadow's replay step
+ * asserts each one, whichever producer drew the tape.
  */
 struct PdsOp
 {
@@ -133,7 +137,7 @@ struct PdsOp
     std::uint64_t v = 0;
 };
 
-/** Public tape op codes for injected-tape producers (PdsOp::op). */
+/** Public tape op codes (PdsOp::op). */
 constexpr unsigned pdsLogAppend = 0, pdsLogTrim = 1;
 constexpr unsigned pdsHashInsert = 0, pdsHashDelete = 1,
                    pdsHashLookup = 2, pdsHashResize = 3;
@@ -147,21 +151,78 @@ constexpr unsigned pdsAllocAlloc = 0, pdsAllocFree = 1;
 PdsParams pdsGeometry(const PdsSpec &spec);
 
 /**
- * The shadow model: generates the op tape (feasibility-aware, seeded)
- * and replays it store-for-store in the exact order the emitted IR
- * performs them, tracking both the concrete word state and the abstract
- * live contents the semantic oracles compare against.
+ * Lower @p spec to its op tape: spec.numOps ops drawn from the mix
+ * preset with the spec's seed, each infeasible choice (full log,
+ * exhausted pool, empty free list...) overridden by a feasible one.
  */
-class PdsModel
+std::vector<PdsOp> generateTape(const PdsSpec &spec);
+
+namespace detail {
+
+/**
+ * The shadow's replay core, shared by PdsModel and generateTape's
+ * seeded draw: concrete word state, abstract live contents, and
+ * advance(), the one forward step. Not API; use PdsModel.
+ */
+class PdsShadow
 {
-  public:
-    explicit PdsModel(const PdsSpec &spec);
+  protected:
+    explicit PdsShadow(const PdsSpec &spec);
+
+    std::uint64_t read(Addr a) const;
+
+    /** Rewind to the initial image. */
+    void reset();
 
     /**
-     * Injected-tape variant: run @p ops instead of generating a tape.
+     * Assert @p rec is feasible here, apply it, and return its
+     * persistent stores in IR order (structure stores, result/scratch
+     * stores, the trailing opsDone update and the served-counter bump —
+     * everything the plain build stores into the heap). Also tracks
+     * the worst per-transaction store count that sizes the pmtx undo
+     * area.
+     */
+    const std::vector<PdsWrite> &advance(const PdsOp &rec);
+
+    /** Whether a log append finds a slot, after reclaim if needed. */
+    bool logAppendFits() const;
+
+    PdsSpec spec_;
+    PdsParams params_;
+    std::map<Addr, std::uint64_t> init_;  ///< nonzero initial words
+    unsigned applied_ = 0;
+    unsigned maxTxStores_ = 0;
+
+    // Abstract state (kept in lockstep with the concrete replay).
+    std::map<std::uint64_t, std::uint64_t> logAll_;  ///< id -> value
+    std::map<std::uint64_t, std::uint64_t> hashLive_;
+    std::map<std::uint64_t, std::uint64_t> allocLive_;
+
+  private:
+    void applyOp(const PdsOp &rec);
+    void w(Addr a, std::uint64_t v, bool instrumented = true);
+
+    std::map<Addr, std::uint64_t> state_;
+    std::vector<PdsWrite> lastWrites_;
+    unsigned lastInstrumented_ = 0;
+    unsigned txStores_ = 0;
+};
+
+} // namespace detail
+
+/**
+ * The shadow model of one (spec, ops) structure program: replays the
+ * tape store for store in the exact order the emitted IR performs them,
+ * tracking both the concrete word state and the abstract live contents
+ * the semantic oracles compare against.
+ */
+class PdsModel : private detail::PdsShadow
+{
+  public:
+    /**
      * spec.numOps is overridden to ops.size(); all other spec fields
      * (kind, sizeClass, opsPerTx, seed for toString) apply unchanged.
-     * Feasibility of every op is asserted during the setup replay.
+     * Every op's feasibility is asserted during the setup replay.
      */
     PdsModel(const PdsSpec &spec, const std::vector<PdsOp> &ops);
 
@@ -175,21 +236,13 @@ class PdsModel
     /** Nonzero initial memory contents (structure init + tape). */
     std::vector<std::pair<Addr, std::uint64_t>> initialData() const;
 
-    /** Restart the replay from the initial image. */
-    void reset();
-
-    /**
-     * Apply the next op; @return its persistent stores in IR order
-     * (structure stores, result/scratch stores, the trailing opsDone
-     * update and the served-counter bump — everything the plain build
-     * stores into the heap).
-     */
+    /** Apply the next op; @return its persistent stores in IR order. */
     const std::vector<PdsWrite> &step();
 
     unsigned opsApplied() const { return applied_; }
 
     /** Concrete word state: initial data overlaid with applied stores. */
-    std::uint64_t read(Addr a) const;
+    using PdsShadow::read;
 
     // Abstract live contents (valid at the current replay position).
     /** Log: live id -> value (ids in [trimId, nextId)). */
@@ -205,37 +258,9 @@ class PdsModel
         return allocLive_;
     }
 
-    /** Max instrumented stores in any opsPerTx window (sizes the undo
-     *  area; computed during tape generation). */
-    unsigned maxTxStores() const { return maxTxStores_; }
-
   private:
-    using OpRec = PdsOp;
-
-    void initStructure();
-    void finishInit();
-    void generateTape();
-    void replayInjected();
-    void applyOp(const OpRec &rec);
-    void w(Addr a, std::uint64_t v, bool instrumented = true);
-    std::uint64_t rd(Addr a) const { return read(a); }
-
-    PdsSpec spec_;
-    PdsParams params_;
+    std::vector<PdsOp> ops_;
     std::vector<std::uint64_t> tape_;
-    std::vector<OpRec> ops_;
-
-    std::map<Addr, std::uint64_t> init_;
-    std::map<Addr, std::uint64_t> state_;
-    unsigned applied_ = 0;
-    std::vector<PdsWrite> lastWrites_;
-    unsigned lastInstrumented_ = 0;
-    unsigned maxTxStores_ = 0;
-
-    // Abstract state (kept in lockstep with the concrete replay).
-    std::map<std::uint64_t, std::uint64_t> logAll_;  ///< id -> value
-    std::map<std::uint64_t, std::uint64_t> hashLive_;
-    std::map<std::uint64_t, std::uint64_t> allocLive_;
 };
 
 /** A generated pds program ready for compilation. */
@@ -247,16 +272,14 @@ struct PdsProgram
 };
 
 /**
- * Emit the LightIR program for @p spec. With @p pmtx, every persistent
- * store is wrapped in the undo-log expansion, transactions of
- * spec.opsPerTx ops commit with a fence/clear/fence sequence, and the
- * driver entry carries the rollback-and-resume recovery preamble.
+ * Emit the LightIR program running @p ops on @p spec's structure
+ * (spec.numOps is overridden to ops.size()). With @p pmtx, every
+ * persistent store is wrapped in the undo-log expansion, transactions
+ * of spec.opsPerTx ops commit with a fence/clear/fence sequence, and
+ * the driver entry carries the rollback-and-resume recovery preamble.
  */
-PdsProgram buildPdsProgram(const PdsSpec &spec, bool pmtx);
-
-/** Injected-tape variant (spec.numOps is overridden to ops.size()). */
-PdsProgram buildPdsProgram(const PdsSpec &spec, bool pmtx,
-                           const std::vector<PdsOp> &ops);
+PdsProgram buildPdsProgram(const PdsSpec &spec,
+                           const std::vector<PdsOp> &ops, bool pmtx);
 
 /**
  * Structure-walk semantic oracle against a *completed* image (clean
@@ -265,9 +288,6 @@ PdsProgram buildPdsProgram(const PdsSpec &spec, bool pmtx,
  * allocator no-leak/no-double-free + payload integrity.
  * @return "" on success, else a failure description.
  */
-std::string checkSemantics(const PdsSpec &spec, const mem::MemImage &img);
-
-/** Injected-tape variant of checkSemantics. */
 std::string checkSemantics(const PdsSpec &spec,
                            const std::vector<PdsOp> &ops,
                            const mem::MemImage &img);
@@ -280,15 +300,17 @@ std::string checkSemantics(const PdsSpec &spec,
  * commits whole regions in order, so PM is always a program-order
  * prefix of the store stream. @return "" on success.
  */
-std::string checkCrashPrefix(const PdsSpec &spec, const mem::MemImage &img);
-
-/** Injected-tape variant of checkCrashPrefix. */
 std::string checkCrashPrefix(const PdsSpec &spec,
                              const std::vector<PdsOp> &ops,
                              const mem::MemImage &img);
 
 /** The five schemes the pds benches compare (pmtx is software-only). */
 enum class PdsScheme : std::uint8_t { LightWsp, Capri, Ppa, Cwsp, Pmtx };
+
+/** Every PdsScheme, in the column order the pds benches report. */
+constexpr PdsScheme allSchemes[] = {PdsScheme::LightWsp, PdsScheme::Capri,
+                                    PdsScheme::Ppa, PdsScheme::Cwsp,
+                                    PdsScheme::Pmtx};
 
 const char *pdsSchemeName(PdsScheme s);
 
@@ -313,11 +335,6 @@ core::SystemConfig makePdsBaselineConfig();
  * the program is the undo-log build run uncompiled (its fences are the
  * persistence points).
  */
-compiler::CompiledProgram
-preparePdsProgram(const PdsSpec &spec, PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold = 0);
-
-/** Injected-tape variant of preparePdsProgram. */
 compiler::CompiledProgram
 preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
                   PdsScheme s, PdsRunMode mode,

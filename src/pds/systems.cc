@@ -78,13 +78,12 @@ makePdsBaselineConfig()
     return cfg;
 }
 
-namespace {
-
 compiler::CompiledProgram
-prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
-             unsigned storeThreshold)
+preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
+                  PdsScheme s, PdsRunMode mode, unsigned storeThreshold)
 {
     const bool pmtx = s == PdsScheme::Pmtx;
+    PdsProgram prog = buildPdsProgram(spec, ops, pmtx);
     if (pmtx)
         return compiler::makeUncompiled(std::move(prog.module));
 
@@ -104,24 +103,6 @@ prepareBuilt(PdsProgram prog, PdsScheme s, PdsRunMode mode,
         ccfg.insertCheckpointStores = false;  // recovers by re-execution
     compiler::LightWspCompiler comp(ccfg);
     return comp.compile(std::move(prog.module));
-}
-
-} // namespace
-
-compiler::CompiledProgram
-preparePdsProgram(const PdsSpec &spec, PdsScheme s, PdsRunMode mode,
-                  unsigned storeThreshold)
-{
-    return prepareBuilt(buildPdsProgram(spec, s == PdsScheme::Pmtx), s,
-                        mode, storeThreshold);
-}
-
-compiler::CompiledProgram
-preparePdsProgram(const PdsSpec &spec, const std::vector<PdsOp> &ops,
-                  PdsScheme s, PdsRunMode mode, unsigned storeThreshold)
-{
-    return prepareBuilt(buildPdsProgram(spec, s == PdsScheme::Pmtx, ops),
-                        s, mode, storeThreshold);
 }
 
 } // namespace pds

@@ -221,7 +221,7 @@ buildWorkload(const ServeSpec &spec)
     wl.pdsSpec.mix = 0;
     wl.pdsSpec.seed = spec.seed;
     wl.pdsSpec.opsPerTx = spec.opsPerTx;
-    // numOps is overridden by the injected tape; set it anyway so
+    // numOps is overridden by the lowered tape; set it anyway so
     // toString() of the pds spec is not misleading.
 
     pds::PdsParams geo = pds::pdsGeometry(wl.pdsSpec);

@@ -106,13 +106,100 @@ TEST(PdsBuilder, ModuleTextRoundTrip)
         for (bool pmtx : {false, true}) {
             SCOPED_TRACE(std::string(pds::kindName(k)) +
                          (pmtx ? "/pmtx" : "/plain"));
-            auto prog = pds::buildPdsProgram(smallSpec(k), pmtx);
+            PdsSpec spec = smallSpec(k);
+            auto prog =
+                pds::buildPdsProgram(spec, pds::generateTape(spec), pmtx);
             std::string text = ir::moduleToString(*prog.module);
             auto back = ir::parseModule(text);
             ir::verifyModuleOrDie(*back);
             EXPECT_EQ(ir::moduleToString(*back), text);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Tapes: the seeded draw is pinned, and the shared replay step rejects
+// every infeasible op whichever producer lowered it.
+
+TEST(PdsTape, GeneratedTapesArePinned)
+{
+    // FNV-1a over the tape words (op | a<<8, v per op). A shifted draw
+    // changes every generated program, so every pds reference output.
+    struct Pin { const char *spec; std::uint64_t hash; };
+    const Pin pins[] = {
+        {"log,sz=1,ops=192,mix=0,pseed=7", 0x02262086c360b1d4ull},
+        {"hash,sz=1,ops=192,mix=0,pseed=7", 0xa9f191a6e2177b12ull},
+        {"alloc,sz=1,ops=192,mix=0,pseed=7", 0x13e765eb75f0d7feull},
+        {"log,sz=2,ops=160,mix=2,pseed=9", 0x11fc172227f7a797ull},
+        {"hash,sz=2,ops=160,mix=2,pseed=9", 0xbb51ae3959681161ull},
+        {"alloc,sz=2,ops=160,mix=2,pseed=9", 0x0fb270884ca61fffull},
+    };
+    for (const Pin &pin : pins) {
+        PdsSpec spec;
+        std::string err;
+        ASSERT_TRUE(PdsSpec::parse(pin.spec, spec, err)) << err;
+        pds::PdsModel model(spec, pds::generateTape(spec));
+        ASSERT_EQ(model.tape().size(), 2u * spec.numOps) << pin.spec;
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint64_t word : model.tape()) {
+            h ^= word;
+            h *= 0x100000001b3ull;
+        }
+        EXPECT_EQ(h, pin.hash) << pin.spec;
+    }
+}
+
+TEST(PdsTape, InfeasibleTapesAreRejected)
+{
+    setLogQuiet(true);
+    using pds::PdsOp;
+    auto replay = [](Kind k, std::vector<PdsOp> ops) {
+        pds::PdsModel model(smallSpec(k), ops);
+    };
+    auto repeat = [](std::vector<PdsOp> ops, std::size_t n, PdsOp op) {
+        ops.insert(ops.end(), n, op);
+        return ops;
+    };
+    // sz=0 geometry: 4 log segments of 8 slots, a 24-node hash pool,
+    // 16 allocator blocks and handles.
+    std::vector<PdsOp> fullPool;
+    for (std::uint64_t k = 1; k <= 24; ++k)
+        fullPool.push_back({pds::pdsHashInsert, k, k});
+    std::vector<PdsOp> allAllocated;
+    for (std::uint64_t h = 0; h < 16; ++h)
+        allAllocated.push_back({pds::pdsAllocAlloc, h, h});
+    const PdsOp append{pds::pdsLogAppend, 0, 1};
+
+    // The feasible edges replay cleanly.
+    EXPECT_NO_THROW(replay(Kind::Log, repeat({}, 32, append)));
+    EXPECT_NO_THROW(replay(Kind::Hash, fullPool));
+    EXPECT_NO_THROW(replay(Kind::Alloc, allAllocated));
+
+    EXPECT_THROW(replay(Kind::Hash, {}), PanicError);
+    EXPECT_THROW(replay(Kind::Log, {{2, 0, 0}}), PanicError);
+    EXPECT_THROW(replay(Kind::Hash, {{4, 1, 0}}), PanicError);
+    EXPECT_THROW(replay(Kind::Alloc, {{2, 0, 0}}), PanicError);
+    EXPECT_THROW(replay(Kind::Log, {{pds::pdsLogTrim, 1u << 24, 0}}),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Hash, {{pds::pdsHashInsert, 0, 1}}),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Hash, {{pds::pdsHashInsert, 5, 1},
+                                     {pds::pdsHashInsert, 5, 2}}),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Hash,
+                        repeat(fullPool, 1, {pds::pdsHashInsert, 25, 1})),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Alloc, {{pds::pdsAllocAlloc, 3, 1},
+                                      {pds::pdsAllocAlloc, 3, 2}}),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Alloc,
+                        repeat(allAllocated, 1, {pds::pdsAllocAlloc, 0, 1})),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Alloc, {{pds::pdsAllocAlloc, 16, 1}}),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Alloc, {{pds::pdsAllocFree, 3, 0}}),
+                 PanicError);
+    EXPECT_THROW(replay(Kind::Log, repeat({}, 33, append)), PanicError);
 }
 
 // ---------------------------------------------------------------------------
@@ -126,33 +213,31 @@ TEST(PdsShadow, CleanRunMatchesModelAllSchemes)
     setLogQuiet(true);
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         PdsSpec spec = smallSpec(k, 96);
-        pds::PdsModel model(spec);
+        auto ops = pds::generateTape(spec);
+        pds::PdsModel model(spec, ops);
         for (unsigned i = 0; i < spec.numOps; ++i)
             model.step();
         ASSERT_EQ(model.opsApplied(), spec.numOps);
+        const pds::PdsParams &p = model.params();
 
-        for (PdsScheme s : {PdsScheme::LightWsp, PdsScheme::Capri,
-                            PdsScheme::Ppa, PdsScheme::Cwsp,
-                            PdsScheme::Pmtx}) {
+        for (PdsScheme s : pds::allSchemes) {
             SCOPED_TRACE(std::string(pds::kindName(k)) + "/" +
                          pds::pdsSchemeName(s));
-            auto prog =
-                pds::preparePdsProgram(spec, s, pds::PdsRunMode::Perf);
+            auto prog = pds::preparePdsProgram(spec, ops, s,
+                                               pds::PdsRunMode::Perf);
             auto cfg = pds::makePdsConfig(s, pds::PdsRunMode::Perf);
             core::System sys(cfg, prog, 1);
             auto r = sys.run();
             ASSERT_TRUE(r.completed);
 
             const mem::MemImage &img = sys.execImage();
-            const pds::PdsParams &p = prog.module ? model.params()
-                                                  : model.params();
             // Every word below the undo area must match the shadow
             // (the undo area's content is scheme-history, not state).
             for (Addr a = p.base; a < p.undoBase; a += 8) {
                 ASSERT_EQ(img.read(a), model.read(a))
                     << "word mismatch at +0x" << std::hex << (a - p.base);
             }
-            EXPECT_EQ(pds::checkSemantics(spec, img), "");
+            EXPECT_EQ(pds::checkSemantics(spec, ops, img), "");
         }
     }
 }
@@ -172,10 +257,10 @@ crashMatrixFor(PdsScheme s)
     const auto mode = pds::PdsRunMode::Recovery;
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         PdsSpec spec = smallSpec(k);
-        auto prog = pds::preparePdsProgram(spec, s, mode, 16);
+        auto ops = pds::generateTape(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, s, mode, 16);
         auto cfg = pds::makePdsConfig(s, mode);
-        pds::PdsModel model(spec);
-        const pds::PdsParams &p = model.params();
+        const pds::PdsParams p = pds::PdsModel(spec, ops).params();
 
         core::System golden(cfg, prog, 1);
         auto gr = golden.run();
@@ -196,8 +281,8 @@ crashMatrixFor(PdsScheme s)
             ASSERT_TRUE(victim.crashed());
 
             if (s == PdsScheme::LightWsp) {
-                EXPECT_EQ(pds::checkCrashPrefix(spec, victim.pmImage()),
-                          "");
+                EXPECT_EQ(
+                    pds::checkCrashPrefix(spec, ops, victim.pmImage()), "");
             }
             if (s == PdsScheme::Pmtx &&
                 victim.pmImage().read(p.undoCount) != 0) {
@@ -219,7 +304,7 @@ crashMatrixFor(PdsScheme s)
                 got[servedIdx] = want[servedIdx];
             }
             EXPECT_EQ(got, want);
-            EXPECT_EQ(pds::checkSemantics(spec, rec->execImage()), "");
+            EXPECT_EQ(pds::checkSemantics(spec, ops, rec->execImage()), "");
         }
         if (s == PdsScheme::Pmtx) {
             // The sweep must actually exercise the rollback path.
@@ -257,13 +342,15 @@ TEST(PdsOracle, SemanticWalkCatchesBrokenVariants)
         PdsSpec spec = smallSpec(n.k, n.ops);
         spec.mix = n.mix;
         spec.broken = 2;
-        auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
+        auto ops = pds::generateTape(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
                                            pds::PdsRunMode::Perf);
         auto cfg =
             pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Perf);
         core::System sys(cfg, prog, 1);
         ASSERT_TRUE(sys.run().completed);
-        std::string verdict = pds::checkSemantics(spec, sys.execImage());
+        std::string verdict =
+            pds::checkSemantics(spec, ops, sys.execImage());
         EXPECT_NE(verdict, "") << "broken=2 variant passed the walk";
     }
 }
@@ -278,7 +365,8 @@ TEST(PdsOracle, PrefixOracleCatchesEarlyOpsDoneCommit)
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         PdsSpec spec = smallSpec(k);
         spec.broken = 1;
-        auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
+        auto ops = pds::generateTape(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
                                            pds::PdsRunMode::Perf, 8);
         ASSERT_TRUE(prog.stats.thresholdConverged);
         auto cfg =
@@ -292,7 +380,7 @@ TEST(PdsOracle, PrefixOracleCatchesEarlyOpsDoneCommit)
                 victim.runWithPowerFailure(gr.cycles * i / 64);
             if (vr.completed)
                 continue;
-            if (pds::checkCrashPrefix(spec, victim.pmImage()) != "")
+            if (pds::checkCrashPrefix(spec, ops, victim.pmImage()) != "")
                 ++caught;
         }
     }
@@ -310,7 +398,8 @@ TEST(PdsEngine, EventAndCycleBitIdentical)
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         SCOPED_TRACE(pds::kindName(k));
         PdsSpec spec = smallSpec(k);
-        auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
+        auto ops = pds::generateTape(spec);
+        auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
                                            pds::PdsRunMode::Perf);
         auto cfg =
             pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Perf);
@@ -326,8 +415,7 @@ TEST(PdsEngine, EventAndCycleBitIdentical)
         ASSERT_TRUE(cr.completed);
 
         EXPECT_EQ(er.cycles, cr.cycles);
-        pds::PdsModel model(spec);
-        const pds::PdsParams &p = model.params();
+        const pds::PdsParams p = pds::PdsModel(spec, ops).params();
         EXPECT_EQ(heapWords(ev.execImage(), p.base,
                             p.base + p.footprintBytes),
                   heapWords(cy.execImage(), p.base,
@@ -343,12 +431,12 @@ TEST(PdsRecoveryProbe, WatchFiresOnFirstServedOp)
 {
     setLogQuiet(true);
     PdsSpec spec = smallSpec(Kind::Hash);
-    auto prog = pds::preparePdsProgram(spec, PdsScheme::LightWsp,
+    auto ops = pds::generateTape(spec);
+    auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
                                        pds::PdsRunMode::Recovery);
     auto cfg =
         pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Recovery);
-    pds::PdsModel model(spec);
-    const pds::PdsParams &p = model.params();
+    const Addr served = pds::pdsGeometry(spec).served;
 
     core::System golden(cfg, prog, 1);
     auto gr = golden.run();
@@ -359,16 +447,16 @@ TEST(PdsRecoveryProbe, WatchFiresOnFirstServedOp)
     ASSERT_FALSE(vr.completed);
 
     auto rec = core::System::recover(cfg, prog, 1, victim.pmImage(), {});
-    std::uint64_t servedAtBoot = rec->execImage().read(p.served);
-    auto probe = rec->runUntilWordChanges(p.served, servedAtBoot);
+    std::uint64_t servedAtBoot = rec->execImage().read(served);
+    auto probe = rec->runUntilWordChanges(served, servedAtBoot);
     ASSERT_TRUE(probe.served);
     EXPECT_GT(probe.serveTick, 0u);
-    EXPECT_GT(rec->execImage().read(p.served), servedAtBoot);
+    EXPECT_GT(rec->execImage().read(served), servedAtBoot);
     // The probe stops the run mid-flight; the remainder must still
     // complete from there.
     auto rr = rec->run();
     ASSERT_TRUE(rr.completed);
-    EXPECT_EQ(pds::checkSemantics(spec, rec->execImage()), "");
+    EXPECT_EQ(pds::checkSemantics(spec, ops, rec->execImage()), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +469,9 @@ TEST(PdsStatic, PmtxArtifactsDischargeOrWaive)
     setLogQuiet(true);
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         SCOPED_TRACE(pds::kindName(k));
-        auto built = pds::buildPdsProgram(smallSpec(k), /*pmtx=*/true);
+        PdsSpec spec = smallSpec(k);
+        auto built = pds::buildPdsProgram(spec, pds::generateTape(spec),
+                                          /*pmtx=*/true);
         compiler::CompilerConfig ccfg;
         compiler::LightWspCompiler comp(ccfg);
         auto prog = comp.compile(std::move(built.module));
@@ -401,7 +491,9 @@ TEST(PdsStatic, PmtxArtifactsDischargeOrWaive)
     // The plain builds must discharge everything outright.
     for (Kind k : {Kind::Log, Kind::Hash, Kind::Alloc}) {
         SCOPED_TRACE(std::string(pds::kindName(k)) + "/plain");
-        auto built = pds::buildPdsProgram(smallSpec(k), /*pmtx=*/false);
+        PdsSpec spec = smallSpec(k);
+        auto built = pds::buildPdsProgram(spec, pds::generateTape(spec),
+                                          /*pmtx=*/false);
         compiler::CompilerConfig ccfg;
         compiler::LightWspCompiler comp(ccfg);
         auto prog = comp.compile(std::move(built.module));

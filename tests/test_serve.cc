@@ -159,8 +159,8 @@ TEST(ServeWorkload, LoweringIsFeasibleAndCoversRequests)
         }
         for (const auto &op : wl.ops)
             EXPECT_LE(op.a, 0xffffffull);  // tape-packing key bound
-        // The injected-tape model replays the tape and asserts every
-        // pds feasibility invariant; constructing it IS the check.
+        // The model replays the tape and asserts every pds feasibility
+        // invariant; constructing it IS the check.
         pds::PdsModel model(wl.pdsSpec, wl.ops);
         EXPECT_EQ(model.spec().numOps, wl.ops.size());
 

@@ -49,18 +49,19 @@ smallSpec(pds::Kind k)
 
 struct Built
 {
+    pds::PdsSpec spec;
+    std::vector<pds::PdsOp> ops;
     core::SystemConfig cfg;
     compiler::CompiledProgram prog;
-    pds::PdsParams params;
 };
 
 Built
 build(pds::PdsScheme scheme, const pds::PdsSpec &spec)
 {
-    Built b{pds::makePdsConfig(scheme, pds::PdsRunMode::Recovery),
-            pds::preparePdsProgram(spec, scheme,
-                                   pds::PdsRunMode::Recovery),
-            pds::PdsModel(spec).params()};
+    Built b{spec, pds::generateTape(spec),
+            pds::makePdsConfig(scheme, pds::PdsRunMode::Recovery), {}};
+    b.prog = pds::preparePdsProgram(spec, b.ops, scheme,
+                                    pds::PdsRunMode::Recovery);
     return b;
 }
 
@@ -77,7 +78,7 @@ struct Walked
  * The finished machine refers to b.prog.
  */
 Walked
-walkFromMidRun(const Built &b, const pds::PdsSpec &spec, const char *sched)
+walkFromMidRun(const Built &b, const char *sched)
 {
     fault::FailureSchedule storm;
     std::string err;
@@ -100,7 +101,8 @@ walkFromMidRun(const Built &b, const pds::PdsSpec &spec, const char *sched)
     EXPECT_TRUE(w.lt.error.empty()) << sched << ": " << w.lt.error;
     EXPECT_TRUE(w.lt.last.completed) << sched << ": " << w.lt.detail;
     if (w.lt.sys) {
-        EXPECT_EQ(pds::checkSemantics(spec, w.lt.sys->execImage()), "")
+        EXPECT_EQ(
+            pds::checkSemantics(b.spec, b.ops, w.lt.sys->execImage()), "")
             << sched;
     }
     return w;
@@ -266,8 +268,7 @@ TEST(Storm, RecoveryReentryIsIdempotent)
 // the sharpest edge of the protocol.
 TEST(Storm, FailureExactlyAtCommitTick)
 {
-    auto spec = smallSpec(pds::Kind::Log);
-    auto b = build(pds::PdsScheme::LightWsp, spec);
+    auto b = build(pds::PdsScheme::LightWsp, smallSpec(pds::Kind::Log));
     b.cfg.oraclesEnabled = true;
     core::System golden(b.cfg, b.prog, 1);
     auto gres = golden.run();
@@ -290,7 +291,8 @@ TEST(Storm, FailureExactlyAtCommitTick)
                   core::RecoveryOutcome::DetectedUnrecoverable)
             << "commit-tick crash at " << t << ": " << rec.detail;
         ASSERT_TRUE(rec.sys->run().completed);
-        EXPECT_EQ(pds::checkSemantics(spec, rec.sys->execImage()), "")
+        EXPECT_EQ(
+            pds::checkSemantics(b.spec, b.ops, rec.sys->execImage()), "")
             << "commit-tick crash at " << t;
     }
     EXPECT_GT(tried, 0u);
@@ -302,8 +304,7 @@ TEST(Storm, FailureExactlyAtCommitTick)
 // already-replayed prefix is idempotent.
 TEST(Storm, PmtxCrashMidUndoReplay)
 {
-    auto spec = smallSpec(pds::Kind::Hash);
-    auto b = build(pds::PdsScheme::Pmtx, spec);
+    auto b = build(pds::PdsScheme::Pmtx, smallSpec(pds::Kind::Hash));
     core::System golden(b.cfg, b.prog, 1);
     auto gres = golden.run();
     ASSERT_TRUE(gres.completed);
@@ -322,7 +323,8 @@ TEST(Storm, PmtxCrashMidUndoReplay)
         ASSERT_NE(lt.sys, nullptr)
             << "mid-undo-replay crash at +" << mid << ": " << lt.detail;
         ASSERT_TRUE(lt.last.completed);
-        EXPECT_EQ(pds::checkSemantics(spec, lt.sys->execImage()), "")
+        EXPECT_EQ(
+            pds::checkSemantics(b.spec, b.ops, lt.sys->execImage()), "")
             << "mid-undo-replay crash at +" << mid;
     }
 }
@@ -331,12 +333,11 @@ TEST(Storm, PmtxCrashMidUndoReplay)
 // storm lifetime, boot for boot and bit for bit.
 TEST(Storm, EngineABBitIdentity)
 {
-    auto spec = smallSpec(pds::Kind::Alloc);
-    auto b = build(pds::PdsScheme::LightWsp, spec);
+    auto b = build(pds::PdsScheme::LightWsp, smallSpec(pds::Kind::Alloc));
     b.cfg.engine = SimEngine::Event;
-    Walked ev = walkFromMidRun(b, spec, "d1+r+x200+d0+x90");
+    Walked ev = walkFromMidRun(b, "d1+r+x200+d0+x90");
     b.cfg.engine = SimEngine::Cycle;
-    Walked cy = walkFromMidRun(b, spec, "d1+r+x200+d0+x90");
+    Walked cy = walkFromMidRun(b, "d1+r+x200+d0+x90");
     EXPECT_EQ(ev.segs, cy.segs);
     ASSERT_TRUE(ev.lt.sys && cy.lt.sys);
     EXPECT_TRUE(ev.lt.sys->pmImage()
@@ -349,11 +350,10 @@ TEST(Storm, EngineABBitIdentity)
 // interrupts that would have followed it.
 TEST(Storm, LifetimeCountsEveryFiredFailure)
 {
-    auto spec = smallSpec(pds::Kind::Alloc);
-    auto b = build(pds::PdsScheme::LightWsp, spec);
+    auto b = build(pds::PdsScheme::LightWsp, smallSpec(pds::Kind::Alloc));
 
     // Every failure lands: initial + d1 + x200 + d1.
-    core::Lifetime all = walkFromMidRun(b, spec, "d1+x200+d1").lt;
+    core::Lifetime all = walkFromMidRun(b, "d1+x200+d1").lt;
     ASSERT_NE(all.sys, nullptr);
     EXPECT_EQ(all.failures(), 4u);
     EXPECT_EQ(all.boots, 2u);
@@ -364,7 +364,7 @@ TEST(Storm, LifetimeCountsEveryFiredFailure)
 
     // The recovered run finishes long before its exec failure: only the
     // initial failure and its drain interrupt fired.
-    core::Lifetime cut = walkFromMidRun(b, spec, "d1+x100000000+d1").lt;
+    core::Lifetime cut = walkFromMidRun(b, "d1+x100000000+d1").lt;
     ASSERT_NE(cut.sys, nullptr);
     EXPECT_EQ(cut.failures(), 2u);
     EXPECT_EQ(cut.boots, 1u);

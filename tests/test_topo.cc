@@ -306,6 +306,8 @@ namespace {
 
 struct PdsBuilt
 {
+    pds::PdsSpec spec;
+    std::vector<pds::PdsOp> ops;
     core::SystemConfig cfg;
     compiler::CompiledProgram prog;
 };
@@ -322,10 +324,12 @@ buildPds(unsigned num_mcs, noc::TopologyConfig topo,
     spec.mix = 0;
     spec.seed = 5;
     spec.opsPerTx = 2;
-    PdsBuilt b{pds::makePdsConfig(pds::PdsScheme::LightWsp,
+    PdsBuilt b{spec, pds::generateTape(spec),
+               pds::makePdsConfig(pds::PdsScheme::LightWsp,
                                   pds::PdsRunMode::Recovery),
-               pds::preparePdsProgram(spec, pds::PdsScheme::LightWsp,
-                                      pds::PdsRunMode::Recovery)};
+               {}};
+    b.prog = pds::preparePdsProgram(spec, b.ops, pds::PdsScheme::LightWsp,
+                                    pds::PdsRunMode::Recovery);
     b.cfg.numMcs = num_mcs;
     b.cfg.topology = topo;
     b.cfg.shardPolicy = policy;
@@ -446,14 +450,6 @@ TEST(TreeFabric, CrashRecoveryAt16McsTree)
     ASSERT_TRUE(noc::TopologyConfig::parse("tree4", tree4));
     PdsBuilt b = buildPds(16, tree4);
 
-    pds::PdsSpec spec;
-    spec.kind = pds::Kind::Log;
-    spec.sizeClass = 0;
-    spec.numOps = 24;
-    spec.mix = 0;
-    spec.seed = 5;
-    spec.opsPerTx = 2;
-
     core::System golden(b.cfg, b.prog, 1);
     auto gr = golden.run();
     ASSERT_TRUE(gr.completed);
@@ -469,7 +465,8 @@ TEST(TreeFabric, CrashRecoveryAt16McsTree)
                   core::RecoveryOutcome::DetectedUnrecoverable)
             << res.detail;
         ASSERT_TRUE(res.sys->run().completed);
-        EXPECT_EQ(pds::checkSemantics(spec, res.sys->execImage()), "")
+        EXPECT_EQ(
+            pds::checkSemantics(b.spec, b.ops, res.sys->execImage()), "")
             << "crash at " << num << "/8";
     }
 }
