@@ -15,34 +15,12 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Ablation: LightWSP commit pipelining (relaxed vs strict "
-        "flush-ACKs)");
-    table.addColumn("relaxed");
-    table.addColumn("strict");
-
-    const auto profiles = bench::selectedProfiles(args);
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (bool strict : {false, true}) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.strictFlushAcks = strict;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        table.addRow(p->name, p->suite, {slow[i], slow[i + 1]});
-        i += 2;
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Ablation: LightWSP commit pipelining (relaxed vs strict "
+                 "flush-ACKs)",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"relaxed", {.strictFlushAcks = false}},
+                    {"strict", {.strictFlushAcks = true}}},
+    });
     return 0;
 }

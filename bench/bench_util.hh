@@ -13,9 +13,15 @@
  *                     and CSVs are bit-identical either way; the flag
  *                     exists for A/B verification and perf comparison.
  *
- * Benches build a flat RunSpec list (row-major over the table) and hand
- * it to a SweepExecutor, or, for generated programs (pds structures,
- * service tapes, storms), a per-point callback to runPoints(); results
+ * The paper-profile figures (Figs 7-18, Table II, §V-G3, the commit
+ * ablation) declare a Grid: a title, one row per app profile and one
+ * Column per point run on every row (a header plus the RunSpec
+ * override it applies). GridDriver builds the row-major spec list,
+ * runs it through one SweepExecutor, slices it back into rows and fills
+ * the ResultTable; cells are the slowdown vs Baseline unless the grid
+ * supplies a function over one row's outcomes. Benches over generated
+ * programs (pds structures, service tapes, storms) hand a per-point
+ * callback to SweepExecutor::runPoints() instead. Either way results
  * come back indexed by input order, so tables and CSVs are
  * byte-identical at any job count.
  */
@@ -25,7 +31,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,28 +98,29 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
-/** The executor every bench sweeps through (honours --jobs). */
-inline harness::SweepExecutor
-makeExecutor(const BenchArgs &args)
+/** A grid's rows: one app profile each, in table order. */
+using Rows = std::vector<const workloads::WorkloadProfile *>;
+
+/** The profiles called @p names, in that order (a fixed roster). */
+inline Rows
+namedProfiles(const std::vector<std::string> &names)
 {
-    return harness::SweepExecutor(args.jobs);
+    Rows out;
+    for (const auto &name : names)
+        out.push_back(&workloads::profileByName(name));
+    return out;
 }
 
 /** The apps to sweep: all 38, or one representative per suite in quick
  *  mode. */
-inline std::vector<const workloads::WorkloadProfile *>
+inline Rows
 selectedProfiles(const BenchArgs &args)
 {
-    std::vector<const workloads::WorkloadProfile *> out;
-    if (!args.quick) {
-        for (const auto &p : workloads::paperProfiles())
-            out.push_back(&p);
-        return out;
-    }
-    std::vector<std::string> picks = {"lbm",  "xz", "intruder",
-                                      "is",   "radix", "rb"};
-    for (const auto &name : picks)
-        out.push_back(&workloads::profileByName(name));
+    if (args.quick)
+        return namedProfiles({"lbm", "xz", "intruder", "is", "radix", "rb"});
+    Rows out;
+    for (const auto &p : workloads::paperProfiles())
+        out.push_back(&p);
     return out;
 }
 
@@ -158,6 +167,131 @@ finish(const harness::ResultTable &table, const BenchArgs &args,
                                  exec.runRecords(), exec.totalStats());
         std::cout << "run report written to " << args.reportPath << '\n';
     }
+}
+
+/**
+ * One grid column: its header and the RunSpec it runs on every row. The
+ * spec's workload is left empty; the driver sets it per row.
+ */
+struct Column
+{
+    std::string header;
+    harness::RunSpec spec;
+};
+
+/** One row's points as a Cells function sees them: specs[i] ran to
+ *  outcomes[i], one per column. */
+struct RowRuns
+{
+    const workloads::WorkloadProfile &profile;
+    std::span<const harness::RunSpec> specs;
+    std::span<const harness::RunOutcome> outcomes;
+};
+
+/** The table cells of one row, computed from its outcomes. */
+using Cells = std::function<std::vector<double>(const RowRuns &)>;
+
+/** Cells applying @p metric to each column's RunResult. */
+inline Cells
+perResult(std::function<double(const core::RunResult &)> metric)
+{
+    return [metric = std::move(metric)](const RowRuns &row) {
+        std::vector<double> cells;
+        for (const auto &o : row.outcomes)
+            cells.push_back(metric(o.result));
+        return cells;
+    };
+}
+
+/** A paper-profile table: every column run on every row. */
+struct Grid
+{
+    std::string title{};
+    /** Table headers; empty = one per column, the column's header. */
+    std::vector<std::string> headers{};
+    Rows rows{};
+    std::vector<Column> columns{};
+    /** Empty: each cell is its point's slowdown vs Baseline. */
+    Cells cells{};
+    /** Print every row (else only the per-suite geomeans). */
+    bool perApp = false;
+};
+
+/**
+ * Runs Grids through one memoizing Runner and one SweepExecutor, so a
+ * bench with several grids writes one run report and one telemetry
+ * record covering all of them.
+ */
+class GridDriver
+{
+  public:
+    explicit GridDriver(const BenchArgs &args)
+        : args_(args), exec_(args.jobs)
+    {
+    }
+
+    /** Run every point of @p grid and tabulate it (row-major order). */
+    harness::ResultTable
+    run(const Grid &grid)
+    {
+        harness::ResultTable table(grid.title);
+        if (grid.headers.empty()) {
+            for (const auto &c : grid.columns)
+                table.addColumn(c.header);
+        } else {
+            for (const auto &h : grid.headers)
+                table.addColumn(h);
+        }
+
+        std::vector<harness::RunSpec> specs;
+        for (const auto *p : grid.rows) {
+            for (const auto &c : grid.columns) {
+                specs.push_back(c.spec);
+                specs.back().workload = p->name;
+            }
+        }
+
+        std::vector<double> slow;
+        std::vector<harness::RunOutcome> outcomes;
+        if (grid.cells)
+            outcomes = exec_.runAll(runner_, specs);
+        else
+            slow = exec_.slowdowns(runner_, specs);
+
+        const std::size_t width = grid.columns.size();
+        for (std::size_t r = 0; r < grid.rows.size(); ++r) {
+            const auto &p = *grid.rows[r];
+            const std::size_t first = r * width;
+            table.addRow(
+                p.name, p.suite,
+                grid.cells
+                    ? grid.cells({p, std::span(specs).subspan(first, width),
+                                  std::span(outcomes).subspan(first, width)})
+                    : std::vector<double>(slow.begin() + first,
+                                          slow.begin() + first + width));
+        }
+        return table;
+    }
+
+    /** bench::finish over this driver's sweeps. */
+    void
+    finish(const harness::ResultTable &table, bool per_app) const
+    {
+        bench::finish(table, args_, exec_, per_app);
+    }
+
+  private:
+    BenchArgs args_;
+    harness::Runner runner_;
+    harness::SweepExecutor exec_;
+};
+
+/** Run one grid, print it and write what the flags asked for. */
+inline void
+runGrid(const BenchArgs &args, const Grid &grid)
+{
+    GridDriver driver(args);
+    driver.finish(driver.run(grid), grid.perApp);
 }
 
 } // namespace bench

@@ -13,37 +13,14 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 7: execution slowdown vs baseline (Capri / PPA / LightWSP)");
-    table.addColumn("capri");
-    table.addColumn("ppa");
-    table.addColumn("lightwsp");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const core::Scheme schemes[] = {core::Scheme::Capri, core::Scheme::Ppa,
-                                    core::Scheme::LightWsp};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (core::Scheme s : schemes) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = s;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i, slow.begin() + i + 3);
-        i += 3;
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec);
+    bench::runGrid(args, {
+        .title = "Fig 7: execution slowdown vs baseline "
+                 "(Capri / PPA / LightWSP)",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"capri", {.scheme = core::Scheme::Capri}},
+                    {"ppa", {.scheme = core::Scheme::Ppa}},
+                    {"lightwsp", {.scheme = core::Scheme::LightWsp}}},
+        .perApp = true,
+    });
     return 0;
 }

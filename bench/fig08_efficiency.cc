@@ -14,40 +14,22 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 8: region-level persistence efficiency % (PPA / LightWSP)");
-    table.addColumn("ppa");
-    table.addColumn("lightwsp");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const core::Scheme schemes[] = {core::Scheme::Ppa,
-                                    core::Scheme::LightWsp};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (core::Scheme s : schemes) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = s;
-            specs.push_back(spec);
-        }
-    }
-    auto outcomes = exec.runAll(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row;
-        for (std::size_t c = 0; c < 2; ++c, ++i) {
-            auto cfg = harness::makeConfig(*p, specs[i]);
-            row.push_back(
-                harness::persistenceEfficiency(outcomes[i].result, cfg));
-        }
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title =
+            "Fig 8: region-level persistence efficiency % (PPA / LightWSP)",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"ppa", {.scheme = core::Scheme::Ppa}},
+                    {"lightwsp", {.scheme = core::Scheme::LightWsp}}},
+        .cells =
+            [](const bench::RowRuns &row) {
+                std::vector<double> cells;
+                for (std::size_t c = 0; c < row.specs.size(); ++c) {
+                    auto cfg = harness::makeConfig(row.profile, row.specs[c]);
+                    cells.push_back(harness::persistenceEfficiency(
+                        row.outcomes[c].result, cfg));
+                }
+                return cells;
+            },
+    });
     return 0;
 }

@@ -14,34 +14,13 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 9: slowdown on memory-intensive apps (PSP-ideal / LightWSP)");
-    table.addColumn("psp-ideal");
-    table.addColumn("lightwsp");
-
-    const auto &names = workloads::memoryIntensiveNames();
-    std::vector<harness::RunSpec> specs;
-    for (const auto &name : names) {
-        for (core::Scheme s :
-             {core::Scheme::PspIdeal, core::Scheme::LightWsp}) {
-            harness::RunSpec spec;
-            spec.workload = name;
-            spec.scheme = s;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto &name : names) {
-        const auto &p = workloads::profileByName(name);
-        table.addRow(name, p.suite, {slow[i], slow[i + 1]});
-        i += 2;
-    }
-
-    bench::finish(table, args, exec);
+    bench::runGrid(args, {
+        .title = "Fig 9: slowdown on memory-intensive apps "
+                 "(PSP-ideal / LightWSP)",
+        .rows = bench::namedProfiles(workloads::memoryIntensiveNames()),
+        .columns = {{"psp-ideal", {.scheme = core::Scheme::PspIdeal}},
+                    {"lightwsp", {.scheme = core::Scheme::LightWsp}}},
+        .perApp = true,
+    });
     return 0;
 }

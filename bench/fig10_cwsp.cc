@@ -14,38 +14,15 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 10: slowdown vs baseline (cWSP / LightWSP), NPB excluded");
-    table.addColumn("cwsp");
-    table.addColumn("lightwsp");
-
-    std::vector<const workloads::WorkloadProfile *> profiles;
-    for (const auto *p : bench::selectedProfiles(args)) {
-        if (p->suite != "NPB")  // cWSP's evaluation does not use NPB
-            profiles.push_back(p);
-    }
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (core::Scheme s :
-             {core::Scheme::Cwsp, core::Scheme::LightWsp}) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = s;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        table.addRow(p->name, p->suite, {slow[i], slow[i + 1]});
-        i += 2;
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    auto rows = bench::selectedProfiles(args);
+    // cWSP's evaluation does not use NPB.
+    std::erase_if(rows, [](const auto *p) { return p->suite == "NPB"; });
+    bench::runGrid(args, {
+        .title = "Fig 10: slowdown vs baseline (cWSP / LightWSP), NPB "
+                 "excluded",
+        .rows = rows,
+        .columns = {{"cwsp", {.scheme = core::Scheme::Cwsp}},
+                    {"lightwsp", {.scheme = core::Scheme::LightWsp}}},
+    });
     return 0;
 }

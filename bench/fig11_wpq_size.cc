@@ -14,38 +14,13 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 11: LightWSP slowdown for WPQ sizes 256/128/64");
-    table.addColumn("wpq-256");
-    table.addColumn("wpq-128");
-    table.addColumn("wpq-64");
-    table.addColumn("wpq-16");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const unsigned sizes[] = {256u, 128u, 64u, 16u};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (unsigned wpq : sizes) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.wpqEntries = wpq;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i, slow.begin() + i + 4);
-        i += 4;
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Fig 11: LightWSP slowdown for WPQ sizes 256/128/64",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"wpq-256", {.wpqEntries = 256}},
+                    {"wpq-128", {.wpqEntries = 128}},
+                    {"wpq-64", {.wpqEntries = 64}},
+                    {"wpq-16", {.wpqEntries = 16}}},
+    });
     return 0;
 }

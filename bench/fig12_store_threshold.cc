@@ -17,39 +17,14 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 12: LightWSP slowdown for store thresholds 16/32/64 "
-        "(WPQ = 64)");
-    table.addColumn("thr-8");
-    table.addColumn("thr-16");
-    table.addColumn("thr-32");
-    table.addColumn("thr-64");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const unsigned thresholds[] = {8u, 16u, 32u, 64u};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (unsigned thr : thresholds) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.storeThreshold = thr;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i, slow.begin() + i + 4);
-        i += 4;
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Fig 12: LightWSP slowdown for store thresholds 16/32/64 "
+                 "(WPQ = 64)",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"thr-8", {.storeThreshold = 8}},
+                    {"thr-16", {.storeThreshold = 16}},
+                    {"thr-32", {.storeThreshold = 32}},
+                    {"thr-64", {.storeThreshold = 64}}},
+    });
     return 0;
 }

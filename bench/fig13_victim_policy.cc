@@ -14,39 +14,12 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 13: LightWSP slowdown per victim-selection policy");
-    table.addColumn("full");
-    table.addColumn("half");
-    table.addColumn("zero");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const mem::VictimPolicy policies[] = {mem::VictimPolicy::Full,
-                                          mem::VictimPolicy::Half,
-                                          mem::VictimPolicy::Zero};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (mem::VictimPolicy v : policies) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.victimPolicy = v;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i, slow.begin() + i + 3);
-        i += 3;
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Fig 13: LightWSP slowdown per victim-selection policy",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"full", {.victimPolicy = mem::VictimPolicy::Full}},
+                    {"half", {.victimPolicy = mem::VictimPolicy::Half}},
+                    {"zero", {.victimPolicy = mem::VictimPolicy::Zero}}},
+    });
     return 0;
 }

@@ -15,41 +15,17 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 14: L1 miss rate % per victim policy (+ stale-load)");
-    table.addColumn("full");
-    table.addColumn("half");
-    table.addColumn("zero");
-    table.addColumn("stale-load");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const mem::VictimPolicy policies[] = {
-        mem::VictimPolicy::Full, mem::VictimPolicy::Half,
-        mem::VictimPolicy::Zero, mem::VictimPolicy::None};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (mem::VictimPolicy v : policies) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.victimPolicy = v;
-            specs.push_back(spec);
-        }
-    }
-    auto outcomes = exec.runAll(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row;
-        for (unsigned c = 0; c < 4; ++c, ++i)
-            row.push_back(outcomes[i].result.l1MissRate() * 100.0 + 1e-9);
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Fig 14: L1 miss rate % per victim policy (+ stale-load)",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"full", {.victimPolicy = mem::VictimPolicy::Full}},
+                    {"half", {.victimPolicy = mem::VictimPolicy::Half}},
+                    {"zero", {.victimPolicy = mem::VictimPolicy::Zero}},
+                    {"stale-load",
+                     {.victimPolicy = mem::VictimPolicy::None}}},
+        .cells = bench::perResult([](const core::RunResult &r) {
+            return r.l1MissRate() * 100.0 + 1e-9;
+        }),
+    });
     return 0;
 }

@@ -13,37 +13,12 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 15: LightWSP slowdown per persist-path bandwidth");
-    table.addColumn("4GB/s");
-    table.addColumn("2GB/s");
-    table.addColumn("1GB/s");
-
-    const auto profiles = bench::selectedProfiles(args);
-    const double bandwidths[] = {4.0, 2.0, 1.0};
-
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (double gbps : bandwidths) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.persistPathGBps = gbps;
-            specs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i, slow.begin() + i + 3);
-        i += 3;
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Fig 15: LightWSP slowdown per persist-path bandwidth",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"4GB/s", {.persistPathGBps = 4.0}},
+                    {"2GB/s", {.persistPathGBps = 2.0}},
+                    {"1GB/s", {.persistPathGBps = 1.0}}},
+    });
     return 0;
 }

@@ -15,77 +15,41 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
+    bench::GridDriver driver(args);
+    auto rows = bench::selectedProfiles(args);
+    std::erase_if(rows, [](const auto *p) { return p->threads < 2; });
 
     // Quick mode keeps the full thread axis: the event-driven scheduler
     // (plus the lazy shadow-prune heap) took the 64-thread points from
     // minutes to seconds each, so the smoke tier can afford the sweep
     // the paper's figure actually shows.
-    std::vector<unsigned> threadAxis = {8, 16, 32, 64};
-    unsigned oflowThreads = 64;
+    std::vector<bench::Column> threadAxis;
+    for (unsigned t : {8u, 16u, 32u, 64u})
+        threadAxis.push_back({std::to_string(t) + "t", {.threads = t}});
+    auto table = driver.run({
+        .title = "Fig 16: LightWSP slowdown per thread count "
+                 "(multi-threaded suites)",
+        .rows = rows,
+        .columns = threadAxis,
+    });
 
-    harness::ResultTable table(
-        "Fig 16: LightWSP slowdown per thread count (multi-threaded "
-        "suites)");
-    for (unsigned t : threadAxis)
-        table.addColumn(std::to_string(t) + "t");
+    const unsigned oflowThreads = 64;
+    auto overflow = driver.run({
+        .title = "Fig 16b: WPQ overflow events per 10k instructions (" +
+                 std::to_string(oflowThreads) + "t, WPQ 64 vs 256)",
+        .rows = rows,
+        .columns = {{"wpq-64", {.wpqEntries = 64, .threads = oflowThreads}},
+                    {"wpq-256",
+                     {.wpqEntries = 256, .threads = oflowThreads}}},
+        .cells = bench::perResult([](const core::RunResult &r) {
+            return r.instsRetired
+                       ? 1e4 * static_cast<double>(r.wpqFallbackFlushes) /
+                             static_cast<double>(r.instsRetired)
+                       : 0.0;
+        }),
+    });
 
-    harness::ResultTable overflow(
-        "Fig 16b: WPQ overflow events per 10k instructions (" +
-        std::to_string(oflowThreads) + "t, WPQ 64 vs 256)");
-    overflow.addColumn("wpq-64");
-    overflow.addColumn("wpq-256");
-
-    std::vector<const workloads::WorkloadProfile *> profiles;
-    for (const auto *p : bench::selectedProfiles(args)) {
-        if (p->threads >= 2)
-            profiles.push_back(p);
-    }
-
-    std::vector<harness::RunSpec> specs;
-    std::vector<harness::RunSpec> ospecs;
-    for (const auto *p : profiles) {
-        for (unsigned t : threadAxis) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.threads = t;
-            specs.push_back(spec);
-        }
-        for (unsigned wpq : {64u, 256u}) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.threads = oflowThreads;
-            spec.wpqEntries = wpq;
-            ospecs.push_back(spec);
-        }
-    }
-    auto slow = exec.slowdowns(runner, specs);
-    auto outcomes = exec.runAll(runner, ospecs);
-
-    std::size_t i = 0, oi = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i,
-                                slow.begin() + i + threadAxis.size());
-        i += threadAxis.size();
-        table.addRow(p->name, p->suite, row);
-
-        std::vector<double> orow;
-        for (unsigned c = 0; c < 2; ++c, ++oi) {
-            const auto &r = outcomes[oi].result;
-            double per10k =
-                r.instsRetired
-                    ? 1e4 * static_cast<double>(r.wpqFallbackFlushes) /
-                          static_cast<double>(r.instsRetired)
-                    : 0.0;
-            orow.push_back(per10k);
-        }
-        overflow.addRow(p->name, p->suite, orow);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    driver.finish(table, /*per_app=*/false);
     std::cout << '\n';
     overflow.printSuiteSummary(std::cout);
     return 0;

@@ -31,10 +31,9 @@ constexpr CxlDevice devices[] = {
 };
 
 harness::RunSpec
-specFor(const workloads::WorkloadProfile &p, const CxlDevice &d)
+specFor(const CxlDevice &d)
 {
     harness::RunSpec spec;
-    spec.workload = p.name;
     spec.scheme = core::Scheme::LightWsp;
     spec.pmReadCycles = nsToCycles(d.readNs + d.extraNs);
     spec.pmWriteCycles = nsToCycles(d.writeNs + d.extraNs);
@@ -56,28 +55,13 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 17: LightWSP slowdown per CXL device configuration");
+    std::vector<bench::Column> columns;
     for (const auto &d : devices)
-        table.addColumn(d.name);
-
-    const auto profiles = bench::selectedProfiles(args);
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles)
-        for (const auto &d : devices)
-            specs.push_back(specFor(*p, d));
-    auto slow = exec.slowdowns(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row(slow.begin() + i, slow.begin() + i + 4);
-        i += 4;
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+        columns.push_back({d.name, specFor(d)});
+    bench::runGrid(args, {
+        .title = "Fig 17: LightWSP slowdown per CXL device configuration",
+        .rows = bench::selectedProfiles(args),
+        .columns = columns,
+    });
     return 0;
 }

@@ -14,44 +14,21 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Fig 18: WPQ load hits per million instructions");
-    table.addColumn("wpq-256");
-    table.addColumn("wpq-128");
-    table.addColumn("wpq-64");
-
-    const auto profiles = bench::selectedProfiles(args);
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (unsigned wpq : {256u, 128u, 64u}) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = core::Scheme::LightWsp;
-            spec.wpqEntries = wpq;
-            specs.push_back(spec);
-        }
-    }
-    auto outcomes = exec.runAll(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        std::vector<double> row;
-        for (unsigned c = 0; c < 3; ++c, ++i) {
-            const auto &r = outcomes[i].result;
+    bench::runGrid(args, {
+        .title = "Fig 18: WPQ load hits per million instructions",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"wpq-256", {.wpqEntries = 256}},
+                    {"wpq-128", {.wpqEntries = 128}},
+                    {"wpq-64", {.wpqEntries = 64}}},
+        .cells = bench::perResult([](const core::RunResult &r) {
             double per_m =
                 r.instsRetired
                     ? 1e6 * static_cast<double>(r.wpqLoadHits) /
                           static_cast<double>(r.instsRetired)
                     : 0.0;
             // Keep zero rows geomean-safe by flooring at a tiny epsilon.
-            row.push_back(per_m + 1e-6);
-        }
-        table.addRow(p->name, p->suite, row);
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+            return per_m + 1e-6;
+        }),
+    });
     return 0;
 }

@@ -47,7 +47,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    auto exec = bench::makeExecutor(args);
+    harness::SweepExecutor exec(args.jobs);
 
     // Row-major grid plus one trailing baseline point per structure.
     std::vector<Point> points;

@@ -47,7 +47,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    auto exec = bench::makeExecutor(args);
+    harness::SweepExecutor exec(args.jobs);
 
     std::vector<Point> points;
     for (auto k : kKinds) {

@@ -70,27 +70,20 @@ faultsFor(const Point &p, std::size_t row)
 harness::RunOutcome
 runWorkloadRow(const Point &p, std::size_t row)
 {
-    const auto &profile = workloads::profileByName("rb");
-    harness::RunSpec spec;
-    spec.workload = "rb";
-    spec.scheme = core::Scheme::LightWsp;
-    spec.threads = p.threads;
-    spec.numMcs = p.mcs;
-    spec.topology = p.topo;
+    harness::PreparedPoint pt = harness::preparePoint({
+        .workload = "rb",
+        .scheme = core::Scheme::LightWsp,
+        .threads = p.threads,
+        .numMcs = p.mcs,
+        .topology = p.topo,
+    });
+    pt.cfg.faults = faultsFor(p, row);
 
-    workloads::Workload w = workloads::generate(profile);
-    core::SystemConfig cfg = harness::makeConfig(profile, spec);
-    cfg.warmupInsts =
-        w.estimatedInstsPerThread * p.threads * 35 / 100;
-    cfg.faults = faultsFor(p, row);
-    compiler::CompiledProgram prog =
-        harness::prepareProgram(std::move(w), spec);
-
-    core::System sys(cfg, prog, p.threads);
+    core::System sys(pt.cfg, pt.prog, pt.threads);
     auto res = sys.run();
     LWSP_ASSERT(res.completed, "fig23 workload row did not complete: ",
                 p.workload, " mcs=", p.mcs, " ", p.topo.toString());
-    return bench::outcomeOf(sys, res, prog.stats);
+    return bench::outcomeOf(sys, res, pt.prog.stats);
 }
 
 /** One fig21-style service tape on the pds hash table. */
@@ -127,7 +120,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    auto exec = bench::makeExecutor(args);
+    harness::SweepExecutor exec(args.jobs);
 
     noc::TopologyConfig flat;
     noc::TopologyConfig tree4;

@@ -15,35 +15,20 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table(
-        "Table II: FEB conflict rate (permille of L1 accesses)");
-    table.addColumn("conflict");
-
-    const auto profiles = bench::selectedProfiles(args);
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        harness::RunSpec spec;
-        spec.workload = p->name;
-        spec.scheme = core::Scheme::LightWsp;
-        specs.push_back(spec);
-    }
-    auto outcomes = exec.runAll(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        const auto &r = outcomes[i++].result;
-        double accesses = static_cast<double>(r.l1Hits + r.l1Misses);
-        double rate =
-            accesses > 0
-                ? 1000.0 * static_cast<double>(r.bufferConflicts) / accesses
-                : 0.0;
-        // Epsilon keeps the geomean defined for all-zero suites.
-        table.addRow(p->name, p->suite, {rate + 1e-9});
-    }
-
-    bench::finish(table, args, exec, /*per_app=*/false);
+    bench::runGrid(args, {
+        .title = "Table II: FEB conflict rate (permille of L1 accesses)",
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"conflict", {.scheme = core::Scheme::LightWsp}}},
+        .cells = bench::perResult([](const core::RunResult &r) {
+            double accesses = static_cast<double>(r.l1Hits + r.l1Misses);
+            double rate = accesses > 0
+                              ? 1000.0 *
+                                    static_cast<double>(r.bufferConflicts) /
+                                    accesses
+                              : 0.0;
+            // Epsilon keeps the geomean defined for all-zero suites.
+            return rate + 1e-9;
+        }),
+    });
     return 0;
 }

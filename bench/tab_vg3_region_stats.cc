@@ -14,44 +14,27 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::Runner runner;
-    auto exec = bench::makeExecutor(args);
-
-    harness::ResultTable table("§V-G3: instruction & region statistics");
-    table.addColumn("inst-ovh%");
-    table.addColumn("insts/region");
-    table.addColumn("stores/region");
-    table.addColumn("ckpt-pruned");
-
-    const auto profiles = bench::selectedProfiles(args);
-    std::vector<harness::RunSpec> specs;
-    for (const auto *p : profiles) {
-        for (core::Scheme s :
-             {core::Scheme::Baseline, core::Scheme::LightWsp}) {
-            harness::RunSpec spec;
-            spec.workload = p->name;
-            spec.scheme = s;
-            specs.push_back(spec);
-        }
-    }
-    auto outcomes = exec.runAll(runner, specs);
-
-    std::size_t i = 0;
-    for (const auto *p : profiles) {
-        const auto &b = outcomes[i];
-        const auto &o = outcomes[i + 1];
-        i += 2;
-        double ovh = 100.0 *
-                     (static_cast<double>(o.result.instsRetired) /
-                          static_cast<double>(b.result.instsRetired) -
-                      1.0);
-        table.addRow(p->name, p->suite,
-                     {std::max(ovh, 1e-6), o.result.avgRegionInsts,
-                      std::max(o.result.avgRegionStores, 1e-6),
-                      static_cast<double>(
-                          o.compileStats.prunedCheckpoints) + 1e-6});
-    }
-
-    bench::finish(table, args, exec);
+    bench::runGrid(args, {
+        .title = "§V-G3: instruction & region statistics",
+        .headers = {"inst-ovh%", "insts/region", "stores/region",
+                    "ckpt-pruned"},
+        .rows = bench::selectedProfiles(args),
+        .columns = {{"baseline", {.scheme = core::Scheme::Baseline}},
+                    {"lightwsp", {.scheme = core::Scheme::LightWsp}}},
+        .cells =
+            [](const bench::RowRuns &row) -> std::vector<double> {
+                const auto &b = row.outcomes[0];
+                const auto &o = row.outcomes[1];
+                double ovh = 100.0 *
+                             (static_cast<double>(o.result.instsRetired) /
+                                  static_cast<double>(b.result.instsRetired) -
+                              1.0);
+                return {std::max(ovh, 1e-6), o.result.avgRegionInsts,
+                        std::max(o.result.avgRegionStores, 1e-6),
+                        static_cast<double>(
+                            o.compileStats.prunedCheckpoints) + 1e-6};
+            },
+        .perApp = true,
+    });
     return 0;
 }

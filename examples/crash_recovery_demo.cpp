@@ -103,15 +103,9 @@ main()
         final_sys = std::move(rec1);
     }
 
-    Addr lo = workloads::Workload::heapBase;
-    Addr hi = lo + 4 * p.footprintBytes;
-    bool ok =
-        final_sys->pmImage().diffInRange(golden.pmImage(), lo, hi)
-            .empty() &&
-        final_sys->pmImage()
-            .diffInRange(golden.pmImage(), workloads::Workload::sharedBase,
-                         workloads::Workload::sharedBase + 4096)
-            .empty();
+    bool ok = workloads::diffAppState(final_sys->pmImage(),
+                                      golden.pmImage(), 4, p.footprintBytes)
+                  .empty();
     std::printf("\nfinal persistent state %s the crash-free run\n",
                 ok ? "MATCHES" : "DIFFERS FROM");
     return ok ? 0 : 1;

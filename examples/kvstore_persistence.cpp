@@ -72,21 +72,16 @@ main()
         auto rec = core::System::recover(cfg, prog, profile.threads,
                                          victim.pmImage(), lock_addrs);
         auto rr = rec->run();
-        Addr lo = workloads::Workload::heapBase;
-        Addr hi = lo + static_cast<Addr>(profile.threads) *
-                           profile.footprintBytes;
-        bool heap_ok =
+        bool state_ok =
             rr.completed &&
-            rec->pmImage().diffInRange(golden.pmImage(), lo, hi).empty();
-        Addr sh = workloads::Workload::sharedBase;
-        bool shared_ok =
-            rec->pmImage().diffInRange(golden.pmImage(), sh, sh + 4096)
+            workloads::diffAppState(rec->pmImage(), golden.pmImage(),
+                                    profile.threads, profile.footprintBytes)
                 .empty();
-        if (heap_ok && shared_ok)
+        if (state_ok)
             ++ok;
         std::printf("  crash @ %3d%%: %s\n", 100 * i / (total + 1),
-                    heap_ok && shared_ok ? "recovered, state matches"
-                                         : "STATE MISMATCH");
+                    state_ok ? "recovered, state matches"
+                             : "STATE MISMATCH");
     }
     std::printf("%d/%d crash points recovered to the golden state\n", ok,
                 total);

@@ -234,24 +234,18 @@ cmdRun(const std::string &app, const std::string &scheme_name,
     }
 
     // Telemetry wants the live System (its sink and stat registry),
-    // which the memoizing Runner doesn't expose — drive one directly,
-    // mirroring Runner::runUncached's warmup setup so the printed
-    // numbers match a plain `run`.
-    const auto &profile = workloads::profileByName(app);
-    auto w = workloads::generate(profile);
-    core::SystemConfig cfg = harness::makeConfig(profile, spec);
-    cfg.warmupInsts =
-        w.estimatedInstsPerThread * profile.threads * 35 / 100;
+    // which the memoizing Runner doesn't expose — build the point the
+    // way Runner does and drive it directly, so the printed numbers
+    // match a plain `run`.
+    harness::PreparedPoint pt = harness::preparePoint(spec);
     if (!trace_out.empty())
-        cfg.traceEnabled = true;
+        pt.cfg.traceEnabled = true;
     if (!faults_spec.empty())
-        applyFaultSpec(cfg, faults_spec);
-    compiler::CompiledProgram prog =
-        harness::prepareProgram(std::move(w), spec);
+        applyFaultSpec(pt.cfg, faults_spec);
 
-    core::System sys(cfg, prog, profile.threads);
+    core::System sys(pt.cfg, pt.prog, pt.threads);
     auto r = sys.run();
-    printRunStats(scheme_name, profile.threads, r);
+    printRunStats(scheme_name, pt.threads, r);
 
     if (const auto *inj = sys.faultInjector()) {
         std::printf("faults        %s\n",
@@ -387,11 +381,11 @@ cmdCrash(const std::string &app, double fraction,
     const core::RunResult &rr = lt.last;
     const auto &sys = lt.sys;
 
-    Addr lo = workloads::Workload::heapBase;
-    Addr hi = lo + static_cast<Addr>(profile.threads) *
-                       profile.footprintBytes;
     bool ok = rr.completed &&
-              sys->pmImage().diffInRange(golden.pmImage(), lo, hi).empty();
+              workloads::diffAppState(sys->pmImage(), golden.pmImage(),
+                                      profile.threads,
+                                      profile.footprintBytes)
+                  .empty();
     if (!storm.empty())
         std::printf("storm         survived %u power failures (%s)\n",
                     sys->failuresSurvived(), storm.toString().c_str());

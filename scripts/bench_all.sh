@@ -215,95 +215,65 @@ if [ "$TRACE" = 1 ]; then
     fi
 fi
 
-if [ "$FAULTS" = 1 ]; then
-    FC="$BUILD_DIR/src/fuzz/fuzz_crash"
-    [ -x "$FC" ] || FC="$(find "$BUILD_DIR" -name fuzz_crash -type f \
+# run_fuzz BANNER LOG TAIL OK FAILED ARGS...: run fuzz_crash with ARGS,
+# keep its whole output in OUT_DIR/LOG and show the last TAIL lines.
+# Prints OK on a clean exit, else FAILED plus the log path, and fails
+# the script.
+run_fuzz() {
+    local banner="$1" log="$OUT_DIR/$2" lines="$3" ok="$4" failed="$5"
+    shift 5
+    local fc="$BUILD_DIR/src/fuzz/fuzz_crash"
+    [ -x "$fc" ] || fc="$(find "$BUILD_DIR" -name fuzz_crash -type f \
                           -perm -u+x | head -1)"
-    if [ -z "$FC" ] || [ ! -x "$FC" ]; then
+    if [ -z "$fc" ] || [ ! -x "$fc" ]; then
         echo "error: fuzz_crash binary not found under $BUILD_DIR" >&2
         FAILED=1
-    else
-        echo "== fault-injection campaign (6 seeds x all axes)"
-        if "$FC" --seeds 6 --base-seed 1 --crash-points 6 --faults \
-                | tee "$OUT_DIR/fault_campaign.txt" | tail -4; then
-            echo "  fault campaign clean (no silent corruption)"
-        else
-            echo "  FAULT CAMPAIGN FAILED (reproducer spec above," \
-                 "full log: $OUT_DIR/fault_campaign.txt)"
-            FAILED=1
-        fi
+        return
     fi
+    echo "== $banner"
+    if "$fc" "$@" | tee "$log" | tail -"$lines"; then
+        echo "  $ok"
+    else
+        echo "  $failed (full log: $log)"
+        FAILED=1
+    fi
+}
+
+if [ "$FAULTS" = 1 ]; then
+    run_fuzz "fault-injection campaign (6 seeds x all axes)" \
+        fault_campaign.txt 4 \
+        "fault campaign clean (no silent corruption)" \
+        "FAULT CAMPAIGN FAILED, reproducer spec above" \
+        --seeds 6 --base-seed 1 --crash-points 6 --faults
 fi
 
 if [ "$SERVE" = 1 ]; then
-    FC="$BUILD_DIR/src/fuzz/fuzz_crash"
-    [ -x "$FC" ] || FC="$(find "$BUILD_DIR" -name fuzz_crash -type f \
-                          -perm -u+x | head -1)"
-    if [ -z "$FC" ] || [ ! -x "$FC" ]; then
-        echo "error: fuzz_crash binary not found under $BUILD_DIR" >&2
-        FAILED=1
-    else
-        echo "== serve crash campaign (12 seeds, both profiles)"
-        if "$FC" --seeds 12 --base-seed 1 --mode serve --crash-points 8 \
-                | tee "$OUT_DIR/serve_campaign.txt" | tail -3; then
-            echo "  serve campaign clean (no silent corruption)"
-        else
-            echo "  SERVE CAMPAIGN FAILED (reproducer spec above," \
-                 "full log: $OUT_DIR/serve_campaign.txt)"
-            FAILED=1
-        fi
-    fi
+    run_fuzz "serve crash campaign (12 seeds, both profiles)" \
+        serve_campaign.txt 3 \
+        "serve campaign clean (no silent corruption)" \
+        "SERVE CAMPAIGN FAILED, reproducer spec above" \
+        --seeds 12 --base-seed 1 --mode serve --crash-points 8
 fi
 
 if [ "$STORM" = 1 ]; then
-    FC="$BUILD_DIR/src/fuzz/fuzz_crash"
-    [ -x "$FC" ] || FC="$(find "$BUILD_DIR" -name fuzz_crash -type f \
-                          -perm -u+x | head -1)"
-    if [ -z "$FC" ] || [ ! -x "$FC" ]; then
-        echo "error: fuzz_crash binary not found under $BUILD_DIR" >&2
-        FAILED=1
-    else
-        echo "== storm campaign (25 seeds, storms composed with faults)"
-        if "$FC" --seeds 25 --base-seed 1 --mode storm --crash-points 8 \
-                --faults | tee "$OUT_DIR/storm_campaign.txt" | tail -4
-        then
-            echo "  storm campaign clean (no silent corruption)"
-        else
-            echo "  STORM CAMPAIGN FAILED (reproducer spec above," \
-                 "full log: $OUT_DIR/storm_campaign.txt)"
-            FAILED=1
-        fi
-        echo "== recovery matrix (crash at every cycle of recovery)"
-        if "$FC" --recovery-matrix \
-                | tee "$OUT_DIR/recovery_matrix.txt" | tail -3; then
-            echo "  recovery matrix clean (0 hangs, 0 corruption)"
-        else
-            echo "  RECOVERY MATRIX FAILED (full log:" \
-                 "$OUT_DIR/recovery_matrix.txt)"
-            FAILED=1
-        fi
-    fi
+    run_fuzz "storm campaign (25 seeds, storms composed with faults)" \
+        storm_campaign.txt 4 \
+        "storm campaign clean (no silent corruption)" \
+        "STORM CAMPAIGN FAILED, reproducer spec above" \
+        --seeds 25 --base-seed 1 --mode storm --crash-points 8 --faults
+    run_fuzz "recovery matrix (crash at every cycle of recovery)" \
+        recovery_matrix.txt 3 \
+        "recovery matrix clean (0 hangs, 0 corruption)" \
+        "RECOVERY MATRIX FAILED" \
+        --recovery-matrix
 fi
 
 if [ "$FUZZ" = 1 ]; then
-    FC="$BUILD_DIR/src/fuzz/fuzz_crash"
-    [ -x "$FC" ] || FC="$(find "$BUILD_DIR" -name fuzz_crash -type f \
-                          -perm -u+x | head -1)"
-    if [ -z "$FC" ] || [ ! -x "$FC" ]; then
-        echo "error: fuzz_crash binary not found under $BUILD_DIR" >&2
-        FAILED=1
-    else
-        echo "== long fuzz campaign (300 seeds, mixed sources)"
-        if "$FC" --seeds 300 --base-seed 1000 --mode mixed \
-                --crash-points 16 | tee "$OUT_DIR/fuzz_long.txt" \
-                | tail -3; then
-            echo "  fuzz campaign clean"
-        else
-            echo "  FUZZ CAMPAIGN FAILED (reproducer spec above," \
-                 "full log: $OUT_DIR/fuzz_long.txt)"
-            FAILED=1
-        fi
-    fi
+    run_fuzz "long fuzz campaign (300 seeds, mixed sources)" \
+        fuzz_long.txt 3 \
+        "fuzz campaign clean" \
+        "FUZZ CAMPAIGN FAILED, reproducer spec above" \
+        --seeds 300 --base-seed 1000 --mode mixed --crash-points 16
 fi
 
 {

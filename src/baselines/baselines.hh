@@ -19,8 +19,9 @@
  *  - cWSP (ISCA'24): compiler-formed idempotent regions (no register
  *    checkpoint stores); MC speculation persists out of order with undo
  *    logging on every PM write (mitigated delay). Modelled as the
- *    compiled binary without CkptStores, ungated drain at a 1.5x
- *    per-write cost, no boundary waits.
+ *    compiled binary without CkptStores, an ungated drain derated by
+ *    applySchemeDefaults to drainInterval x 3 and drainBurst x 2, and
+ *    no boundary waits.
  *  - Ideal PSP (BBB/eADR-class): persistence itself is free, but DRAM
  *    cannot serve as LLC, so every L2 miss pays PM latency.
  *  - Naive sfence: LightWSP's regions with a blocking persist barrier at

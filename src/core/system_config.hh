@@ -94,9 +94,6 @@ struct SystemConfig
     Tick ctxQuantum = 20000;
     Tick ctxSwitchPenalty = 400;
 
-    /** cWSP model: per-PM-write undo-logging slowdown factor (§II-C). */
-    double cwspDrainFactor = 1.5;
-
     std::uint64_t seed = 12345;
 
     /** Ceiling for run(); trips the runaway guard when exceeded. */
@@ -227,7 +224,8 @@ struct SystemConfig
             core.boundaryPolicy = cpu::CoreConfig::BoundaryPolicy::Lazy;
             // Undo logging adds a (mitigated) read-modify overhead to
             // every PM write: model as a drain-bandwidth derating
-            // (2 entries per 3 cycles vs LightWSP's 1 per cycle).
+            // (4 entries per 3 cycles vs LightWSP's 2 per cycle at the
+            // Table I defaults, i.e. 1.5x the per-write drain cost).
             mc.drainInterval = mc.drainInterval * 3;
             mc.drainBurst = mc.drainBurst * 2;
             break;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "analysis/wsp_checker.hh"
@@ -311,32 +310,6 @@ runGolden(const CaseBuild &bc, std::uint64_t &checks, unsigned &runs)
     return g;
 }
 
-std::string
-diffAppState(const core::System &got, const core::System &golden,
-             const CaseBuild &bc, const char *what)
-{
-    Addr lo = workloads::Workload::heapBase;
-    Addr hi =
-        lo + static_cast<Addr>(bc.threads) * bc.footprint;
-    auto heap = got.pmImage().diffInRange(golden.pmImage(), lo, hi);
-    if (!heap.empty()) {
-        std::ostringstream os;
-        os << what << ": heap differs from golden at 0x" << std::hex
-           << heap[0] << " (" << std::dec << heap.size() << " words)";
-        return os.str();
-    }
-    Addr sh = workloads::Workload::sharedBase;
-    auto shared = got.pmImage().diffInRange(golden.pmImage(), sh,
-                                            sh + 4096);
-    if (!shared.empty()) {
-        std::ostringstream os;
-        os << what << ": shared page differs from golden at 0x"
-           << std::hex << shared[0];
-        return os.str();
-    }
-    return {};
-}
-
 /** Harvest a finished system's oracle; returns a violation or "". */
 std::string
 harvestOracle(const core::System &sys, const char *what,
@@ -414,8 +387,10 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
     // structure-walk oracle over the final image.
     auto finalCheck = [&](const core::System &sys,
                           const char *what) -> std::string {
-        if (auto e = diffAppState(sys, golden, bc, what); !e.empty())
-            return e;
+        if (auto d = workloads::diffAppState(sys.pmImage(), golden.pmImage(),
+                                             bc.threads, bc.footprint);
+            !d.empty())
+            return std::string(what) + ": " + d;
         if (bc.isPds) {
             if (auto msg = pds::checkSemantics(bc.pdsSpec, bc.pdsOps,
                                                sys.execImage());

@@ -1,7 +1,6 @@
 #include "fuzz/recovery_matrix.hh"
 
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "compiler/compiler.hh"
@@ -25,7 +24,7 @@ struct MatrixBuild
     bool isPds = false;      ///< structure oracle vs golden-image diff
     pds::PdsSpec pdsSpec;
     std::vector<pds::PdsOp> pdsOps;
-    Addr heapLo = 0, heapHi = 0;  ///< builtin golden-diff heap range
+    std::size_t footprint = 0;  ///< builtin golden-diff bytes per thread
 };
 
 /**
@@ -66,9 +65,7 @@ build(const MatrixCase &c, const MatrixOptions &opt)
         b.prog = comp.compile(std::move(src.module));
         b.threads = src.threads;
         b.lockAddrs = src.lockAddrs;
-        b.heapLo = workloads::Workload::heapBase;
-        b.heapHi = b.heapLo +
-                   static_cast<Addr>(src.threads) * src.footprintBytes;
+        b.footprint = src.footprintBytes;
         return b;
     }
 
@@ -184,26 +181,9 @@ runRecoveryMatrixCase(const MatrixCase &c, const MatrixOptions &opt)
                 return std::string(what) + " " + msg;
             return {};
         }
-        auto heap =
-            sys.pmImage().diffInRange(golden.pmImage(), b.heapLo,
-                                      b.heapHi);
-        if (!heap.empty()) {
-            std::ostringstream os;
-            os << what << ": heap differs from golden at 0x" << std::hex
-               << heap[0] << " (" << std::dec << heap.size()
-               << " words)";
-            return os.str();
-        }
-        Addr sh = workloads::Workload::sharedBase;
-        auto shared =
-            sys.pmImage().diffInRange(golden.pmImage(), sh, sh + 4096);
-        if (!shared.empty()) {
-            std::ostringstream os;
-            os << what << ": shared page differs from golden at 0x"
-               << std::hex << shared[0];
-            return os.str();
-        }
-        return {};
+        auto d = workloads::diffAppState(sys.pmImage(), golden.pmImage(),
+                                         b.threads, b.footprint);
+        return d.empty() ? d : std::string(what) + ": " + d;
     };
 
     core::System golden(b.cfg, b.prog, b.threads);

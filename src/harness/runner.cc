@@ -80,24 +80,32 @@ prepareProgram(workloads::Workload &&workload, const RunSpec &spec)
     return comp.compile(std::move(workload.module));
 }
 
-RunOutcome
-Runner::runUncached(const RunSpec &spec)
+PreparedPoint
+preparePoint(const RunSpec &spec)
 {
     const auto &profile = workloads::profileByName(spec.workload);
     workloads::Workload w = workloads::generate(profile);
 
-    RunOutcome out;
-    out.threads = spec.threads.value_or(profile.threads);
-
-    core::SystemConfig cfg = makeConfig(profile, spec);
+    PreparedPoint pt;
+    pt.threads = spec.threads.value_or(profile.threads);
+    pt.cfg = makeConfig(profile, spec);
     // Warm the caches (stand-in for the paper's 10B-instruction
     // fast-forward): measure only the last ~65% of the run.
-    cfg.warmupInsts = w.estimatedInstsPerThread * out.threads * 35 / 100;
-    compiler::CompiledProgram prog =
-        prepareProgram(std::move(w), spec);
-    out.compileStats = prog.stats;
+    pt.cfg.warmupInsts =
+        w.estimatedInstsPerThread * pt.threads * 35 / 100;
+    pt.prog = prepareProgram(std::move(w), spec);
+    return pt;
+}
 
-    core::System sys(cfg, prog, out.threads);
+RunOutcome
+Runner::runUncached(const RunSpec &spec)
+{
+    PreparedPoint pt = preparePoint(spec);
+    RunOutcome out;
+    out.threads = pt.threads;
+    out.compileStats = pt.prog.stats;
+
+    core::System sys(pt.cfg, pt.prog, pt.threads);
     out.result = sys.run();
     if (!out.result.completed)
         warn("run did not complete: ", spec.workload, " on ",

@@ -30,26 +30,30 @@
 namespace lwsp {
 namespace harness {
 
-/** One experiment point. */
+/**
+ * One experiment point. Every member has an initializer, so a
+ * designated initializer may name just the overrides it sets
+ * (`{.wpqEntries = 256}`).
+ */
 struct RunSpec
 {
-    std::string workload;                 ///< paper-app profile name
+    std::string workload{};                    ///< paper-app profile name
     core::Scheme scheme = core::Scheme::LightWsp;
 
     // Sensitivity-study overrides (defaults = Table I values).
-    std::optional<unsigned> wpqEntries;        ///< Fig 11 (FEB follows)
-    std::optional<unsigned> storeThreshold;    ///< Fig 12
-    std::optional<mem::VictimPolicy> victimPolicy;  ///< Figs 13/14
-    std::optional<double> persistPathGBps;     ///< Fig 15
-    std::optional<unsigned> threads;           ///< Fig 16
-    std::optional<Tick> pmReadCycles;          ///< Fig 17 (CXL)
-    std::optional<Tick> pmWriteCycles;         ///< Fig 17
-    std::optional<Tick> extraPathLatency;      ///< Fig 17 (CXL link)
-    std::optional<Tick> drainInterval;         ///< CXL media bandwidth
-    std::optional<bool> strictFlushAcks;       ///< commit-pipeline ablation
-    std::optional<SimEngine> engine;           ///< A/B: event vs cycle
-    std::optional<unsigned> numMcs;            ///< Fig 23 (scale-out)
-    std::optional<noc::TopologyConfig> topology;  ///< Fig 23 (flat/tree)
+    std::optional<unsigned> wpqEntries{};      ///< Fig 11 (FEB follows)
+    std::optional<unsigned> storeThreshold{};  ///< Fig 12
+    std::optional<mem::VictimPolicy> victimPolicy{};  ///< Figs 13/14
+    std::optional<double> persistPathGBps{};   ///< Fig 15
+    std::optional<unsigned> threads{};         ///< Fig 16
+    std::optional<Tick> pmReadCycles{};        ///< Fig 17 (CXL)
+    std::optional<Tick> pmWriteCycles{};       ///< Fig 17
+    std::optional<Tick> extraPathLatency{};    ///< Fig 17 (CXL link)
+    std::optional<Tick> drainInterval{};       ///< CXL media bandwidth
+    std::optional<bool> strictFlushAcks{};     ///< commit-pipeline ablation
+    std::optional<SimEngine> engine{};         ///< A/B: event vs cycle
+    std::optional<unsigned> numMcs{};          ///< Fig 23 (scale-out)
+    std::optional<noc::TopologyConfig> topology{};  ///< Fig 23 (flat/tree)
 };
 
 /**
@@ -83,6 +87,21 @@ core::SystemConfig makeConfig(const workloads::WorkloadProfile &profile,
 /** Compile @p workload for @p spec's scheme (consumes the module). */
 compiler::CompiledProgram
 prepareProgram(workloads::Workload &&workload, const RunSpec &spec);
+
+/**
+ * A paper-profile point ready to simulate exactly as Runner::run does:
+ * the spec's config with the cache warmup set, its compiled program and
+ * its thread count. Drivers that need the live System (tracing, fault
+ * injection) adjust cfg and construct it themselves.
+ */
+struct PreparedPoint
+{
+    core::SystemConfig cfg;
+    compiler::CompiledProgram prog;
+    unsigned threads = 1;
+};
+
+PreparedPoint preparePoint(const RunSpec &spec);
 
 class Runner
 {

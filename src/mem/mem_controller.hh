@@ -53,7 +53,6 @@ struct McConfig
     Tick pmWriteCycles = 180;       ///< 90 ns at 2 GHz
     Tick drainInterval = 1;         ///< cycles between WPQ drain rounds
     unsigned drainBurst = 2;        ///< entries flushed per round
-    Tick camCycles = 2;             ///< WPQ CAM search (hidden by PM read)
     bool dramCacheEnabled = true;   ///< false models the ideal-PSP baseline
     CacheConfig dramCache{16ull * 1024 * 1024, 1, 100};
     /**

@@ -244,31 +244,6 @@ summarize(const std::vector<Event> &events)
 
 namespace {
 
-/** Minimal JSON string escaping (names are ASCII identifiers anyway). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 class EventWriter
 {
   public:
@@ -296,8 +271,7 @@ class EventWriter
 } // namespace
 
 void
-writePerfetto(std::ostream &os, const std::vector<Event> &events,
-              const PerfettoOptions &opt)
+writePerfetto(std::ostream &os, const std::vector<Event> &events)
 {
     TraceSummary sum = summarize(events);
     const int sysTid =
@@ -314,8 +288,7 @@ writePerfetto(std::ostream &os, const std::vector<Event> &events,
 
     // Metadata: process and track names.
     w.open('M', 0, 0);
-    os << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-       << jsonEscape(opt.processName) << "\"}";
+    os << ",\"name\":\"process_name\",\"args\":{\"name\":\"lwsp\"}";
     w.close();
     for (unsigned c = 0; c < sum.numCores; ++c) {
         w.open('M', 0, static_cast<int>(c));
@@ -404,13 +377,12 @@ writePerfetto(std::ostream &os, const std::vector<Event> &events,
 
 bool
 writePerfettoFile(const std::string &path,
-                  const std::vector<Event> &events,
-                  const PerfettoOptions &opt)
+                  const std::vector<Event> &events)
 {
     std::ofstream os(path);
     if (!os)
         return false;
-    writePerfetto(os, events, opt);
+    writePerfetto(os, events);
     os.flush();
     return static_cast<bool>(os);
 }

@@ -55,18 +55,10 @@ bool readBinaryFile(const std::string &path, std::vector<Event> &out,
 std::vector<Event> filterByMask(const std::vector<Event> &events,
                                 std::uint32_t mask);
 
-/** Perfetto export knobs. */
-struct PerfettoOptions
-{
-    std::string processName = "lwsp";
-};
-
 /** Emit trace_event JSON for @p events (core/MC counts are derived). */
-void writePerfetto(std::ostream &os, const std::vector<Event> &events,
-                   const PerfettoOptions &opt = {});
+void writePerfetto(std::ostream &os, const std::vector<Event> &events);
 bool writePerfettoFile(const std::string &path,
-                       const std::vector<Event> &events,
-                       const PerfettoOptions &opt = {});
+                       const std::vector<Event> &events);
 
 /** One human-readable line per event (the `lwsp_trace dump` format). */
 void writeText(std::ostream &os, const std::vector<Event> &events);

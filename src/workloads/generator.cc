@@ -1,5 +1,7 @@
 #include "generator.hh"
 
+#include <sstream>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "ir/verifier.hh"
@@ -296,6 +298,27 @@ Workload
 generateByName(const std::string &name)
 {
     return generate(profileByName(name));
+}
+
+std::string
+diffAppState(const mem::MemImage &got, const mem::MemImage &want,
+             unsigned threads, std::size_t footprint)
+{
+    std::ostringstream os;
+    const Addr heap = Workload::heapBase;
+    auto diffs = got.diffInRange(
+        want, heap, heap + static_cast<Addr>(threads) * footprint);
+    if (!diffs.empty()) {
+        os << "heap differs from golden at 0x" << std::hex << diffs[0]
+           << " (" << std::dec << diffs.size() << " words)";
+        return os.str();
+    }
+    const Addr shared = Workload::sharedBase;
+    diffs = got.diffInRange(want, shared, shared + 4096);
+    if (!diffs.empty())
+        os << "shared page differs from golden at 0x" << std::hex
+           << diffs[0];
+    return os.str();
 }
 
 } // namespace workloads

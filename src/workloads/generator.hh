@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ir/program.hh"
+#include "mem/mem_image.hh"
 #include "workloads/profile.hh"
 
 namespace lwsp {
@@ -38,6 +39,20 @@ struct Workload
     static constexpr Addr heapBase = 0x1000'0000ull;
     static constexpr Addr sharedBase = 0x6000'0000'0000ull;
 };
+
+/**
+ * Compare the application state of two PM images of a @p threads-thread
+ * workload with @p footprint bytes per thread: the heap partitions
+ * [heapBase, heapBase + threads x footprint), then the 4 KB shared page
+ * at sharedBase (lock words, shared counters). Checkpoint storage and
+ * stacks are ignored; their final contents may legitimately differ
+ * across thread interleavings.
+ * @return "" when the states match, else the first difference, e.g.
+ *         "heap differs from golden at 0x10000008 (1 words)".
+ */
+std::string diffAppState(const mem::MemImage &got,
+                         const mem::MemImage &want, unsigned threads,
+                         std::size_t footprint);
 
 /** Generate the program for @p profile. Deterministic. */
 Workload generate(const WorkloadProfile &profile);

@@ -96,18 +96,8 @@ expectAppStateEqual(const mem::MemImage &got, const mem::MemImage &want,
                     unsigned threads, std::size_t footprint,
                     const std::string &what)
 {
-    Addr heap_lo = workloads::Workload::heapBase;
-    Addr heap_hi = heap_lo + static_cast<Addr>(threads) * footprint;
-    auto heap_diffs = got.diffInRange(want, heap_lo, heap_hi);
-    EXPECT_TRUE(heap_diffs.empty())
-        << what << ": heap differs at 0x" << std::hex
-        << (heap_diffs.empty() ? 0 : heap_diffs[0]);
-
-    Addr sh = workloads::Workload::sharedBase;
-    auto shared_diffs = got.diffInRange(want, sh, sh + 4096);
-    EXPECT_TRUE(shared_diffs.empty())
-        << what << ": shared page differs at 0x" << std::hex
-        << (shared_diffs.empty() ? 0 : shared_diffs[0]);
+    auto d = workloads::diffAppState(got, want, threads, footprint);
+    EXPECT_TRUE(d.empty()) << what << ": " << d;
 }
 
 class CrashSweep

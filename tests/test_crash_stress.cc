@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,19 +136,11 @@ crashSweep(core::SystemConfig cfg, unsigned threads, unsigned threshold,
             return;
         }
 
-        std::ostringstream err;
-        Addr lo = workloads::Workload::heapBase;
-        Addr hi = lo + static_cast<Addr>(threads) * footprint;
-        auto heap = rec->pmImage().diffInRange(golden.pmImage(), lo, hi);
-        if (!heap.empty())
-            err << "heap diff at f=" << f << " addr=0x" << std::hex
-                << heap[0] << std::dec << '\n';
-        Addr sh = workloads::Workload::sharedBase;
-        if (!rec->pmImage()
-                 .diffInRange(golden.pmImage(), sh, sh + 4096)
-                 .empty())
-            err << "shared diff at f=" << f << '\n';
-        errors[i] = err.str();
+        if (auto d = workloads::diffAppState(rec->pmImage(),
+                                             golden.pmImage(), threads,
+                                             footprint);
+            !d.empty())
+            errors[i] = "at f=" + std::to_string(f) + ": " + d;
     });
     for (std::size_t i = 0; i < fracs.size(); ++i)
         EXPECT_TRUE(errors[i].empty()) << errors[i];

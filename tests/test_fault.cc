@@ -100,14 +100,8 @@ void
 expectAppStateEqual(const mem::MemImage &got, const mem::MemImage &want,
                     const Built &b, const std::string &what)
 {
-    Addr lo = workloads::Workload::heapBase;
-    Addr hi = lo + static_cast<Addr>(b.threads) * b.footprint;
-    auto diffs = got.diffInRange(want, lo, hi);
-    EXPECT_TRUE(diffs.empty())
-        << what << ": heap differs at " << diffs.size() << " words";
-    Addr sh = workloads::Workload::sharedBase;
-    EXPECT_TRUE(got.diffInRange(want, sh, sh + 4096).empty())
-        << what << ": shared page differs";
+    auto d = workloads::diffAppState(got, want, b.threads, b.footprint);
+    EXPECT_TRUE(d.empty()) << what << ": " << d;
 }
 
 void

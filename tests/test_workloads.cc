@@ -155,3 +155,37 @@ TEST(Workloads, PartitionsAreDisjointAcrossThreads)
     for (Addr a : a0)
         EXPECT_EQ(a1.count(a), 0u) << std::hex << a;
 }
+
+TEST(Workloads, DiffAppStateCoversHeapAndSharedPageOnly)
+{
+    // Two threads of 4 KB each: heap [heapBase, heapBase + 8 KB).
+    const unsigned threads = 2;
+    const std::size_t footprint = 4096;
+    const Addr heap = Workload::heapBase;
+    const Addr shared = Workload::sharedBase;
+
+    mem::MemImage golden;
+    golden.write(heap + 8, 1);
+    golden.write(shared + 16, 2);
+    EXPECT_EQ(diffAppState(golden.clone(), golden, threads, footprint), "");
+
+    // One shared-page word (a lock word, say) is application state.
+    mem::MemImage lock = golden.clone();
+    lock.write(shared + 4088, 7);
+    EXPECT_EQ(diffAppState(lock, golden, threads, footprint),
+              "shared page differs from golden at 0x600000000ff8");
+
+    // So is the last word of the second thread's partition.
+    mem::MemImage last = golden.clone();
+    last.write(heap + threads * footprint - 8, 3);
+    EXPECT_EQ(diffAppState(last, golden, threads, footprint),
+              "heap differs from golden at 0x10001ff8 (1 words)");
+
+    // Words just past both ranges (checkpoint storage, stacks) are not.
+    mem::MemImage outside = golden.clone();
+    outside.write(heap - 8, 4);
+    outside.write(heap + threads * footprint, 5);
+    outside.write(shared - 8, 6);
+    outside.write(shared + 4096, 7);
+    EXPECT_EQ(diffAppState(outside, golden, threads, footprint), "");
+}
