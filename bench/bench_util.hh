@@ -2,16 +2,9 @@
  * @file
  * Shared plumbing for the figure/table reproduction binaries.
  *
- * Every bench accepts:
- *   --quick           run a representative subset of apps (fast smoke mode)
- *   --csv FILE        additionally dump the table as CSV
- *   --jobs N          sweep worker threads (0/default = all hardware threads)
- *   --sweep-json FILE write the sweep's wall-clock/throughput telemetry
- *   --report FILE     write a versioned JSON run report (one record per
- *                     distinct simulation point, full RunResult)
- *   --engine E        simulator core: event (default) or cycle. Tables
- *                     and CSVs are bit-identical either way; the flag
- *                     exists for A/B verification and perf comparison.
+ * Every bench accepts the flags parseArgs() declares (--quick, --csv,
+ * --jobs, --sweep-json, --report, --engine); a bad flag prints their
+ * usage. Tables and CSVs are bit-identical under either --engine.
  *
  * The paper-profile figures (Figs 7-18, Table II, §V-G3, the commit
  * ablation) declare a Grid: a title, one row per app profile and one
@@ -29,7 +22,6 @@
 #ifndef LWSP_BENCH_BENCH_UTIL_HH
 #define LWSP_BENCH_BENCH_UTIL_HH
 
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -37,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -53,47 +46,27 @@ struct BenchArgs
     unsigned jobs = 0;          ///< 0 = hardware concurrency
     std::string sweepJsonPath;  ///< empty = no telemetry file
     std::string reportPath;     ///< empty = no run report
-    std::string benchName;      ///< argv[0] basename, for telemetry
+    std::string benchName;      ///< the program's name, for telemetry
 };
 
 inline BenchArgs
 parseArgs(int argc, char **argv)
 {
     BenchArgs args;
-    std::string prog = argv[0];
-    std::size_t slash = prog.find_last_of('/');
-    args.benchName =
-        slash == std::string::npos ? prog : prog.substr(slash + 1);
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--quick") {
-            args.quick = true;
-        } else if (a == "--csv" && i + 1 < argc) {
-            args.csvPath = argv[++i];
-        } else if (a == "--jobs" && i + 1 < argc) {
-            args.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (a == "--sweep-json" && i + 1 < argc) {
-            args.sweepJsonPath = argv[++i];
-        } else if (a == "--report" && i + 1 < argc) {
-            args.reportPath = argv[++i];
-        } else if (a == "--engine" && i + 1 < argc) {
-            std::string e = argv[++i];
-            SimEngine engine = SimEngine::Event;
-            if (!parseSimEngine(e, engine)) {
-                std::cerr << "unknown engine '" << e
-                          << "' (want event|cycle)\n";
-                std::exit(2);
-            }
-            harness::setDefaultSimEngine(engine);
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--quick] [--csv FILE] [--jobs N]"
-                         " [--sweep-json FILE] [--report FILE]"
-                         " [--engine event|cycle]\n";
-            std::exit(2);
-        }
-    }
+    args.benchName = cli::parseOrExit(
+        argc, argv,
+        {cli::toggle("--quick", "run a representative subset of apps",
+                     args.quick),
+         cli::text("--csv", "FILE", "also write the table as CSV",
+                   args.csvPath),
+         cli::jobs(args.jobs),
+         cli::text("--sweep-json", "FILE",
+                   "write the sweep's wall-clock/throughput telemetry",
+                   args.sweepJsonPath),
+         cli::text("--report", "FILE",
+                   "write a JSON run report (one record per point)",
+                   args.reportPath),
+         harness::engineFlag()});
     setLogQuiet(true);
     return args;
 }

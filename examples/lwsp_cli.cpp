@@ -5,46 +5,36 @@
  *
  *   lwsp_cli list                       # the paper-app workload roster
  *   lwsp_cli compile <app|file.lir>     # dump compiled LightIR + stats
- *   lwsp_cli verify <app|file.lir>      # static WSP-invariant check
  *   lwsp_cli run <app> [scheme]         # simulate and print run stats
  *   lwsp_cli crash <app> <fraction>     # crash + recover + verify
  *
- * `run` also accepts `--trace-out FILE` (binary event trace; inspect
- * with lwsp_trace, convert to Perfetto JSON with `lwsp_trace convert`)
- * and `--stats-json FILE` (full component stat registry as JSON).
+ * `run` writes a binary event trace under `--trace-out` (inspect it
+ * with lwsp_trace) and the component stat registry under
+ * `--stats-json`; both commands print stats bit-identical under either
+ * `--engine`. Under `--faults SPEC` (fault/fault.hh, e.g.
+ * `seed=7,loss=100`) the machine runs with the hardware fault layer
+ * armed and hardened checkpoints; `crash` then recovers through
+ * System::recoverChecked and prints the recovery verdict and the crash
+ * drain's fault report; exit status 3 means the injected fault was
+ * detected but unrecoverable. Under `--storm SCHED` (fault/storm.hh,
+ * e.g. `d1+r+x1500`) `crash` puts the machine through a whole failure
+ * storm — drains interrupted mid-quiescence, recovery preambles killed
+ * and re-entered, recovered executions crashed again — checking each
+ * power-on's verdict for idempotence; its `--stats-json` registry
+ * includes the system.recoveryOutcome / system.failuresSurvived
+ * lineage counters.
  *
- * `run` and `crash` accept `--engine event|cycle` to pick the
- * simulator core (discrete-event wakeup heap vs the legacy
- * tick-everyone loop); printed stats are bit-identical either way.
- *
- * `run` and `crash` accept `--faults SPEC` (fault/fault.hh k=v,k=v
- * string, e.g. `seed=7,loss=100` or `ckpt=1`): the machine runs with
- * the hardware fault layer armed and hardened checkpoints. `crash`
- * then recovers through System::recoverChecked and prints the
- * recovery verdict and the crash drain's fault report; exit status 3
- * means the injected fault was detected but unrecoverable.
- *
- * `crash` also accepts `--storm SCHED` (fault/storm.hh '+'-joined
- * schedule, e.g. `d1+r+x1500`): instead of a single clean failure the
- * machine is put through the whole failure storm — drains interrupted
- * mid-quiescence, recovery preambles killed and re-entered, recovered
- * executions crashed again — with each power-on's verdict checked for
- * idempotence. `--stats-json FILE` dumps the surviving system's stat
- * registry (including the system.recoveryOutcome /
- * system.failuresSurvived lineage counters) after the post-recovery
- * run.
- *
- * Schemes: baseline psp-ideal lightwsp naive-sfence ppa capri cwsp.
- * `<file.lir>` is the textual LightIR format (see ir/text_io.hh).
+ * `<file.lir>` is the textual LightIR format (see ir/text_io.hh). The
+ * static WSP-invariant check of a program is `lwsp_verify`. Any bad
+ * argument prints the full usage.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 
-#include "analysis/wsp_checker.hh"
+#include "common/flags.hh"
 #include "compiler/compiler.hh"
 #include "core/lifetime.hh"
 #include "core/system.hh"
@@ -58,69 +48,30 @@ using namespace lwsp;
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: lwsp_cli list\n"
-                 "       lwsp_cli compile <app|file.lir>\n"
-                 "       lwsp_cli verify <app|file.lir>\n"
-                 "       lwsp_cli run <app> [scheme] [--trace-out FILE]"
-                 " [--stats-json FILE] [--faults SPEC]"
-                 " [--engine event|cycle]\n"
-                 "       lwsp_cli crash <app> <fraction 0..1>"
-                 " [--faults SPEC] [--engine event|cycle]\n"
-                 "                      [--storm SCHED]"
-                 " [--stats-json FILE]\n");
-    return 2;
-}
-
-/** Parse a --faults spec into @p cfg (arming the layer), or die. */
+/** Arm @p cfg's fault layer with @p faults, hardened checkpoints on. */
 void
-applyFaultSpec(core::SystemConfig &cfg, const std::string &spec)
+armFaults(core::SystemConfig &cfg, const fault::FaultConfig &faults)
 {
-    std::string err;
-    if (!fault::FaultConfig::parse(spec, cfg.faults, err))
-        fatal("bad --faults spec: ", err);
+    cfg.faults = faults;
     cfg.faults.enabled = true;
     cfg.faults.hardenedCkpt = true;
 }
 
-SimEngine
-engineFromName(const std::string &name)
+/** Write @p sys's stat registry to @p path as JSON; false if it cannot. */
+bool
+writeStatsJson(const core::System &sys, const std::string &path)
 {
-    SimEngine e = SimEngine::Event;
-    if (!parseSimEngine(name, e))
-        fatal("unknown engine '", name, "' (want event|cycle)");
-    return e;
-}
-
-core::Scheme
-schemeFromName(const std::string &name)
-{
-    for (core::Scheme s :
-         {core::Scheme::Baseline, core::Scheme::PspIdeal,
-          core::Scheme::LightWsp, core::Scheme::NaiveSfence,
-          core::Scheme::Ppa, core::Scheme::Capri, core::Scheme::Cwsp}) {
-        if (name == core::schemeName(s))
-            return s;
+    stats::Registry reg;
+    sys.registerStats(reg);
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "cannot write stats to %s\n", path.c_str());
+        return false;
     }
-    fatal("unknown scheme '", name, "'");
-}
-
-std::unique_ptr<ir::Module>
-loadModule(const std::string &what)
-{
-    if (what.size() > 4 &&
-        what.substr(what.size() - 4) == ".lir") {
-        std::ifstream in(what);
-        if (!in)
-            fatal("cannot open ", what);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        return ir::parseModule(ss.str());
-    }
-    return workloads::generateByName(what).module;
+    reg.dumpJson(os);
+    std::printf("stats         %zu groups -> %s\n", reg.numGroups(),
+                path.c_str());
+    return true;
 }
 
 int
@@ -144,21 +95,9 @@ cmdList()
 }
 
 int
-cmdVerify(const std::string &what)
-{
-    auto m = loadModule(what);
-    compiler::CompilerConfig cfg;
-    compiler::LightWspCompiler comp(cfg);
-    auto prog = comp.compile(std::move(m));
-    analysis::CheckReport rep = analysis::checkCompiledProgram(prog, cfg);
-    std::printf("%s: %s\n", what.c_str(), rep.describe().c_str());
-    return rep.ok() ? 0 : 1;
-}
-
-int
 cmdCompile(const std::string &what)
 {
-    auto m = loadModule(what);
+    auto m = workloads::loadModule(what);
     compiler::LightWspCompiler comp;
     auto prog = comp.compile(std::move(m));
     ir::printModule(*prog.module, std::cout);
@@ -211,18 +150,28 @@ printRunStats(const std::string &scheme_name, unsigned threads,
                 static_cast<unsigned long long>(r.lockBlockedCycles));
 }
 
+/** What the command line asked for (each command reads its part). */
+struct Args
+{
+    std::string app;
+    core::Scheme scheme = core::Scheme::LightWsp;
+    double fraction = 0;
+    std::string traceOut;
+    std::string statsJson;
+    std::optional<fault::FaultConfig> faults;
+    fault::FailureSchedule storm;
+};
+
 int
-cmdRun(const std::string &app, const std::string &scheme_name,
-       const std::string &trace_out, const std::string &stats_json,
-       const std::string &faults_spec, const std::string &engine_name)
+cmdRun(const Args &a)
 {
     harness::RunSpec spec;
-    spec.workload = app;
-    spec.scheme = schemeFromName(scheme_name);
-    if (!engine_name.empty())
-        spec.engine = engineFromName(engine_name);
+    spec.workload = a.app;
+    spec.scheme = a.scheme;
+    const std::string scheme_name = core::schemeName(a.scheme);
+    const std::string &trace_out = a.traceOut;
 
-    if (trace_out.empty() && stats_json.empty() && faults_spec.empty()) {
+    if (trace_out.empty() && a.statsJson.empty() && !a.faults) {
         harness::Runner runner;
         auto o = runner.run(spec);
         printRunStats(scheme_name, o.threads, o.result);
@@ -240,8 +189,8 @@ cmdRun(const std::string &app, const std::string &scheme_name,
     harness::PreparedPoint pt = harness::preparePoint(spec);
     if (!trace_out.empty())
         pt.cfg.traceEnabled = true;
-    if (!faults_spec.empty())
-        applyFaultSpec(pt.cfg, faults_spec);
+    if (a.faults)
+        armFaults(pt.cfg, *a.faults);
 
     core::System sys(pt.cfg, pt.prog, pt.threads);
     auto r = sys.run();
@@ -271,35 +220,16 @@ cmdRun(const std::string &app, const std::string &scheme_name,
                     sink->wrapped() ? " (ring wrapped; oldest dropped)"
                                     : "");
     }
-    if (!stats_json.empty()) {
-        stats::Registry reg;
-        sys.registerStats(reg);
-        std::ofstream os(stats_json);
-        if (!os) {
-            std::fprintf(stderr, "cannot write stats to %s\n",
-                         stats_json.c_str());
-            return 1;
-        }
-        reg.dumpJson(os);
-        std::printf("stats         %zu groups -> %s\n", reg.numGroups(),
-                    stats_json.c_str());
-    }
+    if (!a.statsJson.empty() && !writeStatsJson(sys, a.statsJson))
+        return 1;
     return 0;
 }
 
 int
-cmdCrash(const std::string &app, double fraction,
-         const std::string &faults_spec, const std::string &engine_name,
-         const std::string &storm_spec, const std::string &stats_json)
+cmdCrash(const Args &a)
 {
-    fault::FailureSchedule storm;
-    if (!storm_spec.empty()) {
-        std::string err;
-        if (!fault::FailureSchedule::parse(storm_spec, storm, err))
-            fatal("bad --storm schedule: ", err);
-    }
-
-    const auto &profile = workloads::profileByName(app);
+    const fault::FailureSchedule &storm = a.storm;
+    const auto &profile = workloads::profileByName(a.app);
     auto w = workloads::generate(profile);
     auto lock_addrs = w.lockAddrs;
     compiler::LightWspCompiler comp;
@@ -307,8 +237,7 @@ cmdCrash(const std::string &app, double fraction,
 
     core::SystemConfig cfg;
     cfg.scheme = core::Scheme::LightWsp;
-    if (!engine_name.empty())
-        cfg.engine = engineFromName(engine_name);
+    cfg.engine = harness::defaultSimEngine();
     cfg.applySchemeDefaults();
 
     core::System golden(cfg, prog, profile.threads);
@@ -318,14 +247,14 @@ cmdCrash(const std::string &app, double fraction,
     // keeps the hardened checkpoint format so it can verify checksums.
     core::SystemConfig vcfg = cfg;
     core::SystemConfig rcfg = cfg;
-    if (!faults_spec.empty()) {
-        applyFaultSpec(vcfg, faults_spec);
+    if (a.faults) {
+        armFaults(vcfg, *a.faults);
         rcfg.faults.hardenedCkpt = true;
     }
 
     core::System victim(vcfg, prog, profile.threads);
     auto vr = victim.runWithFailureStorm(
-        static_cast<Tick>(fraction * static_cast<double>(gr.cycles)),
+        static_cast<Tick>(a.fraction * static_cast<double>(gr.cycles)),
         storm.drainsFrom(0));
     if (vr.completed) {
         std::printf("program finished before the failure point\n");
@@ -393,19 +322,8 @@ cmdCrash(const std::string &app, double fraction,
                 rr.completed ? "completed" : "DID NOT COMPLETE",
                 ok ? "matches" : "DIFFERS from");
 
-    if (!stats_json.empty()) {
-        stats::Registry reg;
-        sys->registerStats(reg);
-        std::ofstream os(stats_json);
-        if (!os) {
-            std::fprintf(stderr, "cannot write stats to %s\n",
-                         stats_json.c_str());
-            return 1;
-        }
-        reg.dumpJson(os);
-        std::printf("stats         %zu groups -> %s\n", reg.numGroups(),
-                    stats_json.c_str());
-    }
+    if (!a.statsJson.empty() && !writeStatsJson(*sys, a.statsJson))
+        return 1;
     return ok ? 0 : 1;
 }
 
@@ -415,59 +333,51 @@ int
 main(int argc, char **argv)
 {
     setLogQuiet(true);
-    if (argc < 2)
-        return usage();
-    std::string cmd = argv[1];
+    Args a;
+    const cli::Flag app =
+        cli::text("<app>", "", "a paper-app workload (see list)", a.app);
+    const cli::Flag engine = harness::engineFlag();
+    const cli::Flag stats = cli::text(
+        "--stats-json", "FILE", "write the stat registry as JSON",
+        a.statsJson);
+    const cli::Flag faults{
+        "--faults", "SPEC", "arm the fault layer (e.g. seed=7,loss=100)",
+        [&](std::string_view v, std::string &why) {
+            return fault::FaultConfig::parse(std::string(v),
+                                             a.faults.emplace(), why);
+        }};
+    const cli::Command commands[] = {
+        {"list", "the paper-app workload roster", {}, cmdList},
+        {"compile", "dump compiled LightIR + stats",
+         {cli::text("<app|file.lir>", "", "an app or a LightIR text file",
+                    a.app)},
+         [&] { return cmdCompile(a.app); }},
+        {"run", "simulate and print run stats",
+         {app,
+          cli::choice("[scheme]",
+                      cli::joinNames(core::schemeNames) + " (default lightwsp)",
+                      core::schemeNames, a.scheme),
+          cli::traceOut(a.traceOut), stats, faults, engine},
+         [&] { return cmdRun(a); }},
+        {"crash", "crash + recover + verify against a crash-free run",
+         {app,
+          cli::fraction("<fraction>", "crash point, a share of the "
+                                      "crash-free run's cycles",
+                        a.fraction),
+          faults, engine,
+          {"--storm", "SCHED", "the failures after the crash (d1+r+x1500)",
+           [&](std::string_view v, std::string &why) {
+               return fault::FailureSchedule::parse(std::string(v),
+                                                    a.storm, why);
+           }},
+          stats},
+         [&] { return cmdCrash(a); }},
+    };
+    const cli::Command &cmd = cli::parseOrExit(argc, argv, commands);
     try {
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "compile" && argc == 3)
-            return cmdCompile(argv[2]);
-        if (cmd == "verify" && argc == 3)
-            return cmdVerify(argv[2]);
-        if (cmd == "run" && argc >= 3) {
-            std::string scheme = "lightwsp", trace_out, stats_json;
-            std::string faults, engine;
-            int i = 3;
-            if (i < argc && argv[i][0] != '-')
-                scheme = argv[i++];
-            for (; i < argc; ++i) {
-                std::string a = argv[i];
-                if (a == "--trace-out" && i + 1 < argc)
-                    trace_out = argv[++i];
-                else if (a == "--stats-json" && i + 1 < argc)
-                    stats_json = argv[++i];
-                else if (a == "--faults" && i + 1 < argc)
-                    faults = argv[++i];
-                else if (a == "--engine" && i + 1 < argc)
-                    engine = argv[++i];
-                else
-                    return usage();
-            }
-            return cmdRun(argv[2], scheme, trace_out, stats_json, faults,
-                          engine);
-        }
-        if (cmd == "crash" && argc >= 4) {
-            std::string faults, engine, storm, stats_json;
-            for (int i = 4; i < argc; ++i) {
-                std::string a = argv[i];
-                if (a == "--faults" && i + 1 < argc)
-                    faults = argv[++i];
-                else if (a == "--engine" && i + 1 < argc)
-                    engine = argv[++i];
-                else if (a == "--storm" && i + 1 < argc)
-                    storm = argv[++i];
-                else if (a == "--stats-json" && i + 1 < argc)
-                    stats_json = argv[++i];
-                else
-                    return usage();
-            }
-            return cmdCrash(argv[2], std::atof(argv[3]), faults, engine,
-                            storm, stats_json);
-        }
+        return cmd.run();
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }
-    return usage();
 }

@@ -38,8 +38,9 @@
 # CSV checking: quick-mode rows are a subset of the full reference
 # tables, so each emitted row is compared against the same-named row in
 # results/<bench>.csv when that reference exists. Any mismatch fails the
-# script — the sweep engine's whole promise is byte-identical output at
-# any job count.
+# script, and so does an emitted row the reference lacks (a renamed or
+# new row must land in the reference first) — the sweep engine's whole
+# promise is byte-identical output at any job count.
 
 set -euo pipefail
 
@@ -125,7 +126,11 @@ check_csv() {
         local key="${line%%,*}"
         local refline
         refline="$(grep "^$key," "$ref" || true)"
-        [ -z "$refline" ] && continue  # row not in the reference subset
+        if [ -z "$refline" ]; then
+            echo "  ROW MISSING [$key] from $(basename "$ref")"
+            bad=1
+            continue
+        fi
         if [ "$line" != "$refline" ]; then
             echo "  ROW MISMATCH [$key] vs $(basename "$ref")"
             echo "    ref: $refline"

@@ -9,57 +9,30 @@
  * The first form compiles one built-in workload (by profile name) or a
  * LightIR text file and checks the result. The second sweeps every
  * built-in workload under three compiler configurations (default,
- * pruning disabled, unrolling disabled) and optionally a batch of N
- * seeded fuzz programs drawn exactly like the crash fuzzer draws them
- * (alternating IR/workload generators, thresholds from {4,8,16,32}).
+ * pruning disabled, unrolling disabled) and optionally N seeded fuzz
+ * cases compiled exactly as fuzz_crash compiles them (fuzz::staticCheck:
+ * the same program draw and compiler configuration), alternating
+ * workload/IR sources like `fuzz_crash --mode mixed`. `--help` prints
+ * every flag.
  *
  * Exit codes: 0 all checks passed, 1 violations found, 2 usage or
  * input error.
  */
 
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "analysis/wsp_checker.hh"
-#include "common/random.hh"
+#include "common/flags.hh"
 #include "compiler/compiler.hh"
-#include "fuzz/random_program.hh"
-#include "fuzz/random_workload.hh"
+#include "fuzz/campaign.hh"
 #include "ir/text_io.hh"
 #include "workloads/generator.hh"
 
 namespace {
 
 using namespace lwsp;
-
-void
-usage()
-{
-    std::cerr <<
-        "usage: lwsp_verify <app|file.lir> [--threshold N] [--no-prune]\n"
-        "                   [--no-unroll]\n"
-        "       lwsp_verify --all [--fuzz N] [--base-seed S]\n"
-        "\n"
-        "Statically verifies the WSP region invariants (store bound,\n"
-        "checkpoint coverage, recipe soundness, site-table integrity,\n"
-        "recoverability) on the compiled form of a program.\n"
-        "\n"
-        "  <app>          a built-in workload profile name\n"
-        "  <file.lir>     a LightIR text module\n"
-        "  --threshold N  override the store threshold (default 32)\n"
-        "  --no-prune     disable checkpoint pruning\n"
-        "  --no-unroll    disable loop unrolling\n"
-        "  --all          sweep all built-in workloads x {default,\n"
-        "                 no-prune, no-unroll} configurations\n"
-        "  --fuzz N       with --all: also check N seeded fuzz programs\n"
-        "  --base-seed S  first fuzz seed (default 1)\n"
-        "\n"
-        "exit: 0 clean, 1 violations, 2 usage/input error\n";
-}
 
 bool dumpOnFail = false;
 
@@ -123,23 +96,19 @@ runAll(unsigned fuzzCount, std::uint64_t baseSeed, bool verbose)
     }
 
     for (unsigned i = 0; i < fuzzCount; ++i) {
-        std::uint64_t seed = baseSeed + i;
-        // Same program generators as the crash fuzzer, thresholds from
-        // its WPQ-motivated ladder.
-        fuzz::FuzzProgram src = (i % 2 == 0)
-                                    ? fuzz::randomIrProgram(seed, 0)
-                                    : fuzz::randomWorkloadProgram(seed, 0);
-        Rng rng(seed ^ 0x66757a7a2d636667ull); // "fuzz-cfg" (as buildCase)
-        static const unsigned thrChoices[] = {4, 8, 16, 32};
-        compiler::CompilerConfig cfg;
-        cfg.storeThreshold = thrChoices[rng.below(4)];
-        std::ostringstream label;
-        label << "fuzz seed=" << seed << " ("
-              << (i % 2 == 0 ? "ir" : "wl")
-              << ", thr=" << cfg.storeThreshold << ")";
+        fuzz::CaseSpec spec;
+        spec.seed = baseSeed + i;
+        spec.source = i % 2 == 1 ? fuzz::CaseSpec::Source::Ir
+                                 : fuzz::CaseSpec::Source::Workload;
+        fuzz::StaticCheckResult sc = fuzz::staticCheck(spec);
+        std::string label = spec.toString() + " (" + sc.summary + ")";
         ++checked;
-        if (!checkOne(std::move(src.module), cfg, label.str(), verbose))
+        if (!sc.ok) {
+            std::cout << label << ": FAIL\n" << sc.report << "\n";
             ++failed;
+        } else if (verbose) {
+            std::cout << label << ": " << sc.report << "\n";
+        }
     }
 
     std::cout << checked << " program(s) checked, " << failed
@@ -152,94 +121,49 @@ runAll(unsigned fuzzCount, std::uint64_t baseSeed, bool verbose)
 int
 main(int argc, char **argv)
 {
-    bool all = false, verbose = true;
+    bool all = false, quiet = false, help = false;
     unsigned fuzzCount = 0;
     std::uint64_t baseSeed = 1;
-    unsigned threshold = 32;
     compiler::CompilerConfig cfg;
     std::string target;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::cerr << flag << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--all") {
-            all = true;
-        } else if (arg == "--fuzz") {
-            fuzzCount = static_cast<unsigned>(
-                std::stoul(value("--fuzz")));
-        } else if (arg == "--base-seed") {
-            baseSeed = std::stoull(value("--base-seed"));
-        } else if (arg == "--threshold") {
-            threshold = static_cast<unsigned>(
-                std::stoul(value("--threshold")));
-        } else if (arg == "--no-prune") {
-            cfg.pruneCheckpoints = false;
-        } else if (arg == "--no-unroll") {
-            cfg.unrollLoops = false;
-        } else if (arg == "--quiet" || arg == "-q") {
-            verbose = false;
-        } else if (arg == "--dump") {
-            dumpOnFail = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown flag '" << arg << "'\n";
-            usage();
-            return 2;
-        } else if (target.empty()) {
-            target = arg;
-        } else {
-            std::cerr << "more than one target given\n";
-            return 2;
-        }
+    const cli::Command tool{
+        nullptr,
+        "",
+        {cli::text("[app|file.lir]", "", "a workload or a LightIR text file",
+                   target),
+         cli::number("--threshold", "N", "store threshold (default 32)",
+                     cfg.storeThreshold, 1u),
+         cli::toggle("--no-prune", "disable checkpoint pruning",
+                     cfg.pruneCheckpoints, false),
+         cli::toggle("--no-unroll", "disable loop unrolling",
+                     cfg.unrollLoops, false),
+         cli::toggle("--all", "sweep all workloads x 3 configurations", all),
+         cli::number("--fuzz", "N", "with --all: also check N fuzz cases",
+                     fuzzCount),
+         cli::number("--base-seed", "S", "first fuzz seed (default 1)",
+                     baseSeed),
+         cli::toggle("--quiet", "print only failures and the summary",
+                     quiet),
+         cli::toggle("-q", "same as --quiet", quiet),
+         cli::toggle("--dump", "print a failing compiled module",
+                     dumpOnFail),
+         cli::toggle("--help", "print this text", help),
+         cli::toggle("-h", "same as --help", help)}};
+    cli::parseOrExit(argc, argv, std::span(&tool, 1));
+    if (help || (!all && target.empty())) {
+        std::cerr << cli::usage("lwsp_verify", std::span(&tool, 1));
+        return help ? 0 : 2;
     }
-
+    if (all && !target.empty()) {
+        std::cerr << "--all takes no target\n";
+        return 2;
+    }
     try {
-        if (all) {
-            if (!target.empty()) {
-                std::cerr << "--all takes no target\n";
-                return 2;
-            }
-            return runAll(fuzzCount, baseSeed, verbose);
-        }
-        if (target.empty()) {
-            usage();
-            return 2;
-        }
-
-        cfg.storeThreshold = threshold;
-        std::unique_ptr<ir::Module> m;
-        if (target.size() > 4 &&
-            target.compare(target.size() - 4, 4, ".lir") == 0) {
-            std::ifstream in(target);
-            if (!in) {
-                std::cerr << "cannot open '" << target << "'\n";
-                return 2;
-            }
-            std::stringstream buf;
-            buf << in.rdbuf();
-            m = ir::parseModule(buf.str());
-        } else {
-            const workloads::WorkloadProfile *p = nullptr;
-            for (const auto &prof : workloads::paperProfiles()) {
-                if (prof.name == target)
-                    p = &prof;
-            }
-            if (!p) {
-                std::cerr << "unknown workload '" << target
-                          << "' (and not a .lir file)\n";
-                return 2;
-            }
-            m = std::move(workloads::generate(*p).module);
-        }
-        return checkOne(std::move(m), cfg, target, verbose) ? 0 : 1;
+        if (all)
+            return runAll(fuzzCount, baseSeed, !quiet);
+        return checkOne(workloads::loadModule(target), cfg, target, !quiet)
+                   ? 0
+                   : 1;
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;

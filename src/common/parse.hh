@@ -50,6 +50,25 @@ parseUnsigned(std::string_view text, T &out)
     return true;
 }
 
+/**
+ * Parse @p text as a plain decimal in [0, 1] into @p out: digits with an
+ * optional fraction or exponent, nothing else (no sign, whitespace,
+ * trailing characters, inf or nan). Returns false, leaving @p out
+ * untouched, on rejection.
+ */
+inline bool
+parseFraction(std::string_view text, double &out)
+{
+    const char *end = text.data() + text.size();
+    double v = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || text[0] == '-' ||
+        !(v >= 0 && v <= 1))
+        return false;
+    out = v;
+    return true;
+}
+
 namespace spec {
 
 /**

@@ -1,11 +1,11 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <string_view>
 #include <type_traits>
+
+#include "common/parse.hh"
 
 namespace lwsp {
 namespace core {
@@ -13,16 +13,7 @@ namespace core {
 const char *
 schemeName(Scheme s)
 {
-    switch (s) {
-      case Scheme::Baseline: return "baseline";
-      case Scheme::PspIdeal: return "psp-ideal";
-      case Scheme::LightWsp: return "lightwsp";
-      case Scheme::NaiveSfence: return "naive-sfence";
-      case Scheme::Ppa: return "ppa";
-      case Scheme::Capri: return "capri";
-      case Scheme::Cwsp: return "cwsp";
-    }
-    return "<bad>";
+    return spec::enumName(schemeNames, s);
 }
 
 const char *
@@ -222,10 +213,6 @@ System::scheduleThreads(Tick now)
                  0, 0, cur ? cur->tid() : ~0ull});
             core.setThread(cand);
             runIndex_[c] = idx;
-            if (std::getenv("LWSP_SCHED_TRACE")) {
-                std::fprintf(stderr, "[%llu] core%u -> thread %u\n",
-                             (unsigned long long)now, c, cand->tid());
-            }
             // Context-switch penalty: virtualizing the region ID and
             // flushing the pipeline (§IV-C).
             core.applyContextSwitch(now, cfg_.ctxSwitchPenalty);

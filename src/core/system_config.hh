@@ -38,6 +38,12 @@ enum class Scheme : std::uint8_t
     Cwsp,        ///< compiler-directed WSP with MC speculation (ISCA'24)
 };
 
+/** Scheme names, indexed by Scheme (the lwsp_cli spelling). */
+inline constexpr const char *schemeNames[] = {
+    "baseline", "psp-ideal", "lightwsp", "naive-sfence",
+    "ppa",      "capri",     "cwsp",
+};
+
 const char *schemeName(Scheme s);
 
 /** @return true if @p s runs the boundary/checkpoint-compiled binary. */

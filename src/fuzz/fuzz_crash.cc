@@ -2,12 +2,7 @@
  * @file
  * Crash-consistency fuzzing driver.
  *
- *   fuzz_crash [--seeds N] [--base-seed S]
- *              [--mode wl|ir|pds|serve|mixed|storm]
- *              [--crash-points N] [--jobs N] [--no-double] [--no-shrink]
- *              [--fault] [--faults] [--storm] [--replay SPEC]
- *              [--trace-out FILE] [--recovery-matrix] [--matrix-step N]
- *              [--engine event|cycle]
+ *   fuzz_crash [flags]     (a bad flag prints the full usage)
  *
  * Default: run N seeded campaigns (half workload-sourced, half
  * IR-sourced with --mode mixed), each injecting single and double power
@@ -75,13 +70,13 @@
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <chrono>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "fuzz/campaign.hh"
 #include "fuzz/recovery_matrix.hh"
@@ -93,21 +88,10 @@ using namespace lwsp;
 
 namespace {
 
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--seeds N] [--base-seed S]\n"
-        "          [--mode wl|ir|pds|serve|mixed|storm]\n"
-        "          [--crash-points N] [--jobs N] [--no-double]\n"
-        "          [--no-shrink] [--fault] [--faults] [--storm]\n"
-        "          [--replay SPEC] [--trace-out FILE]\n"
-        "          [--recovery-matrix] [--matrix-step N]\n"
-        "          [--engine event|cycle]\n",
-        argv0);
-    return 2;
-}
+/** --mode: where the campaign's programs come from. */
+enum class Mode : std::uint8_t { Wl, Ir, Pds, Serve, Mixed, Storm };
+constexpr const char *modeNames[] = {"wl",    "ir",    "pds",
+                                     "serve", "mixed", "storm"};
 
 /**
  * Arm one hardware fault-axis group on @p spec (round-robin by campaign
@@ -155,9 +139,10 @@ main(int argc, char **argv)
 {
     unsigned seeds = 25;
     std::uint64_t base_seed = 1;
-    std::string mode = "mixed";
+    Mode mode = Mode::Mixed;
     unsigned jobs = 0;
-    std::string replay_spec;
+    std::string replay_text;
+    std::optional<fuzz::CaseSpec> replay;
     std::string trace_out;
     fuzz::CampaignOptions opt;
     bool fault = false;
@@ -165,64 +150,47 @@ main(int argc, char **argv)
     bool matrix = false;
     Tick matrix_step = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        auto arg = [&](const char *name) {
-            if (std::strcmp(argv[i], name) != 0)
-                return static_cast<const char *>(nullptr);
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", name);
-                std::exit(2);
-            }
-            return static_cast<const char *>(argv[++i]);
-        };
-        if (const char *v = arg("--seeds")) {
-            seeds = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (const char *v = arg("--base-seed")) {
-            base_seed = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = arg("--mode")) {
-            mode = v;
-        } else if (const char *v = arg("--crash-points")) {
-            opt.minCrashPoints =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (const char *v = arg("--jobs")) {
-            jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (const char *v = arg("--replay")) {
-            replay_spec = v;
-        } else if (const char *v = arg("--trace-out")) {
-            trace_out = v;
-        } else if (const char *v = arg("--matrix-step")) {
-            matrix_step = std::strtoull(v, nullptr, 10);
-            if (matrix_step == 0)
-                matrix_step = 1;
-        } else if (const char *v = arg("--engine")) {
-            SimEngine e = SimEngine::Event;
-            if (!parseSimEngine(v, e))
-                return usage(argv[0]);
-            harness::setDefaultSimEngine(e);
-        } else if (std::strcmp(argv[i], "--recovery-matrix") == 0) {
-            matrix = true;
-        } else if (std::strcmp(argv[i], "--storm") == 0) {
-            opt.stormCrash = true;
-        } else if (std::strcmp(argv[i], "--no-double") == 0) {
-            opt.doubleCrash = false;
-        } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
-            opt.shrinkOnFailure = false;
-        } else if (std::strcmp(argv[i], "--fault") == 0) {
-            fault = true;
-        } else if (std::strcmp(argv[i], "--faults") == 0) {
-            hw_faults = true;
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (mode == "storm") {
+    cli::parseOrExit(
+        argc, argv,
+        {cli::number("--seeds", "N", "campaigns to run (default 25)", seeds),
+         cli::number("--base-seed", "S", "first campaign seed (default 1)",
+                     base_seed),
+         cli::choice("--mode",
+                     "program source (default mixed; storm = mixed --storm)",
+                     modeNames, mode),
+         cli::number("--crash-points", "N",
+                     "minimum crash points per campaign (default 8)",
+                     opt.minCrashPoints),
+         cli::jobs(jobs),
+         cli::toggle("--no-double", "skip the double-failure injections",
+                     opt.doubleCrash, false),
+         cli::toggle("--no-shrink", "report failures unshrunk",
+                     opt.shrinkOnFailure, false),
+         cli::toggle("--fault", "arm the MC's test-only early-release fault",
+                     fault),
+         cli::toggle("--faults",
+                     "arm one hardware fault-axis group per campaign",
+                     hw_faults),
+         cli::toggle("--storm", "also run seeded failure storms",
+                     opt.stormCrash),
+         {"--replay", "SPEC", "rerun exactly one printed REPRODUCER spec",
+          [&](std::string_view v, std::string &why) {
+              replay_text = v;
+              return fuzz::CaseSpec::parse(replay_text, replay.emplace(),
+                                           why);
+          }},
+         cli::traceOut(trace_out),
+         cli::toggle("--recovery-matrix",
+                     "run the crash-in-recovery matrix instead", matrix),
+         cli::number("--matrix-step", "N",
+                     "crash every N-th recovery cycle (default 1)",
+                     matrix_step, Tick{1}),
+         harness::engineFlag()});
+    if (mode == Mode::Storm) {
         // Shorthand: the mixed campaign with storm injections on.
-        mode = "mixed";
+        mode = Mode::Mixed;
         opt.stormCrash = true;
     }
-    if (mode != "wl" && mode != "ir" && mode != "mixed" &&
-        mode != "pds" && mode != "serve")
-        return usage(argv[0]);
 
     setLogQuiet(true);
     auto t0 = std::chrono::steady_clock::now();
@@ -263,13 +231,8 @@ main(int argc, char **argv)
         return mfailed ? 1 : 0;
     }
 
-    if (!replay_spec.empty()) {
-        fuzz::CaseSpec spec;
-        std::string err;
-        if (!fuzz::CaseSpec::parse(replay_spec, spec, err)) {
-            std::fprintf(stderr, "bad replay spec: %s\n", err.c_str());
-            return 2;
-        }
+    if (replay) {
+        const fuzz::CaseSpec &spec = *replay;
         if (spec.mode == fuzz::CrashMode::None && !trace_out.empty()) {
             std::fprintf(stderr, "--trace-out needs a crash-mode replay "
                                  "spec (mode=single/dbl-*)\n");
@@ -282,14 +245,14 @@ main(int argc, char **argv)
         auto sc = fuzz::staticCheck(spec);
         if (!sc.ok) {
             std::printf("replay %s: STATIC-VIOLATION [%s]\n%s\n",
-                        replay_spec.c_str(), sc.summary.c_str(),
+                        replay_text.c_str(), sc.summary.c_str(),
                         sc.report.c_str());
             return 4;
         }
         opt.captureTrace = !trace_out.empty();
         auto res = fuzz::runCampaign(spec, opt);
         std::printf("replay %s: %s (%u runs, %llu oracle checks)\n",
-                    replay_spec.c_str(),
+                    replay_text.c_str(),
                     res.passed ? "PASSED" : "FAILED",
                     res.runsExecuted,
                     static_cast<unsigned long long>(res.oracleChecks));
@@ -330,7 +293,7 @@ main(int argc, char **argv)
         fuzz::CaseSpec spec;
         spec.seed = base_seed + i;
         spec.fault = fault;
-        if (mode == "pds") {
+        if (mode == Mode::Pds) {
             // Rotate structure / size / mix across the campaign set so
             // a small --seeds still covers all three structures.
             spec.source = fuzz::CaseSpec::Source::Pds;
@@ -339,7 +302,7 @@ main(int argc, char **argv)
             spec.pds.mix = (i / 9) % 3;
             spec.pds.numOps = 120;
             spec.pds.seed = spec.seed;
-        } else if (mode == "serve") {
+        } else if (mode == Mode::Serve) {
             // Rotate profile / table size so a small --seeds covers
             // both service mixes and both hash geometries.
             spec.source = fuzz::CaseSpec::Source::Serve;
@@ -350,7 +313,7 @@ main(int argc, char **argv)
             spec.serve.seed = spec.seed;
         } else {
             bool use_ir =
-                (mode == "ir") || (mode == "mixed" && i % 2 == 1);
+                mode == Mode::Ir || (mode == Mode::Mixed && i % 2 == 1);
             spec.source = use_ir ? fuzz::CaseSpec::Source::Ir
                                  : fuzz::CaseSpec::Source::Workload;
         }

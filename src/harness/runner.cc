@@ -3,6 +3,7 @@
 #include <atomic>
 #include <sstream>
 
+#include "common/flags.hh"
 #include "compiler/compiler.hh"
 
 namespace lwsp {
@@ -24,6 +25,22 @@ void
 setDefaultSimEngine(SimEngine e)
 {
     gDefaultEngine.store(e, std::memory_order_relaxed);
+}
+
+cli::Flag
+engineFlag()
+{
+    const std::string names = cli::joinNames(simEngineNames);
+    return {"--engine", names,
+            "simulator core (default event; results are bit-identical)",
+            [names](std::string_view v, std::string &why) {
+                SimEngine e = SimEngine::Event;
+                why = "want " + names;
+                const bool ok = spec::enumFromName(simEngineNames, v, e);
+                if (ok)
+                    setDefaultSimEngine(e);
+                return ok;
+            }};
 }
 
 core::SystemConfig

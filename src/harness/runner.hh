@@ -28,6 +28,9 @@
 #include "workloads/generator.hh"
 
 namespace lwsp {
+namespace cli {
+struct Flag;
+}
 namespace harness {
 
 /**
@@ -64,6 +67,10 @@ struct RunSpec
  */
 SimEngine defaultSimEngine();
 void setDefaultSimEngine(SimEngine e);
+
+/** The --engine event|cycle flag every front end shares: it sets
+ *  defaultSimEngine(). */
+cli::Flag engineFlag();
 
 struct RunOutcome
 {

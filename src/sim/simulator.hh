@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -50,23 +49,13 @@ enum class SimEngine : std::uint8_t
     Cycle,  ///< legacy tick-everyone-every-cycle loop
 };
 
+/** SimEngine names, indexed by the enum (the --engine spelling). */
+inline constexpr const char *simEngineNames[] = {"event", "cycle"};
+
 constexpr const char *
 simEngineName(SimEngine e)
 {
-    return e == SimEngine::Event ? "event" : "cycle";
-}
-
-/** Inverse of simEngineName(); false, leaving @p out untouched, else. */
-constexpr bool
-parseSimEngine(std::string_view name, SimEngine &out)
-{
-    for (SimEngine e : {SimEngine::Event, SimEngine::Cycle}) {
-        if (name == simEngineName(e)) {
-            out = e;
-            return true;
-        }
-    }
-    return false;
+    return simEngineNames[static_cast<std::size_t>(e)];
 }
 
 class Simulator : public Scheduler

@@ -1,7 +1,8 @@
 #include "trace/events.hh"
 
-#include <cstring>
-#include <initializer_list>
+#include <bit>
+
+#include "common/parse.hh"
 
 namespace lwsp {
 namespace trace {
@@ -36,29 +37,14 @@ eventTypeName(EventType t)
 const char *
 categoryName(Category c)
 {
-    switch (c) {
-      case Category::Region: return "region";
-      case Category::Boundary: return "boundary";
-      case Category::Wpq: return "wpq";
-      case Category::Cache: return "cache";
-      case Category::Checkpoint: return "checkpoint";
-      case Category::Power: return "power";
-      case Category::Sched: return "sched";
-      case Category::Serve: return "serve";
-    }
-    return "<bad>";
+    return spec::enumName(categoryNames, std::countr_zero(categoryBit(c)));
 }
 
 std::uint32_t
 parseCategory(const char *name)
 {
-    for (Category c : {Category::Region, Category::Boundary, Category::Wpq,
-                       Category::Cache, Category::Checkpoint,
-                       Category::Power, Category::Sched, Category::Serve}) {
-        if (std::strcmp(name, categoryName(c)) == 0)
-            return categoryBit(c);
-    }
-    return 0;
+    unsigned bit = 0;
+    return spec::enumFromName(categoryNames, name, bit) ? 1u << bit : 0;
 }
 
 } // namespace trace

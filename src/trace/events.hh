@@ -11,9 +11,8 @@
  * address) for the exporters to rebuild per-core span tracks and
  * per-MC counter tracks without any component-specific knowledge.
  *
- * Categories are bit flags. A compile-time mask (LWSP_TRACE_MASK) can
- * remove whole categories from the binary; the run-time sink mask
- * filters what remains. Both default to everything.
+ * Categories are bit flags. The run-time sink mask filters which
+ * categories a trace keeps; it defaults to everything.
  */
 
 #ifndef LWSP_TRACE_EVENTS_HH
@@ -41,27 +40,16 @@ enum class Category : std::uint32_t
 
 constexpr std::uint32_t allCategories = 0xffu;
 
+/** Category names, indexed by bit position (the lwsp_trace spelling). */
+inline constexpr const char *categoryNames[] = {
+    "region", "boundary", "wpq", "cache", "checkpoint", "power", "sched",
+    "serve",
+};
+
 constexpr std::uint32_t
 categoryBit(Category c)
 {
     return static_cast<std::uint32_t>(c);
-}
-
-/**
- * Compile-time category mask. Define LWSP_TRACE_MASK to a reduced mask
- * to compile categories out entirely (their emit sites fold to nothing
- * under constant propagation); the default keeps everything and leaves
- * filtering to the run-time gate.
- */
-#ifndef LWSP_TRACE_MASK
-#define LWSP_TRACE_MASK ::lwsp::trace::allCategories
-#endif
-
-constexpr bool
-categoryCompiled(Category c)
-{
-    return (static_cast<std::uint32_t>(LWSP_TRACE_MASK) &
-            categoryBit(c)) != 0;
 }
 
 /** Concrete event types (each belongs to exactly one Category). */

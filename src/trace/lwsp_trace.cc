@@ -5,7 +5,7 @@
  *   lwsp_trace info    run.lwsptrc
  *   lwsp_trace dump    run.lwsptrc [--category wpq ...]
  *   lwsp_trace convert run.lwsptrc run.json [--category ...]
- *   lwsp_trace filter  run.lwsptrc out.lwsptrc --category region ...
+ *   lwsp_trace filter  run.lwsptrc out.lwsptrc [--category region ...]
  *
  * `convert` writes Chrome/Perfetto trace_event JSON loadable at
  * https://ui.perfetto.dev. `--category` may repeat; when present only
@@ -13,65 +13,17 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "trace/export.hh"
 
 namespace {
 
 using namespace lwsp;
 using namespace lwsp::trace;
-
-int
-usage()
-{
-    std::fprintf(stderr,
-        "usage: lwsp_trace <command> [args]\n"
-        "  info    <in.lwsptrc>                  summary: counts, tick "
-        "range, units\n"
-        "  dump    <in.lwsptrc> [--category C]   one line per event\n"
-        "  convert <in.lwsptrc> <out.json> [--category C]\n"
-        "                                        Perfetto trace_event "
-        "JSON\n"
-        "  filter  <in.lwsptrc> <out.lwsptrc> --category C [...]\n"
-        "                                        keep only listed "
-        "categories\n"
-        "categories: region boundary wpq cache checkpoint power sched\n");
-    return 2;
-}
-
-/** Collect --category flags; @return ~0u if none given (keep all). */
-bool
-parseMask(int argc, char **argv, int firstOpt, std::uint32_t &mask)
-{
-    mask = 0;
-    bool any = false;
-    for (int i = firstOpt; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--category") != 0) {
-            std::fprintf(stderr, "lwsp_trace: unknown option %s\n",
-                         argv[i]);
-            return false;
-        }
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "lwsp_trace: --category needs a name\n");
-            return false;
-        }
-        std::uint32_t bit = parseCategory(argv[++i]);
-        if (bit == 0) {
-            std::fprintf(stderr, "lwsp_trace: unknown category '%s'\n",
-                         argv[i]);
-            return false;
-        }
-        mask |= bit;
-        any = true;
-    }
-    if (!any)
-        mask = allCategories;
-    return true;
-}
 
 bool
 load(const char *path, std::vector<Event> &events)
@@ -109,51 +61,42 @@ cmdInfo(const char *path)
 }
 
 int
-cmdDump(int argc, char **argv)
+cmdDump(const char *path, std::uint32_t mask)
 {
-    std::uint32_t mask;
-    if (!parseMask(argc, argv, 3, mask))
-        return 2;
     std::vector<Event> events;
-    if (!load(argv[2], events))
+    if (!load(path, events))
         return 1;
     writeText(std::cout, filterByMask(events, mask));
     return 0;
 }
 
 int
-cmdConvert(int argc, char **argv)
+cmdConvert(const char *path, const char *out, std::uint32_t mask)
 {
-    std::uint32_t mask;
-    if (!parseMask(argc, argv, 4, mask))
-        return 2;
     std::vector<Event> events;
-    if (!load(argv[2], events))
+    if (!load(path, events))
         return 1;
-    if (!writePerfettoFile(argv[3], filterByMask(events, mask))) {
-        std::fprintf(stderr, "lwsp_trace: cannot write %s\n", argv[3]);
+    if (!writePerfettoFile(out, filterByMask(events, mask))) {
+        std::fprintf(stderr, "lwsp_trace: cannot write %s\n", out);
         return 1;
     }
     std::printf("wrote %s (%zu events) — load at https://ui.perfetto.dev\n",
-                argv[3], events.size());
+                out, events.size());
     return 0;
 }
 
 int
-cmdFilter(int argc, char **argv)
+cmdFilter(const char *path, const char *out, std::uint32_t mask)
 {
-    std::uint32_t mask;
-    if (!parseMask(argc, argv, 4, mask))
-        return 2;
     std::vector<Event> events;
-    if (!load(argv[2], events))
+    if (!load(path, events))
         return 1;
     std::vector<Event> kept = filterByMask(events, mask);
-    if (!writeBinaryFile(argv[3], kept)) {
-        std::fprintf(stderr, "lwsp_trace: cannot write %s\n", argv[3]);
+    if (!writeBinaryFile(out, kept)) {
+        std::fprintf(stderr, "lwsp_trace: cannot write %s\n", out);
         return 1;
     }
-    std::printf("wrote %s (%zu of %zu events)\n", argv[3], kept.size(),
+    std::printf("wrote %s (%zu of %zu events)\n", out, kept.size(),
                 events.size());
     return 0;
 }
@@ -163,16 +106,37 @@ cmdFilter(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 3)
-        return usage();
-    const char *cmd = argv[1];
-    if (std::strcmp(cmd, "info") == 0 && argc == 3)
-        return cmdInfo(argv[2]);
-    if (std::strcmp(cmd, "dump") == 0)
-        return cmdDump(argc, argv);
-    if (std::strcmp(cmd, "convert") == 0 && argc >= 4)
-        return cmdConvert(argc, argv);
-    if (std::strcmp(cmd, "filter") == 0 && argc >= 4)
-        return cmdFilter(argc, argv);
-    return usage();
+    std::string in, out;
+    std::uint32_t mask = 0;  // none listed: keep every category
+
+    const std::string names = cli::joinNames(categoryNames);
+    const cli::Flag inArg =
+        cli::text("<in.lwsptrc>", "", "binary trace to read", in);
+    const cli::Flag category{
+        "--category", "C", "keep only the listed categories: " + names,
+        [&](std::string_view v, std::string &why) {
+            why = "want " + names;
+            const std::uint32_t bit = parseCategory(std::string(v).c_str());
+            mask |= bit;
+            return bit != 0;
+        },
+        /*repeats=*/true};
+    auto kept = [&] { return mask ? mask : allCategories; };
+    const cli::Command commands[] = {
+        {"info", "summary: counts, tick range, units", {inArg},
+         [&] { return cmdInfo(in.c_str()); }},
+        {"dump", "one line per event", {inArg, category},
+         [&] { return cmdDump(in.c_str(), kept()); }},
+        {"convert", "Perfetto trace_event JSON",
+         {inArg,
+          cli::text("<out.json>", "", "JSON file to write", out),
+          category},
+         [&] { return cmdConvert(in.c_str(), out.c_str(), kept()); }},
+        {"filter", "keep only the listed categories",
+         {inArg,
+          cli::text("<out.lwsptrc>", "", "binary trace to write", out),
+          category},
+         [&] { return cmdFilter(in.c_str(), out.c_str(), kept()); }},
+    };
+    return cli::parseOrExit(argc, argv, commands).run();
 }

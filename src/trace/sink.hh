@@ -12,8 +12,7 @@
  *
  * Zero-cost discipline (same as the LRPO oracles): components hold a
  * `TraceSink *` that is null unless `SystemConfig::traceEnabled`; every
- * emit site is a null-pointer check. On top of that the compile-time
- * LWSP_TRACE_MASK can fold whole categories out of the binary.
+ * emit site is a null-pointer check.
  */
 
 #ifndef LWSP_TRACE_SINK_HH
@@ -108,18 +107,15 @@ class TraceSink
 };
 
 /**
- * Emit helper for component hook sites: compile-time category test
- * first (folds the whole statement away for masked-out categories),
- * then the null-sink test, then the run-time mask inside emit().
+ * Emit helper for component hook sites: the null-sink test, then the
+ * run-time mask inside emit(). @p C names the site's category.
  */
 template <Category C>
 inline void
 emitIf(TraceSink *sink, const Event &e)
 {
-    if constexpr (categoryCompiled(C)) {
-        if (sink != nullptr)
-            sink->emit(e);
-    }
+    if (sink != nullptr)
+        sink->emit(e);
 }
 
 } // namespace trace

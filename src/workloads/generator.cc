@@ -1,9 +1,11 @@
 #include "generator.hh"
 
+#include <fstream>
 #include <sstream>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "ir/text_io.hh"
 #include "ir/verifier.hh"
 
 namespace lwsp {
@@ -298,6 +300,20 @@ Workload
 generateByName(const std::string &name)
 {
     return generate(profileByName(name));
+}
+
+std::unique_ptr<ir::Module>
+loadModule(const std::string &what)
+{
+    if (what.size() > 4 && what.ends_with(".lir")) {
+        std::ifstream in(what);
+        if (!in)
+            fatal("cannot open '", what, "'");
+        std::stringstream ss;
+        ss << in.rdbuf();
+        return ir::parseModule(ss.str());
+    }
+    return generateByName(what).module;
 }
 
 std::string

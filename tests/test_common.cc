@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "common/flags.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -292,3 +293,167 @@ TEST(Stats, PercentilesInStatGroupDumps)
     EXPECT_NE(js.str().find("\"latency\":{\"p50\":5"), std::string::npos);
     EXPECT_NE(js.str().find("\"count\":10}"), std::string::npos);
 }
+
+// ---------------------------------------------------------------------
+// The command-line flag table (common/flags.hh).
+
+namespace {
+
+constexpr const char *modeNames[] = {"wl", "ir", "pds"};
+
+/** A tool exercising every flag kind, bound to its own fields. */
+struct FlagTool
+{
+    std::string target;
+    std::string out;
+    unsigned jobs = 0;
+    std::uint64_t seed = 1;
+    double fraction = 0;
+    bool quick = false;
+    unsigned mode = 0;
+    std::vector<std::string> categories;
+    cli::Command cmd{
+        nullptr,
+        "",
+        {cli::text("<target>", "", "what to run", target),
+         cli::fraction("[fraction]", "crash point", fraction),
+         cli::text("--out", "FILE", "where to write", out),
+         cli::number("--jobs", "N", "worker threads", jobs),
+         cli::number("--seed", "S", "first seed", seed,
+                           std::uint64_t{1}),
+         cli::toggle("--quick", "smoke mode", quick),
+         cli::choice("--mode", "program source", modeNames, mode),
+         {"--category", "C", "keep category C",
+          [this](std::string_view v, std::string &) {
+              categories.emplace_back(v);
+              return true;
+          },
+          /*repeats=*/true}}};
+
+    FlagTool() = default;
+    FlagTool(const FlagTool &) = delete;
+
+    bool
+    parse(std::vector<std::string_view> args, std::string &err)
+    {
+        return cli::parse(args, cmd, err);
+    }
+};
+
+} // namespace
+
+TEST(Flags, ParsesEveryKind)
+{
+    FlagTool t;
+    std::string err;
+    ASSERT_TRUE(t.parse({"app", "--jobs", "4", "0.25", "--quick", "--mode",
+                         "pds", "--seed", "18446744073709551615", "--out",
+                         "f.csv"},
+                        err))
+        << err;
+    EXPECT_EQ(t.target, "app");
+    EXPECT_EQ(t.jobs, 4u);
+    EXPECT_DOUBLE_EQ(t.fraction, 0.25);
+    EXPECT_TRUE(t.quick);
+    EXPECT_EQ(t.mode, 2u);
+    EXPECT_EQ(t.seed, ~std::uint64_t{0});
+    EXPECT_EQ(t.out, "f.csv");
+}
+
+TEST(Flags, NumbersAndFractionsAreStrict)
+{
+    for (const char *bad : {"x", "", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                            "4294967296"}) {
+        FlagTool t;
+        std::string err;
+        EXPECT_FALSE(t.parse({"app", "--jobs", bad}, err)) << bad;
+        EXPECT_NE(err.find("--jobs: bad value"), std::string::npos) << err;
+        EXPECT_EQ(t.jobs, 0u);
+    }
+    for (const char *bad : {"abc", "", "1.5", "+0.5", "0.5x", " 0.5",
+                            "nan", "inf", "1e9"}) {
+        FlagTool t;
+        std::string err;
+        EXPECT_FALSE(t.parse({"app", bad}, err)) << bad;
+        EXPECT_NE(err.find("[fraction]: bad value"), std::string::npos)
+            << err;
+    }
+    for (const char *good : {"0", "1", "0.6", ".5", "5e-1"}) {
+        FlagTool t;
+        std::string err;
+        EXPECT_TRUE(t.parse({"app", good}, err)) << good << ": " << err;
+    }
+    double d = 0.5;
+    EXPECT_FALSE(parseFraction("-0", d));
+    EXPECT_FALSE(parseFraction("-0.5", d));
+    EXPECT_EQ(d, 0.5);
+    FlagTool t;
+    std::string err;
+    EXPECT_FALSE(t.parse({"app", "--seed", "0"}, err));
+    EXPECT_NE(err.find("want >= 1"), std::string::npos) << err;
+    EXPECT_FALSE(t.parse({"app", "--mode", "storm"}, err));
+    EXPECT_NE(err.find("want wl|ir|pds"), std::string::npos) << err;
+}
+
+TEST(Flags, RejectsMissingUnknownRepeatedAndStray)
+{
+    struct Case
+    {
+        std::vector<std::string_view> args;
+        const char *error;
+    };
+    const Case cases[] = {
+        {{"app", "--jobs"}, "--jobs needs a value N"},
+        {{"app", "--out", ""},
+         "--out: bad value '' (want a non-empty value)"},
+        {{"app", "--bogus"}, "unknown flag '--bogus'"},
+        {{"app", "--jobs", "1", "--jobs", "2"}, "--jobs given twice"},
+        {{"app", "--quick", "--quick"}, "--quick given twice"},
+        {{"app", "0.5", "extra"}, "unexpected argument 'extra'"},
+        {{"--quick"}, "missing <target>"},
+        {{}, "missing <target>"},
+    };
+    for (const Case &c : cases) {
+        FlagTool t;
+        std::string err;
+        EXPECT_FALSE(t.parse(c.args, err)) << c.error;
+        EXPECT_EQ(err, c.error);
+    }
+}
+
+TEST(Flags, RepeatableFlagCollectsEveryValue)
+{
+    FlagTool t;
+    std::string err;
+    ASSERT_TRUE(t.parse({"--category", "wpq", "app", "--category", "power"},
+                        err))
+        << err;
+    EXPECT_EQ(t.categories, (std::vector<std::string>{"wpq", "power"}));
+}
+
+TEST(Flags, UsageListsEveryDeclaredFlag)
+{
+    FlagTool t;
+    const cli::Command cmds[] = {
+        {"run", "run one point", t.cmd.flags},
+        {"list", "list the apps", {}},
+    };
+    std::string text = cli::usage("tool", cmds);
+    EXPECT_EQ(text.rfind("usage: tool run <target> [fraction] [--out FILE]",
+                         0),
+              0u)
+        << text;
+    EXPECT_NE(text.find("\n       tool list\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("[--category C]..."), std::string::npos) << text;
+    for (const auto &f : t.cmd.flags) {
+        std::string line = std::string(f.name);
+        if (f.name[0] == '-' && !f.metavar.empty())
+            line += " " + f.metavar;
+        EXPECT_NE(text.find("\n  " + line + " "), std::string::npos)
+            << line << " missing from:\n"
+            << text;
+        EXPECT_NE(text.find(f.help), std::string::npos) << f.help;
+    }
+    EXPECT_NE(text.find("  run "), std::string::npos) << text;
+}
+
