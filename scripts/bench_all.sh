@@ -32,7 +32,7 @@
 #                storm campaign (drain interrupts, recovery re-entries,
 #                post-recovery crashes, composed with the hardware fault
 #                axes) plus the exhaustive crash-at-every-cycle-of-
-#                recovery matrix (all 5 schemes x pds/serve/builtin
+#                recovery matrix (all 5 schemes x pds/serve/workload
 #                sources; budget several minutes)
 #
 # CSV checking: quick-mode rows are a subset of the full reference
@@ -269,7 +269,7 @@ if [ "$STORM" = 1 ]; then
     run_fuzz "recovery matrix (crash at every cycle of recovery)" \
         recovery_matrix.txt 3 \
         "recovery matrix clean (0 hangs, 0 corruption)" \
-        "RECOVERY MATRIX FAILED" \
+        "RECOVERY MATRIX FAILED, reproducer spec above" \
         --recovery-matrix
 fi
 

@@ -147,17 +147,13 @@ System::System(const SystemConfig &cfg,
 McId
 System::mcForAddr(Addr addr) const
 {
-    // numMcs >= 1 is enforced at construction, so the modulo is safe and
-    // total: every address maps to exactly one controller for ANY MC
-    // count, including non-powers-of-two (asserted over numMcs in
-    // {3, 5, 6, 64} by test_topo's seeded cross-check). Non-power-of-two
-    // counts simply shard lines unequally-but-completely under
-    // LineInterleave; HashShard decorrelates strided streams from the
-    // controller index first.
-    Addr line = addr / cachelineBytes;
-    if (cfg_.shardPolicy == SystemConfig::ShardPolicy::HashShard)
-        line = (line * 0x9E3779B97F4A7C15ull) >> 17;
-    return static_cast<McId>(line % cfg_.numMcs);
+    // Line interleave: consecutive cachelines round-robin across the
+    // controllers. numMcs >= 1 is enforced at construction, so the
+    // modulo is safe and total: every address maps to exactly one
+    // controller for ANY MC count, including non-powers-of-two (asserted
+    // over numMcs in {3, 5, 6, 64} by test_topo's seeded cross-check),
+    // which simply shard lines unequally-but-completely.
+    return static_cast<McId>((addr / cachelineBytes) % cfg_.numMcs);
 }
 
 bool

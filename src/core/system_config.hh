@@ -81,19 +81,6 @@ struct SystemConfig
      */
     noc::TopologyConfig topology;
 
-    /**
-     * How physical lines shard across MCs. LineInterleave (default):
-     * consecutive cachelines round-robin across controllers —
-     * `(addr / 64) % numMcs`, valid for any MC count including
-     * non-powers-of-two (the modulo simply yields unequal-but-complete
-     * coverage when the address stream is structured). HashShard:
-     * a Fibonacci multiply-shift hash of the line number decorrelates
-     * strided access patterns from the controller index at
-     * non-power-of-two counts.
-     */
-    enum class ShardPolicy : std::uint8_t { LineInterleave, HashShard };
-    ShardPolicy shardPolicy = ShardPolicy::LineInterleave;
-
     mem::VictimPolicy victimPolicy = mem::VictimPolicy::Full;
 
     /** Round-robin quantum + pipeline-flush penalty (threads > cores). */

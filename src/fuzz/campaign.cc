@@ -50,6 +50,24 @@ crashes(const CaseSpec &c)
     return c.mode != CrashMode::None;
 }
 
+bool
+offLightWsp(const CaseSpec &c)
+{
+    return (c.source == CaseSpec::Source::Pds ||
+            c.source == CaseSpec::Source::Serve) &&
+           c.scheme != pds::PdsScheme::LightWsp;
+}
+
+/** `scheme=` is spelled, and accepted, only off lightwsp on pds/serve. */
+constexpr spec::Field<CaseSpec>
+schemeField()
+{
+    auto f = spec::word<&CaseSpec::scheme, pds::pdsSchemeNames>("scheme");
+    f.print = Print::When;
+    f.when = offLightWsp;
+    return f;
+}
+
 constexpr spec::Field<CaseSpec> caseFields[] = {
     spec::word<&CaseSpec::source, sourceNames>(nullptr),
     spec::number<&CaseSpec::seed>("seed"),
@@ -58,6 +76,7 @@ constexpr spec::Field<CaseSpec> caseFields[] = {
                                  fromSource<CaseSpec::Source::Pds>),
     spec::nested<&CaseSpec::serve>("serve", Print::When,
                                    fromSource<CaseSpec::Source::Serve>),
+    schemeField(),
     spec::word<&CaseSpec::mode, modeNames>("mode", Print::UnlessDefault),
     spec::number<&CaseSpec::crashAt>("crash", Print::When, crashes),
     spec::number<&CaseSpec::crashAt2>("crash2", Print::When,
@@ -106,67 +125,34 @@ struct CaseBuild
 
     /** Pds- or serve-sourced case: arm the structure-specific oracles. */
     bool isPds = false;
+    /**
+     * The pmtx undo-log build: a rollback legitimately leaves its undo
+     * area and exec-level served counter unlike golden, so the structure
+     * walk alone judges its final states.
+     */
+    bool pmtx = false;
     /** Post-shrink structure program (what the oracles replay). */
     pds::PdsSpec pdsSpec;
     std::vector<pds::PdsOp> pdsOps;
     /**
-     * The crash-prefix oracle is sound only for converged compiles on
-     * the gated scheme: non-convergence hands regions to the runtime
+     * The crash-prefix oracle is sound only for converged compiles under
+     * LightWSP itself: non-convergence hands regions to the runtime
      * WPQ-overflow fallback, which breaks region-prefix durability.
      */
     bool pdsPrefixOk = false;
 };
 
-/**
- * The hardware/compiler shape shared by the structure-program sources
- * (pds and serve): gated LightWSP, 1 core, WPQs big enough for the
- * prefix oracle's convergence requirement.
- */
-void
-drawStructureConfig(std::uint64_t seed, bool oracles,
-                    core::SystemConfig &cfg,
-                    compiler::CompilerConfig &ccfg)
-{
-    Rng rng(seed ^ 0x66757a7a2d636667ull); // "fuzz-cfg"
-    cfg.scheme = core::Scheme::LightWsp;
-    static const unsigned mcChoices[] = {1, 2, 2, 4};
-    cfg.numMcs = mcChoices[rng.below(4)];
-    // WPQs no smaller than 16: the prefix oracle needs converged
-    // compiles, and thresholds below 4 stop converging.
-    static const unsigned wpqChoices[] = {16, 64};
-    cfg.mc.wpqEntries = wpqChoices[rng.below(2)];
-    cfg.mc.strictFlushAcks = rng.chance(0.25);
-    cfg.numCores = 1;
-    cfg.maxCycles = 30'000'000;
-    cfg.oraclesEnabled = oracles;
-    cfg.applySchemeDefaults();
-    ccfg.storeThreshold = static_cast<unsigned>(
-        cfg.mc.wpqEntries / (rng.chance(0.5) ? 2 : 4));
-}
-
-/**
- * Apply the spec's machine-shape overrides (mcs=/topo= tokens) on top
- * of the seed draw. The draw itself is untouched — same rng stream, so
- * pinning the shape never perturbs the rest of the case. Scheme
- * defaults are not re-derived: System's constructor syncs mc.numMcs /
- * mc.treeAcks from the top-level fields itself.
- */
-void
-applyMachineOverrides(const CaseSpec &spec, core::SystemConfig &cfg)
-{
-    if (spec.mcs != 0)
-        cfg.numMcs = spec.mcs;
-    cfg.topology = spec.topo;
-}
-
-/** The `mcs=N [topo=treeR]` tail every case summary carries. */
+/** The `mcs=N [topo=treeR] wpq=W thr=T [strict]` tail of a summary. */
 std::string
-shapeSummary(const core::SystemConfig &cfg)
+machineSummary(const core::SystemConfig &cfg,
+               const compiler::CompilerConfig &ccfg)
 {
     std::string s = " mcs=" + std::to_string(cfg.numMcs);
     if (cfg.topology.isTree())
         s += " topo=" + cfg.topology.toString();
-    return s;
+    return s + " wpq=" + std::to_string(cfg.mc.wpqEntries) +
+           " thr=" + std::to_string(ccfg.storeThreshold) +
+           (cfg.mc.strictFlushAcks ? " strict" : "");
 }
 
 /**
@@ -176,97 +162,100 @@ shapeSummary(const core::SystemConfig &cfg)
  * suite has proven safe (tiny gated WPQs, strict commit, 1-4 MCs);
  * the spec's mcs=/topo= overrides reach past them for the scale-out
  * shapes (test_fuzz pins a 65-MC tree campaign through this path).
+ * They apply on top of the draw, which keeps its rng stream, so pinning
+ * the shape never perturbs the rest of the case. Scheme defaults are
+ * derived once, before the overrides (their Capri and cWSP branches
+ * multiply drain intervals): System's constructor syncs mc.numMcs /
+ * mc.treeAcks from the top-level fields itself.
  */
 CaseBuild
-buildCase(const CaseSpec &spec, bool oracles)
+buildCase(const CaseSpec &spec, const CampaignOptions &opt)
 {
+    CaseBuild out;
+    Rng rng(spec.seed ^ 0x66757a7a2d636667ull); // "fuzz-cfg"
+    static const unsigned mcChoices[] = {1, 2, 2, 4};
+    std::string srcSummary;
     if (spec.source == CaseSpec::Source::Pds ||
         spec.source == CaseSpec::Source::Serve) {
         // Shrink ladder: halve the op tape (pds) / request stream
         // (serve) — the structure geometry is part of the bug surface,
         // so it stays fixed.
-        pds::PdsSpec ps;
-        std::vector<pds::PdsOp> ops;
-        std::string srcSummary;
         if (spec.source == CaseSpec::Source::Serve) {
             serve::ServeSpec ss = spec.serve;
             for (unsigned i = 0; i < spec.shrink; ++i)
                 ss.numRequests = std::max(8u, ss.numRequests / 2);
             serve::ServeWorkload wl = serve::buildWorkload(ss);
-            ps = wl.pdsSpec;
-            ops = std::move(wl.ops);
+            out.pdsSpec = wl.pdsSpec;
+            out.pdsOps = std::move(wl.ops);
             srcSummary = "serve " + ss.toString() + " -> ";
         } else {
-            ps = spec.pds;
+            out.pdsSpec = spec.pds;
             for (unsigned i = 0; i < spec.shrink; ++i)
-                ps.numOps = std::max(8u, ps.numOps / 2);
-            ops = pds::generateTape(ps);
+                out.pdsSpec.numOps = std::max(8u, out.pdsSpec.numOps / 2);
+            out.pdsOps = pds::generateTape(out.pdsSpec);
         }
-        pds::PdsProgram pp = pds::buildPdsProgram(ps, ops, /*pmtx=*/false);
 
-        core::SystemConfig cfg;
-        compiler::CompilerConfig ccfg;
-        drawStructureConfig(spec.seed, oracles, cfg, ccfg);
-        applyMachineOverrides(spec, cfg);
-        compiler::LightWspCompiler comp(ccfg);
-
-        CaseBuild out;
-        out.ccfg = ccfg;
-        out.prog = comp.compile(std::move(pp.module));
-        out.cfg = cfg;
-        out.threads = 1;
-        out.footprint = pp.params.footprintBytes;
+        // The scheme's recovery-mode machine (1 core, scheme defaults
+        // applied), with the shape drawn over it. WPQs no smaller than
+        // 16: the prefix oracle needs converged compiles, and thresholds
+        // below 4 stop converging.
+        out.cfg = pds::makePdsConfig(spec.scheme, pds::PdsRunMode::Recovery);
+        out.cfg.numMcs = mcChoices[rng.below(4)];
+        static const unsigned wpqChoices[] = {16, 64};
+        out.cfg.mc.wpqEntries = wpqChoices[rng.below(2)];
+        out.cfg.mc.strictFlushAcks = rng.chance(0.25);
+        out.ccfg.storeThreshold = static_cast<unsigned>(
+            out.cfg.mc.wpqEntries / (rng.chance(0.5) ? 2 : 4));
+        out.prog = pds::preparePdsProgram(out.pdsSpec, out.pdsOps,
+                                          spec.scheme,
+                                          pds::PdsRunMode::Recovery,
+                                          out.ccfg.storeThreshold);
+        const pds::PdsModel model(out.pdsSpec, out.pdsOps);
+        out.footprint = model.params().footprintBytes;
         out.isPds = true;
-        out.pdsSpec = ps;
-        out.pdsOps = std::move(ops);
-        out.pdsPrefixOk = out.prog.stats.thresholdConverged;
-        out.summary = srcSummary + pp.summary + shapeSummary(cfg) +
-                      " wpq=" + std::to_string(cfg.mc.wpqEntries) +
-                      " thr=" + std::to_string(ccfg.storeThreshold) +
-                      (cfg.mc.strictFlushAcks ? " strict" : "");
-        return out;
+        out.pmtx = spec.scheme == pds::PdsScheme::Pmtx;
+        out.pdsPrefixOk = spec.scheme == pds::PdsScheme::LightWsp &&
+                          out.prog.stats.thresholdConverged;
+        srcSummary += "pds:" + model.spec().toString() +
+                      " footprint=" + std::to_string(out.footprint);
+        if (spec.scheme != pds::PdsScheme::LightWsp)
+            srcSummary += std::string(" scheme=") +
+                          pds::pdsSchemeName(spec.scheme);
+    } else {
+        FuzzProgram src = (spec.source == CaseSpec::Source::Workload)
+                              ? randomWorkloadProgram(spec.seed, spec.shrink)
+                              : randomIrProgram(spec.seed, spec.shrink);
+        out.cfg.numMcs = mcChoices[rng.below(4)];
+        static const unsigned wpqChoices[] = {4, 8, 8, 64};
+        out.cfg.mc.wpqEntries = wpqChoices[rng.below(4)];
+        if (out.cfg.mc.wpqEntries <= 8)
+            out.cfg.core.febEntries = 8;
+        out.cfg.mc.strictFlushAcks = rng.chance(0.25);
+        bool oversubscribe = src.threads > 1 && rng.chance(0.3);
+        out.cfg.numCores = oversubscribe ? std::max(1u, src.threads / 2)
+                                         : std::min(4u, src.threads);
+        if (oversubscribe)
+            out.cfg.ctxQuantum = 1500;
+        out.cfg.applySchemeDefaults();
+        static const unsigned thrChoices[] = {4, 8, 16, 32};
+        out.ccfg.storeThreshold = thrChoices[rng.below(4)];
+        out.prog = compiler::LightWspCompiler(out.ccfg).compile(
+            std::move(src.module));
+        out.threads = src.threads;
+        out.footprint = src.footprintBytes;
+        out.lockAddrs = src.lockAddrs;
+        srcSummary = src.summary;
     }
 
-    FuzzProgram src = (spec.source == CaseSpec::Source::Workload)
-                          ? randomWorkloadProgram(spec.seed, spec.shrink)
-                          : randomIrProgram(spec.seed, spec.shrink);
-
-    Rng rng(spec.seed ^ 0x66757a7a2d636667ull); // "fuzz-cfg"
-    core::SystemConfig cfg;
-    cfg.scheme = core::Scheme::LightWsp;
-    static const unsigned mcChoices[] = {1, 2, 2, 4};
-    cfg.numMcs = mcChoices[rng.below(4)];
-    static const unsigned wpqChoices[] = {4, 8, 8, 64};
-    cfg.mc.wpqEntries = wpqChoices[rng.below(4)];
-    if (cfg.mc.wpqEntries <= 8)
-        cfg.core.febEntries = 8;
-    cfg.mc.strictFlushAcks = rng.chance(0.25);
-    bool oversubscribe = src.threads > 1 && rng.chance(0.3);
-    cfg.numCores = oversubscribe ? std::max(1u, src.threads / 2)
-                                 : std::min(4u, src.threads);
-    if (oversubscribe)
-        cfg.ctxQuantum = 1500;
-    cfg.maxCycles = 30'000'000;
-    cfg.oraclesEnabled = oracles;
-    cfg.applySchemeDefaults();
-    applyMachineOverrides(spec, cfg);
-
-    compiler::CompilerConfig ccfg;
-    static const unsigned thrChoices[] = {4, 8, 16, 32};
-    ccfg.storeThreshold = thrChoices[rng.below(4)];
-    compiler::LightWspCompiler comp(ccfg);
-
-    CaseBuild out;
-    out.ccfg = ccfg;
-    out.prog = comp.compile(std::move(src.module));
-    out.cfg = cfg;
-    out.threads = src.threads;
-    out.footprint = src.footprintBytes;
-    out.lockAddrs = src.lockAddrs;
-    out.summary = src.summary + shapeSummary(cfg) +
-                  " wpq=" + std::to_string(cfg.mc.wpqEntries) + " thr=" +
-                  std::to_string(ccfg.storeThreshold) +
-                  (cfg.mc.strictFlushAcks ? " strict" : "");
+    out.cfg.maxCycles = 30'000'000;
+    // pmtx orders its persists with its own fences on an ungated
+    // machine, outside the region protocol the LRPO oracles model.
+    out.cfg.oraclesEnabled = opt.oracles && !out.pmtx;
+    out.cfg.engine = opt.engine;
+    if (spec.mcs != 0)
+        out.cfg.numMcs = spec.mcs;
+    out.cfg.topology = spec.topo;
+    out.summary = srcSummary + machineSummary(out.cfg, out.ccfg);
     return out;
 }
 
@@ -344,53 +333,36 @@ scheduleOf(const CaseSpec &pt)
     }
 }
 
-/** Execute one injection point. @return "" on pass, else the failure. */
-std::string
-checkPoint(const CaseBuild &bc, const core::System &golden,
-           const CaseSpec &pt, std::uint64_t &checks, unsigned &runs,
-           CampaignResult &tally, CampaignResult *capture = nullptr)
+/**
+ * Checks injection points of one build against its golden run. A point
+ * has two halves: crash() power-fails a victim at pt.crashAt, and
+ * lifetime() walks the rest of pt's failure schedule from that victim
+ * and judges the final state. Campaign points run both; matrix mode
+ * crashes one victim and walks every point's lifetime from it. Each
+ * half returns "" on pass, else the failure.
+ */
+struct PointChecker
 {
-    // The fault knob models a hardware bug in the victim machine only;
-    // recovery always runs on correct hardware. Injected *hardware*
-    // faults (pt.faults) likewise arm only the victim; recovery keeps
-    // just the hardened checkpoint format so it can decode and verify
-    // what the hardened victim persisted.
-    core::SystemConfig vcfg = bc.cfg;
-    vcfg.mc.faultReleaseEarly = pt.fault;
-    bool hw_faults = pt.faults.anyArmed();
-    if (hw_faults) {
-        vcfg.faults = pt.faults;
-        vcfg.faults.enabled = true;
-        vcfg.faults.hardenedCkpt = true;
-        if (vcfg.faults.seed == 0)
-            vcfg.faults.seed = pt.seed;
-    }
-    core::SystemConfig rcfg = bc.cfg;
-    rcfg.faults.hardenedCkpt = hw_faults;
-    if (capture)
-        vcfg.traceEnabled = true;
+    const CaseBuild &bc;
+    const core::System &golden;
+    std::uint64_t &checks;
+    unsigned &runs;
+    CampaignResult &tally;
 
-    const fault::FailureSchedule storm = scheduleOf(pt);
-    core::System victim(vcfg, bc.prog, bc.threads);
-    ++runs;
-    core::RunResult vr =
-        victim.runWithFailureStorm(pt.crashAt, storm.drainsFrom(0));
-    if (capture) {
-        if (const auto *sink = victim.traceSink())
-            capture->victimTrace = sink->snapshot();
-        if (const auto *o = victim.oracle()) {
-            for (unsigned m = 0; m < vcfg.numMcs; ++m)
-                capture->victimLastCommit.push_back(o->lastCommit(m));
+    /**
+     * Terminal-state check: golden-diff (except pmtx) plus, for pds
+     * cases, the structure-walk oracle over the final image.
+     */
+    std::string
+    finalCheck(const core::System &sys, const char *what) const
+    {
+        if (!bc.pmtx) {
+            if (auto d = workloads::diffAppState(sys.pmImage(),
+                                                 golden.pmImage(),
+                                                 bc.threads, bc.footprint);
+                !d.empty())
+                return std::string(what) + ": " + d;
         }
-    }
-    // Terminal-state check: golden-diff plus, for pds cases, the
-    // structure-walk oracle over the final image.
-    auto finalCheck = [&](const core::System &sys,
-                          const char *what) -> std::string {
-        if (auto d = workloads::diffAppState(sys.pmImage(), golden.pmImage(),
-                                             bc.threads, bc.footprint);
-            !d.empty())
-            return std::string(what) + ": " + d;
         if (bc.isPds) {
             if (auto msg = pds::checkSemantics(bc.pdsSpec, bc.pdsOps,
                                                sys.execImage());
@@ -399,63 +371,134 @@ checkPoint(const CaseBuild &bc, const core::System &golden,
             }
         }
         return {};
-    };
-
-    if (auto e = harvestOracle(victim, "victim", checks); !e.empty())
-        return e;
-    if (vr.completed)
-        return finalCheck(victim, "uncrashed victim");
-
-    if (bc.isPds && bc.pdsPrefixOk && !pt.fault && !hw_faults) {
-        // Gated LightWSP + converged compile: the crash image must be a
-        // program-order prefix of the recorded store stream.
-        if (auto msg = pds::checkCrashPrefix(bc.pdsSpec, bc.pdsOps,
-                                             victim.pmImage());
-            !msg.empty()) {
-            return "victim " + msg;
-        }
     }
 
-    core::LifetimeHooks hooks;
-    hooks.afterRecover = [&tally](const core::RecoveryResult &r, bool) {
-        switch (r.outcome) {
-          case core::RecoveryOutcome::Recovered:
-            ++tally.recoveredExact;
-            break;
-          case core::RecoveryOutcome::RecoveredDegraded:
-            ++tally.recoveredDegraded;
-            break;
-          case core::RecoveryOutcome::DetectedUnrecoverable:
-            ++tally.detectedUnrecoverable;
-            break;
+    /**
+     * Run a victim into its power failure at pt.crashAt, through the
+     * schedule's leading drain interrupts. @p victim is left null when
+     * the victim finished first (its final state is checked instead).
+     */
+    std::string
+    crash(const CaseSpec &pt, std::unique_ptr<core::System> &victim,
+          CampaignResult *capture = nullptr) const
+    {
+        // The fault knob models a hardware bug in the victim machine
+        // only; recovery always runs on correct hardware. Injected
+        // *hardware* faults (pt.faults) likewise arm only the victim.
+        core::SystemConfig vcfg = bc.cfg;
+        vcfg.mc.faultReleaseEarly = pt.fault;
+        bool hw_faults = pt.faults.anyArmed();
+        if (hw_faults) {
+            vcfg.faults = pt.faults;
+            vcfg.faults.enabled = true;
+            vcfg.faults.hardenedCkpt = true;
+            if (vcfg.faults.seed == 0)
+                vcfg.faults.seed = pt.seed;
         }
-    };
-    hooks.afterSegment = [&](const core::System &sys,
-                             const core::RunResult &) {
+        if (capture)
+            vcfg.traceEnabled = true;
+
+        victim = std::make_unique<core::System>(vcfg, bc.prog, bc.threads);
         ++runs;
-        return harvestOracle(sys, "recovery", checks);
-    };
-    core::Lifetime lt = core::walkLifetime(victim, storm, rcfg, bc.prog,
-                                           bc.threads, bc.lockAddrs,
-                                           hooks);
-    if (!lt.error.empty())
-        return lt.error;
-    if (lt.verdict == core::RecoveryOutcome::DetectedUnrecoverable) {
-        // The hardening contract allows giving up, never lying: a
-        // reported-unrecoverable image passes (unhealed poison from the
-        // first fault can also survive into a later image). Sanity-check
-        // the claim — refusal without any armed fault is a regression.
-        if (!hw_faults && !pt.fault)
-            return "fault-free image classified unrecoverable: " +
-                   lt.detail;
+        core::RunResult vr = victim->runWithFailureStorm(
+            pt.crashAt, scheduleOf(pt).drainsFrom(0));
+        if (capture) {
+            if (const auto *sink = victim->traceSink())
+                capture->victimTrace = sink->snapshot();
+            if (const auto *o = victim->oracle()) {
+                for (unsigned m = 0; m < vcfg.numMcs; ++m)
+                    capture->victimLastCommit.push_back(o->lastCommit(m));
+            }
+        }
+
+        if (auto e = harvestOracle(*victim, "victim", checks); !e.empty())
+            return e;
+        if (vr.completed) {
+            std::string e = finalCheck(*victim, "uncrashed victim");
+            victim.reset();
+            return e;
+        }
+        if (bc.pdsPrefixOk && !pt.fault && !hw_faults) {
+            // Gated LightWSP + converged compile: the crash image must
+            // be a program-order prefix of the recorded store stream.
+            if (auto msg = pds::checkCrashPrefix(bc.pdsSpec, bc.pdsOps,
+                                                 victim->pmImage());
+                !msg.empty()) {
+                return "victim " + msg;
+            }
+        }
         return {};
     }
-    if (!lt.last.completed)
-        return "recovery did not complete";
-    tally.failuresSurvived =
-        std::max(tally.failuresSurvived, lt.failures());
-    return finalCheck(*lt.sys, "recovered");
-}
+
+    /**
+     * Walk pt's failure schedule from @p victim and check where it ends.
+     * Recovery keeps just the hardened checkpoint format of a
+     * fault-armed victim, so it can decode what the victim persisted.
+     * @p recovered receives the last run's length when it passes.
+     */
+    std::string
+    lifetime(const core::System &victim, const CaseSpec &pt,
+             Tick *recovered = nullptr) const
+    {
+        bool hw_faults = pt.faults.anyArmed();
+        core::SystemConfig rcfg = bc.cfg;
+        rcfg.faults.hardenedCkpt = hw_faults;
+
+        core::LifetimeHooks hooks;
+        hooks.afterRecover = [this](const core::RecoveryResult &r, bool) {
+            switch (r.outcome) {
+              case core::RecoveryOutcome::Recovered:
+                ++tally.recoveredExact;
+                break;
+              case core::RecoveryOutcome::RecoveredDegraded:
+                ++tally.recoveredDegraded;
+                break;
+              case core::RecoveryOutcome::DetectedUnrecoverable:
+                ++tally.detectedUnrecoverable;
+                break;
+            }
+        };
+        hooks.afterSegment = [this](const core::System &sys,
+                                    const core::RunResult &) {
+            ++runs;
+            return harvestOracle(sys, "recovery", checks);
+        };
+        core::Lifetime lt =
+            core::walkLifetime(victim, scheduleOf(pt), rcfg, bc.prog,
+                               bc.threads, bc.lockAddrs, hooks);
+        if (!lt.error.empty())
+            return lt.error;
+        if (lt.verdict == core::RecoveryOutcome::DetectedUnrecoverable) {
+            // The hardening contract allows giving up, never lying: a
+            // reported-unrecoverable image passes (unhealed poison from
+            // the first fault can also survive into a later image).
+            // Sanity-check the claim — refusal without any armed fault
+            // is a regression.
+            if (!hw_faults && !pt.fault)
+                return "fault-free image classified unrecoverable: " +
+                       lt.detail;
+            return {};
+        }
+        if (!lt.last.completed)
+            return "recovery did not complete";
+        if (recovered)
+            *recovered = lt.last.cycles;
+        tally.failuresSurvived =
+            std::max(tally.failuresSurvived, lt.failures());
+        return finalCheck(*lt.sys, "recovered");
+    }
+
+    /** Both halves: one whole injection point. */
+    std::string
+    point(const CaseSpec &pt, CampaignResult *capture = nullptr) const
+    {
+        std::unique_ptr<core::System> victim;
+        std::string e = crash(pt, victim, capture);
+        if (!e.empty() || !victim)
+            return e;
+        return lifetime(*victim, pt);
+    }
+};
 
 /**
  * Mine adversarial crash cycles from the golden run's oracle event
@@ -502,12 +545,14 @@ minePoints(const core::System &golden, Tick cycles, unsigned want,
  * failing crash cycle from a halving ladder. Every probe re-runs the
  * full victim/recovery check, so the returned spec is failing by
  * construction; if nothing smaller fails, the original is returned.
+ * Probes always run with the invariant oracles live.
  */
 CaseSpec
-shrinkFailure(CaseSpec failing, Tick golden_cycles,
+shrinkFailure(CaseSpec failing, Tick golden_cycles, CampaignOptions opt,
               std::uint64_t &checks, unsigned &runs, bool &shrunk)
 {
     shrunk = false;
+    opt.oracles = true;
     CampaignResult scratch;  // shrink probes don't count verdict tallies
 
     // Phase 0 (storm cases): minimize the failure schedule before the
@@ -515,9 +560,10 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
     // then halve exec gaps. A schedule that empties entirely reduces the
     // case to a plain single failure.
     if (failing.mode == CrashMode::Storm && !failing.storm.empty()) {
-        CaseBuild bc = buildCase(failing, true);
+        CaseBuild bc = buildCase(failing, opt);
         Golden g = runGolden(bc, checks, runs);
         if (g.error.empty()) {
+            const PointChecker chk{bc, *g.sys, checks, runs, scratch};
             bool changed = true;
             while (changed && !failing.storm.empty()) {
                 changed = false;
@@ -527,9 +573,7 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
                     probe.storm.events.erase(
                         probe.storm.events.begin() +
                         static_cast<std::ptrdiff_t>(i));
-                    if (!checkPoint(bc, *g.sys, probe, checks, runs,
-                                    scratch)
-                             .empty()) {
+                    if (!chk.point(probe).empty()) {
                         failing = probe;
                         shrunk = true;
                         changed = true;
@@ -549,9 +593,7 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
                     }
                     CaseSpec probe = failing;
                     probe.storm.events[i].at /= 2;
-                    if (!checkPoint(bc, *g.sys, probe, checks, runs,
-                                    scratch)
-                             .empty()) {
+                    if (!chk.point(probe).empty()) {
                         failing = probe;
                         shrunk = true;
                         changed = true;
@@ -566,10 +608,11 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
          ++level) {
         CaseSpec cand = failing;
         cand.shrink = level;
-        CaseBuild bc = buildCase(cand, true);
+        CaseBuild bc = buildCase(cand, opt);
         Golden g = runGolden(bc, checks, runs);
         if (!g.error.empty())
             break;
+        const PointChecker chk{bc, *g.sys, checks, runs, scratch};
         Tick scaled = golden_cycles
                           ? (failing.crashAt * g.cycles) / golden_cycles
                           : failing.crashAt;
@@ -579,8 +622,7 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
             probe.crashAt = std::min(t, g.cycles ? g.cycles - 1 : 0);
             if (probe.mode == CrashMode::DoubleRecovery)
                 probe.crashAt2 = probe.crashAt;
-            if (!checkPoint(bc, *g.sys, probe, checks, runs, scratch)
-                     .empty()) {
+            if (!chk.point(probe).empty()) {
                 failing = probe;
                 golden_cycles = g.cycles;
                 found = true;
@@ -594,9 +636,10 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
 
     // Phase 2: earliest failing crash cycle on a halving ladder.
     {
-        CaseBuild bc = buildCase(failing, true);
+        CaseBuild bc = buildCase(failing, opt);
         Golden g = runGolden(bc, checks, runs);
         if (g.error.empty()) {
+            const PointChecker chk{bc, *g.sys, checks, runs, scratch};
             std::vector<Tick> ladder = {0, 1};
             for (Tick t = failing.crashAt / 16; t < failing.crashAt;
                  t *= 2) {
@@ -612,9 +655,7 @@ shrinkFailure(CaseSpec failing, Tick golden_cycles,
                 probe.crashAt = t;
                 if (probe.mode == CrashMode::DoubleRecovery)
                     probe.crashAt2 = t;
-                if (!checkPoint(bc, *g.sys, probe, checks, runs,
-                                scratch)
-                         .empty()) {
+                if (!chk.point(probe).empty()) {
                     failing = probe;
                     shrunk = true;
                     break;
@@ -634,29 +675,56 @@ runCampaign(const CaseSpec &spec, const CampaignOptions &opt)
 {
     CampaignResult res;
 
-    CaseBuild bc = buildCase(spec, opt.oracles);
+    CaseBuild bc = buildCase(spec, opt);
     Golden g = runGolden(bc, res.oracleChecks, res.runsExecuted);
     res.goldenCycles = g.cycles;
-    if (!g.error.empty()) {
+    auto fail = [&](const std::string &err, const CaseSpec &pt,
+                    bool shrink) {
         res.passed = false;
-        res.failure = g.error + " [" + bc.summary + "]";
-        res.reproducer = spec;
+        res.failure = err + " [" + bc.summary + "]";
+        res.reproducer = pt;
+        if (shrink && opt.shrinkOnFailure) {
+            res.reproducer =
+                shrinkFailure(pt, g.cycles, opt, res.oracleChecks,
+                              res.runsExecuted, res.shrunk);
+        }
         return res;
-    }
+    };
+    if (!g.error.empty())
+        return fail(g.error, spec, false);
+    const PointChecker chk{bc, *g.sys, res.oracleChecks, res.runsExecuted,
+                           res};
 
     // Replay path: one exact injection.
     if (spec.mode != CrashMode::None) {
         ++res.pointsTried;
         std::string err =
-            checkPoint(bc, *g.sys, spec, res.oracleChecks,
-                       res.runsExecuted, res,
-                       opt.captureTrace ? &res : nullptr);
-        if (!err.empty()) {
-            res.passed = false;
-            res.failure = err + " [" + bc.summary + "]";
-            res.reproducer = spec;
+            chk.point(spec, opt.captureTrace ? &res : nullptr);
+        return err.empty() ? res : fail(err, spec, false);
+    }
+
+    if (opt.recoveryStep != 0) {
+        // Matrix mode. Every point's storm is a single x<t>, with no
+        // drain interrupts ahead of it, so all points share one victim.
+        CaseSpec pt = spec;
+        pt.mode = CrashMode::Storm;
+        pt.crashAt = g.cycles * 6 / 10;
+        std::unique_ptr<core::System> victim;
+        std::string err = chk.crash(pt, victim);
+        if (err.empty() && !victim)
+            err = "victim completed before the crash point";
+        // The reference walk's crash-free length R bounds the sweep.
+        // Engine fast-forward can land a point's failure past the end
+        // of its run; that point is clean either way.
+        if (err.empty())
+            err = chk.lifetime(*victim, pt, &res.recoveryCycles);
+        for (Tick t = 0; err.empty() && t < res.recoveryCycles;
+             t += opt.recoveryStep) {
+            ++res.pointsTried;
+            pt.storm = {{{fault::FailurePhase::Exec, t}}};
+            err = chk.lifetime(*victim, pt);
         }
-        return res;
+        return err.empty() ? res : fail(err, pt, true);
     }
 
     // Full campaign: mined single crashes, then double variants.
@@ -707,32 +775,80 @@ runCampaign(const CaseSpec &spec, const CampaignOptions &opt)
 
     for (const CaseSpec &pt : injections) {
         ++res.pointsTried;
-        std::string err = checkPoint(bc, *g.sys, pt, res.oracleChecks,
-                                     res.runsExecuted, res);
-        if (err.empty())
-            continue;
-        res.passed = false;
-        res.failure = err + " [" + bc.summary + "]";
-        res.reproducer = pt;
-        if (opt.shrinkOnFailure) {
-            res.reproducer =
-                shrinkFailure(pt, g.cycles, res.oracleChecks,
-                              res.runsExecuted, res.shrunk);
-        }
-        return res;
+        if (std::string err = chk.point(pt); !err.empty())
+            return fail(err, pt, true);
     }
     return res;
+}
+
+std::vector<CaseSpec>
+recoveryMatrixCases()
+{
+    // Case seed 1 draws the matrix machine for every structure row:
+    // 2 MCs, 64-entry WPQs, store threshold 32, relaxed commit ACKs.
+    // Small transactions put several commit edges and undo replays
+    // inside the crash window (pmtx rows).
+    CaseSpec hash;
+    hash.source = CaseSpec::Source::Pds;
+    hash.seed = 1;
+    hash.pds.kind = pds::Kind::Hash;
+    hash.pds.sizeClass = 0;
+    hash.pds.numOps = 24;
+    hash.pds.mix = 0;
+    hash.pds.seed = 5;
+    hash.pds.opsPerTx = 2;
+
+    CaseSpec serve;
+    serve.source = CaseSpec::Source::Serve;
+    serve.seed = 1;
+    serve.serve.profile = serve::Profile::Varnish;
+    serve.serve.sizeClass = 0;
+    serve.serve.numRequests = 16;
+    serve.serve.seed = 3;
+    serve.serve.opsPerTx = 2;
+
+    std::vector<CaseSpec> cases;
+    auto everyScheme = [&cases](CaseSpec c) {
+        for (auto s : pds::allSchemes) {
+            c.scheme = s;
+            cases.push_back(c);
+        }
+    };
+    for (auto k : {pds::Kind::Log, pds::Kind::Hash, pds::Kind::Alloc}) {
+        CaseSpec c = hash;
+        c.pds.kind = k;
+        everyScheme(c);
+    }
+    everyScheme(serve);
+    // The only row with locks and inter-thread interleaving: a
+    // two-thread workload program with a locked read-modify-write phase.
+    CaseSpec wl;
+    wl.seed = 2;
+    wl.shrink = 1;
+    cases.push_back(wl);
+    // Scale-out rows: the hash sweep on a 16-MC machine, flat and on a
+    // radix-4 aggregation tree, where boundary broadcasts descend a
+    // hierarchy and ACKs aggregate at interior nodes.
+    hash.mcs = 16;
+    cases.push_back(hash);
+    hash.topo.kind = noc::TopologyConfig::Kind::Tree;
+    cases.push_back(hash);
+    return cases;
 }
 
 StaticCheckResult
 staticCheck(const CaseSpec &spec)
 {
-    CaseBuild bc = buildCase(spec, /*oracles=*/false);
+    CampaignOptions opt;
+    opt.oracles = false;
+    CaseBuild bc = buildCase(spec, opt);
+    StaticCheckResult out;
+    out.summary = bc.summary;
+    if (bc.pmtx)
+        return out;  // run uncompiled: no partition to check
     analysis::CheckReport rep =
         analysis::checkCompiledProgram(bc.prog, bc.ccfg);
-    StaticCheckResult out;
     out.ok = rep.ok();
-    out.summary = bc.summary;
     out.report = rep.describe();
     return out;
 }

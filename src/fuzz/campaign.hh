@@ -13,6 +13,14 @@
  * crash-cycle) pair — first climbing the program-shrink ladder, then
  * minimizing the crash cycle — and reports a one-line seed-spec string
  * that `fuzz_crash --replay` turns back into the exact failing run.
+ *
+ * Matrix mode (CampaignOptions::recoveryStep != 0) crashes *recovery
+ * itself*: the victim loses power once, at 60% of the golden run; a
+ * reference recovery measures the recovered run's crash-free length R;
+ * then every step-th cycle t in [0, R) is one point, the storm spec
+ * `x<t>` walked from that same victim. recoveryMatrixCases() lists the
+ * standard matrix, and a failing point reports a reproducer like any
+ * other.
  */
 
 #ifndef LWSP_FUZZ_CAMPAIGN_HH
@@ -28,6 +36,7 @@
 #include "noc/topology.hh"
 #include "pds/pds.hh"
 #include "serve/serve.hh"
+#include "sim/simulator.hh"
 #include "trace/events.hh"
 
 namespace lwsp {
@@ -74,6 +83,13 @@ struct CaseSpec
      * structure oracles as pds cases run against the lowered op tape.
      */
     serve::ServeSpec serve;
+    /**
+     * Pds- and serve-sourced cases only: the persistence scheme the
+     * structure program runs under, in pds::PdsRunMode::Recovery (the
+     * pmtx undo-log baseline included). Rides the spec string as a
+     * `scheme=` token, printed only when not lightwsp.
+     */
+    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
 
     CrashMode mode = CrashMode::None;
     Tick crashAt = 0;
@@ -137,6 +153,13 @@ struct CampaignOptions
      * view) in the CampaignResult, for `fuzz_crash --trace-out`.
      */
     bool captureTrace = false;
+    /**
+     * Nonzero: matrix mode (see the file comment) with this crash-point
+     * stride over the recovered run, 1 = every cycle. mode == None only.
+     */
+    Tick recoveryStep = 0;
+    /** Clock driver for every run (A/B determinism knob). */
+    SimEngine engine = SimEngine::Event;
 };
 
 struct CampaignResult
@@ -149,6 +172,7 @@ struct CampaignResult
     unsigned runsExecuted = 0;
     std::uint64_t oracleChecks = 0;
     Tick goldenCycles = 0;
+    Tick recoveryCycles = 0;  ///< matrix mode: crash-free recovered run
 
     // Hardened-recovery verdict tallies (fault-armed points only).
     unsigned recoveredExact = 0;
@@ -165,11 +189,19 @@ struct CampaignResult
 
 /**
  * Run the campaign described by @p spec. With spec.mode == None this is
- * a full mine-and-sweep campaign; with a concrete mode it replays that
+ * a full mine-and-sweep campaign, or the recovery matrix over the case
+ * when opt.recoveryStep != 0; with a concrete mode it replays that
  * single injection (the `--replay` path).
  */
 CampaignResult runCampaign(const CaseSpec &spec,
                            const CampaignOptions &opt = {});
+
+/**
+ * The standard recovery matrix: the five schemes over each of the three
+ * pds structures and a serve tape, a multi-threaded workload case, and
+ * the hash case on 16-MC flat and tree fabrics.
+ */
+std::vector<CaseSpec> recoveryMatrixCases();
 
 /** Outcome of the static WSP-invariant check on one case's compile. */
 struct StaticCheckResult

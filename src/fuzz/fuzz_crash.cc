@@ -40,12 +40,16 @@
  * token. `--mode storm` is shorthand for `--mode mixed --storm`.
  *
  * --recovery-matrix runs the crash-at-every-cycle-of-recovery matrix
- * (fuzz/recovery_matrix.hh) instead of seeded campaigns: every scheme x
- * {log, hash, alloc, serve} case plus a builtin workload case is crashed
- * once, recovered, and the recovery run is itself power-failed at every
- * --matrix-step-th cycle (default 1 = exhaustive); each interrupted
- * recovery must recover again and converge to the same final state.
- * --engine selects the clock driver for matrix runs (A/B determinism).
+ * instead of seeded campaigns: the campaign's matrix mode over
+ * fuzz::recoveryMatrixCases() — every scheme x {log, hash, alloc, serve}
+ * case, a multi-threaded workload case and two 16-MC hash cases. Each
+ * case is crashed once, recovered, and the recovery run is itself
+ * power-failed at every --matrix-step-th cycle (default 1 = exhaustive);
+ * each interrupted recovery must recover again and converge to the same
+ * final state. Each row prints its case spec; a failing point prints a
+ * REPRODUCER that --replay reruns.
+ *
+ * --engine selects the clock driver for every run (A/B determinism).
  *
  * --faults runs a hardware fault-injection campaign instead: each seed
  * additionally arms one fault-axis group (broadcast loss / delay+dup /
@@ -79,7 +83,6 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "fuzz/campaign.hh"
-#include "fuzz/recovery_matrix.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "trace/export.hh"
@@ -192,32 +195,36 @@ main(int argc, char **argv)
         opt.stormCrash = true;
     }
 
+    opt.engine = harness::defaultSimEngine();
     setLogQuiet(true);
     auto t0 = std::chrono::steady_clock::now();
 
     if (matrix) {
+        opt.recoveryStep = matrix_step;
+        opt.oracles = false;
         auto cases = fuzz::recoveryMatrixCases();
-        fuzz::MatrixOptions mopt;
-        mopt.step = matrix_step;
-        mopt.engine = harness::defaultSimEngine();
-        std::vector<fuzz::MatrixCaseResult> mres(cases.size());
+        std::vector<fuzz::CampaignResult> mres(cases.size());
         harness::parallelFor(jobs, cases.size(), [&](std::size_t i) {
-            mres[i] = fuzz::runRecoveryMatrixCase(cases[i], mopt);
+            mres[i] = fuzz::runCampaign(cases[i], opt);
         });
         unsigned mfailed = 0, mpoints = 0, mruns = 0;
-        for (const auto &r : mres) {
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const auto &r = mres[i];
             mpoints += r.pointsTried;
             mruns += r.runsExecuted;
-            std::printf("%-18s %s  recovery=%llu cy, %u points, "
+            std::printf("%s %s  recovery=%llu cy, %u points, "
                         "%u recovered + %u degraded\n",
-                        r.name.c_str(), r.passed ? "PASS" : "FAIL",
+                        cases[i].toString().c_str(),
+                        r.passed ? "PASS" : "FAIL",
                         static_cast<unsigned long long>(
                             r.recoveryCycles),
                         r.pointsTried, r.recoveredExact,
                         r.recoveredDegraded);
             if (!r.passed) {
                 ++mfailed;
-                std::printf("  %s\n", r.failure.c_str());
+                std::printf("  %s\nREPRODUCER: %s%s\n", r.failure.c_str(),
+                            r.reproducer.toString().c_str(),
+                            r.shrunk ? "  (shrunk)" : "");
             }
         }
         double msecs = std::chrono::duration<double>(

@@ -541,11 +541,14 @@ PdsModel::step()
 std::map<std::uint64_t, std::uint64_t>
 PdsModel::liveLog() const
 {
+    // Ids start at 1 while the trim cursor starts at 0, so walk the ids
+    // actually appended in [trim, next).
     std::map<std::uint64_t, std::uint64_t> out;
     std::uint64_t trim = read(logTrimId(params_));
     std::uint64_t next = read(logNextId(params_));
-    for (std::uint64_t id = trim; id < next; ++id)
-        out[id] = logAll_.at(id);
+    for (auto it = logAll_.lower_bound(trim);
+         it != logAll_.end() && it->first < next; ++it)
+        out.insert(*it);
     return out;
 }
 

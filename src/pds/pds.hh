@@ -312,6 +312,10 @@ constexpr PdsScheme allSchemes[] = {PdsScheme::LightWsp, PdsScheme::Capri,
                                     PdsScheme::Ppa, PdsScheme::Cwsp,
                                     PdsScheme::Pmtx};
 
+/** PdsScheme names, indexed by PdsScheme (the bench and spec spelling). */
+inline constexpr const char *pdsSchemeNames[] = {"lightwsp", "capri", "ppa",
+                                                 "cwsp", "pmtx"};
+
 const char *pdsSchemeName(PdsScheme s);
 
 /**

@@ -7,6 +7,7 @@
 #include "pds/pds.hh"
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace lwsp {
 namespace pds {
@@ -14,14 +15,7 @@ namespace pds {
 const char *
 pdsSchemeName(PdsScheme s)
 {
-    switch (s) {
-      case PdsScheme::LightWsp: return "lightwsp";
-      case PdsScheme::Capri:    return "capri";
-      case PdsScheme::Ppa:      return "ppa";
-      case PdsScheme::Cwsp:     return "cwsp";
-      case PdsScheme::Pmtx:     return "pmtx";
-    }
-    return "?";
+    return spec::enumName(pdsSchemeNames, s);
 }
 
 namespace {

@@ -3,7 +3,8 @@
  * Fuzzer self-tests: spec-string round-trips, clean campaigns on both
  * program sources, and the fault-injection path — a deliberately broken
  * release ordering must be caught by an oracle, shrunk, and reproduced
- * exactly from the reported spec string.
+ * exactly from the reported spec string, in a mined campaign and in the
+ * recovery-matrix mode alike.
  */
 
 #include <gtest/gtest.h>
@@ -146,6 +147,41 @@ TEST(FuzzSpec, RoundTripsMachineShapeTokens)
         CaseSpec::parse("lwsp-fuzz:v1:pds:seed=9:topo=ring4", back, err));
 }
 
+// scheme= rides pds and serve specs only, and only off the default, so
+// every lightwsp spec string is unchanged byte for byte.
+TEST(FuzzSpec, SchemeTokenOnStructureCasesOnly)
+{
+    CaseSpec spec;
+    spec.source = CaseSpec::Source::Pds;
+    std::string plain = spec.toString();
+    EXPECT_EQ(plain.find(":scheme="), std::string::npos) << plain;
+
+    for (auto source : {CaseSpec::Source::Pds, CaseSpec::Source::Serve}) {
+        for (auto scheme : {pds::PdsScheme::Capri, pds::PdsScheme::Pmtx}) {
+            spec.source = source;
+            spec.scheme = scheme;
+            std::string s = spec.toString();
+            EXPECT_NE(s.find(std::string(":scheme=") +
+                             pds::pdsSchemeName(scheme)),
+                      std::string::npos)
+                << s;
+            CaseSpec back = parseOk(s);
+            EXPECT_EQ(back.scheme, scheme) << s;
+            EXPECT_EQ(back.toString(), s);
+            // pmtx runs uncompiled: no partition for the checker to fail.
+            EXPECT_TRUE(staticCheck(back).ok) << s;
+        }
+    }
+
+    std::string err;
+    for (const char *s : {"lwsp-fuzz:v1:wl:seed=1:scheme=capri",
+                          "lwsp-fuzz:v1:ir:seed=1:scheme=pmtx",
+                          "lwsp-fuzz:v1:pds:seed=1:scheme=bogus"}) {
+        EXPECT_FALSE(CaseSpec::parse(s, spec, err)) << s;
+        EXPECT_NE(err.find("scheme="), std::string::npos) << s << ": " << err;
+    }
+}
+
 // The scale-out path end-to-end: a pds crash campaign pinned to a
 // 65-MC radix-4 tree (past the old uint64_t delivery-mask boundary)
 // must mine, crash, recover and oracle-check cleanly through exactly
@@ -258,4 +294,71 @@ TEST(FuzzCampaign, CrashModesAreSchedules)
                             "mode=storm:crash=5000:storm=x100000000");
     EXPECT_EQ(early.runsExecuted, 3u);
     EXPECT_EQ(early.failuresSurvived, 1u);
+}
+
+// A recovery-matrix failure is a campaign failure like any other: the
+// planted early-release fault in a small pds case fails the matrix, and
+// the reported spec, scheme included, replays to the same verdict.
+TEST(FuzzCampaign, MatrixFailureIsShrunkAndReplayable)
+{
+    setLogQuiet(true);
+    CaseSpec spec;
+    spec.source = CaseSpec::Source::Pds;
+    spec.scheme = pds::PdsScheme::Capri;
+    spec.pds.kind = pds::Kind::Log;
+    spec.pds.sizeClass = 0;
+    spec.pds.numOps = 24;
+    spec.fault = true;
+    CampaignOptions opt;
+    opt.recoveryStep = 97;
+
+    auto res = runCampaign(spec, opt);
+    ASSERT_FALSE(res.passed) << "early-release fault escaped the matrix";
+    EXPECT_EQ(res.reproducer.mode, CrashMode::Storm);
+    EXPECT_EQ(res.reproducer.scheme, pds::PdsScheme::Capri);
+    EXPECT_TRUE(res.reproducer.fault);
+
+    CaseSpec replay = parseOk(res.reproducer.toString());
+    EXPECT_EQ(replay.toString(), res.reproducer.toString());
+    auto rep = runCampaign(replay);
+    EXPECT_FALSE(rep.passed) << "reproducer did not reproduce";
+}
+
+// Campaigns honour the clock engine, and the two engines agree: the same
+// small seed gives the same counts under both, in a mined storm campaign
+// and in matrix mode.
+TEST(FuzzCampaign, EnginesGiveIdenticalCounts)
+{
+    setLogQuiet(true);
+    CaseSpec wl = parseOk("lwsp-fuzz:v1:wl:seed=3:shrink=1");
+    CampaignOptions mined;
+    mined.minCrashPoints = 4;
+    mined.stormCrash = true;
+    CampaignOptions matrix;
+    matrix.recoveryStep = 211;
+    matrix.oracles = false;
+    CaseSpec pmtx = recoveryMatrixCases()[4];
+    ASSERT_EQ(pmtx.scheme, pds::PdsScheme::Pmtx);
+
+    for (auto [spec, opt] : {std::pair{wl, mined}, {pmtx, matrix}}) {
+        CampaignResult r[2];
+        for (SimEngine e : {SimEngine::Event, SimEngine::Cycle}) {
+            opt.engine = e;
+            r[e == SimEngine::Cycle] = runCampaign(spec, opt);
+        }
+        const std::string what = spec.toString();
+        EXPECT_TRUE(r[0].passed) << what << ": " << r[0].failure;
+        EXPECT_EQ(r[0].passed, r[1].passed) << what;
+        EXPECT_EQ(r[0].pointsTried, r[1].pointsTried) << what;
+        EXPECT_EQ(r[0].runsExecuted, r[1].runsExecuted) << what;
+        EXPECT_EQ(r[0].oracleChecks, r[1].oracleChecks) << what;
+        EXPECT_EQ(r[0].goldenCycles, r[1].goldenCycles) << what;
+        EXPECT_EQ(r[0].recoveryCycles, r[1].recoveryCycles) << what;
+        EXPECT_EQ(r[0].recoveredExact, r[1].recoveredExact) << what;
+        EXPECT_EQ(r[0].recoveredDegraded, r[1].recoveredDegraded) << what;
+        EXPECT_EQ(r[0].detectedUnrecoverable, r[1].detectedUnrecoverable)
+            << what;
+        EXPECT_EQ(r[0].failuresSurvived, r[1].failuresSurvived) << what;
+        EXPECT_GT(r[0].pointsTried, 0u) << what;
+    }
 }

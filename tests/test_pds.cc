@@ -355,6 +355,24 @@ TEST(PdsOracle, SemanticWalkCatchesBrokenVariants)
     }
 }
 
+// A log tape that never trims keeps the trim cursor at 0, below the
+// first appended id (1): the walk must accept its clean final image.
+TEST(PdsOracle, SemanticWalkAcceptsUntrimmedLog)
+{
+    setLogQuiet(true);
+    PdsSpec spec = smallSpec(Kind::Log, 12);
+    spec.seed = 1;
+    auto ops = pds::generateTape(spec);
+    for (const auto &op : ops)
+        ASSERT_EQ(op.op, pds::pdsLogAppend) << "tape trims; pick another";
+    auto prog = pds::preparePdsProgram(spec, ops, PdsScheme::LightWsp,
+                                       pds::PdsRunMode::Perf);
+    auto cfg = pds::makePdsConfig(PdsScheme::LightWsp, pds::PdsRunMode::Perf);
+    core::System sys(cfg, prog, 1);
+    ASSERT_TRUE(sys.run().completed);
+    EXPECT_EQ(pds::checkSemantics(spec, ops, sys.execImage()), "");
+}
+
 TEST(PdsOracle, PrefixOracleCatchesEarlyOpsDoneCommit)
 {
     setLogQuiet(true);

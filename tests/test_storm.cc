@@ -27,7 +27,6 @@
 #include "core/system.hh"
 #include "fault/storm.hh"
 #include "fuzz/campaign.hh"
-#include "fuzz/recovery_matrix.hh"
 #include "pds/pds.hh"
 
 using namespace lwsp;
@@ -381,10 +380,11 @@ TEST(Storm, ReducedRecoveryMatrixCase)
 {
     auto cases = fuzz::recoveryMatrixCases();
     ASSERT_GE(cases.size(), 21u);
-    fuzz::MatrixOptions opt;
-    opt.step = 37;
-    auto res = fuzz::runRecoveryMatrixCase(cases[0], opt);
-    EXPECT_TRUE(res.passed) << res.name << ": " << res.failure;
+    fuzz::CampaignOptions opt;
+    opt.recoveryStep = 37;
+    opt.oracles = false;
+    auto res = fuzz::runCampaign(cases[0], opt);
+    EXPECT_TRUE(res.passed) << cases[0].toString() << ": " << res.failure;
     EXPECT_GT(res.pointsTried, 0u);
     EXPECT_GT(res.recoveredExact + res.recoveredDegraded, 0u);
 }

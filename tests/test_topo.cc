@@ -313,9 +313,7 @@ struct PdsBuilt
 };
 
 PdsBuilt
-buildPds(unsigned num_mcs, noc::TopologyConfig topo,
-         core::SystemConfig::ShardPolicy policy =
-             core::SystemConfig::ShardPolicy::LineInterleave)
+buildPds(unsigned num_mcs, noc::TopologyConfig topo)
 {
     pds::PdsSpec spec;
     spec.kind = pds::Kind::Log;
@@ -332,48 +330,38 @@ buildPds(unsigned num_mcs, noc::TopologyConfig topo,
                                     pds::PdsRunMode::Recovery);
     b.cfg.numMcs = num_mcs;
     b.cfg.topology = topo;
-    b.cfg.shardPolicy = policy;
     return b;
 }
 
 } // namespace
 
-// Seeded cross-check of System::mcForAddr against the documented
-// mapping, for the awkward MC counts: non-powers-of-two 3/5/6 (where a
+// Seeded cross-check of System::mcForAddr against the line interleave,
+// for the awkward MC counts: non-powers-of-two 3/5/6 (where a
 // power-of-two mask shortcut would silently misroute) and 64 (the mask
-// word boundary), under both shard policies. Every address must land on
-// a valid controller and consecutive lines must cover all of them.
+// word boundary). Every address must land on a valid controller and
+// consecutive lines must cover all of them.
 TEST(Sharding, McForAddrMatchesPolicyAtAwkwardCounts)
 {
     for (unsigned n : {3u, 5u, 6u, 64u}) {
-        for (auto policy :
-             {core::SystemConfig::ShardPolicy::LineInterleave,
-              core::SystemConfig::ShardPolicy::HashShard}) {
-            PdsBuilt b = buildPds(n, {}, policy);
-            core::System sys(b.cfg, b.prog, 1);
+        PdsBuilt b = buildPds(n, {});
+        core::System sys(b.cfg, b.prog, 1);
 
-            Rng rng(0x5eed0000u + n);
-            std::map<McId, unsigned> hits;
-            for (unsigned i = 0; i < 4096; ++i) {
-                Addr addr = rng.next();
-                Addr line = addr / cachelineBytes;
-                if (policy ==
-                    core::SystemConfig::ShardPolicy::HashShard)
-                    line = (line * 0x9E3779B97F4A7C15ull) >> 17;
-                McId want = static_cast<McId>(line % n);
-                McId got = sys.mcForAddr(addr);
-                ASSERT_LT(got, n);
-                ASSERT_EQ(got, want)
-                    << "n=" << n << " addr=" << addr;
-                ++hits[got];
-            }
-            // A consecutive-line sweep touches every controller.
-            for (Addr a = 0; a < static_cast<Addr>(n) * cachelineBytes;
-                 a += cachelineBytes)
-                ++hits[sys.mcForAddr(a)];
-            EXPECT_EQ(hits.size(), n)
-                << "n=" << n << ": some controller never addressed";
+        Rng rng(0x5eed0000u + n);
+        std::map<McId, unsigned> hits;
+        for (unsigned i = 0; i < 4096; ++i) {
+            Addr addr = rng.next();
+            McId want = static_cast<McId>((addr / cachelineBytes) % n);
+            McId got = sys.mcForAddr(addr);
+            ASSERT_LT(got, n);
+            ASSERT_EQ(got, want) << "n=" << n << " addr=" << addr;
+            ++hits[got];
         }
+        // A consecutive-line sweep touches every controller.
+        for (Addr a = 0; a < static_cast<Addr>(n) * cachelineBytes;
+             a += cachelineBytes)
+            ++hits[sys.mcForAddr(a)];
+        EXPECT_EQ(hits.size(), n)
+            << "n=" << n << ": some controller never addressed";
     }
 }
 
