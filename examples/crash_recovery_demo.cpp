@@ -66,9 +66,9 @@ main()
                     static_cast<unsigned long long>(
                         victim.mcAt(m).flushId()),
                     static_cast<unsigned long long>(
-                        victim.mcAt(m).flushedEntries()),
+                        victim.mcAt(m).counters().flushedEntries),
                     static_cast<unsigned long long>(
-                        victim.mcAt(m).fallbackFlushes()));
+                        victim.mcAt(m).counters().fallbackFlushes));
     }
     for (ThreadId t = 0; t < 4; ++t) {
         std::uint64_t site =

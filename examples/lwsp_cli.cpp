@@ -204,7 +204,8 @@ cmdRun(const Args &a)
                     static_cast<unsigned long long>(inj->bcastDrops),
                     static_cast<unsigned long long>(inj->bcastDelays),
                     static_cast<unsigned long long>(inj->bcastDups),
-                    static_cast<unsigned long long>(inj->bcastRetries));
+                    static_cast<unsigned long long>(
+                        sys.nocNet().counters().bcastRetries));
     }
 
     if (!trace_out.empty()) {

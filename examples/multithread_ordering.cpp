@@ -4,9 +4,9 @@
  * section; their stores' region IDs must follow the lock's happens-before
  * order, and the WPQs must release them to PM in exactly that order.
  *
- * The example instruments both memory controllers with flush-trace hooks
- * and prints each flush of the shared counter with its region ID, then
- * checks the persist order was monotone.
+ * The example traces both memory controllers' WPQ releases and prints
+ * each flush of the shared counter with its region ID, then checks the
+ * persist order was monotone.
  */
 
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "compiler/compiler.hh"
 #include "core/system.hh"
 #include "ir/program.hh"
+#include "trace/sink.hh"
 
 using namespace lwsp;
 using namespace lwsp::ir;
@@ -61,8 +62,17 @@ main()
     cfg.scheme = core::Scheme::LightWsp;
     cfg.numCores = 3;
     cfg.applySchemeDefaults();
+    cfg.traceEnabled = true;
+    cfg.traceMask = trace::categoryBit(trace::Category::Wpq);
 
     core::System sys(cfg, prog, /*threads=*/3);
+    auto r = sys.run();
+
+    const trace::TraceSink &sink = *sys.traceSink();
+    if (sink.wrapped()) {
+        std::fprintf(stderr, "trace ring wrapped: flushes lost\n");
+        return 1;
+    }
 
     struct Flush
     {
@@ -70,16 +80,12 @@ main()
         RegionId region;
     };
     std::vector<Flush> counter_flushes;
-    for (McId m = 0; m < 2; ++m) {
-        sys.mcAt(m).setFlushTraceHook(
-            [&](int kind, Addr addr, std::uint64_t value,
-                RegionId region) {
-                if (kind == 0 && addr == counterAddr)
-                    counter_flushes.push_back({value, region});
-            });
+    for (const trace::Event &e : sink.snapshot()) {
+        if (e.type == trace::EventType::WpqRelease &&
+            trace::releaseKind(e.aux) == 0 && e.addr == counterAddr)
+            counter_flushes.push_back({e.value, e.region});
     }
 
-    auto r = sys.run();
     std::printf("3 threads x 3 locked increments of (tid+1):\n");
     std::printf("final counter = %llu (expect 1*3 + 2*3 + 3*3 = 18)\n\n",
                 static_cast<unsigned long long>(

@@ -49,43 +49,6 @@ Percentiles::mean() const
     return sum / static_cast<double>(samples_.size());
 }
 
-void
-StatGroup::dump(std::ostream &os) const
-{
-    auto line = [&](const std::string &stat, double v,
-                    const std::string &desc) {
-        os << name_ << '.' << stat << ' ' << std::setprecision(12) << v;
-        if (!desc.empty())
-            os << " # " << desc;
-        os << '\n';
-    };
-
-    for (const auto &[stat, e] : scalars_)
-        line(stat, e.stat->value(), e.desc);
-    for (const auto &[stat, e] : averages_) {
-        line(stat + ".mean", e.stat->mean(), e.desc);
-        line(stat + ".count", static_cast<double>(e.stat->count()), "");
-    }
-    for (const auto &[stat, e] : dists_) {
-        const auto &d = *e.stat;
-        line(stat + ".mean", d.summary().mean(), e.desc);
-        line(stat + ".min", d.summary().min(), "");
-        line(stat + ".max", d.summary().max(), "");
-        line(stat + ".count", static_cast<double>(d.summary().count()), "");
-    }
-    for (const auto &[stat, e] : percs_) {
-        const auto &p = *e.stat;
-        line(stat + ".p50", p.p50(), e.desc);
-        line(stat + ".p90", p.p90(), "");
-        line(stat + ".p99", p.p99(), "");
-        line(stat + ".p999", p.p999(), "");
-        line(stat + ".max", p.max(), "");
-        line(stat + ".count", static_cast<double>(p.count()), "");
-    }
-    for (const auto &[stat, e] : funcs_)
-        line(stat, e.fn(), e.desc);
-}
-
 namespace {
 
 /** JSON number (JSON has no NaN/Inf — those become null). */
@@ -113,22 +76,8 @@ StatGroup::dumpJson(std::ostream &os) const
         return os;
     };
 
-    for (const auto &[stat, e] : scalars_) {
-        key(stat);
-        jsonNum(os, e.stat->value());
-    }
-    for (const auto &[stat, e] : averages_) {
-        key(stat);
-        os << "{\"mean\":";
-        jsonNum(os, e.stat->mean());
-        os << ",\"min\":";
-        jsonNum(os, e.stat->min());
-        os << ",\"max\":";
-        jsonNum(os, e.stat->max());
-        os << ",\"count\":" << e.stat->count() << '}';
-    }
-    for (const auto &[stat, e] : dists_) {
-        const auto &d = *e.stat;
+    for (const auto &[stat, dist] : dists_) {
+        const Distribution &d = *dist;
         key(stat);
         os << "{\"mean\":";
         jsonNum(os, d.summary().mean());
@@ -146,24 +95,9 @@ StatGroup::dumpJson(std::ostream &os) const
         }
         os << "]}";
     }
-    for (const auto &[stat, e] : percs_) {
-        const auto &p = *e.stat;
+    for (const auto &[stat, fn] : funcs_) {
         key(stat);
-        os << "{\"p50\":";
-        jsonNum(os, p.p50());
-        os << ",\"p90\":";
-        jsonNum(os, p.p90());
-        os << ",\"p99\":";
-        jsonNum(os, p.p99());
-        os << ",\"p999\":";
-        jsonNum(os, p.p999());
-        os << ",\"max\":";
-        jsonNum(os, p.max());
-        os << ",\"count\":" << p.count() << '}';
-    }
-    for (const auto &[stat, e] : funcs_) {
-        key(stat);
-        jsonNum(os, e.fn());
+        jsonNum(os, fn());
     }
     os << '}';
 }
@@ -172,15 +106,13 @@ double
 StatGroup::value(std::string_view stat) const
 {
     if (auto it = funcs_.find(stat); it != funcs_.end())
-        return it->second.fn();
-    if (auto it = scalars_.find(stat); it != scalars_.end())
-        return it->second.stat->value();
+        return it->second();
     std::size_t dot = stat.rfind('.');
     auto it = dot == std::string_view::npos
                   ? dists_.end()
                   : dists_.find(stat.substr(0, dot));
     if (it != dists_.end()) {
-        const Average &a = it->second.stat->summary();
+        const Average &a = it->second->summary();
         std::string_view field = stat.substr(dot + 1);
         if (field == "sum")
             return a.sum();
@@ -201,13 +133,6 @@ Registry::group(const std::string &name)
     index_.emplace(name, groups_.size());
     groups_.push_back(std::make_unique<StatGroup>(name));
     return *groups_.back();
-}
-
-void
-Registry::dump(std::ostream &os) const
-{
-    for (const auto &g : groups_)
-        g->dump(os);
 }
 
 void

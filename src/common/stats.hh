@@ -1,13 +1,14 @@
 /**
  * @file
- * A small statistics package modelled on gem5's: named scalar counters,
- * averages and distributions owned by a per-component StatGroup, plus a
- * registry that can dump everything in a stable text format.
+ * A small statistics package modelled on gem5's: averages, histograms
+ * and exact percentiles; per-component counter tables; and a registry
+ * of named stat groups that dumps as one stable JSON object.
  */
 
 #ifndef LWSP_COMMON_STATS_HH
 #define LWSP_COMMON_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -15,29 +16,13 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "logging.hh"
 
 namespace lwsp {
 namespace stats {
-
-/** A named, monotonically adjustable scalar counter. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { ++value_; return *this; }
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator=(double v) { value_ = v; return *this; }
-
-    double value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    double value_ = 0;
-};
 
 /** Running mean/min/max over sampled values. */
 class Average
@@ -107,10 +92,6 @@ class Distribution
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
     const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    double bucketLow(std::size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * static_cast<double>(i) / counts_.size();
-    }
 
     void
     reset()
@@ -175,8 +156,37 @@ class Percentiles
 };
 
 /**
- * Owner of a component's named statistics. Components hold their stats as
- * plain members and register them here for dumping.
+ * One row of a component's counter table: the dump name of one member
+ * of its `Counters` struct. A component declares each counter once, as
+ * a member, and names it once, as a row of `Counters::fields()`;
+ * registration (StatGroup::addCounters) and reset (`counters_ = {}`)
+ * both derive from that pair.
+ */
+template <typename C>
+struct Counter
+{
+    const char *name;
+    std::variant<std::uint64_t C::*, Distribution C::*> member;
+};
+
+/**
+ * Bytes the members named by @p rows occupy: sizeof(C) exactly when
+ * every member has a row.
+ */
+template <typename C, std::size_t N>
+constexpr std::size_t
+counterBytes(const std::array<Counter<C>, N> &rows)
+{
+    std::size_t bytes = 0;
+    for (const Counter<C> &r : rows)
+        bytes += r.member.index() == 0 ? sizeof(std::uint64_t)
+                                       : sizeof(Distribution);
+    return bytes;
+}
+
+/**
+ * Owner of a component's named statistics: distributions and
+ * callback-backed values, both read at dump time.
  */
 class StatGroup
 {
@@ -184,99 +194,70 @@ class StatGroup
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     void
-    addScalar(const std::string &stat_name, const Scalar *s,
-              const std::string &desc = "")
+    addDistribution(const std::string &stat_name, const Distribution *d)
     {
-        scalars_.emplace(stat_name, Entry<Scalar>{s, desc});
+        dists_.emplace(stat_name, d);
     }
 
+    /** Register a callback-backed stat: the value is computed at dump time. */
     void
-    addAverage(const std::string &stat_name, const Average *a,
-               const std::string &desc = "")
+    addFunc(const std::string &stat_name, std::function<double()> fn)
     {
-        averages_.emplace(stat_name, Entry<Average>{a, desc});
-    }
-
-    void
-    addDistribution(const std::string &stat_name, const Distribution *d,
-                    const std::string &desc = "")
-    {
-        dists_.emplace(stat_name, Entry<Distribution>{d, desc});
-    }
-
-    void
-    addPercentiles(const std::string &stat_name, const Percentiles *p,
-                   const std::string &desc = "")
-    {
-        percs_.emplace(stat_name, Entry<Percentiles>{p, desc});
+        funcs_.emplace(stat_name, std::move(fn));
     }
 
     /**
-     * Register a callback-backed stat: the value is computed at dump
-     * time. This is how components with plain integer counters (the hot
-     * paths) join the registry without changing their counting code.
+     * Register every row of `C::fields()` read from @p c, which must
+     * outlive this group's dumps. A member added to C without a row
+     * fails the build here.
      */
+    template <typename C>
     void
-    addFunc(const std::string &stat_name, std::function<double()> fn,
-            const std::string &desc = "")
+    addCounters(const C &c)
     {
-        funcs_.emplace(stat_name, FuncEntry{std::move(fn), desc});
+        static_assert(counterBytes(C::fields()) == sizeof(C),
+                      "give every counter member a fields() row");
+        for (const Counter<C> &row : C::fields()) {
+            if (const auto *m = std::get_if<0>(&row.member)) {
+                const std::uint64_t *v = &(c.*(*m));
+                addFunc(row.name, [v] { return static_cast<double>(*v); });
+            } else {
+                addDistribution(row.name, &(c.*std::get<1>(row.member)));
+            }
+        }
     }
 
-    /** Dump every registered stat in "group.stat value # desc" format. */
-    void dump(std::ostream &os) const;
-
-    /** Dump as one JSON object: {"stat": value, "dist": {...}, ...}. */
+    /** Dump as one JSON object: {"dist": {...}, ..., "stat": value, ...}. */
     void dumpJson(std::ostream &os) const;
 
     const std::string &name() const { return name_; }
 
     /**
-     * Value of the stat with dump name @p stat: a scalar or func stat,
-     * or a distribution's "<dist>.sum", "<dist>.count" or "<dist>.max".
+     * Value of the stat with dump name @p stat: a func stat, or a
+     * distribution's "<dist>.sum", "<dist>.count" or "<dist>.max".
      * Panics if there is none.
      */
     double value(std::string_view stat) const;
 
-    /** value() of a scalar or func stat (the older, typed names). */
-    double scalarValue(const std::string &s) const { return value(s); }
+    /** value() of a func stat (the older, typed name). */
     double funcValue(const std::string &s) const { return value(s); }
 
   private:
-    template <typename T>
-    struct Entry
-    {
-        const T *stat;
-        std::string desc;
-    };
-
-    struct FuncEntry
-    {
-        std::function<double()> fn;
-        std::string desc;
-    };
-
     std::string name_;
-    std::map<std::string, Entry<Scalar>, std::less<>> scalars_;
-    std::map<std::string, Entry<Average>> averages_;
-    std::map<std::string, Entry<Distribution>, std::less<>> dists_;
-    std::map<std::string, Entry<Percentiles>> percs_;
-    std::map<std::string, FuncEntry, std::less<>> funcs_;
+    std::map<std::string, const Distribution *, std::less<>> dists_;
+    std::map<std::string, std::function<double()>, std::less<>> funcs_;
 };
 
 /**
  * Ordered collection of StatGroups — one per component of a system.
- * Groups are created on demand and dumped in creation order, in the
- * established text format or as a single JSON object keyed by group.
+ * Groups are created on demand and dumped in creation order as a single
+ * JSON object keyed by group.
  */
 class Registry
 {
   public:
     /** Get or create the group named @p name (stable reference). */
     StatGroup &group(const std::string &name);
-
-    /** "group.stat value" lines for every group, creation order. */
-    void dump(std::ostream &os) const;
 
     /** {"group": {...}, ...} — the JSON run-report stats section. */
     void dumpJson(std::ostream &os) const;

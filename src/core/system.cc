@@ -224,20 +224,30 @@ System::maybeEndWarmup()
         return;
     std::uint64_t insts = 0;
     for (const auto &c : cores_)
-        insts += c->instsRetired();
+        insts += c->counters().instsRetired;
     if (insts < cfg_.warmupInsts)
         return;
     warmupDone_ = true;
     warmupCycles_ = sim_.now();
+    resetStats();
+}
+
+void
+System::resetStats()
+{
+    // The NoC keeps counting through warmup: resetting it here would
+    // change every fabric count in the reference outputs.
     for (auto &c : cores_)
         c->resetStats();
     for (auto &l1 : l1d_)
         l1->resetStats();
     l2_->resetStats();
-    for (auto &mc : mcs_)
+    for (auto &mc : mcs_) {
         mc->resetStats();
-    staleLoads_ = 0;
-    staleExtraMisses_ = 0;
+        mc->wpqMutable().resetStats();
+        mc->dramCache().resetStats();
+    }
+    counters_ = {};
 }
 
 /**
@@ -409,8 +419,8 @@ System::executeCrashDrain(Tick now, int interrupt_after)
     // post-drain image: that is what recovery will read.
     if (faultInjector_) {
         injectPostDrainFaults(now);
-        crashReport_.bcastRetries = faultInjector_->bcastRetries;
-        crashReport_.bcastLostAtCrash = faultInjector_->bcastLostAtCrash;
+        crashReport_.bcastRetries = noc_.counters().bcastRetries;
+        crashReport_.bcastLostAtCrash = noc_.bcastLostAtCrash();
     }
     trace::emitIf<trace::Category::Power>(
         traceSink_.get(),
@@ -471,7 +481,6 @@ System::injectCrashFaults(Tick now)
             e.value ^= 1ull << inj.rng().below(64);
             e.ecc = 1;
         }
-        ++inj.wpqDamaged;
         ++crashReport_.wpqDamaged;
         trace::emitIf<trace::Category::Power>(
             traceSink_.get(),
@@ -498,7 +507,6 @@ System::injectCrashFaults(Tick now)
     if (fc.mcStallIters > 0) {
         McId m = static_cast<McId>(inj.rng().below(mcs_.size()));
         mcs_[m]->setCrashStall(fc.mcStallIters);
-        inj.stallsInjected += fc.mcStallIters;
         crashReport_.stallsInjected += fc.mcStallIters;
         trace::emitIf<trace::Category::Power>(
             traceSink_.get(),
@@ -534,7 +542,6 @@ System::injectPostDrainFaults(Tick now)
             // The device lost the word: scramble the data, then flag it.
             pm_.write(a, pm_.read(a) ^ 0xdead'beef'0bad'c0deull);
             pm_.poison(a);
-            ++inj.poisonedWords;
             ++crashReport_.poisonedWords;
             trace::emitIf<trace::Category::Power>(
                 traceSink_.get(),
@@ -558,7 +565,6 @@ System::injectPostDrainFaults(Tick now)
                 static_cast<ir::Reg>(inj.rng().below(ir::numGprs));
             Addr a = program_.layout.regSlot(t, r);
             pm_.write(a, pm_.read(a) ^ (1ull << inj.rng().below(64)));
-            ++inj.silentFlips;
             ++crashReport_.silentFlips;
             trace::emitIf<trace::Category::Power>(
                 traceSink_.get(),
@@ -792,8 +798,8 @@ System::loadLatency(CoreId core_id, Addr addr, Tick now)
         Addr line = alignDown(addr, cachelineBytes);
         for (const auto &core : cores_) {
             if (core->febContainsLine(line)) {
-                ++staleLoads_;
-                ++staleExtraMisses_;
+                ++counters_.staleLoads;
+                ++counters_.staleExtraMisses;
                 lat += cfg_.mc.pmReadCycles;
                 break;
             }
@@ -880,137 +886,45 @@ System::persistsDrained(CoreId core_id)
 void
 System::registerStats(stats::Registry &registry) const
 {
-    auto fn = [](auto getter) {
-        return [getter] { return static_cast<double>(getter()); };
-    };
-
-    for (const auto &cp : cores_) {
-        const cpu::Core *c = cp.get();
-        stats::StatGroup &g = registry.group(c->name());
-        g.addFunc("instsRetired", fn([c] { return c->instsRetired(); }),
-                  "instructions retired");
-        g.addFunc("storesRetired", fn([c] { return c->storesRetired(); }),
-                  "stores retired");
-        g.addFunc("boundariesRetired",
-                  fn([c] { return c->boundariesRetired(); }),
-                  "region boundaries retired");
-        g.addFunc("robFullCycles", fn([c] { return c->robFullCycles(); }),
-                  "cycles dispatch stalled on a full ROB");
-        g.addFunc("sbFullCycles", fn([c] { return c->sbFullCycles(); }),
-                  "cycles retirement stalled on a full store buffer");
-        g.addFunc("febFullCycles", fn([c] { return c->febFullCycles(); }),
-                  "cycles the SB stalled on a full front-end buffer");
-        g.addFunc("boundaryWaitCycles",
-                  fn([c] { return c->boundaryWaitCycles(); }),
-                  "cycles stalled waiting for region durability");
-        g.addFunc("lockBlockedCycles",
-                  fn([c] { return c->lockBlockedCycles(); }),
-                  "cycles blocked on a contended lock");
-        g.addFunc("pathBlockedCycles",
-                  fn([c] { return c->pathBlockedCycles(); }),
-                  "cycles persist-path egress was refused by the WPQ");
-        g.addFunc("snoopBlockedCycles",
-                  fn([c] { return c->snoopBlockedCycles(); }),
-                  "cycles the SB head hit a zero-victim snoop conflict");
-        g.addFunc("branchMisses", fn([c] { return c->branchMisses(); }),
-                  "branch mispredictions");
-        g.addDistribution("regionInsts", &c->regionInsts(),
-                          "dynamic instructions per region");
-        g.addDistribution("regionStores", &c->regionStores(),
-                          "stores per region");
-    }
-
-    auto cacheStats = [&](const mem::Cache *cache) {
-        stats::StatGroup &g = registry.group(cache->name());
-        g.addFunc("hits", fn([cache] { return cache->hits(); }), "hits");
-        g.addFunc("misses", fn([cache] { return cache->misses(); }),
-                  "misses");
-        g.addFunc("bufferConflicts",
-                  fn([cache] { return cache->bufferConflicts(); }),
-                  "dirty evictions vetoed by buffer snooping");
-        g.addFunc("divertedVictims",
-                  fn([cache] { return cache->divertedVictims(); }),
-                  "LRU victims diverted to a clean way");
+    for (const auto &c : cores_)
+        registry.group(c->name()).addCounters(c->counters());
+    auto cacheStats = [&registry](const mem::Cache &cache) {
+        registry.group(cache.name()).addCounters(cache.counters());
     };
     for (const auto &l1 : l1d_)
-        cacheStats(l1.get());
-    cacheStats(l2_.get());
-
+        cacheStats(*l1);
+    cacheStats(*l2_);
     for (const auto &mp : mcs_) {
         const mem::MemController *mc = mp.get();
         stats::StatGroup &g = registry.group(mc->name());
-        g.addFunc("flushedEntries",
-                  fn([mc] { return mc->flushedEntries(); }),
-                  "WPQ entries released to PM");
-        g.addFunc("fallbackFlushes",
-                  fn([mc] { return mc->fallbackFlushes(); }),
-                  "undo-logged out-of-order releases (deadlock fallback)");
-        g.addFunc("overflowEvents",
-                  fn([mc] { return mc->overflowEvents(); }),
-                  "soft WPQ overflows during fallback");
-        g.addFunc("wpqLoadHits", fn([mc] { return mc->wpqLoadHits(); }),
-                  "LLC-miss loads served from the WPQ CAM");
-        g.addFunc("loadMisses", fn([mc] { return mc->loadMisses(); }),
-                  "LLC misses served by this controller");
-        g.addFunc("regionsCommitted",
-                  fn([mc] { return mc->regionsCommitted(); }),
-                  "regions whose flush-ACK round completed");
-        g.addFunc("flushId", fn([mc] { return mc->flushId(); }),
-                  "persistent flush-ID register (committed prefix + 1)");
-        g.addFunc("maxWpqOccupancy",
-                  fn([mc] { return mc->maxWpqOccupancy(); }),
-                  "peak WPQ occupancy");
-        g.addDistribution("wpqOccupancy", &mc->wpqOccupancy(),
-                          "WPQ occupancy at enqueue");
-        g.addDistribution("bcastLatency", &mc->bcastLatency(),
-                          "boundary arrival to full bdry-ACK round, "
-                          "cycles");
-        cacheStats(&const_cast<mem::MemController *>(mc)->dramCache());
-
-        const mem::Wpq *wpq = &mc->wpq();
-        stats::StatGroup &wg = registry.group(mc->name() + ".wpq");
-        wg.addFunc("pushes", fn([wpq] { return wpq->pushes(); }),
-                   "entries enqueued");
-        wg.addFunc("pops", fn([wpq] { return wpq->pops(); }),
-                   "entries dequeued");
-        wg.addFunc("searches", fn([wpq] { return wpq->searches(); }),
-                   "CAM searches");
-        wg.addFunc("searchHits", fn([wpq] { return wpq->searchHits(); }),
-                   "CAM search hits");
+        g.addCounters(mc->counters());
+        // The persistent flush-ID register (committed prefix + 1).
+        g.addFunc("flushId",
+                  [mc] { return static_cast<double>(mc->flushId()); });
+        cacheStats(mc->dramCache());
+        registry.group(mc->name() + ".wpq").addCounters(mc->wpq().counters());
     }
-
-    stats::StatGroup &ng = registry.group(noc_.name());
-    const noc::Noc *noc = &noc_;
-    ng.addFunc("messagesSent", fn([noc] { return noc->messagesSent(); }),
-               "control-plane messages sent");
-    ng.addFunc("boundariesBroadcast",
-               fn([noc] { return noc->boundariesBroadcast(); }),
-               "boundary broadcasts");
-    ng.addFunc("bcastRetries", fn([noc] { return noc->bcastRetries(); }),
-               "broadcast retry rounds (lossy links)");
+    registry.group(noc_.name()).addCounters(noc_.counters());
 
     stats::StatGroup &sg = registry.group("system");
-    sg.addFunc("cycles", fn([this] { return now() - warmupCycles_; }),
-               "simulated cycles (post-warmup)");
-    sg.addFunc("staleLoads", fn([this] { return staleLoads_; }),
-               "loads that returned stale data (no buffer snooping)");
-    sg.addFunc("staleExtraMisses", fn([this] { return staleExtraMisses_; }),
-               "L1 refetches of stale fills (one extra miss each)");
-    sg.addFunc("crashed", fn([this] { return crashed_ ? 1 : 0; }),
-               "1 if the crash-drain protocol executed");
-    sg.addFunc("traceEvents", fn([this] {
-                   return traceSink_ ? traceSink_->emitted() : 0;
-               }),
-               "telemetry events accepted by the sink");
-    sg.addFunc("recoveryOutcome", fn([this] {
-                   return recovered_
-                       ? 1 + static_cast<std::uint64_t>(bootOutcome_)
-                       : 0;
-               }),
-               "0 fresh boot, 1 recovered, 2 degraded, 3 unrecoverable");
-    sg.addFunc("failuresSurvived",
-               fn([this] { return failuresSurvived_; }),
-               "power failures survived by the recovered state");
+    sg.addCounters(counters_);
+    auto derived = [&sg](const char *name, auto value) {
+        sg.addFunc(name, [value] { return static_cast<double>(value()); });
+    };
+    // Simulated cycles since the end of warmup.
+    derived("cycles", [this] { return now() - warmupCycles_; });
+    // 1 if the crash-drain protocol executed.
+    derived("crashed", [this] { return crashed_; });
+    // Telemetry events accepted by the sink.
+    derived("traceEvents", [this] {
+        return traceSink_ ? traceSink_->emitted() : 0;
+    });
+    // 0 fresh boot, 1 recovered, 2 degraded, 3 unrecoverable.
+    derived("recoveryOutcome", [this] {
+        return recovered_ ? 1 + static_cast<int>(bootOutcome_) : 0;
+    });
+    // Power failures survived by the recovered state.
+    derived("failuresSurvived", [this] { return failuresSurvived_; });
 }
 
 std::span<const ResultField>

@@ -327,12 +327,37 @@ class System : public cpu::MemPort
     /** MC owning @p addr (cacheline interleaving). */
     McId mcForAddr(Addr addr) const;
 
+    /** System-level counters: what the end of warmup zeroes here. */
+    struct Counters
+    {
+        std::uint64_t staleLoads = 0;        ///< no snooping: stale data
+        std::uint64_t staleExtraMisses = 0;  ///< their L1 refetches
+
+        static constexpr auto
+        fields()
+        {
+            using C = Counters;
+            return std::to_array<stats::Counter<C>>({
+                {"staleLoads", &C::staleLoads},
+                {"staleExtraMisses", &C::staleExtraMisses},
+            });
+        }
+    };
+
+    const Counters &counters() const { return counters_; }
+
     /**
-     * Register every component's statistics (callback-backed) with
-     * @p registry: per-core pipeline counters and region-size
-     * distributions, cache hit/miss, per-MC WPQ counters with occupancy
-     * and broadcast-latency histograms, NoC traffic, and system-level
-     * counters. The registry must not outlive this System.
+     * Zero the counters of every core, cache, MC and WPQ and the
+     * system's own: the end-of-warmup reset. The NoC's are kept.
+     */
+    void resetStats();
+
+    /**
+     * Register with @p registry every component's counter table (one
+     * group per core, cache, MC, WPQ and the NoC), each MC's flush-ID
+     * register, and the system group: its counters plus the derived
+     * cycles, crash, trace and recovery values. The registry must not
+     * outlive this System.
      */
     void registerStats(stats::Registry &registry) const;
 
@@ -391,8 +416,7 @@ class System : public cpu::MemPort
     unsigned failuresSurvived_ = 0;
     bool warmupDone_ = false;
     Tick warmupCycles_ = 0;
-    std::uint64_t staleLoads_ = 0;
-    std::uint64_t staleExtraMisses_ = 0;
+    Counters counters_;
 };
 
 } // namespace core

@@ -43,7 +43,7 @@ Core::persistEgress(Tick now)
     if (!head.launched || now < head.arriveAt)
         return;
     if (!port_.tryPersistAccept(head.entry, now)) {
-        ++pathBlockedCycles_;
+        ++counters_.pathBlockedCycles;
         return;
     }
     // Boundary broadcasts happen here, after every earlier granule of the
@@ -87,13 +87,13 @@ Core::drainStoreBuffer(Tick now)
     // Regular path: write-allocate into L1. A zero-victim snoop conflict
     // blocks the store until the FEB entry drains.
     if (!port_.storeAccess(id_, rec.addr, now)) {
-        ++snoopBlockedCycles_;
+        ++counters_.snoopBlockedCycles;
         return;
     }
 
     if (cfg_.persistPathEnabled) {
         if (feb_.size() >= cfg_.febEntries) {
-            ++febFullCycles_;
+            ++counters_.febFullCycles;
             return;
         }
         FebEntry fe;
@@ -120,7 +120,7 @@ Core::retire(Tick now)
                     ? port_.regionDurable(id_, durableRegion_)
                     : port_.persistsDrained(id_);
             if (!durable) {
-                ++boundaryWaitCycles_;
+                ++counters_.boundaryWaitCycles;
                 return;
             }
             waitingDurable_ = false;
@@ -131,29 +131,29 @@ Core::retire(Tick now)
         const ExecRecord &rec = rob_.front().rec;
         if (rec.isStore) {
             if (sb_.size() >= cfg_.sbEntries) {
-                ++sbFullCycles_;
+                ++counters_.sbFullCycles;
                 return;
             }
             sb_.push_back(rec);
-            ++storesRetired_;
+            ++counters_.storesRetired;
             ++storesSinceBoundary_;
             if (cfg_.serveMarkAddr != 0 && rec.addr == cfg_.serveMarkAddr) {
                 trace::emitIf<trace::Category::Serve>(
                     cfg_.sink,
                     {now, trace::EventType::ServeMark,
                      static_cast<std::int32_t>(id_), rec.thread, rec.region,
-                     rec.addr, rec.value, boundaryWaitCycles_});
+                     rec.addr, rec.value, counters_.boundaryWaitCycles});
             }
         }
 
-        ++instsRetired_;
+        ++counters_.instsRetired;
         ++instsSinceBoundary_;
 
         if (rec.isBoundary) {
-            ++boundariesRetired_;
-            regionInsts_.sample(
+            ++counters_.boundariesRetired;
+            counters_.regionInsts.sample(
                 static_cast<double>(instsSinceBoundary_));
-            regionStores_.sample(
+            counters_.regionStores.sample(
                 static_cast<double>(storesSinceBoundary_));
             trace::emitIf<trace::Category::Region>(
                 cfg_.sink,
@@ -188,10 +188,10 @@ Core::retire(Tick now)
             if (++hwStoreCount_ >= cfg_.hwRegionStores) {
                 hwStoreCount_ = 0;
                 waitingDurable_ = true;
-                ++boundariesRetired_;
-                regionInsts_.sample(
+                ++counters_.boundariesRetired;
+                counters_.regionInsts.sample(
                     static_cast<double>(instsSinceBoundary_));
-                regionStores_.sample(
+                counters_.regionStores.sample(
                     static_cast<double>(storesSinceBoundary_));
                 instsSinceBoundary_ = 0;
                 storesSinceBoundary_ = 0;
@@ -217,7 +217,7 @@ Core::dispatch(Tick now)
 
     for (unsigned n = 0; n < cfg_.issueWidth; ++n) {
         if (rob_.size() >= cfg_.robEntries) {
-            ++robFullCycles_;
+            ++counters_.robFullCycles;
             return;
         }
 
@@ -225,7 +225,7 @@ Core::dispatch(Tick now)
         StepStatus status = thread_->step(rec);
         if (status == StepStatus::Blocked) {
             lockBlocked_ = true;
-            ++lockBlockedCycles_;
+            ++counters_.lockBlockedCycles;
             return;
         }
         if (status == StepStatus::Halted)
@@ -250,7 +250,7 @@ Core::dispatch(Tick now)
             regReady_[static_cast<std::size_t>(rec.dstReg)] = done;
 
         if (rec.isBranch && rng_.chance(cfg_.branchMissRate)) {
-            ++branchMisses_;
+            ++counters_.branchMisses;
             dispatchBlockedUntil_ = done + cfg_.branchMissPenalty;
         }
 

@@ -170,34 +170,50 @@ class Core : public Clocked
     std::size_t febSize() const { return feb_.size(); }
 
     // ---- Statistics -------------------------------------------------------
-    /** Zero all counters (end-of-warmup reset). */
-    void
-    resetStats()
+    /** The core's counters: exactly what resetStats() zeroes. */
+    struct Counters
     {
-        instsRetired_ = storesRetired_ = robFullCycles_ = 0;
-        sbFullCycles_ = febFullCycles_ = boundaryWaitCycles_ = 0;
-        lockBlockedCycles_ = pathBlockedCycles_ = snoopBlockedCycles_ = 0;
-        branchMisses_ = boundariesRetired_ = 0;
-        regionInsts_.reset();
-        regionStores_.reset();
-    }
+        std::uint64_t instsRetired = 0;
+        std::uint64_t storesRetired = 0;
+        std::uint64_t boundariesRetired = 0;   ///< region boundaries
+        std::uint64_t robFullCycles = 0;       ///< dispatch: ROB full
+        std::uint64_t sbFullCycles = 0;        ///< retire: store buffer full
+        std::uint64_t febFullCycles = 0;       ///< SB drain: FEB full
+        std::uint64_t boundaryWaitCycles = 0;  ///< awaiting durability
+        std::uint64_t lockBlockedCycles = 0;   ///< on a contended lock
+        std::uint64_t pathBlockedCycles = 0;   ///< FEB egress refused
+        std::uint64_t snoopBlockedCycles = 0;  ///< zero-victim snoop
+        std::uint64_t branchMisses = 0;        ///< branch mispredictions
+        /** Dynamic instructions (stores) per region, §V-G3. */
+        stats::Distribution regionInsts{0, 512, 64};
+        stats::Distribution regionStores{0, 64, 64};
 
-    std::uint64_t instsRetired() const { return instsRetired_; }
-    std::uint64_t storesRetired() const { return storesRetired_; }
-    std::uint64_t robFullCycles() const { return robFullCycles_; }
-    std::uint64_t sbFullCycles() const { return sbFullCycles_; }
-    std::uint64_t febFullCycles() const { return febFullCycles_; }
-    std::uint64_t boundaryWaitCycles() const { return boundaryWaitCycles_; }
-    std::uint64_t lockBlockedCycles() const { return lockBlockedCycles_; }
-    std::uint64_t pathBlockedCycles() const { return pathBlockedCycles_; }
-    std::uint64_t snoopBlockedCycles() const { return snoopBlockedCycles_; }
-    std::uint64_t branchMisses() const { return branchMisses_; }
-    std::uint64_t boundariesRetired() const { return boundariesRetired_; }
-    const stats::Distribution &regionInsts() const { return regionInsts_; }
-    const stats::Distribution &regionStores() const
-    {
-        return regionStores_;
-    }
+        static constexpr auto
+        fields()
+        {
+            using C = Counters;
+            return std::to_array<stats::Counter<C>>({
+                {"instsRetired", &C::instsRetired},
+                {"storesRetired", &C::storesRetired},
+                {"boundariesRetired", &C::boundariesRetired},
+                {"robFullCycles", &C::robFullCycles},
+                {"sbFullCycles", &C::sbFullCycles},
+                {"febFullCycles", &C::febFullCycles},
+                {"boundaryWaitCycles", &C::boundaryWaitCycles},
+                {"lockBlockedCycles", &C::lockBlockedCycles},
+                {"pathBlockedCycles", &C::pathBlockedCycles},
+                {"snoopBlockedCycles", &C::snoopBlockedCycles},
+                {"branchMisses", &C::branchMisses},
+                {"regionInsts", &C::regionInsts},
+                {"regionStores", &C::regionStores},
+            });
+        }
+    };
+
+    const Counters &counters() const { return counters_; }
+
+    /** Zero all counters (end-of-warmup reset). */
+    void resetStats() { counters_ = {}; }
 
   private:
     struct RobEntry
@@ -242,19 +258,7 @@ class Core : public Clocked
     std::uint64_t instsSinceBoundary_ = 0;
     std::uint64_t storesSinceBoundary_ = 0;
 
-    std::uint64_t instsRetired_ = 0;
-    std::uint64_t storesRetired_ = 0;
-    std::uint64_t robFullCycles_ = 0;
-    std::uint64_t sbFullCycles_ = 0;
-    std::uint64_t febFullCycles_ = 0;
-    std::uint64_t boundaryWaitCycles_ = 0;
-    std::uint64_t lockBlockedCycles_ = 0;
-    std::uint64_t pathBlockedCycles_ = 0;
-    std::uint64_t snoopBlockedCycles_ = 0;
-    std::uint64_t branchMisses_ = 0;
-    std::uint64_t boundariesRetired_ = 0;
-    stats::Distribution regionInsts_{0, 512, 64};
-    stats::Distribution regionStores_{0, 64, 64};
+    Counters counters_;
 };
 
 } // namespace cpu

@@ -111,7 +111,7 @@ struct FaultConfig
 enum class BcastFate : std::uint8_t { Deliver, Drop, Delay, Duplicate };
 
 /**
- * Seeded fault oracle plus injection counters. Pure decision logic —
+ * Seeded fault oracle plus broadcast-fate counts. Pure decision logic —
  * the NoC, MCs and System own the mechanics of acting on each decision.
  */
 class FaultInjector
@@ -165,16 +165,12 @@ class FaultInjector
 
     Tick bcastDelayCycles() const { return cfg_.bcastDelayCycles; }
 
-    // Injection counters (reported in CrashReport / CLI stats).
+    // Broadcast-copy fates the injector decided. What follows from them
+    // is counted once, where it happens: retries and copies lost at the
+    // crash by the Noc, crash-time damage by the System's CrashReport.
     std::uint64_t bcastDrops = 0;
     std::uint64_t bcastDelays = 0;
     std::uint64_t bcastDups = 0;
-    std::uint64_t bcastRetries = 0;
-    std::uint64_t bcastLostAtCrash = 0;
-    std::uint64_t wpqDamaged = 0;
-    std::uint64_t poisonedWords = 0;
-    std::uint64_t silentFlips = 0;
-    std::uint64_t stallsInjected = 0;
 
   private:
     FaultConfig cfg_;

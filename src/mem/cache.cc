@@ -69,12 +69,12 @@ Cache::access(Addr addr, bool is_write)
         if (l.valid && l.tag == tag) {
             l.lruStamp = clock_;
             l.dirty = l.dirty || is_write;
-            ++hits_;
+            ++counters_.hits;
             res.hit = true;
             return res;
         }
     }
-    ++misses_;
+    ++counters_.misses;
 
     // Choose a victim: invalid way first, else LRU order subject to the
     // snoop filter for dirty victims.
@@ -111,7 +111,7 @@ Cache::access(Addr addr, bool is_write)
             unsigned w = order[idx];
             const Line &cand = lines_[base + w];
             if (filter_active && cand.dirty && !canEvict_(cand.tag)) {
-                ++bufferConflicts_;
+                ++counters_.bufferConflicts;
                 ++tried;
                 if (tried >= scan_limit)
                     break;
@@ -125,11 +125,11 @@ Cache::access(Addr addr, bool is_write)
             // Every scannable way conflicts (or Zero policy): the access
             // must wait for the front-end buffer to drain.
             res.blocked = true;
-            --misses_;  // the retry will re-count
+            --counters_.misses;  // the retry will re-count
             return res;
         }
         if (res.victimDiverted)
-            ++divertedVictims_;
+            ++counters_.divertedVictims;
     }
 
     Line &l = lines_[base + victim];

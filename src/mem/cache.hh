@@ -13,6 +13,7 @@
 #ifndef LWSP_MEM_CACHE_HH
 #define LWSP_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -84,22 +85,31 @@ class Cache
 
     unsigned latency() const { return cfg_.latency; }
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    std::uint64_t bufferConflicts() const { return bufferConflicts_; }
-    std::uint64_t divertedVictims() const { return divertedVictims_; }
-    double
-    missRate() const
+    /** The cache's counters: exactly what resetStats() zeroes. */
+    struct Counters
     {
-        std::uint64_t total = hits_ + misses_;
-        return total ? static_cast<double>(misses_) / total : 0.0;
-    }
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::uint64_t bufferConflicts = 0;  ///< dirty victims vetoed
+        std::uint64_t divertedVictims = 0;  ///< LRU victim moved to clean
 
-    void
-    resetStats()
-    {
-        hits_ = misses_ = bufferConflicts_ = divertedVictims_ = 0;
-    }
+        static constexpr auto
+        fields()
+        {
+            using C = Counters;
+            return std::to_array<stats::Counter<C>>({
+                {"hits", &C::hits},
+                {"misses", &C::misses},
+                {"bufferConflicts", &C::bufferConflicts},
+                {"divertedVictims", &C::divertedVictims},
+            });
+        }
+    };
+
+    const Counters &counters() const { return counters_; }
+    std::uint64_t hits() const { return counters_.hits; }
+
+    void resetStats() { counters_ = {}; }
 
     const std::string &name() const { return name_; }
 
@@ -124,10 +134,7 @@ class Cache
     VictimPolicy policy_ = VictimPolicy::None;
     std::function<bool(Addr)> canEvict_;
 
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t bufferConflicts_ = 0;
-    std::uint64_t divertedVictims_ = 0;
+    Counters counters_;
 };
 
 } // namespace mem

@@ -13,8 +13,7 @@ MemController::MemController(McId id, const McConfig &cfg, MemImage &pm,
                              noc::Noc &noc_net)
     : Clocked("mc" + std::to_string(id)), id_(id), cfg_(cfg), pm_(pm),
       noc_(noc_net), wpq_(cfg.wpqEntries),
-      dramCache_("mc" + std::to_string(id) + ".dramcache", cfg.dramCache),
-      wpqOccupancy_(0, static_cast<double>(cfg.wpqEntries + 1), 32)
+      dramCache_("mc" + std::to_string(id) + ".dramcache", cfg.dramCache)
 {
     LWSP_ASSERT(cfg.numMcs >= 1, "bad MC count");
     LWSP_ASSERT(id < cfg.numMcs, "MC id out of range");
@@ -27,6 +26,7 @@ MemController::MemController(McId id, const McConfig &cfg, MemImage &pm,
         if (mc != id_)
             peersAll_.set(mc);
     }
+    resetStats();  // sizes the occupancy histogram to this WPQ
 }
 
 bool
@@ -59,9 +59,10 @@ MemController::accept(const PersistEntry &e, Tick now)
     LWSP_ASSERT(canAccept(e), "accept() without canAccept()");
     wpq_.push(e, overflow);
     if (overflow)
-        ++overflowEvents_;
-    maxWpqOccupancy_ = std::max(maxWpqOccupancy_, wpq_.size());
-    wpqOccupancy_.sample(static_cast<double>(wpq_.size()));
+        ++counters_.overflowEvents;
+    counters_.maxWpqOccupancy =
+        std::max<std::uint64_t>(counters_.maxWpqOccupancy, wpq_.size());
+    counters_.wpqOccupancy.sample(static_cast<double>(wpq_.size()));
     if (cfg_.oracle) {
         cfg_.oracle->onAccept(id_, e, wpq_.size(), cfg_.wpqEntries,
                               fallbackActive_, now);
@@ -109,7 +110,7 @@ MemController::receive(const McMsg &msg, Tick now)
         st.bdryArrived = true;
         st.bdryArrivedAt = now;
         if (bdryAcksComplete(st))
-            bcastLatency_.sample(0);
+            counters_.bcastLatency.sample(0);
         if (!st.bdryAckSent) {
             st.bdryAckSent = true;
             sendToPeers(McMsg::Type::BdryAck, msg.region, now);
@@ -134,7 +135,7 @@ MemController::receive(const McMsg &msg, Tick now)
             st.bdryAcks.set(msg.from);
             if (!was_complete && st.bdryArrived &&
                 bdryAcksComplete(st)) {
-                bcastLatency_.sample(
+                counters_.bcastLatency.sample(
                     static_cast<double>(now - st.bdryArrivedAt));
             }
         }
@@ -157,7 +158,7 @@ MemController::receive(const McMsg &msg, Tick now)
         bool was_complete = st.allBdryAcked;
         st.allBdryAcked = true;
         if (!was_complete && st.bdryArrived) {
-            bcastLatency_.sample(
+            counters_.bcastLatency.sample(
                 static_cast<double>(now - st.bdryArrivedAt));
         }
         break;
@@ -188,7 +189,7 @@ MemController::maybeAdvanceFlushId(Tick now)
             {now, trace::EventType::RegionPersist,
              static_cast<std::int32_t>(id_), 0, flushId_, 0, 0, 0});
         ++flushId_;
-        ++regionsCommitted_;
+        ++counters_.regionsCommitted;
     }
 }
 
@@ -196,8 +197,6 @@ void
 MemController::traceEvent(int kind, Addr addr, std::uint64_t value,
                           RegionId region, Tick now)
 {
-    if (traceHook_)
-        traceHook_(kind, addr, value, region);
     if (cfg_.oracle)
         cfg_.oracle->onFlush(id_, kind, addr, value, region, now);
     trace::emitIf<trace::Category::Wpq>(
@@ -210,7 +209,7 @@ MemController::traceEvent(int kind, Addr addr, std::uint64_t value,
 void
 MemController::flushEntryToPm(const PersistEntry &e, bool fallback, Tick now)
 {
-    ++flushedEntries_;
+    ++counters_.flushedEntries;
 
     auto it = shadows_.find(e.addr);
     if (it != shadows_.end()) {
@@ -220,7 +219,7 @@ MemController::flushEntryToPm(const PersistEntry &e, bool fallback, Tick now)
         Shadow &sh = it->second;
         sh.writes.emplace_back(e.region, e.value);
         if (fallback)
-            ++fallbackFlushes_;
+            ++counters_.fallbackFlushes;
         if (e.region >= sh.maxRegion) {
             sh.maxRegion = e.region;
             shadowPruneQ_.emplace(sh.maxRegion, e.addr);
@@ -241,7 +240,7 @@ MemController::flushEntryToPm(const PersistEntry &e, bool fallback, Tick now)
         sh.writes.emplace_back(e.region, e.value);
         shadows_.emplace(e.addr, std::move(sh));
         shadowPruneQ_.emplace(e.region, e.addr);
-        ++fallbackFlushes_;
+        ++counters_.fallbackFlushes;
     }
     if (!fallback && cfg_.gatingEnabled)
         state(e.region).normalFlushStarted = true;
@@ -408,7 +407,7 @@ MemController::serveLoadMiss(Addr addr, Tick now)
 {
     (void)now;
     LoadResult res;
-    ++loadMisses_;
+    ++counters_.loadMisses;
 
     if (cfg_.dramCacheEnabled) {
         auto dc = dramCache_.access(addr, false);
@@ -433,7 +432,7 @@ MemController::serveLoadMiss(Addr addr, Tick now)
     res.latency += (pm_start - now) + cfg_.pmReadCycles;
     if (cfg_.gatingEnabled && wpq_.search(addr & ~7ull)) {
         res.wpqHit = true;
-        ++wpqLoadHits_;
+        ++counters_.wpqLoadHits;
         res.latency += cfg_.pmWriteCycles + cfg_.pmReadCycles;
     }
     return res;
@@ -451,7 +450,6 @@ MemController::crashStep(Tick now)
     // keeps iterating and completes once the stall budget is absorbed.
     if (stallIters_ > 0) {
         --stallIters_;
-        ++stallsAbsorbed_;
         return true;
     }
     bool progress = false;

@@ -18,7 +18,7 @@
 #ifndef LWSP_MEM_MEM_CONTROLLER_HH
 #define LWSP_MEM_MEM_CONTROLLER_HH
 
-#include <functional>
+#include <array>
 #include <map>
 #include <queue>
 #include <utility>
@@ -212,7 +212,6 @@ class MemController : public Clocked, public McEndpoint
 
     RegionId corruptBarrier() const { return corruptBarrier_; }
     bool detectedUnrecoverable() const { return detectedUnrecoverable_; }
-    unsigned crashStallsAbsorbed() const { return stallsAbsorbed_; }
 
     /** Mutable WPQ access for the fault layer's crash-time damage. */
     Wpq &wpqMutable() { return wpq_; }
@@ -222,54 +221,49 @@ class MemController : public Clocked, public McEndpoint
     RegionId drainCursor() const { return drainCursor_; }
     const Wpq &wpq() const { return wpq_; }
     Cache &dramCache() { return dramCache_; }
+    const Cache &dramCache() const { return dramCache_; }
     bool inFallback() const { return fallbackActive_; }
 
-    /**
-     * Test/diagnostic hook invoked on every PM-affecting event:
-     * kind 0 = normal flush, 1 = fallback flush, 2 = skipped (absorbed
-     * into an undo pre-image), 3 = crash undo restore.
-     */
-    using FlushTraceHook =
-        std::function<void(int kind, Addr addr, std::uint64_t value,
-                           RegionId region)>;
-    void setFlushTraceHook(FlushTraceHook hook)
+    /** The controller's counters: exactly what resetStats() zeroes. */
+    struct Counters
     {
-        traceHook_ = std::move(hook);
-    }
+        std::uint64_t flushedEntries = 0;    ///< WPQ entries released
+        std::uint64_t fallbackFlushes = 0;   ///< undo-logged releases
+        std::uint64_t overflowEvents = 0;    ///< soft fallback overflows
+        std::uint64_t wpqLoadHits = 0;       ///< LLC misses the CAM served
+        std::uint64_t loadMisses = 0;        ///< LLC misses served here
+        std::uint64_t regionsCommitted = 0;  ///< flush-ACK rounds done
+        std::uint64_t maxWpqOccupancy = 0;
+        /** WPQ occupancy at every enqueue, over [0, WPQ size]. */
+        stats::Distribution wpqOccupancy;
+        /** Cycles from boundary arrival to full bdry-ACK round, §IV-B. */
+        stats::Distribution bcastLatency{0, 4096, 32};
 
+        static constexpr auto
+        fields()
+        {
+            using C = Counters;
+            return std::to_array<stats::Counter<C>>({
+                {"flushedEntries", &C::flushedEntries},
+                {"fallbackFlushes", &C::fallbackFlushes},
+                {"overflowEvents", &C::overflowEvents},
+                {"wpqLoadHits", &C::wpqLoadHits},
+                {"loadMisses", &C::loadMisses},
+                {"regionsCommitted", &C::regionsCommitted},
+                {"maxWpqOccupancy", &C::maxWpqOccupancy},
+                {"wpqOccupancy", &C::wpqOccupancy},
+                {"bcastLatency", &C::bcastLatency},
+            });
+        }
+    };
+
+    const Counters &counters() const { return counters_; }
+
+    /** `counters_ = {}`, with the occupancy range of this WPQ. */
     void
     resetStats()
     {
-        wpqLoadHits_ = loadMisses_ = flushedEntries_ = 0;
-        fallbackFlushes_ = overflowEvents_ = regionsCommitted_ = 0;
-        maxWpqOccupancy_ = 0;
-        wpqOccupancy_.reset();
-        bcastLatency_.reset();
-        wpq_.resetStats();
-        dramCache_.resetStats();
-    }
-
-    std::uint64_t wpqLoadHits() const { return wpqLoadHits_; }
-    std::uint64_t loadMisses() const { return loadMisses_; }
-    std::uint64_t flushedEntries() const { return flushedEntries_; }
-    std::uint64_t fallbackFlushes() const { return fallbackFlushes_; }
-    std::uint64_t overflowEvents() const { return overflowEvents_; }
-    std::uint64_t regionsCommitted() const { return regionsCommitted_; }
-    std::size_t maxWpqOccupancy() const { return maxWpqOccupancy_; }
-
-    /** WPQ occupancy sampled at every enqueue (fig 11/18 input). */
-    const stats::Distribution &wpqOccupancy() const
-    {
-        return wpqOccupancy_;
-    }
-
-    /**
-     * Cycles from a boundary's arrival at this MC to its full bdry-ACK
-     * round (when the region becomes flush-eligible, §IV-B).
-     */
-    const stats::Distribution &bcastLatency() const
-    {
-        return bcastLatency_;
+        counters_ = {.wpqOccupancy = {0, cfg_.wpqEntries + 1.0, 32}};
     }
 
   private:
@@ -337,7 +331,11 @@ class MemController : public Clocked, public McEndpoint
      */
     void flushEntryToPm(const PersistEntry &e, bool fallback, Tick now);
 
-    /** Forward a PM-affecting event to the trace hook and the oracle. */
+    /**
+     * Report a PM-affecting event to the oracle and the trace sink:
+     * kind 0 = normal flush, 1 = fallback flush, 2 = skipped (absorbed
+     * into an undo pre-image), 3 = crash undo restore.
+     */
     void traceEvent(int kind, Addr addr, std::uint64_t value,
                     RegionId region, Tick now);
 
@@ -397,19 +395,9 @@ class MemController : public Clocked, public McEndpoint
     RegionId corruptBarrier_ = invalidRegion;
     bool detectedUnrecoverable_ = false;
     unsigned stallIters_ = 0;
-    unsigned stallsAbsorbed_ = 0;
     bool crashFinished_ = false;  ///< crashFinish() already ran
 
-    FlushTraceHook traceHook_;
-    stats::Distribution wpqOccupancy_;
-    stats::Distribution bcastLatency_{0, 4096, 32};
-    std::uint64_t wpqLoadHits_ = 0;
-    std::uint64_t loadMisses_ = 0;
-    std::uint64_t flushedEntries_ = 0;
-    std::uint64_t fallbackFlushes_ = 0;
-    std::uint64_t overflowEvents_ = 0;
-    std::uint64_t regionsCommitted_ = 0;
-    std::size_t maxWpqOccupancy_ = 0;
+    Counters counters_;
 };
 
 } // namespace mem

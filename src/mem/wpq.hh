@@ -10,11 +10,13 @@
 #ifndef LWSP_MEM_WPQ_HH
 #define LWSP_MEM_WPQ_HH
 
+#include <array>
 #include <deque>
 #include <optional>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "mem/persist.hh"
 
 namespace lwsp {
@@ -44,7 +46,7 @@ class Wpq
         LWSP_ASSERT(allow_overflow || !full(),
                     "WPQ overflow without fallback");
         entries_.push_back(e);
-        ++pushes_;
+        ++counters_.pushes;
     }
 
     /** Pop the overall oldest entry (ungated FIFO mode). */
@@ -55,7 +57,7 @@ class Wpq
             return std::nullopt;
         PersistEntry e = entries_.front();
         entries_.pop_front();
-        ++pops_;
+        ++counters_.pops;
         return e;
     }
 
@@ -66,10 +68,10 @@ class Wpq
     std::optional<std::uint64_t>
     search(Addr addr) const
     {
-        ++searches_;
+        ++counters_.searches;
         for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
             if (it->addr == addr) {
-                ++searchHits_;
+                ++counters_.searchHits;
                 return it->value;
             }
         }
@@ -117,7 +119,7 @@ class Wpq
             if (it->region == r) {
                 PersistEntry e = *it;
                 entries_.erase(it);
-                ++pops_;
+                ++counters_.pops;
                 return e;
             }
         }
@@ -174,26 +176,37 @@ class Wpq
     void clear() { entries_.clear(); }
 
     // ---- Statistics ------------------------------------------------------
-    std::uint64_t pushes() const { return pushes_; }
-    std::uint64_t pops() const { return pops_; }
-    std::uint64_t searches() const { return searches_; }
-    std::uint64_t searchHits() const { return searchHits_; }
-
-    void
-    resetStats()
+    /** The queue's counters: exactly what resetStats() zeroes. */
+    struct Counters
     {
-        pushes_ = pops_ = searches_ = searchHits_ = 0;
-    }
+        std::uint64_t pushes = 0;      ///< entries enqueued
+        std::uint64_t pops = 0;        ///< entries dequeued
+        std::uint64_t searches = 0;    ///< CAM searches
+        std::uint64_t searchHits = 0;  ///< CAM search hits
+
+        static constexpr auto
+        fields()
+        {
+            using C = Counters;
+            return std::to_array<stats::Counter<C>>({
+                {"pushes", &C::pushes},
+                {"pops", &C::pops},
+                {"searches", &C::searches},
+                {"searchHits", &C::searchHits},
+            });
+        }
+    };
+
+    const Counters &counters() const { return counters_; }
+
+    void resetStats() { counters_ = {}; }
 
   private:
     std::size_t capacity_;
     std::deque<PersistEntry> entries_;
-    std::uint64_t pushes_ = 0;
-    std::uint64_t pops_ = 0;
-    // CAM-port activity counters; search() is const (a lookup), the
-    // counters are bookkeeping.
-    mutable std::uint64_t searches_ = 0;
-    mutable std::uint64_t searchHits_ = 0;
+    // search() is const (a lookup); its CAM-port counters are
+    // bookkeeping.
+    mutable Counters counters_;
 };
 
 } // namespace mem

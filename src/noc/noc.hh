@@ -49,6 +49,7 @@
 #define LWSP_NOC_NOC_HH
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <utility>
@@ -107,7 +108,7 @@ class Noc : public Clocked
         LWSP_ASSERT(!isTree(), "unicast send on a tree fabric");
         LWSP_ASSERT(to < inboxes_.size(), "bad MC id");
         inboxes_[to].push(now, hopLatency_, msg);
-        ++messagesSent_;
+        ++counters_.messagesSent;
         rearm();
     }
 
@@ -121,7 +122,7 @@ class Noc : public Clocked
         LWSP_ASSERT(isTree(), "ackUp on a flat fabric");
         LWSP_ASSERT(from < numMcs_, "bad MC id");
         upLinks_[from].push(now, hopLatency_, msg);
-        ++messagesSent_;
+        ++counters_.messagesSent;
         rearm();
     }
 
@@ -139,7 +140,7 @@ class Noc : public Clocked
                 for (McId mc = 0; mc < inboxes_.size(); ++mc)
                     send(mc, msg, now);
             }
-            ++boundariesBroadcast_;
+            ++counters_.boundariesBroadcast;
             rearm();
             return;
         }
@@ -160,7 +161,7 @@ class Noc : public Clocked
                 sendFaultyTo(inboxes_[mc], msg, now, pin_drop);
             pending_.push_back(pb);
         }
-        ++boundariesBroadcast_;
+        ++counters_.boundariesBroadcast;
         rearm();
     }
 
@@ -260,18 +261,41 @@ class Noc : public Clocked
         if (faults_ != nullptr) {
             for (const auto &pb : pending_) {
                 if (pb.pending.any())
-                    ++faults_->bcastLostAtCrash;
+                    ++bcastLostAtCrash_;
             }
             pending_.clear();
         }
     }
 
-    std::uint64_t messagesSent() const { return messagesSent_; }
-    std::uint64_t boundariesBroadcast() const
+    /** The fabric's counters: exactly what resetStats() zeroes. */
+    struct Counters
     {
-        return boundariesBroadcast_;
-    }
-    std::uint64_t bcastRetries() const { return bcastRetries_; }
+        std::uint64_t messagesSent = 0;         ///< control plane
+        std::uint64_t boundariesBroadcast = 0;
+        std::uint64_t bcastRetries = 0;         ///< rounds (lossy links)
+
+        static constexpr auto
+        fields()
+        {
+            using C = Counters;
+            return std::to_array<stats::Counter<C>>({
+                {"messagesSent", &C::messagesSent},
+                {"boundariesBroadcast", &C::boundariesBroadcast},
+                {"bcastRetries", &C::bcastRetries},
+            });
+        }
+    };
+
+    const Counters &counters() const { return counters_; }
+
+    /** Zero the counters (not at the end of warmup: System::resetStats). */
+    void resetStats() { counters_ = {}; }
+
+    /**
+     * Broadcasts still undelivered somewhere when the crash drain began,
+     * so lost for good: a CrashReport field, not a registry stat.
+     */
+    std::uint64_t bcastLostAtCrash() const { return bcastLostAtCrash_; }
 
   private:
     /** One not-yet-everywhere-delivered broadcast (fault mode only). */
@@ -290,7 +314,7 @@ class Noc : public Clocked
     {
         fault::BcastFate fate =
             pin_drop ? fault::BcastFate::Drop : faults_->bcastFate();
-        ++messagesSent_;
+        ++counters_.messagesSent;
         switch (fate) {
           case fault::BcastFate::Deliver:
             line.push(now, hopLatency_, msg);
@@ -343,7 +367,7 @@ class Noc : public Clocked
                 }
             }
             downLinks_[c].push(now, hopLatency_, msg);
-            ++messagesSent_;
+            ++counters_.messagesSent;
         }
     }
 
@@ -397,7 +421,7 @@ class Noc : public Clocked
             return;
         }
         upLinks_[node].push(now, hopLatency_, msg);
-        ++messagesSent_;
+        ++counters_.messagesSent;
     }
 
     /** @return true on first delivery to @p mc, false for a duplicate. */
@@ -426,8 +450,7 @@ class Noc : public Clocked
             if (pb.pending.none() || now < pb.deadline)
                 continue;
             ++pb.attempts;
-            ++bcastRetries_;
-            ++faults_->bcastRetries;
+            ++counters_.bcastRetries;
             if (isTree()) {
                 forwardDown(shape_->root(), pb.msg, now, false);
             } else {
@@ -449,8 +472,7 @@ class Noc : public Clocked
     unsigned numMcs_;
     std::vector<DelayLine<mem::McMsg>> inboxes_;  ///< flat: router->MC
     std::vector<mem::McEndpoint *> endpoints_;
-    std::uint64_t messagesSent_ = 0;
-    std::uint64_t boundariesBroadcast_ = 0;
+    Counters counters_;
 
     // Tree-mode fabric (null/empty on a flat fabric).
     std::unique_ptr<TreeShape> shape_;
@@ -467,7 +489,7 @@ class Noc : public Clocked
     trace::TraceSink *sink_ = nullptr;
     Tick retryTimeout_;
     std::uint64_t nextBcastId_ = 1;
-    std::uint64_t bcastRetries_ = 0;
+    std::uint64_t bcastLostAtCrash_ = 0;
     std::vector<PendingBcast> pending_;
 };
 

@@ -148,17 +148,6 @@ TEST(Logging, QuietModeCountsSuppressedWarnings)
     EXPECT_EQ(suppressedWarnings(), before + 2);
 }
 
-TEST(Stats, ScalarBasics)
-{
-    stats::Scalar s;
-    EXPECT_EQ(s.value(), 0.0);
-    ++s;
-    s += 2.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_EQ(s.value(), 0.0);
-}
-
 TEST(Stats, AverageTracksMinMaxMean)
 {
     stats::Average a;
@@ -197,19 +186,86 @@ TEST(Stats, GeomeanKnownValues)
     EXPECT_THROW(stats::geomean({1.0, -1.0}), PanicError);
 }
 
+namespace {
+
+/** A two-row counter table, declared the way a component declares one. */
+struct DemoCounters
+{
+    std::uint64_t flushes = 0;
+    stats::Distribution occupancy{0, 4, 2};
+
+    static constexpr auto
+    fields()
+    {
+        using C = DemoCounters;
+        return std::to_array<stats::Counter<C>>({
+            {"flushes", &C::flushes},
+            {"occupancy", &C::occupancy},
+        });
+    }
+};
+
+/** A member without a row: its table misses eight bytes. */
+struct MissingRow
+{
+    std::uint64_t counted = 0;
+    std::uint64_t forgotten = 0;
+
+    static constexpr auto
+    fields()
+    {
+        return std::to_array<stats::Counter<MissingRow>>({
+            {"counted", &MissingRow::counted},
+        });
+    }
+};
+
+static_assert(stats::counterBytes(DemoCounters::fields()) ==
+              sizeof(DemoCounters));
+static_assert(stats::counterBytes(MissingRow::fields()) + 8 ==
+              sizeof(MissingRow));
+
+} // namespace
+
 TEST(Stats, StatGroupDumpAndLookup)
 {
+    DemoCounters c;
     stats::StatGroup g("mc0");
-    stats::Scalar s;
-    s += 7;
-    g.addScalar("flushes", &s, "WPQ flushes");
-    EXPECT_DOUBLE_EQ(g.scalarValue("flushes"), 7.0);
-    EXPECT_THROW(g.scalarValue("nope"), PanicError);
+    g.addCounters(c);
+    // Registered values are read at dump time, not at registration.
+    c.flushes = 7;
+    c.occupancy.sample(1);
+    c.occupancy.sample(3);
+    EXPECT_DOUBLE_EQ(g.value("flushes"), 7.0);
+    EXPECT_DOUBLE_EQ(g.funcValue("flushes"), 7.0);
+    EXPECT_DOUBLE_EQ(g.value("occupancy.count"), 2.0);
+    EXPECT_DOUBLE_EQ(g.value("occupancy.sum"), 4.0);
+    EXPECT_DOUBLE_EQ(g.value("occupancy.max"), 3.0);
+    EXPECT_THROW(g.value("nope"), PanicError);
+    EXPECT_THROW(g.value("occupancy.p50"), PanicError);
 
+    // Distributions first, then values, each in name order.
     std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("mc0.flushes 7"), std::string::npos);
-    EXPECT_NE(os.str().find("WPQ flushes"), std::string::npos);
+    g.dumpJson(os);
+    EXPECT_EQ(os.str(), "{\"occupancy\":{\"mean\":2,\"min\":1,\"max\":3,"
+                        "\"count\":2,\"underflow\":0,\"overflow\":0,"
+                        "\"buckets\":[1,1]},\"flushes\":7}");
+
+    c = {};
+    EXPECT_DOUBLE_EQ(g.value("flushes"), 0.0);
+    EXPECT_DOUBLE_EQ(g.value("occupancy.count"), 0.0);
+}
+
+TEST(Stats, RegistryDumpsGroupsInCreationOrder)
+{
+    stats::Registry reg;
+    reg.group("b").addFunc("x", [] { return 1.5; });
+    reg.group("a").addFunc("y", [] { return 2.0; });
+    reg.group("b").addFunc("w", [] { return 0.0; });
+    EXPECT_EQ(reg.numGroups(), 2u);
+    std::ostringstream os;
+    reg.dumpJson(os);
+    EXPECT_EQ(os.str(), "{\"b\":{\"w\":0,\"x\":1.5},\"a\":{\"y\":2}}");
 }
 
 TEST(Stats, PercentilesNearestRank)
@@ -272,26 +328,6 @@ TEST(Stats, PercentilesHeavyTailPopulation)
     EXPECT_DOUBLE_EQ(p.p99(), 10000.0);
     EXPECT_DOUBLE_EQ(p.p999(), 10009.0);
     EXPECT_DOUBLE_EQ(p.max(), 10010.0);
-}
-
-TEST(Stats, PercentilesInStatGroupDumps)
-{
-    stats::StatGroup g("serve");
-    stats::Percentiles p;
-    for (int i = 1; i <= 10; ++i)
-        p.sample(i);
-    g.addPercentiles("latency", &p, "request latency");
-
-    std::ostringstream txt;
-    g.dump(txt);
-    EXPECT_NE(txt.str().find("serve.latency.p50 5"), std::string::npos);
-    EXPECT_NE(txt.str().find("serve.latency.p999 10"), std::string::npos);
-    EXPECT_NE(txt.str().find("serve.latency.count 10"), std::string::npos);
-
-    std::ostringstream js;
-    g.dumpJson(js);
-    EXPECT_NE(js.str().find("\"latency\":{\"p50\":5"), std::string::npos);
-    EXPECT_NE(js.str().find("\"count\":10}"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

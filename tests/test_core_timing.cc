@@ -104,8 +104,9 @@ TEST(CoreTiming, ExecutesAndDrains)
 {
     Rig rig(storesModule(10));
     rig.runToDrain();
-    EXPECT_EQ(rig.core->instsRetired(), 12u);  // movi + 10 st + halt
-    EXPECT_EQ(rig.core->storesRetired(), 11u); // halt's PC store counts
+    // movi + 10 st + halt; halt's PC store counts as a store.
+    EXPECT_EQ(rig.core->counters().instsRetired, 12u);
+    EXPECT_EQ(rig.core->counters().storesRetired, 11u);
     // Every persist-path entry was delivered.
     EXPECT_EQ(rig.port.accepted.size(), 11u);
     // Halt's implicit boundary broadcast the final region.
@@ -145,9 +146,9 @@ TEST(CoreTiming, BlockedWpqBacksUpToRetirement)
     for (Tick t = 0; t < 2000; ++t)
         rig.core->tick(rig.now++);
     // Everything is wedged behind the refusing WPQ.
-    EXPECT_GT(rig.core->pathBlockedCycles(), 0u);
-    EXPECT_GT(rig.core->febFullCycles(), 0u);
-    EXPECT_GT(rig.core->sbFullCycles(), 0u);
+    EXPECT_GT(rig.core->counters().pathBlockedCycles, 0u);
+    EXPECT_GT(rig.core->counters().febFullCycles, 0u);
+    EXPECT_GT(rig.core->counters().sbFullCycles, 0u);
     EXPECT_FALSE(rig.core->drained());
     // Un-wedge and finish.
     rig.port.acceptPersists = true;
@@ -219,7 +220,7 @@ TEST(CoreTiming, StallUntilDurableWaitsAtBoundaries)
     Tick now = 0;
     for (; now < 3000; ++now)
         core.tick(now);
-    EXPECT_GT(core.boundaryWaitCycles(), 1000u);
+    EXPECT_GT(core.counters().boundaryWaitCycles, 1000u);
     EXPECT_FALSE(tc.halted() && core.drained());
 
     port.durable = true;
@@ -247,7 +248,7 @@ TEST(CoreTiming, HwImplicitRegionsWaitEveryNStores)
     while ((!tc.halted() || !core.drained()) && now < 100000)
         core.tick(now++);
     // 16 data stores / 4 per region = 4 implicit boundaries.
-    EXPECT_GE(core.boundariesRetired(), 4u);
+    EXPECT_GE(core.counters().boundariesRetired, 4u);
 }
 
 TEST(CoreTiming, RegionStatsSampled)
@@ -268,8 +269,8 @@ TEST(CoreTiming, RegionStatsSampled)
     Tick now = 0;
     while ((!tc.halted() || !core.drained()) && now < 100000)
         core.tick(now++);
-    EXPECT_GT(core.regionInsts().summary().count(), 0u);
-    EXPECT_GT(core.regionStores().summary().mean(), 0.0);
+    EXPECT_GT(core.counters().regionInsts.summary().count(), 0u);
+    EXPECT_GT(core.counters().regionStores.summary().mean(), 0.0);
 }
 
 TEST(CoreTiming, ContextSwitchClearsState)
@@ -279,16 +280,16 @@ TEST(CoreTiming, ContextSwitchClearsState)
     // Dispatch is blocked for the penalty window.
     for (Tick t = 100; t < 600; ++t)
         rig.core->tick(t);
-    EXPECT_EQ(rig.core->instsRetired(), 0u);
+    EXPECT_EQ(rig.core->counters().instsRetired, 0u);
 }
 
 TEST(CoreTiming, ResetStatsZeroesCounters)
 {
     Rig rig(storesModule(6));
     rig.runToDrain();
-    EXPECT_GT(rig.core->instsRetired(), 0u);
+    EXPECT_GT(rig.core->counters().instsRetired, 0u);
     rig.core->resetStats();
-    EXPECT_EQ(rig.core->instsRetired(), 0u);
-    EXPECT_EQ(rig.core->storesRetired(), 0u);
-    EXPECT_EQ(rig.core->regionInsts().summary().count(), 0u);
+    EXPECT_EQ(rig.core->counters().instsRetired, 0u);
+    EXPECT_EQ(rig.core->counters().storesRetired, 0u);
+    EXPECT_EQ(rig.core->counters().regionInsts.summary().count(), 0u);
 }

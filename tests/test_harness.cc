@@ -195,6 +195,6 @@ TEST(Noc, HopLatencyAndDelivery)
     net.deliverAllNow(41);  // battery-backed crash delivery
     ASSERT_EQ(s0.got.size(), 1u);
     EXPECT_EQ(s0.got[0].second.type, McMsg::Type::BdryArrival);
-    EXPECT_EQ(net.boundariesBroadcast(), 1u);
-    EXPECT_GE(net.messagesSent(), 3u);
+    EXPECT_EQ(net.counters().boundariesBroadcast, 1u);
+    EXPECT_GE(net.counters().messagesSent, 3u);
 }

@@ -10,6 +10,7 @@
 #include "mem/mem_controller.hh"
 #include "mem/mem_image.hh"
 #include "noc/noc.hh"
+#include "trace/sink.hh"
 
 using namespace lwsp;
 using namespace lwsp::mem;
@@ -88,7 +89,7 @@ TEST(McProtocol, EntryNotFlushedBeforeBoundary)
     rig.accept(0, rig.store(0x1000, 42, 1));
     rig.tick(100);
     EXPECT_EQ(rig.pm.read(0x1000), 0u);  // gated: boundary never arrived
-    EXPECT_EQ(rig.mcs[0]->flushedEntries(), 0u);
+    EXPECT_EQ(rig.mcs[0]->counters().flushedEntries, 0u);
 }
 
 TEST(McProtocol, FlushAfterBoundaryBroadcastAndAcks)
@@ -100,7 +101,7 @@ TEST(McProtocol, FlushAfterBoundaryBroadcastAndAcks)
     EXPECT_EQ(rig.pm.read(0x1000), 42u);
     EXPECT_EQ(rig.mcs[0]->flushId(), 2u);
     EXPECT_EQ(rig.mcs[1]->flushId(), 2u);
-    EXPECT_EQ(rig.mcs[0]->regionsCommitted(), 1u);
+    EXPECT_EQ(rig.mcs[0]->counters().regionsCommitted, 1u);
 }
 
 TEST(McProtocol, YoungerRegionWaitsForOlder)
@@ -189,7 +190,7 @@ TEST(McProtocol, DeadlockFallbackMakesProgress)
     EXPECT_TRUE(rig.mcs[0]->wpq().full());
     rig.tick(40);
     EXPECT_TRUE(rig.mcs[0]->inFallback());
-    EXPECT_GT(rig.mcs[0]->fallbackFlushes(), 0u);
+    EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
     EXPECT_FALSE(rig.mcs[0]->wpq().full());  // room was made
 }
 
@@ -202,7 +203,7 @@ TEST(McProtocol, FallbackRolledBackOnCrash)
     rig.accept(0, rig.store(0x1000, 99, 2));
     rig.accept(0, rig.store(0x1080, 98, 2));
     rig.tick(40);  // fallback flushes region 2 with undo logging
-    EXPECT_GT(rig.mcs[0]->fallbackFlushes(), 0u);
+    EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
     EXPECT_EQ(rig.pm.read(0x1000), 99u);  // speculatively in PM
     rig.crash();  // region 2 never became ready
     EXPECT_EQ(rig.pm.read(0x1000), 7u);   // rolled back to pre-image
@@ -264,7 +265,7 @@ TEST(McProtocol, CapacityOneWpqFlushesAndFallsBack)
     rig.accept(0, rig.store(0x2000, 22, 3));
     EXPECT_TRUE(rig.mcs[0]->wpq().full());
     rig.tick(40);
-    EXPECT_GT(rig.mcs[0]->fallbackFlushes(), 0u);
+    EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
     EXPECT_FALSE(rig.mcs[0]->wpq().full());
 
     rig.crash();  // region 3 never committed: undo must restore
@@ -278,7 +279,7 @@ TEST(McProtocol, CrashDrainWithEmptyQueue)
     // Crash with nothing ever accepted: the drain must terminate
     // immediately and leave PM untouched.
     rig.crash();
-    EXPECT_EQ(rig.mcs[0]->flushedEntries(), 0u);
+    EXPECT_EQ(rig.mcs[0]->counters().flushedEntries, 0u);
 
     // Boundary-only traffic (empty regions) then crash: the battery
     // drain still commits the broadcast prefix without any PM writes.
@@ -287,7 +288,7 @@ TEST(McProtocol, CrashDrainWithEmptyQueue)
         rig2.net.broadcastBoundary(r, rig2.now);
     rig2.crash();
     EXPECT_GE(rig2.mcs[0]->flushId(), 4u);
-    EXPECT_EQ(rig2.mcs[0]->flushedEntries(), 0u);
+    EXPECT_EQ(rig2.mcs[0]->counters().flushedEntries, 0u);
 }
 
 TEST(McProtocol, RegionStoresExactlyWpqCapacity)
@@ -309,9 +310,9 @@ TEST(McProtocol, RegionStoresExactlyWpqCapacity)
     rig.tick(100);
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_EQ(rig.pm.read(0x1000 + 128 * i), i + 1);
-    EXPECT_EQ(rig.mcs[0]->fallbackFlushes(), 0u);
+    EXPECT_EQ(rig.mcs[0]->counters().fallbackFlushes, 0u);
     EXPECT_TRUE(rig.mcs[0]->wpq().empty());
-    EXPECT_EQ(rig.mcs[0]->regionsCommitted(), 1u);
+    EXPECT_EQ(rig.mcs[0]->counters().regionsCommitted, 1u);
 }
 
 TEST(McProtocol, UngatedModeDrainsFifo)
@@ -338,7 +339,7 @@ TEST(McProtocol, LoadMissPathAndWpqHit)
     auto hit = rig.mcs[0]->serveLoadMiss(0x6000, rig.now);
     EXPECT_TRUE(hit.wpqHit);
     EXPECT_GT(hit.latency, miss.latency);
-    EXPECT_EQ(rig.mcs[0]->wpqLoadHits(), 1u);
+    EXPECT_EQ(rig.mcs[0]->counters().wpqLoadHits, 1u);
 }
 
 TEST(McProtocol, DramCacheHitIsCheap)
@@ -376,17 +377,21 @@ TEST(McProtocol, StrictModeStillCorrect)
     EXPECT_EQ(rig.mcs[0]->flushId(), 4u);
 }
 
-TEST(McProtocol, TraceHookSeesFlushKinds)
+TEST(McProtocol, WpqTraceSeesFlushKinds)
 {
-    Rig rig;
-    std::vector<int> kinds;
-    rig.mcs[0]->setFlushTraceHook(
-        [&](int kind, Addr, std::uint64_t, RegionId) {
-            kinds.push_back(kind);
-        });
+    trace::TraceSink sink(64, trace::categoryBit(trace::Category::Wpq));
+    McConfig cfg;
+    cfg.sink = &sink;
+    Rig rig(cfg);
     rig.accept(0, rig.store(0x1000, 1, 1));
     rig.net.broadcastBoundary(1, rig.now);
     rig.tick(50);
+    ASSERT_FALSE(sink.wrapped());
+    std::vector<int> kinds;
+    for (const trace::Event &e : sink.snapshot()) {
+        if (e.type == trace::EventType::WpqRelease)
+            kinds.push_back(trace::releaseKind(e.aux));
+    }
     ASSERT_EQ(kinds.size(), 1u);
     EXPECT_EQ(kinds[0], 0);  // normal flush
 }

@@ -18,6 +18,7 @@
 #include "mem/mem_controller.hh"
 #include "mem/mem_image.hh"
 #include "noc/noc.hh"
+#include "trace/sink.hh"
 
 using namespace lwsp;
 using namespace lwsp::ir;
@@ -195,8 +196,11 @@ TEST_P(PersistOrderProperty, RegionOrderHoldsUnderRandomArrival)
     Rng rng(GetParam());
     mem::MemImage pm;
     noc::Noc net(2, 1 + rng.below(20));
+    trace::TraceSink sink(1u << 12,
+                          trace::categoryBit(trace::Category::Wpq));
     mem::McConfig cfg;
     cfg.numMcs = 2;
+    cfg.sink = &sink;
     std::vector<std::unique_ptr<mem::MemController>> mcs;
     std::vector<mem::McEndpoint *> eps;
     for (McId i = 0; i < 2; ++i) {
@@ -256,23 +260,6 @@ TEST_P(PersistOrderProperty, RegionOrderHoldsUnderRandomArrival)
         }
     };
 
-    // Track the hot address: once a region r value is in PM, no r' < r
-    // value may appear later.
-    RegionId hot_max = 0;
-    bool violated = false;
-    for (auto &mc : mcs) {
-        mc->setFlushTraceHook([&](int kind, Addr a, std::uint64_t v,
-                                  RegionId r) {
-            (void)kind;
-            (void)v;
-            if (a == addr0) {
-                if (r < hot_max)
-                    violated = true;
-                hot_max = std::max(hot_max, r);
-            }
-        });
-    }
-
     for (const auto &ev : events) {
         if (ev.boundary) {
             net.broadcastBoundary(ev.r, now);
@@ -289,6 +276,18 @@ TEST_P(PersistOrderProperty, RegionOrderHoldsUnderRandomArrival)
     }
     tick_all(2000);
 
+    // Track the hot address: once a region r value is in PM, no r' < r
+    // value may appear later.
+    ASSERT_FALSE(sink.wrapped());
+    RegionId hot_max = 0;
+    bool violated = false;
+    for (const trace::Event &e : sink.snapshot()) {
+        if (e.type != trace::EventType::WpqRelease || e.addr != addr0)
+            continue;
+        if (e.region < hot_max)
+            violated = true;
+        hot_max = std::max(hot_max, e.region);
+    }
     EXPECT_FALSE(violated) << "hot-address persist order inverted";
     EXPECT_EQ(pm.read(addr0), regions * 100 + 0u);
     for (auto &mc : mcs)

@@ -1,19 +1,23 @@
 /**
  * @file
  * System-level invariants: address interleaving, scheme configuration,
- * persist-order monotonicity across MCs (trace-hook verified), stale
- * loads, warmup resets, context switching with more threads than cores,
- * and cross-scheme sanity orderings.
+ * persist-order monotonicity across MCs (WPQ-trace verified), stale
+ * loads, warmup resets, every component's counter table, context
+ * switching with more threads than cores, and cross-scheme sanity
+ * orderings.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/stats.hh"
 #include "compiler/compiler.hh"
 #include "core/system.hh"
 #include "harness/runner.hh"
+#include "trace/sink.hh"
 #include "workloads/generator.hh"
 
 using namespace lwsp;
@@ -44,7 +48,140 @@ tiny(unsigned threads = 1, bool locked = false)
     return p;
 }
 
+/** Does every row of @p c read zero (a distribution: no samples)? */
+template <typename C>
+bool
+countersZero(const C &c)
+{
+    for (const stats::Counter<C> &row : C::fields()) {
+        bool zero = std::visit(
+            [&c](auto m) {
+                if constexpr (std::is_same_v<decltype(m),
+                                             std::uint64_t C::*>)
+                    return c.*m == 0;
+                else
+                    return (c.*m).summary().count() == 0;
+            },
+            row.member);
+        if (!zero)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * A finished 4-core LightWSP run without buffer snooping, and with tiny
+ * caches, so that stale loads occur; plus its stat registry.
+ */
+struct CounterRig
+{
+    compiler::CompiledProgram prog;
+    System sys;
+    stats::Registry reg;
+
+    static compiler::CompiledProgram
+    compile()
+    {
+        setLogQuiet(true);
+        compiler::LightWspCompiler comp;
+        return comp.compile(std::move(workloads::generate(tiny(4)).module));
+    }
+
+    static SystemConfig
+    config()
+    {
+        SystemConfig cfg;
+        cfg.scheme = Scheme::LightWsp;
+        cfg.numCores = 4;
+        cfg.applySchemeDefaults();
+        cfg.victimPolicy = mem::VictimPolicy::None;
+        // Caches small enough that a stored line is soon refetched
+        // from its MC while still on the persist path.
+        cfg.l1d = {1024, 2, 4};
+        cfg.l2 = {4096, 4, 12};
+        return cfg;
+    }
+
+    CounterRig() : prog(compile()), sys(config(), prog, 4)
+    {
+        EXPECT_TRUE(sys.run().completed);
+        sys.registerStats(reg);
+    }
+
+    /**
+     * @p component's counter table against its registry group @p group:
+     * row names are unique and registered, the run left some counter
+     * non-default, and resetStats() zeroes every row, as the registry
+     * then reads too.
+     */
+    template <typename X>
+    void
+    expectTable(X &component, const std::string &group)
+    {
+        using C = std::remove_cvref_t<decltype(component.counters())>;
+        const stats::StatGroup &g = reg.group(group);
+        std::vector<std::string> keys;
+        std::set<std::string> names;
+        for (const stats::Counter<C> &row : C::fields()) {
+            EXPECT_TRUE(names.insert(row.name).second) << row.name;
+            keys.push_back(std::string(row.name) +
+                           (row.member.index() == 1 ? ".count" : ""));
+            EXPECT_NO_THROW(g.value(keys.back())) << group;
+        }
+        EXPECT_FALSE(countersZero(component.counters()))
+            << group << ": the run left every counter at zero";
+        component.resetStats();
+        EXPECT_TRUE(countersZero(component.counters())) << group;
+        for (const std::string &key : keys)
+            EXPECT_EQ(g.value(key), 0.0) << group << "." << key;
+    }
+};
+
 } // namespace
+
+TEST(CounterTables, Core)
+{
+    CounterRig rig;
+    rig.expectTable(rig.sys.coreAt(0), "core0");
+}
+
+TEST(CounterTables, Cache)
+{
+    CounterRig rig;
+    rig.expectTable(rig.sys.mcAt(1).dramCache(), "mc1.dramcache");
+}
+
+TEST(CounterTables, Wpq)
+{
+    CounterRig rig;
+    rig.expectTable(rig.sys.mcAt(0).wpqMutable(), "mc0.wpq");
+}
+
+TEST(CounterTables, MemController)
+{
+    CounterRig rig;
+    rig.expectTable(rig.sys.mcAt(1), "mc1");
+}
+
+TEST(CounterTables, Noc)
+{
+    CounterRig rig;
+    rig.expectTable(rig.sys.nocNet(), "noc");
+}
+
+TEST(CounterTables, System)
+{
+    CounterRig rig;
+    // The warmup reset spares the NoC and nothing else.
+    std::uint64_t msgs = rig.sys.nocNet().counters().messagesSent;
+    rig.expectTable(rig.sys, "system");
+    EXPECT_TRUE(countersZero(rig.sys.coreAt(3).counters()));
+    EXPECT_TRUE(countersZero(rig.sys.mcAt(0).counters()));
+    EXPECT_TRUE(countersZero(rig.sys.mcAt(0).wpq().counters()));
+    EXPECT_TRUE(countersZero(rig.sys.mcAt(0).dramCache().counters()));
+    EXPECT_EQ(rig.sys.nocNet().counters().messagesSent, msgs);
+    EXPECT_GT(msgs, 0u);
+}
 
 TEST(System, McInterleavingByCacheline)
 {
@@ -92,24 +229,27 @@ TEST(System, FlushOrderMonotoneInRegionIdPerMc)
     cfg.scheme = Scheme::LightWsp;
     cfg.numCores = 4;
     cfg.applySchemeDefaults();
+    cfg.traceEnabled = true;
+    cfg.traceMask = trace::categoryBit(trace::Category::Wpq);
     System sys(cfg, prog, 4);
+    auto r = sys.run();
+    ASSERT_TRUE(r.completed);
 
     // Normal (non-fallback) flushes must never go backwards in region id
     // on any single MC — the WAW-ordering invariant of §IV-B.
+    const trace::TraceSink &sink = *sys.traceSink();
+    ASSERT_FALSE(sink.wrapped());
     std::vector<RegionId> last(2, 0);
     bool violated = false;
-    for (McId m = 0; m < 2; ++m) {
-        sys.mcAt(m).setFlushTraceHook(
-            [&, m](int kind, Addr, std::uint64_t, RegionId region) {
-                if (kind == 0) {  // normal flush
-                    if (region < last[m])
-                        violated = true;
-                    last[m] = std::max(last[m], region);
-                }
-            });
+    for (const trace::Event &e : sink.snapshot()) {
+        if (e.type != trace::EventType::WpqRelease ||
+            trace::releaseKind(e.aux) != 0)
+            continue;  // normal flushes only
+        RegionId &prev = last.at(static_cast<std::size_t>(e.unit));
+        if (e.region < prev)
+            violated = true;
+        prev = std::max(prev, e.region);
     }
-    auto r = sys.run();
-    ASSERT_TRUE(r.completed);
     EXPECT_FALSE(violated);
     EXPECT_GT(r.wpqFlushedEntries, 0u);
 }

@@ -243,7 +243,7 @@ TEST(MaskRegression, LossyBroadcastsDeliverExactlyOnceAt65Mcs)
         }
         // The pending entry is fully erased: a crash now loses nothing.
         rig.net.deliverAllNow(300000);
-        EXPECT_EQ(rig.inj.bcastLostAtCrash, 0u) << topo_tok;
+        EXPECT_EQ(rig.net.bcastLostAtCrash(), 0u) << topo_tok;
     }
 }
 
@@ -267,7 +267,7 @@ TEST(MaskRegression, BcastLostAtCrashIsExactAt65Mcs)
         ASSERT_TRUE(rig.converge(1, 30)) << topo_tok;
 
         rig.net.deliverAllNow(31);  // power failure before the retry
-        EXPECT_EQ(rig.inj.bcastLostAtCrash, 1u)
+        EXPECT_EQ(rig.net.bcastLostAtCrash(), 1u)
             << topo_tok << ": want exactly the pinned broadcast lost";
         for (unsigned mc = 0; mc < 65; ++mc) {
             ASSERT_EQ(rig.eps[mc].got.size(), 1u)
@@ -296,7 +296,7 @@ TEST(MaskRegression, FaultFreeBroadcastAt65Mcs)
             net.tick(t);
         for (unsigned mc = 0; mc < 65; ++mc)
             EXPECT_EQ(eps[mc].got.size(), 1u) << topo_tok << " " << mc;
-        EXPECT_EQ(net.boundariesBroadcast(), 1u);
+        EXPECT_EQ(net.counters().boundariesBroadcast, 1u);
     }
 }
 
