@@ -121,7 +121,7 @@ runAll(unsigned fuzzCount, std::uint64_t baseSeed, bool verbose)
 int
 main(int argc, char **argv)
 {
-    bool all = false, quiet = false, help = false;
+    bool all = false, quiet = false;
     unsigned fuzzCount = 0;
     std::uint64_t baseSeed = 1;
     compiler::CompilerConfig cfg;
@@ -146,13 +146,11 @@ main(int argc, char **argv)
                      quiet),
          cli::toggle("-q", "same as --quiet", quiet),
          cli::toggle("--dump", "print a failing compiled module",
-                     dumpOnFail),
-         cli::toggle("--help", "print this text", help),
-         cli::toggle("-h", "same as --help", help)}};
+                     dumpOnFail)}};
     cli::parseOrExit(argc, argv, std::span(&tool, 1));
-    if (help || (!all && target.empty())) {
+    if (!all && target.empty()) {
         std::cerr << cli::usage("lwsp_verify", std::span(&tool, 1));
-        return help ? 0 : 2;
+        return 2;
     }
     if (all && !target.empty()) {
         std::cerr << "--all takes no target\n";

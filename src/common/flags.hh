@@ -10,6 +10,7 @@
  * positional spelled as usage prints it, `<app>` (required) or
  * `[scheme]` (optional), filled from the non-flag arguments in order.
  * Values are read strictly (parseUnsigned, parseFraction, a name table).
+ * `--help` or `-h` anywhere prints the usage to stdout and exits 0.
  */
 
 #ifndef LWSP_COMMON_FLAGS_HH
@@ -235,6 +236,7 @@ usage(std::string_view prog, std::span<const Command> cmds)
         }
         out += line + "\n";
     }
+    addHelp("-h, --help", "print this usage and exit");
     // Help lines start in one column unless the left side overruns it.
     out += "\n";
     for (const auto &[left, line] : help) {
@@ -249,11 +251,20 @@ usage(std::string_view prog, std::span<const Command> cmds)
  * Choose the command the first argument names (or the one unnamed
  * command) and parse the rest into it; on an error print `<prog>:
  * <error>` and the usage to stderr and exit 2. Returns the command.
+ * A `--help` or `-h` argument prints the usage to stdout and exits 0.
  */
 inline const Command &
 parseOrExit(int argc, char **argv, std::span<const Command> cmds)
 {
     std::vector<std::string_view> args(argv + 1, argv + argc);
+    std::string_view prog = argv[0];
+    prog.remove_prefix(prog.find_last_of('/') + 1);  // npos + 1 == 0
+    if (std::find_if(args.begin(), args.end(), [](std::string_view a) {
+            return a == "--help" || a == "-h";
+        }) != args.end()) {
+        std::fputs(usage(prog, cmds).c_str(), stdout);
+        std::exit(0);
+    }
     const Command *cmd = nullptr;
     std::string err = "missing command";
     if (cmds.size() == 1 && !cmds[0].name) {
@@ -268,8 +279,6 @@ parseOrExit(int argc, char **argv, std::span<const Command> cmds)
     }
     if (cmd && parse(args, *cmd, err))
         return *cmd;
-    std::string_view prog = argv[0];
-    prog.remove_prefix(prog.find_last_of('/') + 1);  // npos + 1 == 0
     std::fprintf(stderr, "%.*s: %s\n%s", static_cast<int>(prog.size()),
                  prog.data(), err.c_str(), usage(prog, cmds).c_str());
     std::exit(2);

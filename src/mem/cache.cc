@@ -1,17 +1,38 @@
 #include "cache.hh"
 
+#include <sys/mman.h>
+
+#include <new>
+#include <type_traits>
+
 namespace lwsp {
 namespace mem {
+
+void
+Cache::Unmap::operator()(Line *lines) const
+{
+    munmap(lines, bytes);
+}
 
 Cache::Cache(std::string name, const CacheConfig &cfg)
     : name_(std::move(name)), cfg_(cfg)
 {
+    static_assert(std::is_trivially_copyable_v<Line> &&
+                      std::is_trivially_destructible_v<Line>,
+                  "tag lines live in raw zero pages");
     LWSP_ASSERT(cfg.assoc > 0, "cache assoc must be positive");
+    LWSP_ASSERT(cfg.assoc <= maxAssoc, "cache assoc above ", maxAssoc);
     LWSP_ASSERT(cfg.sizeBytes % (cfg.lineBytes * cfg.assoc) == 0,
                 "cache size not divisible into sets");
     numSets_ = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
     LWSP_ASSERT(isPowerOf2(numSets_), "cache sets must be a power of two");
-    lines_.resize(numSets_ * cfg.assoc);
+    const std::size_t bytes = numSets_ * cfg.assoc * sizeof(Line);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    lines_ = std::unique_ptr<Line[], Unmap>(static_cast<Line *>(p),
+                                            Unmap{bytes});
 }
 
 std::size_t
@@ -50,10 +71,10 @@ Cache::invalidate(Addr addr)
 void
 Cache::invalidateAll()
 {
-    for (auto &l : lines_) {
-        l.valid = false;
-        l.dirty = false;
-    }
+    // A private anonymous page reads as zeros again once dropped.
+    const int rc = madvise(lines_.get(), lines_.get_deleter().bytes,
+                           MADV_DONTNEED);
+    LWSP_ASSERT(rc == 0, "madvise on the tag store failed");
 }
 
 Cache::AccessResult
@@ -88,7 +109,7 @@ Cache::access(Addr addr, bool is_write)
 
     if (victim < 0) {
         // Ways sorted by LRU stamp ascending (oldest first).
-        std::vector<unsigned> order(cfg_.assoc);
+        std::array<unsigned, maxAssoc> order{};
         for (unsigned w = 0; w < cfg_.assoc; ++w)
             order[w] = w;
         for (unsigned i = 1; i < cfg_.assoc; ++i) {

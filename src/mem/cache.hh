@@ -16,7 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <memory>
 
 #include "common/intmath.hh"
 #include "common/stats.hh"
@@ -45,6 +45,9 @@ struct CacheConfig
 class Cache
 {
   public:
+    /** Widest set the LRU victim sort handles (L1d is 8-way, L2 16). */
+    static constexpr unsigned maxAssoc = 64;
+
     struct AccessResult
     {
         bool hit = false;
@@ -68,7 +71,10 @@ class Cache
     /** Drop the line containing @p addr, if present (no writeback). */
     void invalidate(Addr addr);
 
-    /** Drop every line (power failure: caches are volatile). */
+    /**
+     * Drop every line (power failure: caches are volatile). The tag
+     * store goes back to untouched zero pages.
+     */
     void invalidateAll();
 
     /**
@@ -114,6 +120,7 @@ class Cache
     const std::string &name() const { return name_; }
 
   private:
+    /** All-zero bytes are an invalid line: what an untouched page holds. */
     struct Line
     {
         bool valid = false;
@@ -122,13 +129,25 @@ class Cache
         std::uint64_t lruStamp = 0;
     };
 
+    /** Returns the tag store's pages to the kernel. */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(Line *lines) const;
+    };
+
     Addr lineAddr(Addr addr) const { return alignDown(addr, cfg_.lineBytes); }
     std::size_t setIndex(Addr addr) const;
 
     std::string name_;
     CacheConfig cfg_;
     std::size_t numSets_;
-    std::vector<Line> lines_;  // numSets_ * assoc, row-major by set
+    /**
+     * numSets_ * assoc lines, row-major by set, in anonymous zero pages:
+     * a page costs memory only once a line on it is written, so a 16 MB
+     * DRAM cache's 6 MB of tags cost what a run touches.
+     */
+    std::unique_ptr<Line[], Unmap> lines_;
     std::uint64_t clock_ = 0;  // LRU stamp source
 
     VictimPolicy policy_ = VictimPolicy::None;

@@ -26,18 +26,71 @@ MemController::MemController(McId id, const McConfig &cfg, MemImage &pm,
         if (mc != id_)
             peersAll_.set(mc);
     }
+    retired_.bdryAcks.reset(cfg_.numMcs);
+    retired_.flushAcks.reset(cfg_.numMcs);
     resetStats();  // sizes the occupancy histogram to this WPQ
+}
+
+MemController::RegionState &
+MemController::state(RegionId r)
+{
+    if (r < ringBase_) {
+        retired_.clear();
+        return retired_;
+    }
+    const std::size_t off = r - ringBase_;
+    if (off >= ring_.size()) {
+        // Double the ring, unrolled to start at slot 0; the new slots
+        // are fresh. Regions in flight bound the capacity.
+        LWSP_ASSERT(off < (std::size_t{1} << 24),
+                    "region ", r, " is absurdly far past ", ringBase_);
+        std::size_t cap = std::max<std::size_t>(ring_.size(), 8);
+        while (cap <= off)
+            cap *= 2;
+        std::vector<RegionState> grown(cap);
+        for (std::size_t i = 0; i < ring_.size(); ++i)
+            grown[i] = std::move(ring_[(ringHead_ + i) & (ring_.size() - 1)]);
+        for (std::size_t i = ring_.size(); i < cap; ++i) {
+            grown[i].bdryAcks.reset(cfg_.numMcs);
+            grown[i].flushAcks.reset(cfg_.numMcs);
+        }
+        ring_ = std::move(grown);
+        ringHead_ = 0;
+    }
+    ringLen_ = std::max(ringLen_, off + 1);
+    return ring_[(ringHead_ + off) & (ring_.size() - 1)];
+}
+
+const MemController::RegionState *
+MemController::peek(RegionId r) const
+{
+    if (r < ringBase_ || r - ringBase_ >= ringLen_)
+        return nullptr;
+    return &ring_[(ringHead_ + (r - ringBase_)) & (ring_.size() - 1)];
+}
+
+void
+MemController::retireRegions()
+{
+    const RegionId lo = std::min(flushId_, drainCursor_);
+    for (; ringBase_ < lo; ++ringBase_) {
+        if (ringLen_ == 0) {
+            ringBase_ = lo;
+            break;
+        }
+        ring_[ringHead_].clear();
+        ringHead_ = (ringHead_ + 1) & (ring_.size() - 1);
+        --ringLen_;
+    }
 }
 
 bool
 MemController::ready(RegionId r) const
 {
     if (r < flushId_)
-        return true;  // already committed (state erased)
-    auto it = regions_.find(r);
-    if (it == regions_.end() || !it->second.bdryArrived)
-        return false;
-    return bdryAcksComplete(it->second);
+        return true;  // already committed (state cleared)
+    const RegionState *st = peek(r);
+    return st != nullptr && st->bdryArrived && bdryAcksComplete(*st);
 }
 
 bool
@@ -88,15 +141,18 @@ MemController::sendToPeers(McMsg::Type type, RegionId r, Tick now)
         noc_.ackUp(id_, msg, now);
         return;
     }
-    for (McId mc = 0; mc < cfg_.numMcs; ++mc) {
-        if (mc != id_)
-            noc_.send(mc, msg, now);
-    }
+    noc_.sendToPeers(id_, msg, now);
 }
 
 void
 MemController::receive(const McMsg &msg, Tick now)
 {
+    // Every boundary message of a region precedes its commit here; only
+    // a flush-ACK round a peer repeated can reach a retired region.
+    LWSP_ASSERT(msg.region >= ringBase_ || msg.type == McMsg::Type::FlushAck ||
+                    msg.type == McMsg::Type::FlushAllAcked,
+                "mc", id_, ": boundary message for retired region ",
+                msg.region);
     switch (msg.type) {
       case McMsg::Type::BdryArrival: {
         if (cfg_.oracle)
@@ -175,13 +231,10 @@ void
 MemController::maybeAdvanceFlushId(Tick now)
 {
     while (true) {
-        auto it = regions_.find(flushId_);
-        if (it == regions_.end())
+        const RegionState *st = peek(flushId_);
+        if (st == nullptr || !st->localFlushDone || !flushAcksComplete(*st))
             break;
-        const RegionState &st = it->second;
-        if (!st.localFlushDone || !flushAcksComplete(st))
-            break;
-        regions_.erase(it);
+        state(flushId_).clear();
         if (cfg_.oracle)
             cfg_.oracle->onCommit(id_, flushId_, now);
         trace::emitIf<trace::Category::Region>(
@@ -191,6 +244,7 @@ MemController::maybeAdvanceFlushId(Tick now)
         ++flushId_;
         ++counters_.regionsCommitted;
     }
+    retireRegions();
 }
 
 void
@@ -257,8 +311,9 @@ MemController::truncationHazard(RegionId b) const
     // A normal flush of a region >= b reached PM directly (not through
     // an undo shadow): that write survives crashFinish regardless of
     // where the drain cursor stops, so truncating before it is unsound.
-    for (const auto &[region, st] : regions_) {
-        if (region >= b && st.normalFlushStarted)
+    for (std::size_t off = 0; off < ringLen_; ++off) {
+        const RegionId region = ringBase_ + off;
+        if (region >= b && peek(region)->normalFlushStarted)
             return true;
     }
     return false;
@@ -304,8 +359,8 @@ MemController::tick(Tick now)
     // leak; nothing else in the protocol is perturbed afterwards.
     if (cfg_.faultReleaseEarly && !faultFired_) {
         RegionId victim = wpq_.minRegion();
-        auto vit = regions_.find(victim);
-        bool arrived = (vit != regions_.end() && vit->second.bdryArrived);
+        const RegionState *vst = peek(victim);
+        bool arrived = (vst != nullptr && vst->bdryArrived);
         if (victim != invalidRegion && !arrived) {
             if (auto e = wpq_.popRegion(victim)) {
                 faultFired_ = true;
@@ -323,6 +378,7 @@ MemController::tick(Tick now)
         if (!may_advance)
             return;
         ++drainCursor_;
+        retireRegions();
         pruneCommittedShadows();
     }
 
@@ -356,8 +412,8 @@ MemController::tick(Tick now)
     // region can never conflict with an older entry still in this WPQ,
     // and conflicts with late-arriving older in-flight entries are
     // absorbed by the undo pre-image update in flushEntryToPm().
-    auto it = regions_.find(r);
-    bool bdry_here = (it != regions_.end() && it->second.bdryArrived);
+    const RegionState *st = peek(r);
+    bool bdry_here = (st != nullptr && st->bdryArrived);
     if (wpq_.full() && !bdry_here) {
         fallbackActive_ = true;
         RegionId victim = wpq_.hasRegion(r) ? r : wpq_.minRegion();
@@ -395,8 +451,8 @@ MemController::nextActiveTick(Tick now) const
     // not yet arrived) can make progress, at the next drain slot. Any
     // other transition requires an inbound message or WPQ insertion —
     // external stimuli by the fast-forward contract.
-    auto it = regions_.find(drainCursor_);
-    bool bdry_here = (it != regions_.end() && it->second.bdryArrived);
+    const RegionState *st = peek(drainCursor_);
+    bool bdry_here = (st != nullptr && st->bdryArrived);
     if (wpq_.full() && !bdry_here)
         return std::max(now, nextDrainTick_);
     return maxTick;
@@ -464,6 +520,7 @@ MemController::crashStep(Tick now)
             progress = true;
         }
         ++drainCursor_;
+        retireRegions();
         pruneCommittedShadows();
     }
     return progress;

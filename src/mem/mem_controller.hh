@@ -224,6 +224,13 @@ class MemController : public Clocked, public McEndpoint
     const Cache &dramCache() const { return dramCache_; }
     bool inFallback() const { return fallbackActive_; }
 
+    /**
+     * Region slots the ring holds, from min(flushId, drainCursor) up to
+     * the newest region touched. Test-only: the ring stays bounded by
+     * the regions in flight, however many regions a run commits.
+     */
+    std::size_t liveRegionSlots() const { return ringLen_; }
+
     /** The controller's counters: exactly what resetStats() zeroes. */
     struct Counters
     {
@@ -283,18 +290,33 @@ class MemController : public Clocked, public McEndpoint
          * or below this region is a truncation hazard.
          */
         bool normalFlushStarted = false;
+
+        /** Back to a fresh region's state, keeping the bitsets' storage. */
+        void
+        clear()
+        {
+            RegionState fresh;
+            fresh.bdryAcks = std::move(bdryAcks);
+            fresh.flushAcks = std::move(flushAcks);
+            fresh.bdryAcks.reset(fresh.bdryAcks.size());
+            fresh.flushAcks.reset(fresh.flushAcks.size());
+            *this = std::move(fresh);
+        }
     };
 
-    RegionState &
-    state(RegionId r)
-    {
-        RegionState &st = regions_[r];
-        if (st.bdryAcks.size() == 0) {
-            st.bdryAcks.reset(cfg_.numMcs);
-            st.flushAcks.reset(cfg_.numMcs);
-        }
-        return st;
-    }
+    /**
+     * Region @p r's state, the ring growing to cover it. A region the
+     * ring has retired (below min(flushId_, drainCursor_)) gets a
+     * scratch slot: only a late flush-ACK writes there, and nothing
+     * reads a retired region again.
+     */
+    RegionState &state(RegionId r);
+
+    /** Region @p r's slot, or null outside the ring (a fresh region). */
+    const RegionState *peek(RegionId r) const;
+
+    /** Retire the slots both flushId_ and drainCursor_ have passed. */
+    void retireRegions();
 
     /** All peers' bdry-ACKs plus our own arrival: safe to flush. */
     bool ready(RegionId r) const;
@@ -360,7 +382,20 @@ class MemController : public Clocked, public McEndpoint
     Wpq wpq_;
     Cache dramCache_;
 
-    std::map<RegionId, RegionState> regions_;
+    /**
+     * Per-region protocol state for regions [ringBase_, ringBase_ +
+     * ringLen_), in a ring of power-of-two capacity starting at slot
+     * ringHead_. Slots outside that window are kept fresh, so a region
+     * the window grows over starts fresh, and slots are reused rather
+     * than allocated per region. A commit clears its slot in place: a
+     * later state() of the committed region sees a fresh slot, exactly
+     * as if its state had been erased and re-created.
+     */
+    std::vector<RegionState> ring_;
+    std::size_t ringHead_ = 0;
+    std::size_t ringLen_ = 0;
+    RegionId ringBase_ = 1;
+    RegionState retired_;       ///< scratch slot for retired regions
     RegionId drainCursor_ = 1;  ///< next region to drain locally
     RegionId flushId_ = 1;      ///< persistent register (committed prefix)
     Tick nextDrainTick_ = 0;

@@ -50,7 +50,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -80,6 +79,7 @@ class Noc : public Clocked
             shape_ = std::make_unique<TreeShape>(num_mcs, topo.radix);
             downLinks_.resize(shape_->numNodes());
             upLinks_.resize(shape_->numNodes());
+            aggSlots_.resize(shape_->numNodes());
         } else {
             inboxes_.resize(num_mcs);
         }
@@ -107,8 +107,28 @@ class Noc : public Clocked
     {
         LWSP_ASSERT(!isTree(), "unicast send on a tree fabric");
         LWSP_ASSERT(to < inboxes_.size(), "bad MC id");
-        inboxes_[to].push(now, hopLatency_, msg);
+        push(inboxes_[to], now, hopLatency_, msg);
         ++counters_.messagesSent;
+        rearm();
+    }
+
+    /**
+     * One flat ACK round: MC @p from unicasts @p msg to every peer, in
+     * ascending MC order, with a single re-arm — the same pushes and
+     * messagesSent as one send() per peer.
+     */
+    void
+    sendToPeers(McId from, const mem::McMsg &msg, Tick now)
+    {
+        LWSP_ASSERT(!isTree(), "peer round on a tree fabric");
+        LWSP_ASSERT(from < numMcs_, "bad MC id");
+        if (numMcs_ == 1)
+            return;  // no peers: nothing sent, nothing to re-arm
+        for (McId mc = 0; mc < numMcs_; ++mc) {
+            if (mc != from)
+                push(inboxes_[mc], now, hopLatency_, msg);
+        }
+        counters_.messagesSent += numMcs_ - 1;
         rearm();
     }
 
@@ -121,7 +141,7 @@ class Noc : public Clocked
     {
         LWSP_ASSERT(isTree(), "ackUp on a flat fabric");
         LWSP_ASSERT(from < numMcs_, "bad MC id");
-        upLinks_[from].push(now, hopLatency_, msg);
+        push(upLinks_[from], now, hopLatency_, msg);
         ++counters_.messagesSent;
         rearm();
     }
@@ -188,31 +208,41 @@ class Noc : public Clocked
                 }
             }
         }
+        recomputeHeadTick();
         if (faults_ != nullptr && !pending_.empty())
             retryExpired(now);
     }
 
+    /**
+     * O(1) in the links: the earliest link head is kept up to date by
+     * push() and recomputeHeadTick(). Only fault mode has pending
+     * broadcasts whose retry deadlines need a scan.
+     */
     Tick
     nextActiveTick(Tick now) const override
     {
-        Tick next = maxTick;
-        for (const auto &inbox : inboxes_) {
-            if (!inbox.empty())
-                next = std::min(next, std::max(now, inbox.headReadyTick()));
-        }
-        for (const auto &link : downLinks_) {
-            if (!link.empty())
-                next = std::min(next, std::max(now, link.headReadyTick()));
-        }
-        for (const auto &link : upLinks_) {
-            if (!link.empty())
-                next = std::min(next, std::max(now, link.headReadyTick()));
-        }
-        for (const auto &pb : pending_) {
-            if (pb.pending.any())
-                next = std::min(next, std::max(now, pb.deadline));
-        }
+        Tick next = std::max(now, headTick_);  // maxTick when all empty
+        if (faults_ != nullptr)
+            next = std::min(next, nextRetryTick(now));
         return next;
+    }
+
+    /**
+     * nextActiveTick() by a full rescan of every link head, as it was
+     * computed before the head tick was cached: the test oracle for it.
+     */
+    Tick
+    nextActiveTickByRescan(Tick now) const
+    {
+        Tick next = maxTick;
+        for (const auto *links : {&inboxes_, &downLinks_, &upLinks_}) {
+            for (const auto &link : *links) {
+                if (!link.empty())
+                    next = std::min(next,
+                                    std::max(now, link.headReadyTick()));
+            }
+        }
+        return std::min(next, nextRetryTick(now));
     }
 
     /**
@@ -258,6 +288,7 @@ class Noc : public Clocked
                 }
             }
         }
+        recomputeHeadTick();
         if (faults_ != nullptr) {
             for (const auto &pb : pending_) {
                 if (pb.pending.any())
@@ -298,6 +329,45 @@ class Noc : public Clocked
     std::uint64_t bcastLostAtCrash() const { return bcastLostAtCrash_; }
 
   private:
+    /**
+     * Every push onto a link goes through here. A push onto an empty
+     * link makes it the new head; onto a busy one it queues behind the
+     * head. Either way min'ing the link's head into headTick_ keeps it
+     * exact until the next pop.
+     */
+    void
+    push(DelayLine<mem::McMsg> &line, Tick now, Tick latency,
+         const mem::McMsg &msg)
+    {
+        line.push(now, latency, msg);
+        headTick_ = std::min(headTick_, line.headReadyTick());
+    }
+
+    /** Re-derive headTick_ after pops: one scan per tick, not per push. */
+    void
+    recomputeHeadTick()
+    {
+        headTick_ = maxTick;
+        for (const auto *links : {&inboxes_, &downLinks_, &upLinks_}) {
+            for (const auto &link : *links) {
+                if (!link.empty())
+                    headTick_ = std::min(headTick_, link.headReadyTick());
+            }
+        }
+    }
+
+    /** Earliest retry deadline of a pending broadcast (fault mode). */
+    Tick
+    nextRetryTick(Tick now) const
+    {
+        Tick next = maxTick;
+        for (const auto &pb : pending_) {
+            if (pb.pending.any())
+                next = std::min(next, std::max(now, pb.deadline));
+        }
+        return next;
+    }
+
     /** One not-yet-everywhere-delivered broadcast (fault mode only). */
     struct PendingBcast
     {
@@ -317,19 +387,19 @@ class Noc : public Clocked
         ++counters_.messagesSent;
         switch (fate) {
           case fault::BcastFate::Deliver:
-            line.push(now, hopLatency_, msg);
+            push(line, now, hopLatency_, msg);
             break;
           case fault::BcastFate::Drop:
             ++faults_->bcastDrops;
             break;
           case fault::BcastFate::Delay:
             ++faults_->bcastDelays;
-            line.push(now, hopLatency_ + faults_->bcastDelayCycles(), msg);
+            push(line, now, hopLatency_ + faults_->bcastDelayCycles(), msg);
             break;
           case fault::BcastFate::Duplicate:
             ++faults_->bcastDups;
-            line.push(now, hopLatency_, msg);
-            line.push(now, hopLatency_, msg);
+            push(line, now, hopLatency_, msg);
+            push(line, now, hopLatency_, msg);
             break;
         }
     }
@@ -366,7 +436,7 @@ class Noc : public Clocked
                     continue;
                 }
             }
-            downLinks_[c].push(now, hopLatency_, msg);
+            push(downLinks_[c], now, hopLatency_, msg);
             ++counters_.messagesSent;
         }
     }
@@ -397,20 +467,33 @@ class Noc : public Clocked
                 Tick now)
     {
         LWSP_ASSERT(node != TreeShape::invalidNode, "ack above the root");
-        auto &slot = aggState_[node][{static_cast<int>(msg.type),
-                                      msg.region}];
         const auto &kids = shape_->children(node);
-        if (slot.size() == 0)
-            slot.reset(kids.size());
+        AggSlots &agg = aggSlots_[node];
+        std::size_t s = 0;
+        while (s < agg.live && (agg.slots[s].type != msg.type ||
+                                agg.slots[s].region != msg.region))
+            ++s;
+        if (s == agg.live) {
+            // A new (type, region) round: reuse a retired slot if any.
+            if (s == agg.slots.size())
+                agg.slots.emplace_back();
+            agg.slots[s].type = msg.type;
+            agg.slots[s].region = msg.region;
+            agg.slots[s].heard.reset(kids.size());
+            ++agg.live;
+        }
+        DynBitset &heard = agg.slots[s].heard;
         for (std::size_t i = 0; i < kids.size(); ++i) {
             if (kids[i] == child) {
-                slot.set(i);
+                heard.set(i);
                 break;
             }
         }
-        if (slot.count() != kids.size())
+        if (heard.count() != kids.size())
             return;
-        aggState_[node].erase({static_cast<int>(msg.type), msg.region});
+        // Retire the slot: the last live one takes its place.
+        std::swap(agg.slots[s], agg.slots[agg.live - 1]);
+        --agg.live;
         if (node == shape_->root()) {
             mem::McMsg ann;
             ann.type = (msg.type == mem::McMsg::Type::BdryAck)
@@ -420,7 +503,7 @@ class Noc : public Clocked
             forwardDown(node, ann, now, /*pin_drop=*/false);
             return;
         }
-        upLinks_[node].push(now, hopLatency_, msg);
+        push(upLinks_[node], now, hopLatency_, msg);
         ++counters_.messagesSent;
     }
 
@@ -474,15 +557,41 @@ class Noc : public Clocked
     std::vector<mem::McEndpoint *> endpoints_;
     Counters counters_;
 
+    /**
+     * Earliest ready tick over every link head (maxTick when all are
+     * empty). Exact between ticks: push() lowers it, tick() and
+     * deliverAllNow() recompute it after they pop.
+     */
+    Tick headTick_ = maxTick;
+
     // Tree-mode fabric (null/empty on a flat fabric).
     std::unique_ptr<TreeShape> shape_;
     /** Link from parent(n) down to node n, indexed by n (root unused). */
     std::vector<DelayLine<mem::McMsg>> downLinks_;
     /** Link from node n up to parent(n), indexed by n (root unused). */
     std::vector<DelayLine<mem::McMsg>> upLinks_;
-    /** Per interior node: (msg type, region) -> children heard from. */
-    std::map<unsigned, std::map<std::pair<int, RegionId>, DynBitset>>
-        aggState_;
+    /**
+     * One ACK round an interior node is aggregating: the children heard
+     * from so far for (type, region). Setting a child's bit twice is a
+     * no-op, so a repeated ACK from one subtree never completes a round.
+     */
+    struct AggSlot
+    {
+        mem::McMsg::Type type = mem::McMsg::Type::BdryAck;
+        RegionId region = 0;
+        DynBitset heard;
+    };
+    /**
+     * A node's open rounds: slots [0, live) are live, the rest retired
+     * and kept for reuse. A handful of regions are in flight at once,
+     * so a linear search beats any keyed container.
+     */
+    struct AggSlots
+    {
+        std::vector<AggSlot> slots;
+        std::size_t live = 0;
+    };
+    std::vector<AggSlots> aggSlots_;  ///< by node id (leaves unused)
 
     // Fault-mode state (empty/unused when faults_ is null).
     fault::FaultInjector *faults_ = nullptr;

@@ -1,10 +1,12 @@
 # Run `${CMD} ${ARGS}` (ARGS: an optional space-separated string) and
-# require exit status 0 and, byte for byte:
-#  - when EXPECT is set, a stdout equal to the file ${EXPECT}: how the
-#    examples keep their recorded outputs (results/example_*.txt) from
-#    drifting;
-#  - when OUTPUT is set, the file ${OUTPUT} the command writes equal to
-#    ${OUTPUT_EXPECT}: how the --stats-json goldens
+# require exit status 0 and:
+#  - when EXPECT is set, a stdout equal byte for byte to the file
+#    ${EXPECT}: how the examples keep their recorded outputs
+#    (results/example_*.txt) from drifting;
+#  - when STDOUT_MATCH is set, a stdout matching that regex: how the
+#    --help tests check for the usage;
+#  - when OUTPUT is set, the file ${OUTPUT} the command writes equal
+#    byte for byte to ${OUTPUT_EXPECT}: how the --stats-json goldens
 #    (results/stats_*.json) are pinned.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 if (DEFINED OUTPUT)
@@ -22,6 +24,9 @@ if (DEFINED EXPECT)
     if (NOT out STREQUAL want)
         message(FATAL_ERROR "stdout differs from ${EXPECT}; got:\n${out}")
     endif()
+endif()
+if (DEFINED STDOUT_MATCH AND NOT out MATCHES "${STDOUT_MATCH}")
+    message(FATAL_ERROR "stdout does not match '${STDOUT_MATCH}':\n${out}")
 endif()
 if (DEFINED OUTPUT)
     execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files

@@ -491,5 +491,6 @@ TEST(Flags, UsageListsEveryDeclaredFlag)
         EXPECT_NE(text.find(f.help), std::string::npos) << f.help;
     }
     EXPECT_NE(text.find("  run "), std::string::npos) << text;
+    EXPECT_NE(text.find("\n  -h, --help "), std::string::npos) << text;
 }
 

@@ -377,6 +377,48 @@ TEST(McProtocol, StrictModeStillCorrect)
     EXPECT_EQ(rig.mcs[0]->flushId(), 4u);
 }
 
+// In strict mode the drain cursor waits on a region until its flush-ACK
+// round is complete, and by then the commit has cleared the region's
+// state, so the MC finishes the committed region a second time: a
+// second WpqDrainDone and a second flush-ACK round (a known defect kept
+// for output identity). Those stale re-finishes used to leave one map
+// entry behind per region. The region ring must stay bounded by the
+// regions in flight however many regions commit.
+TEST(McProtocol, RegionRingStaysBounded)
+{
+    constexpr RegionId kRegions = 200;
+    trace::TraceSink sink(1 << 14, trace::categoryBit(trace::Category::Wpq));
+    McConfig cfg;
+    cfg.strictFlushAcks = true;
+    cfg.sink = &sink;
+    Rig rig(cfg);
+    std::size_t peak = 0;
+    for (RegionId r = 1; r <= kRegions; ++r) {
+        rig.accept(r % 2, rig.store(0x1000 + r * 64, r, r));
+        rig.net.broadcastBoundary(r, rig.now);
+        rig.tick(40);
+        for (const auto &mc : rig.mcs)
+            peak = std::max(peak, mc->liveRegionSlots());
+    }
+    rig.tick(5000);
+    ASSERT_FALSE(sink.wrapped());
+    std::vector<unsigned> drain_done(kRegions + 1);
+    for (const trace::Event &e : sink.snapshot()) {
+        if (e.type == trace::EventType::WpqDrainDone)
+            ++drain_done.at(e.region);
+    }
+    for (RegionId r = 1; r <= kRegions; ++r) {
+        // One per MC, plus each MC's stale re-finish of the region.
+        EXPECT_EQ(drain_done[r], 4u) << "region " << r;
+    }
+    for (const auto &mc : rig.mcs) {
+        EXPECT_EQ(mc->flushId(), kRegions + 1);
+        EXPECT_EQ(mc->drainCursor(), kRegions + 1);
+        EXPECT_LE(mc->liveRegionSlots(), 2u);
+    }
+    EXPECT_LE(peak, 32u) << "the ring grew with the regions committed";
+}
+
 TEST(McProtocol, WpqTraceSeesFlushKinds)
 {
     trace::TraceSink sink(64, trace::categoryBit(trace::Category::Wpq));

@@ -205,6 +205,42 @@ TEST(Cache, CountsAndReset)
     EXPECT_EQ(c.hits() + c.counters().misses, 0u);
 }
 
+// The tag store is anonymous zero pages: an untouched line reads as an
+// invalid one, and invalidateAll() hands every page back. A 16 MB
+// direct-mapped cache (the DRAM cache's geometry) must still miss on
+// every dropped line and refill, including conflict evictions.
+TEST(Cache, UntouchedLinesReadInvalid)
+{
+    CacheConfig cfg{16ull * 1024 * 1024, 1, 100};
+    Cache c("dc", cfg);
+    const Addr stride = cfg.sizeBytes;  // same set, other tag
+    const Addr addrs[] = {0x0, 0x40, 0x12340, cfg.sizeBytes - 64};
+    for (Addr a : addrs)
+        EXPECT_FALSE(c.present(a)) << a;
+    for (Addr a : addrs)
+        EXPECT_FALSE(c.access(a, true).hit) << a;
+    for (Addr a : addrs)
+        EXPECT_TRUE(c.present(a)) << a;
+
+    c.invalidateAll();
+    for (Addr a : addrs) {
+        EXPECT_FALSE(c.present(a)) << a;
+        auto miss = c.access(a, false);
+        EXPECT_FALSE(miss.hit) << a;
+        EXPECT_FALSE(miss.evictedDirty) << a << ": dropped lines are clean";
+        EXPECT_TRUE(c.access(a, false).hit) << a;
+    }
+    // Refilled lines behave as before: a conflicting write evicts the
+    // clean line silently, and a second conflict reports the dirty one.
+    EXPECT_FALSE(c.access(0x40 + stride, true).evictedDirty);
+    auto evict = c.access(0x40, false);
+    EXPECT_FALSE(evict.hit);
+    EXPECT_TRUE(evict.evictedDirty);
+    EXPECT_EQ(evict.evictedLine, 0x40 + stride);
+    EXPECT_EQ(c.hits(), 4u);
+    EXPECT_EQ(c.counters().misses, 10u);
+}
+
 TEST(Cache, RejectsBadGeometry)
 {
     CacheConfig cfg;

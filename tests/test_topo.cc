@@ -300,6 +300,134 @@ TEST(MaskRegression, FaultFreeBroadcastAt65Mcs)
     }
 }
 
+// ---- NoC wakeups: the cached head tick ------------------------------------
+
+namespace {
+
+/** Answers every boundary with its ACK, as an MC does: pushes mid-tick. */
+struct AckingEndpoint : mem::McEndpoint
+{
+    noc::Noc *net = nullptr;
+    McId id = 0;
+
+    void
+    receive(const mem::McMsg &msg, Tick now) override
+    {
+        if (msg.type != mem::McMsg::Type::BdryArrival)
+            return;
+        mem::McMsg ack;
+        ack.type = mem::McMsg::Type::BdryAck;
+        ack.region = msg.region;
+        ack.from = id;
+        if (net->isTree())
+            net->ackUp(id, ack, now);
+        else
+            net->sendToPeers(id, ack, now);
+    }
+};
+
+} // namespace
+
+// Noc::nextActiveTick reads a cached earliest link head instead of
+// rescanning every link. The scheduler's LWSP_VERIFY_WAKEUPS check only
+// catches a heap key later than the self-report, not a self-report that
+// is itself late, so this seeded walk compares the cached answer with a
+// full rescan after every call that can push or pop, on both fabrics, at
+// 4, 8 and 64 MCs, with perfect and with lossy (retrying) broadcasts.
+TEST(NocWakeup, CachedHeadMatchesRescan)
+{
+    for (const char *topo_tok : {"flat", "tree4"}) {
+        for (unsigned mcs : {4u, 8u, 64u}) {
+            for (bool lossy : {false, true}) {
+                noc::TopologyConfig topo;
+                ASSERT_TRUE(noc::TopologyConfig::parse(topo_tok, topo));
+                noc::Noc net(mcs, 5, topo);
+                fault::FaultConfig fc;
+                fc.enabled = true;
+                fc.seed = 11;
+                fc.bcastLossPm = 100;
+                fault::FaultInjector inj(fc, 1);
+                if (lossy)
+                    net.setFaultInjector(&inj);
+                std::vector<AckingEndpoint> eps(mcs);
+                std::vector<mem::McEndpoint *> ptrs;
+                for (McId i = 0; i < mcs; ++i) {
+                    eps[i].net = &net;
+                    eps[i].id = i;
+                    ptrs.push_back(&eps[i]);
+                }
+                net.attach(ptrs);
+
+                Rng rng(mcs * 31 + (lossy ? 7 : 0) + topo.radix);
+                Tick now = 0;
+                RegionId region = 1;
+                unsigned calls = 0, crashes = 0;
+                auto check = [&](const char *what) {
+                    ++calls;
+                    ASSERT_EQ(net.nextActiveTick(now),
+                              net.nextActiveTickByRescan(now))
+                        << topo_tok << "/" << mcs
+                        << (lossy ? "/loss100" : "") << " after " << what
+                        << " (call " << calls << ") at " << now;
+                };
+                check("construction");
+                for (unsigned step = 0; step < 3000; ++step) {
+                    mem::McMsg msg;
+                    msg.type = rng.below(2) ? mem::McMsg::Type::BdryAck
+                                            : mem::McMsg::Type::FlushAck;
+                    msg.region = 1 + rng.below(region);
+                    msg.from = static_cast<McId>(rng.below(mcs));
+                    switch (rng.below(8)) {
+                      case 0:
+                        if (net.isTree()) {
+                            net.ackUp(msg.from, msg, now);
+                            check("ackUp");
+                        } else {
+                            net.send(static_cast<McId>(rng.below(mcs)),
+                                     msg, now);
+                            check("send");
+                        }
+                        break;
+                      case 1:
+                        if (net.isTree()) {
+                            net.ackUp(msg.from, msg, now);
+                            check("ackUp");
+                        } else {
+                            net.sendToPeers(msg.from, msg, now);
+                            check("sendToPeers");
+                        }
+                        break;
+                      case 2:
+                        net.broadcastBoundary(region++, now);
+                        check("broadcastBoundary");
+                        break;
+                      case 7:
+                        if (rng.below(16) == 0) {
+                            net.deliverAllNow(now);
+                            ++crashes;
+                            check("deliverAllNow");
+                            break;
+                        }
+                        [[fallthrough]];
+                      default:
+                        now += rng.below(7);
+                        net.tick(now);
+                        check("tick");
+                        break;
+                    }
+                    if (HasFatalFailure())
+                        return;
+                }
+                EXPECT_GT(crashes, 0u) << "walk never drained (weak test)";
+                if (lossy) {
+                    EXPECT_GT(inj.bcastDrops, 0u)
+                        << "loss axis never fired (weak test)";
+                }
+            }
+        }
+    }
+}
+
 // ---- Sharded address interleaving ------------------------------------------
 
 namespace {
