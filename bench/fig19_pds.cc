@@ -62,7 +62,6 @@ main(int argc, char **argv)
         core::SystemConfig cfg =
             p.baseline ? pds::makePdsBaselineConfig()
                        : pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
         const auto ops = pds::generateTape(p.spec);
         compiler::CompiledProgram prog =
             p.baseline

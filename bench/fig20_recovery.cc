@@ -75,7 +75,6 @@ main(int argc, char **argv)
     exec.runPoints(points.size(), [&](std::size_t i) {
         const Point &p = points[i];
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
         auto prog = pds::preparePdsProgram(p.spec, pds::generateTape(p.spec),
                                            p.scheme, pds::PdsRunMode::Recovery,
                                            p.threshold);

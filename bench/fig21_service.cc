@@ -76,7 +76,6 @@ main(int argc, char **argv)
         p.wl = serve::buildWorkload(specFor(p.profile));
 
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
         cfg.traceEnabled = true;
         cfg.traceMask = trace::categoryBit(trace::Category::Serve) |
                         trace::categoryBit(trace::Category::Wpq);

@@ -99,7 +99,6 @@ main(int argc, char **argv)
         Point &p = points[i];
         auto wl = serve::buildWorkload(specFor(p.profile));
         auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
-        cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
         auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops, p.scheme,
                                            pds::PdsRunMode::Recovery);
         const Addr served = pds::pdsGeometry(wl.pdsSpec).served;

@@ -99,7 +99,6 @@ runServeRow(const Point &p, std::size_t row)
 
     auto cfg = pds::makePdsConfig(pds::PdsScheme::LightWsp,
                                   pds::PdsRunMode::Perf);
-    cfg.engine = harness::defaultSimEngine(); // honour --engine A/B
     cfg.numMcs = p.mcs;
     cfg.topology = p.topo;
     cfg.faults = faultsFor(p, row);

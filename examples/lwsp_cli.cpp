@@ -238,7 +238,6 @@ cmdCrash(const Args &a)
 
     core::SystemConfig cfg;
     cfg.scheme = core::Scheme::LightWsp;
-    cfg.engine = harness::defaultSimEngine();
     cfg.applySchemeDefaults();
 
     core::System golden(cfg, prog, profile.threads);

@@ -49,10 +49,6 @@ System::System(const SystemConfig &cfg,
       noc_(checkedNumMcs(cfg.numMcs), cfg.nocHopLatency, cfg.topology)
 {
     LWSP_ASSERT(num_threads >= 1, "need at least one thread");
-    // Keep the MC-side view of the fabric in lockstep with the Noc even
-    // when the caller skipped applySchemeDefaults().
-    cfg_.mc.numMcs = cfg_.numMcs;
-    cfg_.mc.treeAcks = cfg_.topology.isTree() && cfg_.numMcs > 1;
 
     // Initial data into both images; PC slots start at the no-site
     // sentinel so recovery can tell "never persisted a boundary" from
@@ -67,9 +63,8 @@ System::System(const SystemConfig &cfg,
     }
 
     if (cfg_.oraclesEnabled) {
-        oracle_ = std::make_unique<mem::LrpoOracle>(cfg_.numMcs,
-                                                    cfg_.mc.gatingEnabled,
-                                                    cfg_.mc.treeAcks);
+        oracle_ = std::make_unique<mem::LrpoOracle>(
+            cfg_.numMcs, cfg_.mc.gatingEnabled, noc_.isTree());
         cfg_.mc.oracle = oracle_.get();
     }
 

@@ -6,10 +6,10 @@
  * The system maintains two functional images: the execution image (what
  * loads observe, updated at dispatch) and the PM image (updated only when
  * a WPQ releases an entry), so at any crash cycle the PM image is exactly
- * what battery-backed hardware would leave behind. powerFailure() runs the
- * paper's §IV-F drain protocol; recover() builds a successor system from
- * the post-crash PM image with every thread repositioned at its latest
- * persisted boundary.
+ * what battery-backed hardware would leave behind. runWithPowerFailure()
+ * runs the paper's §IV-F drain protocol; recover() builds a successor
+ * system from the post-crash PM image with every thread repositioned at
+ * its latest persisted boundary.
  */
 
 #ifndef LWSP_CORE_SYSTEM_HH
@@ -315,7 +315,6 @@ class System : public cpu::MemPort
     // ---- Introspection ----------------------------------------------------
     cpu::Core &coreAt(CoreId i) { return *cores_.at(i); }
     mem::MemController &mcAt(McId i) { return *mcs_.at(i); }
-    cpu::ThreadContext &threadAt(ThreadId t) { return *threads_.at(t); }
     unsigned numThreads() const
     {
         return static_cast<unsigned>(threads_.size());

@@ -93,12 +93,13 @@ struct SystemConfig
     Tick maxCycles = 100'000'000;
 
     /**
-     * Clock driver. Event (default): discrete-event wakeup heap — idle
-     * components cost nothing per skipped cycle. Cycle: the legacy
-     * tick-everyone loop, kept selectable as the bit-identical ground
-     * truth for A/B verification (asserted by test_engine).
+     * Clock driver, initialised from the process default (`--engine`).
+     * Event (default): discrete-event wakeup heap — idle components cost
+     * nothing per skipped cycle. Cycle: the legacy tick-everyone loop,
+     * kept selectable as the bit-identical ground truth for A/B
+     * verification (asserted by test_engine).
      */
-    SimEngine engine = SimEngine::Event;
+    SimEngine engine = defaultSimEngine();
 
     /**
      * Event engine debug cross-check: assert at every scheduling
@@ -169,8 +170,6 @@ struct SystemConfig
     void
     applySchemeDefaults()
     {
-        mc.numMcs = numMcs;
-        mc.treeAcks = topology.isTree() && numMcs > 1;
         core.persistPathEnabled = schemeHasPersistPath(scheme);
         switch (scheme) {
           case Scheme::Baseline:

@@ -167,7 +167,6 @@ class Core : public Clocked
     bool febContainsLine(Addr line) const;
     bool febEmpty() const { return feb_.empty(); }
     RegionId febMinRegion() const;
-    std::size_t febSize() const { return feb_.size(); }
 
     // ---- Statistics -------------------------------------------------------
     /** The core's counters: exactly what resetStats() zeroes. */

@@ -70,14 +70,6 @@ class RegionAllocator
     RegionId alloc() { return next_++; }
     RegionId peek() const { return next_; }
 
-    /** Recovery: resume allocation above every previously seen ID. */
-    void
-    restartAbove(RegionId floor)
-    {
-        if (next_ <= floor)
-            next_ = floor + 1;
-    }
-
   private:
     RegionId next_ = 1;
 };

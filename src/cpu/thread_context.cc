@@ -26,7 +26,6 @@ ThreadContext::reset(FuncId entry_func)
     region_ = regions_.alloc();
     halted_ = false;
     instsExecuted_ = 0;
-    boundaries_ = 0;
 }
 
 bool
@@ -175,7 +174,6 @@ ThreadContext::step(ExecRecord &rec)
         rec.isBoundary = true;
         rec.broadcastRegion = region_;
         region_ = regions_.alloc();
-        ++boundaries_;
         rec.region = region_;
         rec.nextRegion = region_;
         rec.isLoad = true;
@@ -194,7 +192,6 @@ ThreadContext::step(ExecRecord &rec)
         rec.isBoundary = true;
         rec.broadcastRegion = region_;
         region_ = regions_.alloc();
-        ++boundaries_;
         rec.region = region_;
         rec.nextRegion = region_;
         rec.isStore = true;
@@ -211,7 +208,6 @@ ThreadContext::step(ExecRecord &rec)
         rec.isBoundary = true;
         rec.broadcastRegion = region_;
         region_ = regions_.alloc();
-        ++boundaries_;
         rec.region = region_;
         rec.nextRegion = region_;
         rec.isStore = true;
@@ -228,7 +224,6 @@ ThreadContext::step(ExecRecord &rec)
         rec.isBoundary = true;
         rec.broadcastRegion = region_;
         region_ = regions_.alloc();
-        ++boundaries_;
         rec.region = region_;
         rec.nextRegion = region_;
         rec.isStore = true;
@@ -307,7 +302,6 @@ ThreadContext::step(ExecRecord &rec)
         rec.broadcastRegion = region_;  // ended region's last store
         region_ = regions_.alloc();
         rec.nextRegion = region_;
-        ++boundaries_;
         advance();
         break;
       }

@@ -147,7 +147,6 @@ class ThreadContext
     const ProgramCounter &pc() const { return pc_; }
     std::uint64_t reg(ir::Reg r) const { return regs_.at(r); }
     std::uint64_t instsExecuted() const { return instsExecuted_; }
-    std::uint64_t boundariesCrossed() const { return boundaries_; }
 
     /**
      * Power-failure recovery (paper §IV-F): reposition the thread just
@@ -185,7 +184,6 @@ class ThreadContext
     bool hardenedCkpt_ = false;
 
     std::uint64_t instsExecuted_ = 0;
-    std::uint64_t boundaries_ = 0;
 };
 
 } // namespace cpu

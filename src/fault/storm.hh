@@ -85,12 +85,6 @@ struct FailureSchedule
         return events == o.events;
     }
 
-    /** Total failures the schedule injects on top of the initial one. */
-    unsigned extraFailures() const
-    {
-        return static_cast<unsigned>(events.size());
-    }
-
     /**
      * Interrupt budgets of the run of Drain events starting at index
      * @p first, in order (empty if events[first] is not a Drain): what

@@ -163,10 +163,7 @@ machineSummary(const core::SystemConfig &cfg,
  * the spec's mcs=/topo= overrides reach past them for the scale-out
  * shapes (test_fuzz pins a 65-MC tree campaign through this path).
  * They apply on top of the draw, which keeps its rng stream, so pinning
- * the shape never perturbs the rest of the case. Scheme defaults are
- * derived once, before the overrides (their Capri and cWSP branches
- * multiply drain intervals): System's constructor syncs mc.numMcs /
- * mc.treeAcks from the top-level fields itself.
+ * the shape never perturbs the rest of the case.
  */
 CaseBuild
 buildCase(const CaseSpec &spec, const CampaignOptions &opt)
@@ -251,7 +248,6 @@ buildCase(const CaseSpec &spec, const CampaignOptions &opt)
     // pmtx orders its persists with its own fences on an ungated
     // machine, outside the region protocol the LRPO oracles model.
     out.cfg.oraclesEnabled = opt.oracles && !out.pmtx;
-    out.cfg.engine = opt.engine;
     if (spec.mcs != 0)
         out.cfg.numMcs = spec.mcs;
     out.cfg.topology = spec.topo;

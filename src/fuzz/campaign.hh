@@ -36,7 +36,6 @@
 #include "noc/topology.hh"
 #include "pds/pds.hh"
 #include "serve/serve.hh"
-#include "sim/simulator.hh"
 #include "trace/events.hh"
 
 namespace lwsp {
@@ -158,8 +157,6 @@ struct CampaignOptions
      * stride over the recovered run, 1 = every cycle. mode == None only.
      */
     Tick recoveryStep = 0;
-    /** Clock driver for every run (A/B determinism knob). */
-    SimEngine engine = SimEngine::Event;
 };
 
 struct CampaignResult

@@ -195,7 +195,6 @@ main(int argc, char **argv)
         opt.stormCrash = true;
     }
 
-    opt.engine = harness::defaultSimEngine();
     setLogQuiet(true);
     auto t0 = std::chrono::steady_clock::now();
 

@@ -1,6 +1,5 @@
 #include "runner.hh"
 
-#include <atomic>
 #include <sstream>
 
 #include "common/flags.hh"
@@ -12,20 +11,18 @@ namespace harness {
 using core::Scheme;
 
 namespace {
-std::atomic<SimEngine> gDefaultEngine{SimEngine::Event};
+
+/** The compiler's store threshold: the override, else half the WPQ; 0
+ *  for a scheme that runs the uncompiled binary and never consults it. */
+unsigned
+storeThreshold(const RunSpec &spec)
+{
+    if (!core::schemeUsesCompiledBinary(spec.scheme))
+        return 0;
+    return spec.storeThreshold.value_or(spec.wpqEntries / 2);
+}
+
 } // namespace
-
-SimEngine
-defaultSimEngine()
-{
-    return gDefaultEngine.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultSimEngine(SimEngine e)
-{
-    gDefaultEngine.store(e, std::memory_order_relaxed);
-}
 
 cli::Flag
 engineFlag()
@@ -38,7 +35,7 @@ engineFlag()
                 why = "want " + names;
                 const bool ok = spec::enumFromName(simEngineNames, v, e);
                 if (ok)
-                    setDefaultSimEngine(e);
+                    lwsp::setDefaultSimEngine(e);
                 return ok;
             }};
 }
@@ -48,34 +45,24 @@ makeConfig(const workloads::WorkloadProfile &profile, const RunSpec &spec)
 {
     core::SystemConfig cfg;
     cfg.scheme = spec.scheme;
-    cfg.engine = spec.engine.value_or(defaultSimEngine());
 
     cfg.core.branchMissRate = profile.branchMissRate;
     cfg.core.hwRegionStores = profile.hwRegionStores;
 
-    unsigned wpq = spec.wpqEntries.value_or(64);
-    cfg.mc.wpqEntries = wpq;
-    cfg.core.febEntries = wpq;  // front-end buffer follows WPQ size (§IV-E)
-
-    double gbps = spec.persistPathGBps.value_or(4.0);
-    cfg.core.pathCyclesPerEntry = bandwidthToCyclesPerGranule(gbps);
-
-    if (spec.pmReadCycles)
-        cfg.mc.pmReadCycles = *spec.pmReadCycles;
-    if (spec.pmWriteCycles)
-        cfg.mc.pmWriteCycles = *spec.pmWriteCycles;
-    if (spec.extraPathLatency)
-        cfg.core.pathLatency += *spec.extraPathLatency;
-    if (spec.drainInterval)
-        cfg.mc.drainInterval = *spec.drainInterval;
+    cfg.mc.wpqEntries = spec.wpqEntries;
+    // The front-end buffer follows the WPQ size (§IV-E).
+    cfg.core.febEntries = spec.wpqEntries;
+    cfg.core.pathCyclesPerEntry =
+        bandwidthToCyclesPerGranule(spec.persistPathGBps);
+    cfg.mc.pmReadCycles = spec.pmReadCycles;
+    cfg.mc.pmWriteCycles = spec.pmWriteCycles;
+    cfg.core.pathLatency += spec.extraPathLatency;
+    cfg.mc.drainInterval = spec.drainInterval;
     if (spec.victimPolicy)
         cfg.victimPolicy = *spec.victimPolicy;
-    if (spec.strictFlushAcks)
-        cfg.mc.strictFlushAcks = *spec.strictFlushAcks;
-    if (spec.numMcs)
-        cfg.numMcs = *spec.numMcs;
-    if (spec.topology)
-        cfg.topology = *spec.topology;
+    cfg.mc.strictFlushAcks = spec.strictFlushAcks;
+    cfg.numMcs = spec.numMcs;
+    cfg.topology = spec.topology;
 
     cfg.applySchemeDefaults();
     return cfg;
@@ -88,8 +75,7 @@ prepareProgram(workloads::Workload &&workload, const RunSpec &spec)
         return compiler::makeUncompiled(std::move(workload.module));
 
     compiler::CompilerConfig ccfg;
-    unsigned wpq = spec.wpqEntries.value_or(64);
-    ccfg.storeThreshold = spec.storeThreshold.value_or(wpq / 2);
+    ccfg.storeThreshold = storeThreshold(spec);
     if (spec.scheme == Scheme::Cwsp)
         ccfg.insertCheckpointStores = false;
 
@@ -164,48 +150,33 @@ Runner::run(const RunSpec &spec)
 std::string
 specKey(const RunSpec &spec)
 {
-    // Fold each optional to the value the config/compile path derives
-    // from an unset field (see makeConfig/prepareProgram), so explicit
-    // defaults share the unset point's cache entry.
     const auto &profile = workloads::profileByName(spec.workload);
-    unsigned wpq = spec.wpqEntries.value_or(64);
-    unsigned threshold =
-        core::schemeUsesCompiledBinary(spec.scheme)
-            ? spec.storeThreshold.value_or(wpq / 2)
-            : 0;  // uncompiled schemes never consult the threshold
     std::ostringstream os;
     os << spec.workload << '/' << static_cast<int>(spec.scheme) << '/'
-       << wpq << '/' << threshold << '/'
+       << spec.wpqEntries << '/' << storeThreshold(spec) << '/'
        << (spec.victimPolicy ? static_cast<int>(*spec.victimPolicy) : -1)
-       << '/' << spec.persistPathGBps.value_or(4.0) << '/'
+       << '/' << spec.persistPathGBps << '/'
        << spec.threads.value_or(profile.threads) << '/'
-       << spec.pmReadCycles.value_or(350) << '/'
-       << spec.pmWriteCycles.value_or(180) << '/'
-       << spec.extraPathLatency.value_or(0) << '/'
-       << spec.drainInterval.value_or(1) << '/'
-       << spec.strictFlushAcks.value_or(false) << '/'
-       << simEngineName(spec.engine.value_or(defaultSimEngine())) << '/'
-       << spec.numMcs.value_or(2) << '/'
-       << spec.topology.value_or(noc::TopologyConfig{}).toString();
+       << spec.pmReadCycles << '/' << spec.pmWriteCycles << '/'
+       << spec.extraPathLatency << '/' << spec.drainInterval << '/'
+       << spec.strictFlushAcks << '/' << simEngineName(defaultSimEngine())
+       << '/' << spec.numMcs << '/' << spec.topology.toString();
     return os.str();
 }
 
 RunSpec
 Runner::baselineSpec(const RunSpec &spec)
 {
-    RunSpec base = spec;
-    base.scheme = Scheme::Baseline;
-    // The baseline keeps Table I memory parameters; CXL media-latency
-    // overrides apply to it as well (the paper normalizes within each
-    // configuration).
-    base.wpqEntries.reset();
-    base.storeThreshold.reset();
-    base.victimPolicy.reset();
-    base.persistPathGBps.reset();
-    base.extraPathLatency.reset();
-    base.drainInterval.reset();
-    base.strictFlushAcks.reset();
-    return base;
+    // The paper normalizes within each memory configuration: the
+    // baseline keeps the workload, thread count, CXL media latencies and
+    // fabric shape; every persist-side override reverts to Table I.
+    return {.workload = spec.workload,
+            .scheme = Scheme::Baseline,
+            .threads = spec.threads,
+            .pmReadCycles = spec.pmReadCycles,
+            .pmWriteCycles = spec.pmWriteCycles,
+            .numMcs = spec.numMcs,
+            .topology = spec.topology};
 }
 
 double

@@ -36,41 +36,42 @@ namespace harness {
 /**
  * One experiment point. Every member has an initializer, so a
  * designated initializer may name just the overrides it sets
- * (`{.wpqEntries = 256}`).
+ * (`{.wpqEntries = 256}`). A plain field's initializer is its Table I
+ * default, taken from the machine config where one holds it; the
+ * three optionals default to a value derived from the scheme or the
+ * profile.
  */
 struct RunSpec
 {
     std::string workload{};                    ///< paper-app profile name
     core::Scheme scheme = core::Scheme::LightWsp;
 
-    // Sensitivity-study overrides (defaults = Table I values).
-    std::optional<unsigned> wpqEntries{};      ///< Fig 11 (FEB follows)
-    std::optional<unsigned> storeThreshold{};  ///< Fig 12
-    std::optional<mem::VictimPolicy> victimPolicy{};  ///< Figs 13/14
-    std::optional<double> persistPathGBps{};   ///< Fig 15
-    std::optional<unsigned> threads{};         ///< Fig 16
-    std::optional<Tick> pmReadCycles{};        ///< Fig 17 (CXL)
-    std::optional<Tick> pmWriteCycles{};       ///< Fig 17
-    std::optional<Tick> extraPathLatency{};    ///< Fig 17 (CXL link)
-    std::optional<Tick> drainInterval{};       ///< CXL media bandwidth
-    std::optional<bool> strictFlushAcks{};     ///< commit-pipeline ablation
-    std::optional<SimEngine> engine{};         ///< A/B: event vs cycle
-    std::optional<unsigned> numMcs{};          ///< Fig 23 (scale-out)
-    std::optional<noc::TopologyConfig> topology{};  ///< Fig 23 (flat/tree)
+    // Sensitivity-study overrides.
+    /** Fig 11; the front-end buffer follows it. */
+    unsigned wpqEntries = static_cast<unsigned>(mem::McConfig{}.wpqEntries);
+    /** Fig 12; unset = half the WPQ (compiled schemes only). */
+    std::optional<unsigned> storeThreshold{};
+    /** Figs 13/14; unset = the scheme's own. */
+    std::optional<mem::VictimPolicy> victimPolicy{};
+    double persistPathGBps = 4.0;              ///< Fig 15
+    /** Fig 16; unset = the profile's thread count. */
+    std::optional<unsigned> threads{};
+    Tick pmReadCycles = mem::McConfig{}.pmReadCycles;    ///< Fig 17 (CXL)
+    Tick pmWriteCycles = mem::McConfig{}.pmWriteCycles;  ///< Fig 17
+    Tick extraPathLatency = 0;   ///< Fig 17 (CXL link), added to the path
+    Tick drainInterval = mem::McConfig{}.drainInterval;  ///< CXL media
+    bool strictFlushAcks = mem::McConfig{}.strictFlushAcks;  ///< ablation
+    unsigned numMcs = core::SystemConfig{}.numMcs;  ///< Fig 23 (scale-out)
+    /** Fig 23 (flat/tree). */
+    noc::TopologyConfig topology = core::SystemConfig{}.topology;
 };
 
-/**
- * Process-wide engine default for specs that leave RunSpec::engine unset
- * (what --engine=cycle in the bench/CLI front ends flips). Defaults to
- * SimEngine::Event. Results are bit-identical either way; the knob
- * exists for A/B verification and perf comparison.
- */
-SimEngine defaultSimEngine();
-void setDefaultSimEngine(SimEngine e);
-
-/** The --engine event|cycle flag every front end shares: it sets
- *  defaultSimEngine(). */
+/** The --engine event|cycle flag every front end shares: it sets the
+ *  process default, lwsp::setDefaultSimEngine(). */
 cli::Flag engineFlag();
+
+/** lwsp::defaultSimEngine() under the harness name perfbench calls. */
+inline SimEngine defaultSimEngine() { return lwsp::defaultSimEngine(); }
 
 struct RunOutcome
 {
@@ -142,10 +143,11 @@ class Runner
 };
 
 /**
- * Canonical memo key: every optional folded to the value makeConfig /
- * prepareProgram would derive anyway, so a spec with an explicit default
- * (e.g. wpqEntries = 64) and one leaving the field unset map to the same
- * simulation. Must stay in lockstep with makeConfig()/prepareProgram().
+ * Canonical memo key: every field, plus the process engine. Each
+ * optional is printed as the value it derives to (the store threshold
+ * through the helper prepareProgram uses, 0 for uncompiled schemes;
+ * the profile's thread count; -1 for the scheme's own victim policy),
+ * so a spec spelling out a default shares the unset point's key.
  */
 std::string specKey(const RunSpec &spec);
 

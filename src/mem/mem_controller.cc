@@ -12,22 +12,17 @@ namespace mem {
 MemController::MemController(McId id, const McConfig &cfg, MemImage &pm,
                              noc::Noc &noc_net)
     : Clocked("mc" + std::to_string(id)), id_(id), cfg_(cfg), pm_(pm),
-      noc_(noc_net), wpq_(cfg.wpqEntries),
+      noc_(noc_net), treeAcks_(noc_net.isTree()), wpq_(cfg.wpqEntries),
       dramCache_("mc" + std::to_string(id) + ".dramcache", cfg.dramCache)
 {
-    LWSP_ASSERT(cfg.numMcs >= 1, "bad MC count");
-    LWSP_ASSERT(id < cfg.numMcs, "MC id out of range");
-    // A one-leaf tree has no fabric to aggregate over: degrade to flat,
-    // mirroring the Noc's own single-MC degradation.
-    if (cfg_.numMcs <= 1)
-        cfg_.treeAcks = false;
-    peersAll_.reset(cfg_.numMcs);
-    for (McId mc = 0; mc < cfg_.numMcs; ++mc) {
+    LWSP_ASSERT(id < noc_.numMcs(), "MC id out of range");
+    peersAll_.reset(noc_.numMcs());
+    for (McId mc = 0; mc < noc_.numMcs(); ++mc) {
         if (mc != id_)
             peersAll_.set(mc);
     }
-    retired_.bdryAcks.reset(cfg_.numMcs);
-    retired_.flushAcks.reset(cfg_.numMcs);
+    retired_.bdryAcks.reset(noc_.numMcs());
+    retired_.flushAcks.reset(noc_.numMcs());
     resetStats();  // sizes the occupancy histogram to this WPQ
 }
 
@@ -51,8 +46,8 @@ MemController::state(RegionId r)
         for (std::size_t i = 0; i < ring_.size(); ++i)
             grown[i] = std::move(ring_[(ringHead_ + i) & (ring_.size() - 1)]);
         for (std::size_t i = ring_.size(); i < cap; ++i) {
-            grown[i].bdryAcks.reset(cfg_.numMcs);
-            grown[i].flushAcks.reset(cfg_.numMcs);
+            grown[i].bdryAcks.reset(noc_.numMcs());
+            grown[i].flushAcks.reset(noc_.numMcs());
         }
         ring_ = std::move(grown);
         ringHead_ = 0;
@@ -135,7 +130,7 @@ MemController::sendToPeers(McMsg::Type type, RegionId r, Tick now)
     msg.type = type;
     msg.region = r;
     msg.from = id_;
-    if (cfg_.treeAcks) {
+    if (treeAcks_) {
         // One ACK up the aggregation tree; the completed round comes
         // back as the root's BdryAllAcked / FlushAllAcked announcement.
         noc_.ackUp(id_, msg, now);
@@ -209,7 +204,7 @@ MemController::receive(const McMsg &msg, Tick now)
             cfg_.sink,
             {now, trace::EventType::BoundaryAck,
              static_cast<std::int32_t>(id_), 0, msg.region, 0, 0,
-             cfg_.numMcs});
+             noc_.numMcs()});
         RegionState &st = state(msg.region);
         bool was_complete = st.allBdryAcked;
         st.allBdryAcked = true;

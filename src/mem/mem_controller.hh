@@ -47,7 +47,6 @@ class LrpoOracle;
 
 struct McConfig
 {
-    unsigned numMcs = 2;
     std::size_t wpqEntries = 64;
     Tick pmReadCycles = 350;        ///< 175 ns at 2 GHz
     Tick pmWriteCycles = 180;       ///< 90 ns at 2 GHz
@@ -74,15 +73,6 @@ struct McConfig
     bool strictFlushAcks = false;
     /** false = plain FIFO drain with no region gating (non-WSP schemes). */
     bool gatingEnabled = true;
-    /**
-     * ACKs ride a tree aggregation fabric (noc/topology.hh): instead of
-     * all-to-all peer unicasts the MC hands a single ACK to its leaf
-     * uplink (`Noc::ackUp`) and learns round completion from the root's
-     * BdryAllAcked / FlushAllAcked announcements. Set by System when the
-     * configured topology is a tree with more than one MC; forced off
-     * for a single MC (a one-leaf tree degrades to flat).
-     */
-    bool treeAcks = false;
     /**
      * When non-null, every protocol event (boundary arrival, ACK, WPQ
      * insert, PM release, commit, crash drain) is reported to the LRPO
@@ -171,9 +161,6 @@ class MemController : public Clocked, public McEndpoint
      * oracle.
      */
     void crashFinish(Tick now = 0);
-
-    /** True once crashFinish() has run (the drain is fully over). */
-    bool crashFinished() const { return crashFinished_; }
 
     // ---- Fault handling (crash-time ECC damage, §IV-F hardening) ---------
     /**
@@ -325,16 +312,16 @@ class MemController : public Clocked, public McEndpoint
     bool
     bdryAcksComplete(const RegionState &st) const
     {
-        return cfg_.treeAcks ? st.allBdryAcked
-                             : st.bdryAcks.containsAll(peersAll_);
+        return treeAcks_ ? st.allBdryAcked
+                         : st.bdryAcks.containsAll(peersAll_);
     }
 
     /** Every MC's flush-ACK for the region has been observed. */
     bool
     flushAcksComplete(const RegionState &st) const
     {
-        return cfg_.treeAcks ? st.allFlushAcked
-                             : st.flushAcks.containsAll(peersAll_);
+        return treeAcks_ ? st.allFlushAcked
+                         : st.flushAcks.containsAll(peersAll_);
     }
 
     void sendToPeers(McMsg::Type type, RegionId r, Tick now);
@@ -375,9 +362,17 @@ class MemController : public Clocked, public McEndpoint
     void pruneCommittedShadows();
 
     McId id_;
-    McConfig cfg_;
+    const McConfig cfg_;
     MemImage &pm_;
     noc::Noc &noc_;
+    /**
+     * ACKs ride a tree aggregation fabric (noc/topology.hh): instead of
+     * all-to-all peer unicasts the MC hands a single ACK to its leaf
+     * uplink (`Noc::ackUp`) and learns round completion from the root's
+     * BdryAllAcked / FlushAllAcked announcements. noc_.isTree(), cached
+     * for the hot path; false for one MC (a one-leaf tree is flat).
+     */
+    const bool treeAcks_;
     DynBitset peersAll_;  ///< every MC id except our own
     Wpq wpq_;
     Cache dramCache_;

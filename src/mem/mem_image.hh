@@ -62,10 +62,6 @@ class MemImage
     void poison(Addr addr) { poisoned_.insert(addr); }
 
     bool isPoisoned(Addr addr) const { return poisoned_.count(addr) != 0; }
-    std::size_t poisonedCount() const { return poisoned_.size(); }
-
-    /** Number of resident pages (for tests). */
-    std::size_t residentPages() const { return pages_.size(); }
 
     /** Deep copy (crash-recovery runs re-execute on a cloned PM image). */
     MemImage clone() const { return *this; }

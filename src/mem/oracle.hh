@@ -60,14 +60,14 @@ class LrpoOracle
      * @param num_mcs memory-controller count (for the peer-ACK census)
      * @param gated true when the WPQ is region-gated (LightWSP); the
      *        ordering invariants only apply to gated operation
-     * @param tree_acks true when ACKs aggregate on a tree fabric: MCs
-     *        then see BdryAllAcked root announcements instead of
-     *        per-peer bdry-ACKs, and invariant 1 checks against those
+     * @param tree_acks true when ACKs aggregate on a tree fabric
+     *        (Noc::isTree()): MCs then see BdryAllAcked root
+     *        announcements instead of per-peer bdry-ACKs, and
+     *        invariant 1 checks against those
      */
     explicit LrpoOracle(unsigned num_mcs = 2, bool gated = true,
                         bool tree_acks = false)
-        : numMcs_(num_mcs), gated_(gated),
-          treeAcks_(tree_acks && num_mcs > 1)
+        : numMcs_(num_mcs), gated_(gated), treeAcks_(tree_acks)
     {
     }
 

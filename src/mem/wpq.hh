@@ -126,22 +126,6 @@ class Wpq
         return std::nullopt;
     }
 
-    /** Drop every entry with region id > @p r (crash: unpersisted). */
-    std::size_t
-    discardRegionsAbove(RegionId r)
-    {
-        std::size_t dropped = 0;
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->region > r) {
-                it = entries_.erase(it);
-                ++dropped;
-            } else {
-                ++it;
-            }
-        }
-        return dropped;
-    }
-
     template <typename Fn>
     void
     forEach(Fn &&fn) const

@@ -32,6 +32,7 @@
 #define LWSP_SIM_SIMULATOR_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <vector>
 
@@ -58,6 +59,27 @@ simEngineName(SimEngine e)
     return simEngineNames[static_cast<std::size_t>(e)];
 }
 
+namespace detail {
+inline std::atomic<SimEngine> processEngine{SimEngine::Event};
+} // namespace detail
+
+/**
+ * The process-wide engine, SimEngine::Event unless the `--engine` flag
+ * (harness::engineFlag) changed it. It is SystemConfig::engine's
+ * initializer, so every config built after flag parsing honours it.
+ */
+inline SimEngine
+defaultSimEngine()
+{
+    return detail::processEngine.load(std::memory_order_relaxed);
+}
+
+inline void
+setDefaultSimEngine(SimEngine e)
+{
+    detail::processEngine.store(e, std::memory_order_relaxed);
+}
+
 class Simulator : public Scheduler
 {
   public:
@@ -65,7 +87,6 @@ class Simulator : public Scheduler
 
     /** Select the engine; call before the first executeCycle(). */
     void setEngine(SimEngine e) { engine_ = e; }
-    SimEngine engine() const { return engine_; }
 
     /** Enable the heap-vs-rescan cross-check (event engine only). */
     void

@@ -52,7 +52,6 @@ class TraceSink
     }
 
     std::uint32_t mask() const { return mask_; }
-    void setMask(std::uint32_t mask) { mask_ = mask; }
 
     /** Record @p e (category-filtered; overwrites the oldest on wrap). */
     void

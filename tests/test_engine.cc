@@ -27,6 +27,7 @@
 #include "fuzz/random_program.hh"
 #include "fuzz/random_workload.hh"
 #include "harness/runner.hh"
+#include "pds/pds.hh"
 #include "workloads/generator.hh"
 #include "workloads/profile.hh"
 
@@ -357,20 +358,56 @@ TEST(Engine, VerifyWakeupsCrossCheckPasses)
     EXPECT_TRUE(sv.result.completed);
 }
 
+/** Sets the process engine for one scope, restoring the old one. */
+class ProcessEngine
+{
+  public:
+    explicit ProcessEngine(SimEngine e) : saved_(defaultSimEngine())
+    {
+        setDefaultSimEngine(e);
+    }
+    ~ProcessEngine() { setDefaultSimEngine(saved_); }
+    ProcessEngine(const ProcessEngine &) = delete;
+    ProcessEngine &operator=(const ProcessEngine &) = delete;
+
+  private:
+    SimEngine saved_;
+};
+
 TEST(Engine, RunnerMemoKeysEnginesSeparately)
 {
     setLogQuiet(true);
-    harness::RunSpec ev, cy;
-    ev.workload = cy.workload = "is";
-    ev.scheme = cy.scheme = core::Scheme::LightWsp;
-    ev.engine = SimEngine::Event;
-    cy.engine = SimEngine::Cycle;
+    harness::RunSpec spec;
+    spec.workload = "is";
+    spec.scheme = core::Scheme::LightWsp;
     // Distinct memo keys (no cross-engine cache hits masquerading as
     // equivalence), identical results through the Runner path.
-    EXPECT_NE(harness::specKey(ev), harness::specKey(cy));
     harness::Runner runner;
-    auto oe = runner.run(ev);
-    auto oc = runner.run(cy);
-    expectResultEq(oe.result, oc.result, "runner is/lightwsp");
-    EXPECT_EQ(oe.threads, oc.threads);
+    std::string keys[2];
+    harness::RunOutcome out[2];
+    for (SimEngine e : {SimEngine::Event, SimEngine::Cycle}) {
+        ProcessEngine engine(e);
+        keys[e == SimEngine::Cycle] = harness::specKey(spec);
+        out[e == SimEngine::Cycle] = runner.run(spec);
+    }
+    EXPECT_NE(keys[0], keys[1]);
+    expectResultEq(out[0].result, out[1].result, "runner is/lightwsp");
+    EXPECT_EQ(out[0].threads, out[1].threads);
+}
+
+TEST(Engine, ProcessDefaultReachesEveryBuilder)
+{
+    setLogQuiet(true);
+    ProcessEngine engine(SimEngine::Cycle);
+    harness::PreparedPoint pt = harness::preparePoint({.workload = "is"});
+    const std::pair<const char *, core::SystemConfig> configs[] = {
+        {"preparePoint", pt.cfg},
+        {"makePdsConfig", pds::makePdsConfig(pds::PdsScheme::LightWsp,
+                                             pds::PdsRunMode::Perf)},
+        {"SystemConfig{}", {}},
+    };
+    for (const auto &[builder, cfg] : configs) {
+        core::System sys(cfg, pt.prog, 1);
+        EXPECT_EQ(sys.config().engine, SimEngine::Cycle) << builder;
+    }
 }

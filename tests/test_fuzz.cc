@@ -343,8 +343,10 @@ TEST(FuzzCampaign, EnginesGiveIdenticalCounts)
     for (auto [spec, opt] : {std::pair{wl, mined}, {pmtx, matrix}}) {
         CampaignResult r[2];
         for (SimEngine e : {SimEngine::Event, SimEngine::Cycle}) {
-            opt.engine = e;
+            const SimEngine saved = defaultSimEngine();
+            setDefaultSimEngine(e);
             r[e == SimEngine::Cycle] = runCampaign(spec, opt);
+            setDefaultSimEngine(saved);
         }
         const std::string what = spec.toString();
         EXPECT_TRUE(r[0].passed) << what << ": " << r[0].failure;

@@ -27,7 +27,6 @@ struct Rig
     explicit Rig(McConfig cfg = {}, unsigned num_mcs = 2)
         : net(num_mcs, /*hop=*/5)
     {
-        cfg.numMcs = num_mcs;
         std::vector<McEndpoint *> eps;
         for (McId i = 0; i < num_mcs; ++i) {
             mcs.push_back(

@@ -199,7 +199,6 @@ TEST_P(PersistOrderProperty, RegionOrderHoldsUnderRandomArrival)
     trace::TraceSink sink(1u << 12,
                           trace::categoryBit(trace::Category::Wpq));
     mem::McConfig cfg;
-    cfg.numMcs = 2;
     cfg.sink = &sink;
     std::vector<std::unique_ptr<mem::MemController>> mcs;
     std::vector<mem::McEndpoint *> eps;

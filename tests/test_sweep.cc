@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -51,15 +52,16 @@ expectOutcomeEq(const harness::RunOutcome &a, const harness::RunOutcome &b,
         << what;
 }
 
-/** The mixed spec list both executors sweep: several schemes and
- *  sensitivity overrides over two fast paper apps. */
+/** The mixed spec list both executors sweep: several schemes, the
+ *  Baseline among them, and a sensitivity override over two fast paper
+ *  apps. */
 std::vector<harness::RunSpec>
 mixedSpecs()
 {
     std::vector<harness::RunSpec> specs;
     for (const char *app : {"is", "xz"}) {
-        for (core::Scheme s : {core::Scheme::LightWsp, core::Scheme::Capri,
-                               core::Scheme::Ppa}) {
+        for (core::Scheme s : {core::Scheme::Baseline, core::Scheme::LightWsp,
+                               core::Scheme::Capri, core::Scheme::Ppa}) {
             harness::RunSpec spec;
             spec.workload = app;
             spec.scheme = s;
@@ -116,7 +118,6 @@ runDirect(const workloads::WorkloadProfile &profile, core::Scheme scheme,
     cfg.engine = SimEngine::Cycle;
     cfg.fastForwardEnabled = fast_forward;
     cfg.warmupInsts = warmup_insts;
-    cfg.applySchemeDefaults();
     auto prog = harness::prepareProgram(std::move(w), spec);
     core::System sys(cfg, prog, threads);
     return sys.run();
@@ -208,15 +209,15 @@ TEST(Sweep, SlowdownsMatchScalarPath)
     setLogQuiet(true);
     auto specs = mixedSpecs();
 
-    harness::Runner sweep_runner;
+    // The scalar path reads the sweep's own memo, so every run below is
+    // a hit; cross-runner determinism is ParallelMatchesSerialBitForBit's.
+    harness::Runner runner;
     harness::SweepExecutor exec(3);
-    auto slow = exec.slowdowns(sweep_runner, specs);
+    auto slow = exec.slowdowns(runner, specs);
 
-    harness::Runner scalar_runner;
     ASSERT_EQ(slow.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_DOUBLE_EQ(slow[i],
-                         scalar_runner.slowdownVsBaseline(specs[i]))
+        EXPECT_DOUBLE_EQ(slow[i], runner.slowdownVsBaseline(specs[i]))
             << harness::specKey(specs[i]);
     }
 }
@@ -231,15 +232,78 @@ TEST(Sweep, MemoReturnsIdenticalOutcome)
     harness::Runner runner;
     auto first = runner.run(spec);
 
-    // Same key whether the defaults are spelled out or left unset.
+    // Spelling out any field's default (Table I, or the value an unset
+    // optional derives to) keeps the key, so the memo hands back the
+    // same outcome.
+    using Edit = std::pair<const char *, void (*)(harness::RunSpec &)>;
+    const Edit defaults[] = {
+        {"wpqEntries", [](harness::RunSpec &s) { s.wpqEntries = 64; }},
+        {"storeThreshold",
+         [](harness::RunSpec &s) { s.storeThreshold = 32; }},
+        {"persistPathGBps",
+         [](harness::RunSpec &s) { s.persistPathGBps = 4.0; }},
+        {"threads",
+         [](harness::RunSpec &s) {
+             s.threads = workloads::profileByName("is").threads;
+         }},
+        {"pmReadCycles", [](harness::RunSpec &s) { s.pmReadCycles = 350; }},
+        {"pmWriteCycles",
+         [](harness::RunSpec &s) { s.pmWriteCycles = 180; }},
+        {"extraPathLatency",
+         [](harness::RunSpec &s) { s.extraPathLatency = 0; }},
+        {"drainInterval", [](harness::RunSpec &s) { s.drainInterval = 1; }},
+        {"strictFlushAcks",
+         [](harness::RunSpec &s) { s.strictFlushAcks = false; }},
+        {"numMcs", [](harness::RunSpec &s) { s.numMcs = 2; }},
+        {"topology", [](harness::RunSpec &s) { s.topology = {}; }},
+    };
     harness::RunSpec explicit_spec = spec;
-    explicit_spec.wpqEntries = 64;
-    explicit_spec.storeThreshold = 32;
-    explicit_spec.persistPathGBps = 4.0;
-    EXPECT_EQ(harness::specKey(spec), harness::specKey(explicit_spec));
-
+    for (const auto &[field, edit] : defaults) {
+        harness::RunSpec one = spec;
+        edit(one);
+        EXPECT_EQ(harness::specKey(one), harness::specKey(spec)) << field;
+        edit(explicit_spec);
+    }
+    EXPECT_EQ(harness::specKey(explicit_spec), harness::specKey(spec));
     auto again = runner.run(explicit_spec);
     expectOutcomeEq(first, again, "memoized rerun");
+
+    // Any other value gives a key of its own, so the memo never returns
+    // one point's outcome for another.
+    const Edit changes[] = {
+        {"workload", [](harness::RunSpec &s) { s.workload = "xz"; }},
+        {"scheme",
+         [](harness::RunSpec &s) { s.scheme = core::Scheme::Capri; }},
+        {"wpqEntries", [](harness::RunSpec &s) { s.wpqEntries = 16; }},
+        {"storeThreshold",
+         [](harness::RunSpec &s) { s.storeThreshold = 8; }},
+        {"victimPolicy",
+         [](harness::RunSpec &s) {
+             s.victimPolicy = mem::VictimPolicy::Half;
+         }},
+        {"persistPathGBps",
+         [](harness::RunSpec &s) { s.persistPathGBps = 2.0; }},
+        {"threads", [](harness::RunSpec &s) { s.threads = 3; }},
+        {"pmReadCycles", [](harness::RunSpec &s) { s.pmReadCycles = 400; }},
+        {"pmWriteCycles",
+         [](harness::RunSpec &s) { s.pmWriteCycles = 200; }},
+        {"extraPathLatency",
+         [](harness::RunSpec &s) { s.extraPathLatency = 10; }},
+        {"drainInterval", [](harness::RunSpec &s) { s.drainInterval = 2; }},
+        {"strictFlushAcks",
+         [](harness::RunSpec &s) { s.strictFlushAcks = true; }},
+        {"numMcs", [](harness::RunSpec &s) { s.numMcs = 4; }},
+        {"topology",
+         [](harness::RunSpec &s) {
+             s.topology.kind = noc::TopologyConfig::Kind::Tree;
+         }},
+    };
+    std::set<std::string> keys{harness::specKey(spec)};
+    for (const auto &[field, edit] : changes) {
+        harness::RunSpec one = spec;
+        edit(one);
+        EXPECT_TRUE(keys.insert(harness::specKey(one)).second) << field;
+    }
 }
 
 TEST(Sweep, FastForwardIsInvisibleAcrossSchemes)

@@ -217,6 +217,19 @@ TEST(System, SchemeDefaultsAreConsistent)
             EXPECT_DOUBLE_EQ(cfg.core.trafficAmplification, 8.0);
         }
     }
+
+    // makeConfig derives each scheme exactly once: Capri's drain
+    // interval is 4x Table I's, cWSP's interval 3x and burst 2x.
+    const mem::McConfig table1;
+    const auto &profile = workloads::profileByName("is");
+    auto mc = [&](Scheme s) {
+        return harness::makeConfig(profile, {.scheme = s}).mc;
+    };
+    EXPECT_EQ(mc(Scheme::LightWsp).drainInterval, table1.drainInterval);
+    EXPECT_EQ(mc(Scheme::Capri).drainInterval, 4 * table1.drainInterval);
+    EXPECT_EQ(mc(Scheme::Capri).drainBurst, table1.drainBurst);
+    EXPECT_EQ(mc(Scheme::Cwsp).drainInterval, 3 * table1.drainInterval);
+    EXPECT_EQ(mc(Scheme::Cwsp).drainBurst, 2 * table1.drainBurst);
 }
 
 TEST(System, FlushOrderMonotoneInRegionIdPerMc)

@@ -61,7 +61,6 @@ TEST(Wpq, EmptyQueueOperations)
     EXPECT_EQ(q.minRegion(), invalidRegion);
     EXPECT_FALSE(q.hasRegion(0));
     EXPECT_FALSE(q.search(0).has_value());
-    EXPECT_EQ(q.discardRegionsAbove(0), 0u);
     unsigned visited = 0;
     q.forEach([&](const PersistEntry &) { ++visited; });
     EXPECT_EQ(visited, 0u);
@@ -122,17 +121,6 @@ TEST(Wpq, PopFrontIsGlobalFifo)
     auto a = q.popFront();
     ASSERT_TRUE(a.has_value());
     EXPECT_EQ(a->region, 9u);
-}
-
-TEST(Wpq, DiscardRegionsAbove)
-{
-    Wpq q(8);
-    q.push(entry(0, 1, 1));
-    q.push(entry(8, 2, 2));
-    q.push(entry(16, 3, 3));
-    EXPECT_EQ(q.discardRegionsAbove(1), 2u);
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_TRUE(q.hasRegion(1));
 }
 
 TEST(Wpq, ForEachVisitsOldestFirst)
