@@ -6,17 +6,17 @@
  * --jobs, --sweep-json, --report, --engine); a bad flag prints their
  * usage. Tables and CSVs are bit-identical under either --engine.
  *
- * The paper-profile figures (Figs 7-18, Table II, §V-G3, the commit
+ * Each bench owns one Driver: one Runner and one SweepExecutor for all
+ * of its sweeps, and the one place its outputs are written. The
+ * paper-profile figures (Figs 7-18, Table II, §V-G3, the commit
  * ablation) declare a Grid: a title, one row per app profile and one
  * Column per point run on every row (a header plus the RunSpec
- * override it applies). GridDriver builds the row-major spec list,
- * runs it through one SweepExecutor, slices it back into rows and fills
- * the ResultTable; cells are the slowdown vs Baseline unless the grid
- * supplies a function over one row's outcomes. Benches over generated
- * programs (pds structures, service tapes, storms) hand a per-point
- * callback to SweepExecutor::runPoints() instead. Either way results
- * come back indexed by input order, so tables and CSVs are
- * byte-identical at any job count.
+ * override it applies); cells are the slowdown vs Baseline unless the
+ * grid supplies a function over one row's outcomes. Figs 19-23 over
+ * generated programs hand a per-point callback to Driver::runPoints
+ * (structure points come from pds_point.hh) and fill their own table.
+ * Either way results come back indexed by input order, so tables and
+ * CSVs are byte-identical at any job count.
  */
 
 #ifndef LWSP_BENCH_BENCH_UTIL_HH
@@ -110,39 +110,6 @@ outcomeOf(const core::System &sys, const core::RunResult &res,
 }
 
 /**
- * Print @p table and write whatever --csv/--sweep-json/--report asked
- * for. @p csv, when non-empty, is written instead of the table's own CSV
- * (benches whose CSV carries columns the console table cannot).
- */
-inline void
-finish(const harness::ResultTable &table, const BenchArgs &args,
-       const harness::SweepExecutor &exec, bool per_app = true,
-       const std::string &csv = "")
-{
-    if (per_app)
-        table.print(std::cout);
-    else
-        table.printSuiteSummary(std::cout);
-    if (!args.csvPath.empty()) {
-        std::ofstream os(args.csvPath);
-        if (csv.empty())
-            table.writeCsv(os);
-        else
-            os << csv;
-        std::cout << "csv written to " << args.csvPath << '\n';
-    }
-    if (!args.sweepJsonPath.empty()) {
-        harness::writeSweepJson(args.sweepJsonPath, args.benchName,
-                                exec.totalStats());
-    }
-    if (!args.reportPath.empty()) {
-        harness::writeRunReports(args.reportPath, args.benchName,
-                                 exec.runRecords(), exec.totalStats());
-        std::cout << "run report written to " << args.reportPath << '\n';
-    }
-}
-
-/**
  * One grid column: its header and the RunSpec it runs on every row. The
  * spec's workload is left empty; the driver sets it per row.
  */
@@ -191,15 +158,14 @@ struct Grid
 };
 
 /**
- * Runs Grids through one memoizing Runner and one SweepExecutor, so a
- * bench with several grids writes one run report and one telemetry
- * record covering all of them.
+ * A bench's sweeps: Grids and point lists run through one memoizing
+ * Runner and one SweepExecutor, so a bench with several sweeps writes
+ * one run report and one telemetry record covering all of them.
  */
-class GridDriver
+class Driver
 {
   public:
-    explicit GridDriver(const BenchArgs &args)
-        : args_(args), exec_(args.jobs)
+    explicit Driver(const BenchArgs &args) : args_(args), exec_(args.jobs)
     {
     }
 
@@ -235,22 +201,51 @@ class GridDriver
         for (std::size_t r = 0; r < grid.rows.size(); ++r) {
             const auto &p = *grid.rows[r];
             const std::size_t first = r * width;
-            table.addRow(
-                p.name, p.suite,
+            const std::vector<double> row =
                 grid.cells
                     ? grid.cells({p, std::span(specs).subspan(first, width),
                                   std::span(outcomes).subspan(first, width)})
                     : std::vector<double>(slow.begin() + first,
-                                          slow.begin() + first + width));
+                                          slow.begin() + first + width);
+            table.addRow(p.name, p.suite, {row.begin(), row.end()});
         }
         return table;
     }
 
-    /** bench::finish over this driver's sweeps. */
-    void
-    finish(const harness::ResultTable &table, bool per_app) const
+    /** Run @p n points that are not paper-profile RunSpecs
+     *  (SweepExecutor::runPoints); records come back in input order. */
+    std::vector<harness::RunRecord>
+    runPoints(std::size_t n,
+              const std::function<harness::PointRun(std::size_t)> &point)
     {
-        bench::finish(table, args_, exec_, per_app);
+        return exec_.runPoints(n, point);
+    }
+
+    /** Print @p table (every row, or the per-suite geomeans) and write
+     *  what the flags asked for, covering every sweep run here. */
+    void
+    finish(const harness::ResultTable &table, bool per_app = true) const
+    {
+        if (per_app)
+            table.print(std::cout);
+        else
+            table.printSuiteSummary(std::cout);
+        if (!args_.csvPath.empty()) {
+            std::ofstream os(args_.csvPath);
+            table.writeCsv(os);
+            std::cout << "csv written to " << args_.csvPath << '\n';
+        }
+        if (!args_.sweepJsonPath.empty()) {
+            harness::writeSweepJson(args_.sweepJsonPath, args_.benchName,
+                                    exec_.totalStats());
+        }
+        if (!args_.reportPath.empty()) {
+            harness::writeRunReports(args_.reportPath, args_.benchName,
+                                     exec_.runRecords(),
+                                     exec_.totalStats());
+            std::cout << "run report written to " << args_.reportPath
+                      << '\n';
+        }
     }
 
   private:
@@ -263,7 +258,7 @@ class GridDriver
 inline void
 runGrid(const BenchArgs &args, const Grid &grid)
 {
-    GridDriver driver(args);
+    Driver driver(args);
     driver.finish(driver.run(grid), grid.perApp);
 }
 

@@ -15,7 +15,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    bench::GridDriver driver(args);
+    bench::Driver driver(args);
     auto rows = bench::selectedProfiles(args);
     std::erase_if(rows, [](const auto *p) { return p->threads < 2; });
 

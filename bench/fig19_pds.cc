@@ -12,8 +12,7 @@
  * Quick mode runs the identical (already small) grid.
  */
 
-#include "bench_util.hh"
-#include "pds/pds.hh"
+#include "pds_point.hh"
 
 using namespace lwsp;
 
@@ -21,25 +20,20 @@ namespace {
 
 constexpr pds::Kind kKinds[] = {pds::Kind::Log, pds::Kind::Hash,
                                 pds::Kind::Alloc};
+/** Per structure: every scheme, then the baseline. */
+constexpr std::size_t kStride = std::size(pds::allSchemes) + 1;
 
-pds::PdsSpec
-specFor(pds::Kind k)
+/** The same program uncompiled on the persistence-free machine. */
+bench::PdsPoint
+baselinePoint(const pds::PdsSpec &spec, std::vector<pds::PdsOp> ops)
 {
-    pds::PdsSpec spec;
-    spec.kind = k;
-    spec.sizeClass = 1;
-    spec.numOps = 192;
-    spec.mix = 0;
-    spec.seed = 7;
-    return spec;
+    bench::PdsPoint pt{spec.toString(), "baseline", spec, std::move(ops),
+                       pds::makePdsBaselineConfig(), {},
+                       pds::pdsGeometry(spec).served};
+    pt.prog = compiler::makeUncompiled(
+        pds::buildPdsProgram(spec, pt.ops, false).module);
+    return pt;
 }
-
-struct Point
-{
-    pds::PdsSpec spec;
-    bool baseline = false;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-};
 
 } // namespace
 
@@ -47,42 +41,26 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::SweepExecutor exec(args.jobs);
+    bench::Driver driver(args);
 
-    // Row-major grid plus one trailing baseline point per structure.
-    std::vector<Point> points;
-    for (auto k : kKinds) {
-        for (auto s : pds::allSchemes)
-            points.push_back({specFor(k), false, s});
-        points.push_back({specFor(k), true, pds::PdsScheme::LightWsp});
-    }
-
-    auto recs = exec.runPoints(points.size(), [&](std::size_t i) {
-        const Point &p = points[i];
-        core::SystemConfig cfg =
-            p.baseline ? pds::makePdsBaselineConfig()
-                       : pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
-        const auto ops = pds::generateTape(p.spec);
-        compiler::CompiledProgram prog =
-            p.baseline
-                ? compiler::makeUncompiled(
-                      pds::buildPdsProgram(p.spec, ops, false).module)
-                : pds::preparePdsProgram(p.spec, ops, p.scheme,
-                                         pds::PdsRunMode::Perf);
-        core::System sys(cfg, prog, 1);
-        auto res = sys.run();
-        LWSP_ASSERT(res.completed, "fig19 point did not complete: ",
-                    p.spec.toString());
-        std::string err = pds::checkSemantics(p.spec, ops, sys.execImage());
-        LWSP_ASSERT(err.empty(), "fig19 semantic check failed: ", err);
-        std::string wl = p.spec.toString();
-        std::string scheme =
-            p.baseline ? "baseline" : pds::pdsSchemeName(p.scheme);
-        return harness::PointRun{
-            {wl + "/" + scheme, wl, scheme,
-             bench::outcomeOf(sys, res, prog.stats)},
-            res.cycles};
-    });
+    auto recs = driver.runPoints(
+        std::size(kKinds) * kStride, [](std::size_t i) {
+            const pds::PdsSpec spec{.kind = kKinds[i / kStride],
+                                    .sizeClass = 1,
+                                    .numOps = 192,
+                                    .mix = 0,
+                                    .seed = 7};
+            const std::size_t s = i % kStride;
+            auto ops = pds::generateTape(spec);
+            const bench::PdsPoint pt =
+                s + 1 == kStride
+                    ? baselinePoint(spec, std::move(ops))
+                    : bench::pdsPoint(spec, std::move(ops),
+                                      pds::allSchemes[s],
+                                      pds::PdsRunMode::Perf);
+            core::System sys(pt.cfg, pt.prog, 1);
+            return pt.checkedRun(sys, sys.run());
+        });
 
     harness::ResultTable table(
         "Fig 19: pds per-op slowdown vs persistence-free baseline "
@@ -90,18 +68,17 @@ main(int argc, char **argv)
     for (auto s : pds::allSchemes)
         table.addColumn(pds::pdsSchemeName(s));
 
-    constexpr std::size_t stride = std::size(pds::allSchemes) + 1;
-    for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t k = 0; k < std::size(kKinds); ++k) {
         auto cycles = [&](std::size_t s) {
             return static_cast<double>(
-                recs[k * stride + s].outcome.result.cycles);
+                recs[k * kStride + s].outcome.result.cycles);
         };
-        std::vector<double> row;
-        for (std::size_t s = 0; s + 1 < stride; ++s)
-            row.push_back(cycles(s) / cycles(stride - 1));
+        std::vector<harness::Cell> row;
+        for (std::size_t s = 0; s + 1 < kStride; ++s)
+            row.push_back(cycles(s) / cycles(kStride - 1));
         table.addRow(pds::kindName(kKinds[k]), "pds", row);
     }
 
-    bench::finish(table, args, exec);
+    driver.finish(table);
     return 0;
 }

@@ -21,8 +21,7 @@
  * the identical (already small) grid.
  */
 
-#include "bench_util.hh"
-#include "pds/pds.hh"
+#include "pds_point.hh"
 
 using namespace lwsp;
 
@@ -33,13 +32,7 @@ constexpr pds::Kind kKinds[] = {pds::Kind::Log, pds::Kind::Hash,
 constexpr unsigned kThresholds[] = {8, 16, 32, 64}; ///< compiled schemes
 constexpr unsigned kOpsPerTx[] = {1, 2, 4, 8};      ///< pmtx
 constexpr std::size_t kDists = 4;
-
-struct Point
-{
-    pds::PdsSpec spec;
-    pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    unsigned threshold = 0;  ///< 0 for pmtx (opsPerTx is in the spec)
-};
+constexpr std::size_t kSchemes = std::size(pds::allSchemes);
 
 } // namespace
 
@@ -47,60 +40,46 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::SweepExecutor exec(args.jobs);
+    bench::Driver driver(args);
 
-    std::vector<Point> points;
-    for (auto k : kKinds) {
-        for (auto s : pds::allSchemes) {
-            for (std::size_t d = 0; d < kDists; ++d) {
-                Point p;
-                p.spec.kind = k;
-                p.spec.sizeClass = 1;
-                p.spec.numOps = 128;
-                p.spec.mix = 0;
-                p.spec.seed = 7;
-                p.scheme = s;
-                if (s == pds::PdsScheme::Pmtx)
-                    p.spec.opsPerTx = kOpsPerTx[d];
-                else
-                    p.threshold = kThresholds[d];
-                points.push_back(p);
-            }
-        }
-    }
+    // Row-major (structure, scheme, distance). A point's record is its
+    // recovered run, stopped at the first served op (so its `completed`
+    // is false by design).
+    std::vector<Tick> latency(std::size(kKinds) * kSchemes * kDists);
+    driver.runPoints(latency.size(), [&](std::size_t i) {
+        const std::size_t d = i % kDists;
+        const pds::PdsScheme scheme = pds::allSchemes[i / kDists % kSchemes];
+        pds::PdsSpec spec{.kind = kKinds[i / kDists / kSchemes],
+                          .sizeClass = 1,
+                          .numOps = 128,
+                          .mix = 0,
+                          .seed = 7};
+        unsigned threshold = 0;  // 0 for pmtx (opsPerTx is in the spec)
+        if (scheme == pds::PdsScheme::Pmtx)
+            spec.opsPerTx = kOpsPerTx[d];
+        else
+            threshold = kThresholds[d];
+        const bench::PdsPoint pt =
+            bench::pdsPoint(spec, pds::generateTape(spec), scheme,
+                            pds::PdsRunMode::Recovery, threshold);
 
-    // A point's record is its recovered run, stopped at the first served
-    // op (so its `completed` is false by design).
-    std::vector<Tick> latency(points.size());
-    exec.runPoints(points.size(), [&](std::size_t i) {
-        const Point &p = points[i];
-        auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
-        auto prog = pds::preparePdsProgram(p.spec, pds::generateTape(p.spec),
-                                           p.scheme, pds::PdsRunMode::Recovery,
-                                           p.threshold);
-        const Addr served = pds::pdsGeometry(p.spec).served;
-
-        core::System golden(cfg, prog, 1);
+        core::System golden(pt.cfg, pt.prog, 1);
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig20 golden did not complete: ",
-                    p.spec.toString());
+                    pt.workload);
 
-        core::System victim(cfg, prog, 1);
+        core::System victim(pt.cfg, pt.prog, 1);
         victim.runWithPowerFailure(gres.cycles * 6 / 10);
-        auto rec =
-            core::System::recover(cfg, prog, 1, victim.pmImage(), {});
-        std::uint64_t servedAtBoot = rec->execImage().read(served);
-        auto probe = rec->runUntilWordChanges(served, servedAtBoot);
+        auto [rec, probe] = pt.probeMttr(victim.pmImage());
         LWSP_ASSERT(probe.served, "fig20 recovered run served nothing: ",
-                    p.spec.toString(), " scheme ",
-                    pds::pdsSchemeName(p.scheme));
+                    pt.workload, " scheme ", pt.scheme);
         latency[i] = probe.serveTick;
 
-        std::string wl = p.spec.toString();
-        std::string scheme = pds::pdsSchemeName(p.scheme);
         return harness::PointRun{
-            {wl + "/" + scheme + "/st=" + std::to_string(p.threshold), wl,
-             scheme, bench::outcomeOf(*rec, probe.result, prog.stats)},
+            {pt.workload + "/" + pt.scheme + "/st=" +
+                 std::to_string(threshold),
+             pt.workload, pt.scheme,
+             bench::outcomeOf(*rec, probe.result, pt.prog.stats)},
             gres.cycles + probe.serveTick};
     });
 
@@ -112,18 +91,14 @@ main(int argc, char **argv)
     for (std::size_t d = 0; d < kDists; ++d)
         table.addColumn("d" + std::to_string(d + 1));
 
-    std::size_t idx = 0;
-    for (auto k : kKinds) {
-        for (auto s : pds::allSchemes) {
-            std::vector<double> row;
-            for (std::size_t d = 0; d < kDists; ++d)
-                row.push_back(static_cast<double>(latency[idx++]));
-            table.addRow(std::string(pds::kindName(k)) + "/" +
-                             pds::pdsSchemeName(s),
-                         pds::pdsSchemeName(s), row);
-        }
+    for (std::size_t r = 0; r * kDists < latency.size(); ++r) {
+        const char *scheme = pds::pdsSchemeName(pds::allSchemes[r % kSchemes]);
+        auto first = latency.begin() + static_cast<std::ptrdiff_t>(r * kDists);
+        table.addRow(std::string(pds::kindName(kKinds[r / kSchemes])) + "/" +
+                         scheme,
+                     scheme, {first, first + kDists});
     }
 
-    bench::finish(table, args, exec);
+    driver.finish(table);
     return 0;
 }

@@ -16,11 +16,7 @@
  * view a service operator cares about (which ROADMAP item 1 asked for).
  */
 
-#include <iomanip>
-#include <sstream>
-
-#include "bench_util.hh"
-#include "pds/pds.hh"
+#include "pds_point.hh"
 #include "serve/serve.hh"
 #include "trace/events.hh"
 
@@ -32,17 +28,6 @@ constexpr serve::Profile kProfiles[] = {serve::Profile::Varnish,
                                         serve::Profile::Horde};
 constexpr unsigned kMeanIas[] = {2000, 1000, 500};  ///< arrival rates
 constexpr unsigned kBursts[] = {0, 2};              ///< none / heavy
-
-serve::ServeSpec
-specFor(serve::Profile prof)
-{
-    serve::ServeSpec spec;
-    spec.profile = prof;
-    spec.sizeClass = 1;
-    spec.numRequests = 1200;
-    spec.seed = 11;
-    return spec;
-}
 
 /** One simulated (profile, scheme) point; arrival cells fold from it. */
 struct SimPoint
@@ -59,49 +44,37 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::SweepExecutor exec(args.jobs);
+    bench::Driver driver(args);
 
     std::vector<SimPoint> sims;
     for (auto prof : kProfiles) {
-        for (auto s : pds::allSchemes) {
-            SimPoint p;
-            p.profile = prof;
-            p.scheme = s;
-            sims.push_back(std::move(p));
-        }
+        for (auto s : pds::allSchemes)
+            sims.push_back({prof, s, {}, {}});
     }
 
-    exec.runPoints(sims.size(), [&](std::size_t i) {
+    driver.runPoints(sims.size(), [&](std::size_t i) {
         SimPoint &p = sims[i];
-        p.wl = serve::buildWorkload(specFor(p.profile));
+        p.wl = serve::buildWorkload({.profile = p.profile,
+                                     .sizeClass = 1,
+                                     .numRequests = 1200,
+                                     .seed = 11});
 
-        auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Perf);
-        cfg.traceEnabled = true;
-        cfg.traceMask = trace::categoryBit(trace::Category::Serve) |
-                        trace::categoryBit(trace::Category::Wpq);
+        bench::PdsPoint pt = bench::pdsPoint(
+            p.wl.pdsSpec, p.wl.ops, p.scheme, pds::PdsRunMode::Perf);
+        pt.workload = p.wl.spec.toString();
+        pt.cfg.traceEnabled = true;
+        pt.cfg.traceMask = trace::categoryBit(trace::Category::Serve) |
+                           trace::categoryBit(trace::Category::Wpq);
         // Must hold every Serve+Wpq event of the run: a wrapped ring
         // would silently drop early request marks (extractMarks panics).
-        cfg.traceBufferEvents = std::size_t(1) << 18;
-        cfg.core.serveMarkAddr = pds::pdsGeometry(p.wl.pdsSpec).served;
+        pt.cfg.traceBufferEvents = std::size_t(1) << 18;
+        pt.cfg.core.serveMarkAddr = pt.served;
 
-        auto prog = pds::preparePdsProgram(p.wl.pdsSpec, p.wl.ops,
-                                           p.scheme, pds::PdsRunMode::Perf);
-        core::System sys(cfg, prog, 1);
-        auto res = sys.run();
-        LWSP_ASSERT(res.completed, "fig21 point did not complete: ",
-                    p.wl.spec.toString(), " scheme ",
-                    pds::pdsSchemeName(p.scheme));
-        std::string err =
-            pds::checkSemantics(p.wl.pdsSpec, p.wl.ops, sys.execImage());
-        LWSP_ASSERT(err.empty(), "fig21 semantic check failed: ", err);
+        core::System sys(pt.cfg, pt.prog, 1);
+        harness::PointRun run = pt.checkedRun(sys, sys.run());
         p.marks = serve::LatencyRecorder::extractMarks(
             p.wl, sys.traceSink()->snapshot());
-        std::string wl = p.wl.spec.toString();
-        std::string scheme = pds::pdsSchemeName(p.scheme);
-        return harness::PointRun{
-            {wl + "/" + scheme, wl, scheme,
-             bench::outcomeOf(sys, res, prog.stats)},
-            res.cycles};
+        return run;
     });
 
     // Fold the arrival grid (pure post-processing, deterministic). The
@@ -115,9 +88,9 @@ main(int argc, char **argv)
         "inter-arrival>/b=<burst preset>");
     for (const char *c : {"p50", "p99", "p999", "max"})
         table.addColumn(c);
+    for (const char *c : {"stall99", "wpq99"})
+        table.addColumn(c, harness::Shown::CsvOnly);
 
-    std::ostringstream csvBody;
-    csvBody << "workload,suite,p50,p99,p999,max,stall99,wpq99\n";
     for (const SimPoint &p : sims) {
         for (unsigned ia : kMeanIas) {
             for (unsigned b : kBursts) {
@@ -132,16 +105,12 @@ main(int argc, char **argv)
                     pds::pdsSchemeName(p.scheme) + "/ia=" +
                     std::to_string(ia) + "/b=" + std::to_string(b);
                 table.addRow(name, pds::pdsSchemeName(p.scheme),
-                             {rep.p50, rep.p99, rep.p999, rep.max});
-                csvBody << name << ',' << pds::pdsSchemeName(p.scheme)
-                        << ',' << std::setprecision(10) << rep.p50 << ','
-                        << rep.p99 << ',' << rep.p999 << ',' << rep.max
-                        << ',' << rep.stallAtP99 << ','
-                        << rep.wpqOccAtP99 << '\n';
+                             {rep.p50, rep.p99, rep.p999, rep.max,
+                              rep.stallAtP99, rep.wpqOccAtP99});
             }
         }
     }
 
-    bench::finish(table, args, exec, true, csvBody.str());
+    driver.finish(table);
     return 0;
 }

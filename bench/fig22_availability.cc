@@ -33,13 +33,10 @@
  */
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
 
-#include "bench_util.hh"
 #include "core/lifetime.hh"
 #include "fault/storm.hh"
-#include "pds/pds.hh"
+#include "pds_point.hh"
 #include "serve/serve.hh"
 
 using namespace lwsp;
@@ -50,22 +47,11 @@ constexpr serve::Profile kProfiles[] = {serve::Profile::Varnish,
                                         serve::Profile::Horde};
 constexpr unsigned kStormEvents = 3; ///< extra failures per lifetime
 
-serve::ServeSpec
-specFor(serve::Profile prof)
-{
-    serve::ServeSpec spec;
-    spec.profile = prof;
-    spec.sizeClass = 1;
-    spec.numRequests = 96;
-    spec.seed = 11;
-    return spec;
-}
-
 struct Point
 {
     serve::Profile profile = serve::Profile::Varnish;
     pds::PdsScheme scheme = pds::PdsScheme::LightWsp;
-    fault::FailureSchedule storm;
+    fault::FailureSchedule storm{};
     unsigned failures = 0;  ///< see the file comment
     unsigned boots = 0;     ///< recoveries (incl. re-entered preambles)
     unsigned mttrSamples = 0;
@@ -81,32 +67,31 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::SweepExecutor exec(args.jobs);
+    bench::Driver driver(args);
 
     std::vector<Point> points;
     for (auto prof : kProfiles) {
-        for (auto s : pds::allSchemes) {
-            Point p;
-            p.profile = prof;
-            p.scheme = s;
-            points.push_back(p);
-        }
+        for (auto s : pds::allSchemes)
+            points.push_back({.profile = prof, .scheme = s});
     }
 
     // A point's record is the boot that finished the tape, stamped with
     // the storm's lineage.
-    exec.runPoints(points.size(), [&](std::size_t i) {
+    driver.runPoints(points.size(), [&](std::size_t i) {
         Point &p = points[i];
-        auto wl = serve::buildWorkload(specFor(p.profile));
-        auto cfg = pds::makePdsConfig(p.scheme, pds::PdsRunMode::Recovery);
-        auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops, p.scheme,
-                                           pds::PdsRunMode::Recovery);
-        const Addr served = pds::pdsGeometry(wl.pdsSpec).served;
+        auto wl = serve::buildWorkload({.profile = p.profile,
+                                        .sizeClass = 1,
+                                        .numRequests = 96,
+                                        .seed = 11});
+        bench::PdsPoint pt = bench::pdsPoint(wl.pdsSpec, std::move(wl.ops),
+                                             p.scheme,
+                                             pds::PdsRunMode::Recovery);
+        pt.workload = wl.spec.toString();
 
-        core::System golden(cfg, prog, 1);
+        core::System golden(pt.cfg, pt.prog, 1);
         auto gres = golden.run();
         LWSP_ASSERT(gres.completed, "fig22 golden did not complete: ",
-                    wl.spec.toString());
+                    pt.workload);
         p.goldenCycles = gres.cycles;
 
         // The row's storm is deterministic in its grid index, so the
@@ -114,25 +99,20 @@ main(int argc, char **argv)
         p.storm = fault::FailureSchedule::random(
             0xf22u + 7919u * static_cast<std::uint64_t>(i), kStormEvents,
             gres.cycles / 4 + 1);
-        core::System victim(cfg, prog, 1);
+        core::System victim(pt.cfg, pt.prog, 1);
         auto vr = victim.runWithFailureStorm(gres.cycles * 6 / 10,
                                              p.storm.drainsFrom(0));
         LWSP_ASSERT(!vr.completed, "fig22 victim outran its failure: ",
-                    wl.spec.toString());
+                    pt.workload);
         p.wallCycles += vr.cycles;
 
         core::LifetimeHooks hooks;
-        // MTTR probe: a throwaway replica recovered from the same image,
-        // run until the serve counter first moves. Late crashes may leave
-        // nothing to serve; then there is no sample (MTTR of a finished
-        // tape is not defined).
+        // MTTR probe on a throwaway replica recovered from the same
+        // image. Late crashes may leave nothing to serve; then there is
+        // no sample (MTTR of a finished tape is not defined).
         hooks.beforeRecovery = [&](const core::System &crashed) {
-            auto probeSys = core::System::recover(cfg, prog, 1,
-                                                  crashed.pmImage(), {});
-            std::uint64_t servedAtBoot =
-                probeSys->execImage().read(served);
-            auto probe = probeSys->runUntilWordChanges(served,
-                                                       servedAtBoot);
+            const core::ServeProbe probe =
+                pt.probeMttr(crashed.pmImage()).second;
             if (probe.served) {
                 ++p.mttrSamples;
                 p.mttrSum += probe.serveTick;
@@ -144,15 +124,11 @@ main(int argc, char **argv)
             p.wallCycles += r.cycles;
             return std::string();
         };
-        core::Lifetime lt =
-            core::walkLifetime(victim, p.storm, cfg, prog, 1, {}, hooks);
+        core::Lifetime lt = core::walkLifetime(victim, p.storm, pt.cfg,
+                                               pt.prog, 1, {}, hooks);
         LWSP_ASSERT(lt.error.empty(), "fig22 storm: ", lt.error);
         LWSP_ASSERT(lt.sys, "fig22 fault-free image unrecoverable: ",
                     lt.detail);
-        LWSP_ASSERT(lt.last.completed, "fig22 final boot did not complete");
-        std::string err =
-            pds::checkSemantics(wl.pdsSpec, wl.ops, lt.sys->execImage());
-        LWSP_ASSERT(err.empty(), "fig22 semantic check failed: ", err);
 
         // The reference definition of `failures` (file comment), not
         // lt.failures(), which also counts the drain interrupts that
@@ -162,13 +138,10 @@ main(int argc, char **argv)
                      static_cast<unsigned>(p.storm.drainsFrom(0).size()) +
                      lt.reentries + lt.execFailures;
         lt.sys->setRecoveryLineage(lt.verdict, p.failures);
-        std::string wlName = wl.spec.toString();
-        std::string scheme = pds::pdsSchemeName(p.scheme);
-        return harness::PointRun{
-            {wlName + "/" + scheme + "/storm=" + p.storm.toString(),
-             wlName, scheme,
-             bench::outcomeOf(*lt.sys, lt.last, prog.stats)},
-            p.goldenCycles + p.wallCycles};
+        harness::PointRun run = pt.checkedRun(*lt.sys, lt.last);
+        run.record.key += "/storm=" + p.storm.toString();
+        run.simulatedCycles = p.goldenCycles + p.wallCycles;
+        return run;
     });
 
     harness::ResultTable table(
@@ -176,12 +149,15 @@ main(int argc, char **argv)
         "tapes; initial crash at 60% + 3 scheduled failures). MTTR = "
         "power-on to first served request; avail = crash-free cycles / "
         "powered cycles");
-    for (const char *c : {"mttr_mean", "mttr_max", "avail_pct"})
+    table.nameKeyColumns("workload", "scheme");
+    for (const char *c : {"failures", "boots"})
+        table.addColumn(c, harness::Shown::CsvOnly);
+    for (const char *c : {"mttr_mean", "mttr_max"})
         table.addColumn(c);
+    table.addColumn("avail_pct", harness::Shown::ConsoleOnly);
+    for (const char *c : {"golden_cycles", "wall_cycles", "availability"})
+        table.addColumn(c, harness::Shown::CsvOnly);
 
-    std::ostringstream csvBody;
-    csvBody << "workload,scheme,failures,boots,mttr_mean,mttr_max,"
-               "golden_cycles,wall_cycles,availability\n";
     for (const Point &p : points) {
         double mean = p.mttrSamples
                           ? static_cast<double>(p.mttrSum) /
@@ -193,15 +169,10 @@ main(int argc, char **argv)
             std::string(serve::profileName(p.profile)) + "/" +
             pds::pdsSchemeName(p.scheme);
         table.addRow(name, pds::pdsSchemeName(p.scheme),
-                     {mean, static_cast<double>(p.mttrMax),
-                      100.0 * avail});
-        csvBody << name << ',' << pds::pdsSchemeName(p.scheme) << ','
-                << p.failures << ',' << p.boots << ','
-                << std::setprecision(10) << mean << ',' << p.mttrMax
-                << ',' << p.goldenCycles << ',' << p.wallCycles << ','
-                << avail << '\n';
+                     {p.failures, p.boots, mean, p.mttrMax, 100.0 * avail,
+                      p.goldenCycles, p.wallCycles, avail});
     }
 
-    bench::finish(table, args, exec, true, csvBody.str());
+    driver.finish(table);
     return 0;
 }

@@ -23,11 +23,7 @@
  * either --engine.
  */
 
-#include <iomanip>
-#include <sstream>
-
-#include "bench_util.hh"
-#include "pds/pds.hh"
+#include "pds_point.hh"
 #include "serve/serve.hh"
 
 using namespace lwsp;
@@ -86,31 +82,26 @@ runWorkloadRow(const Point &p, std::size_t row)
     return bench::outcomeOf(sys, res, pt.prog.stats);
 }
 
-/** One fig21-style service tape on the pds hash table. */
+/** One fig21-style service tape on the pds hash table, checked
+ *  against the tape's shadow model. */
 harness::RunOutcome
 runServeRow(const Point &p, std::size_t row)
 {
-    serve::ServeSpec spec;
-    spec.profile = serve::Profile::Varnish;
-    spec.sizeClass = 1;
-    spec.numRequests = 64;
-    spec.seed = 11;
-    auto wl = serve::buildWorkload(spec);
+    auto wl = serve::buildWorkload({.profile = serve::Profile::Varnish,
+                                    .sizeClass = 1,
+                                    .numRequests = 64,
+                                    .seed = 11});
 
-    auto cfg = pds::makePdsConfig(pds::PdsScheme::LightWsp,
-                                  pds::PdsRunMode::Perf);
-    cfg.numMcs = p.mcs;
-    cfg.topology = p.topo;
-    cfg.faults = faultsFor(p, row);
-    auto prog = pds::preparePdsProgram(wl.pdsSpec, wl.ops,
-                                       pds::PdsScheme::LightWsp,
-                                       pds::PdsRunMode::Perf);
+    bench::PdsPoint pt =
+        bench::pdsPoint(wl.pdsSpec, std::move(wl.ops),
+                        pds::PdsScheme::LightWsp, pds::PdsRunMode::Perf);
+    pt.workload = p.name();
+    pt.cfg.numMcs = p.mcs;
+    pt.cfg.topology = p.topo;
+    pt.cfg.faults = faultsFor(p, row);
 
-    core::System sys(cfg, prog, 1);
-    auto res = sys.run();
-    LWSP_ASSERT(res.completed, "fig23 serve row did not complete: mcs=",
-                p.mcs, " ", p.topo.toString());
-    return bench::outcomeOf(sys, res, prog.stats);
+    core::System sys(pt.cfg, pt.prog, 1);
+    return pt.checkedRun(sys, sys.run()).record.outcome;
 }
 
 } // namespace
@@ -119,7 +110,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
-    harness::SweepExecutor exec(args.jobs);
+    bench::Driver driver(args);
 
     noc::TopologyConfig flat;
     noc::TopologyConfig tree4;
@@ -131,25 +122,15 @@ main(int argc, char **argv)
         for (unsigned mcs : kMcCounts) {
             for (bool lossy : {false, true}) {
                 for (unsigned t : kWlThreads) {
-                    Point p;
-                    p.workload = "rb/t" + std::to_string(t);
-                    p.topo = topo;
-                    p.mcs = mcs;
-                    p.lossy = lossy;
-                    p.threads = t;
-                    points.push_back(p);
+                    points.push_back(
+                        {"rb/t" + std::to_string(t), topo, mcs, lossy, t});
                 }
-                Point p;
-                p.workload = "serve/varnish";
-                p.topo = topo;
-                p.mcs = mcs;
-                p.lossy = lossy;
-                points.push_back(p);
+                points.push_back({"serve/varnish", topo, mcs, lossy, 0});
             }
         }
     }
 
-    auto recs = exec.runPoints(points.size(), [&](std::size_t i) {
+    auto recs = driver.runPoints(points.size(), [&](std::size_t i) {
         const Point &p = points[i];
         harness::RunOutcome o =
             p.threads ? runWorkloadRow(p, i) : runServeRow(p, i);
@@ -165,32 +146,31 @@ main(int argc, char **argv)
         "broadcast loss");
     // Table columns must be strictly positive (per-suite geomeans);
     // zero-able metrics (retries, latency in fault-free rows) live in
-    // the CSV only.
-    for (const char *c : {"cycles", "boundaries", "noc_msgs"})
+    // the CSV only. The leading `name` column is the unique per-row key
+    // bench_all.sh's row-subset checker greps on; keep it first.
+    table.nameKeyColumns("name", "topology");
+    for (const char *c : {"mcs", "workload", "fault"})
+        table.addColumn(c, harness::Shown::CsvOnly);
+    for (const char *c : {"cycles", "boundaries"})
         table.addColumn(c);
+    for (const char *c : {"bcast_lat_avg", "bcast_lat_max",
+                          "max_wpq_occupancy"})
+        table.addColumn(c, harness::Shown::CsvOnly);
+    table.addColumn("noc_msgs", harness::Shown::ConsoleOnly);
+    for (const char *c : {"noc_messages", "bcast_retries"})
+        table.addColumn(c, harness::Shown::CsvOnly);
 
-    // The leading `name` column is the unique per-row key bench_all.sh's
-    // row-subset checker greps on; keep it first.
-    std::ostringstream csvBody;
-    csvBody << "name,topology,mcs,workload,fault,cycles,boundaries,"
-               "bcast_lat_avg,bcast_lat_max,max_wpq_occupancy,"
-               "noc_messages,bcast_retries\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
         const core::RunResult &r = recs[i].outcome.result;
         table.addRow(p.name(), p.topo.toString(),
-                     {static_cast<double>(r.cycles),
-                      static_cast<double>(r.boundaries),
-                      static_cast<double>(r.nocMessages)});
-        csvBody << p.name() << ',' << p.topo.toString() << ',' << p.mcs
-                << ',' << p.workload << ','
-                << (p.lossy ? "loss100" : "none") << ',' << r.cycles
-                << ',' << r.boundaries << ',' << std::setprecision(10)
-                << r.bcastLatencyAvg << ',' << r.bcastLatencyMax << ','
-                << r.maxWpqOccupancy << ',' << r.nocMessages << ','
-                << r.bcastRetries << '\n';
+                     {std::to_string(p.mcs), p.workload,
+                      p.lossy ? "loss100" : "none", r.cycles, r.boundaries,
+                      r.bcastLatencyAvg, r.bcastLatencyMax,
+                      r.maxWpqOccupancy, r.nocMessages, r.nocMessages,
+                      r.bcastRetries});
     }
 
-    bench::finish(table, args, exec, true, csvBody.str());
+    driver.finish(table);
     return 0;
 }

@@ -125,7 +125,7 @@ LightWspCompiler::compile(std::unique_ptr<Module> input) const
     // next recovers one region stale (torn checkpoint). Hence the exit
     // paths below break after insertion, never after enforcement.
     unsigned prev_worst = ~0u;
-    for (unsigned iter = 0; iter < cfg_.maxFixpointIterations; ++iter) {
+    for (unsigned iter = 0; iter < maxFixpointIterations; ++iter) {
         ++out.stats.fixpointIterations;
         for (FuncId f = 0; f < m.numFunctions(); ++f)
             stripCheckpointStores(m.function(f));
@@ -152,7 +152,7 @@ LightWspCompiler::compile(std::unique_ptr<Module> input) const
         // (or the budget runs out), keep the sound checkpoint placement
         // and let the runtime WPQ-overflow fallback absorb the residue.
         if (worst >= prev_worst ||
-            iter + 1 == cfg_.maxFixpointIterations) {
+            iter + 1 == maxFixpointIterations) {
             out.stats.thresholdConverged = false;
             warn("region threshold fixpoint did not converge (worst ",
                  worst, " >= threshold ", cfg_.storeThreshold,

@@ -11,6 +11,16 @@
 namespace lwsp {
 namespace compiler {
 
+/** Upper bound on the loop-unroll factor. */
+constexpr unsigned maxUnrollFactor = 4;
+
+/**
+ * Iteration cap for the combining/repartitioning fixpoint that breaks
+ * the circular dependence between boundary placement and checkpoint
+ * insertion.
+ */
+constexpr unsigned maxFixpointIterations = 8;
+
 struct CompilerConfig
 {
     /**
@@ -23,9 +33,6 @@ struct CompilerConfig
     /** Enable region-size extension via (speculative) loop unrolling. */
     bool unrollLoops = true;
 
-    /** Upper bound on the unroll factor. */
-    unsigned maxUnrollFactor = 4;
-
     /** Enable checkpoint pruning (reconstructable live-outs, §IV-A). */
     bool pruneCheckpoints = true;
 
@@ -35,16 +42,6 @@ struct CompilerConfig
      * re-execution instead of register restoration.
      */
     bool insertCheckpointStores = true;
-
-    /** Enable the region-combining pass (merging small regions). */
-    bool combineRegions = true;
-
-    /**
-     * Iteration cap for the combining/repartitioning fixpoint that breaks
-     * the circular dependence between boundary placement and checkpoint
-     * insertion.
-     */
-    unsigned maxFixpointIterations = 8;
 
     /**
      * Run the static WSP-invariant checker (src/analysis) after each

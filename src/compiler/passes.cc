@@ -28,7 +28,7 @@ persistEntriesInBlock(const BasicBlock &bb)
 std::size_t
 unrollLoops(Function &fn, const CompilerConfig &cfg)
 {
-    if (!cfg.unrollLoops || cfg.maxUnrollFactor < 2)
+    if (!cfg.unrollLoops)
         return 0;
 
     std::size_t unrolled = 0;
@@ -48,7 +48,7 @@ unrollLoops(Function &fn, const CompilerConfig &cfg)
         unsigned stores = persistEntriesInBlock(header);
         unsigned budget = cfg.storeThreshold > 1 ? cfg.storeThreshold - 1
                                                  : 1;
-        unsigned factor = cfg.maxUnrollFactor;
+        unsigned factor = maxUnrollFactor;
         if (stores > 0)
             factor = std::min<unsigned>(factor,
                                         std::max(1u, budget / stores));
@@ -282,9 +282,6 @@ std::size_t
 combineRegions(Function &fn, const CompilerConfig &cfg,
                unsigned entry_in)
 {
-    if (!cfg.combineRegions)
-        return 0;
-
     std::size_t removed = 0;
     Cfg cfg_graph(fn);
     // Topological-ish order: reverse post-order visits a region's blocks

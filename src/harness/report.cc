@@ -6,6 +6,19 @@
 namespace lwsp {
 namespace harness {
 
+void
+ResultTable::addRow(const std::string &workload, const std::string &suite,
+                    std::vector<Cell> cells)
+{
+    LWSP_ASSERT(cells.size() == columns_.size(),
+                "row width mismatch in table ", title_);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        LWSP_ASSERT(!cells[c].isText || columns_[c].shown == Shown::CsvOnly,
+                    "text cell in console column ", columns_[c].name);
+    }
+    rows_.push_back({workload, suite, std::move(cells)});
+}
+
 std::vector<std::string>
 ResultTable::suites() const
 {
@@ -22,7 +35,7 @@ ResultTable::overallGeomean(std::size_t column) const
 {
     std::vector<double> v;
     for (const auto &row : rows_)
-        v.push_back(row.values.at(column));
+        v.push_back(row.cells.at(column).number);
     return stats::geomean(v);
 }
 
@@ -33,62 +46,49 @@ ResultTable::suiteGeomean(const std::string &suite,
     std::vector<double> v;
     for (const auto &row : rows_) {
         if (row.suite == suite)
-            v.push_back(row.values.at(column));
+            v.push_back(row.cells.at(column).number);
     }
     return stats::geomean(v);
 }
 
-namespace {
-
+template <typename Fn>
 void
-printHeader(std::ostream &os, const std::string &title,
-            const std::vector<std::string> &columns)
+ResultTable::printLine(std::ostream &os, const std::string &label,
+                       const std::string &suite, Fn &&value) const
 {
-    os << "== " << title << " ==\n";
-    os << std::left << std::setw(14) << "workload" << std::setw(10)
-       << "suite";
-    for (const auto &c : columns)
-        os << std::right << std::setw(14) << c;
+    os << std::left << std::setw(14) << label << std::setw(10) << suite;
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+        if (columns_[c].shown != Shown::CsvOnly)
+            os << std::right << std::setw(14) << value(c);
+    }
     os << '\n';
 }
-
-} // namespace
 
 void
 ResultTable::print(std::ostream &os, unsigned precision) const
 {
-    printHeader(os, title_, columns_);
+    os << "== " << title_ << " ==\n";
+    printLine(os, "workload", "suite",
+              [&](std::size_t c) { return columns_[c].name; });
     os << std::fixed << std::setprecision(precision);
 
+    auto suiteGeomeans = [&](const std::string &suite) {
+        printLine(os, "geomean", suite, [&](std::size_t c) {
+            return suiteGeomean(suite, c);
+        });
+    };
     std::string current_suite;
     for (const auto &row : rows_) {
-        if (!current_suite.empty() && row.suite != current_suite) {
-            os << std::left << std::setw(14) << "geomean"
-               << std::setw(10) << current_suite;
-            for (std::size_t c = 0; c < columns_.size(); ++c)
-                os << std::right << std::setw(14)
-                   << suiteGeomean(current_suite, c);
-            os << '\n';
-        }
+        if (!current_suite.empty() && row.suite != current_suite)
+            suiteGeomeans(current_suite);
         current_suite = row.suite;
-        os << std::left << std::setw(14) << row.workload << std::setw(10)
-           << row.suite;
-        for (double v : row.values)
-            os << std::right << std::setw(14) << v;
-        os << '\n';
+        printLine(os, row.workload, row.suite,
+                  [&](std::size_t c) { return row.cells[c].number; });
     }
     if (!rows_.empty()) {
-        os << std::left << std::setw(14) << "geomean" << std::setw(10)
-           << current_suite;
-        for (std::size_t c = 0; c < columns_.size(); ++c)
-            os << std::right << std::setw(14)
-               << suiteGeomean(current_suite, c);
-        os << '\n';
-        os << std::left << std::setw(14) << "geomean(all)"
-           << std::setw(10) << "-";
-        for (std::size_t c = 0; c < columns_.size(); ++c)
-            os << std::right << std::setw(14) << overallGeomean(c);
-        os << '\n';
+        suiteGeomeans(current_suite);
+        printLine(os, "geomean(all)", "-",
+                  [&](std::size_t c) { return overallGeomean(c); });
     }
     os.unsetf(std::ios::fixed);
 }
@@ -96,20 +96,18 @@ ResultTable::print(std::ostream &os, unsigned precision) const
 void
 ResultTable::printSuiteSummary(std::ostream &os, unsigned precision) const
 {
-    printHeader(os, title_, columns_);
+    os << "== " << title_ << " ==\n";
+    printLine(os, "workload", "suite",
+              [&](std::size_t c) { return columns_[c].name; });
     os << std::fixed << std::setprecision(precision);
     for (const auto &suite : suites()) {
-        os << std::left << std::setw(14) << suite << std::setw(10) << "";
-        for (std::size_t c = 0; c < columns_.size(); ++c)
-            os << std::right << std::setw(14) << suiteGeomean(suite, c);
-        os << '\n';
+        printLine(os, suite, "", [&](std::size_t c) {
+            return suiteGeomean(suite, c);
+        });
     }
     if (!rows_.empty()) {
-        os << std::left << std::setw(14) << "geomean(all)"
-           << std::setw(10) << "";
-        for (std::size_t c = 0; c < columns_.size(); ++c)
-            os << std::right << std::setw(14) << overallGeomean(c);
-        os << '\n';
+        printLine(os, "geomean(all)", "",
+                  [&](std::size_t c) { return overallGeomean(c); });
     }
     os.unsetf(std::ios::fixed);
 }
@@ -117,14 +115,24 @@ ResultTable::printSuiteSummary(std::ostream &os, unsigned precision) const
 void
 ResultTable::writeCsv(std::ostream &os) const
 {
-    os << "workload,suite";
-    for (const auto &c : columns_)
-        os << ',' << c;
+    os << keyHeaders_;
+    for (const auto &c : columns_) {
+        if (c.shown != Shown::ConsoleOnly)
+            os << ',' << c.name;
+    }
     os << '\n';
     for (const auto &row : rows_) {
         os << row.workload << ',' << row.suite;
-        for (double v : row.values)
-            os << ',' << std::setprecision(10) << v;
+        for (std::size_t c = 0; c < columns_.size(); ++c) {
+            if (columns_[c].shown == Shown::ConsoleOnly)
+                continue;
+            const Cell &cell = row.cells[c];
+            os << ',';
+            if (cell.isText)
+                os << cell.text;
+            else
+                os << std::setprecision(10) << cell.number;
+        }
         os << '\n';
     }
 }

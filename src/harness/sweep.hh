@@ -98,8 +98,6 @@ class SweepExecutor
     /** @param jobs worker threads; 0 = std::thread::hardware_concurrency */
     explicit SweepExecutor(unsigned jobs = 0);
 
-    unsigned jobs() const { return jobs_; }
-
     /**
      * Execute every spec through @p runner. Result i corresponds to
      * specs[i]; bit-identical to calling runner.run(specs[i]) in order.

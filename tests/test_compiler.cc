@@ -413,7 +413,6 @@ TEST(Unroll, FactorDividesKnownTripCount)
     f.loopTripCounts()[b1.id()] = 9;  // factor must divide 9 -> 3
 
     CompilerConfig cfg;
-    cfg.maxUnrollFactor = 4;
     EXPECT_EQ(unrollLoops(f, cfg), 1u);
     // Header + 2 copies (factor 3) -> blocks grew by 2.
     EXPECT_EQ(f.numBlocks(), 5u);

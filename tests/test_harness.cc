@@ -57,6 +57,36 @@ TEST(ResultTable, CsvFormat)
     t.writeCsv(os);
     EXPECT_EQ(os.str(),
               "workload,suite,col1,col2\napp,SUITE,1.25,2.5\n");
+
+    // Named key headers, a text column, and columns shown in one view
+    // only. The zero in `retries` would panic a geomean, so print()
+    // finishing proves CSV-only columns stay out of them.
+    ResultTable m("m");
+    m.nameKeyColumns("name", "topology");
+    m.addColumn("fault", Shown::CsvOnly);
+    m.addColumn("cycles");
+    m.addColumn("retries", Shown::CsvOnly);
+    m.addColumn("pct", Shown::ConsoleOnly);
+    m.addRow("a", "flat", {"loss100", 4.0, 0, 50.0});
+    m.addRow("b", "flat", {"none", 16.0, std::uint64_t{3}, 12.5});
+    std::ostringstream csv;
+    m.writeCsv(csv);
+    EXPECT_EQ(csv.str(), "name,topology,fault,cycles,retries\n"
+                         "a,flat,loss100,4,0\n"
+                         "b,flat,none,16,3\n");
+
+    std::ostringstream console;
+    m.print(console);
+    const std::string s = console.str();
+    EXPECT_NE(s.find("workload      suite"), std::string::npos);
+    EXPECT_NE(s.find("pct"), std::string::npos);
+    for (const char *hidden : {"retries", "fault", "loss100", "name"})
+        EXPECT_EQ(s.find(hidden), std::string::npos) << hidden;
+    EXPECT_NE(s.find("geomean(all)  -                  8.000        25.000"),
+              std::string::npos)
+        << s;
+    EXPECT_THROW(m.addRow("c", "flat", {1.0, "text", 1.0, 1.0}),
+                 PanicError);
 }
 
 TEST(ResultTable, RowWidthMismatchPanics)
