@@ -16,9 +16,11 @@ using namespace ir;
 namespace {
 
 /**
- * The verify-each hook (CompilerConfig::verifyEach) can also be forced
- * from the environment so existing drivers (benches, the fuzzer, CI)
- * audit every compile without a recompile: LWSP_VERIFY_EACH=1.
+ * The verify-each hook: with LWSP_VERIFY_EACH=1 in the environment, the
+ * static WSP-invariant checker (src/analysis) runs after each pipeline
+ * stage and panics naming the offending pass on the first violation, so
+ * existing drivers (benches, the fuzzer, CI) audit every compile without
+ * a recompile. Purely observational — never changes the output.
  */
 bool
 envVerifyEach()
@@ -74,7 +76,7 @@ LightWspCompiler::compile(std::unique_ptr<Module> input) const
     LWSP_ASSERT(input, "compile(nullptr)");
     verifyModuleOrDie(*input);
 
-    const bool veach = cfg_.verifyEach || envVerifyEach();
+    const bool veach = envVerifyEach();
     analysis::CheckOptions vopt;  // staged: obligations arm as passes run
     vopt.checkStoreBound = false;
     vopt.checkCoverage = false;

@@ -42,14 +42,6 @@ struct CompilerConfig
      * re-execution instead of register restoration.
      */
     bool insertCheckpointStores = true;
-
-    /**
-     * Run the static WSP-invariant checker (src/analysis) after each
-     * pipeline stage and panic naming the offending pass on the first
-     * violation. Purely observational — never changes the output.
-     * Also enabled by setting LWSP_VERIFY_EACH=1 in the environment.
-     */
-    bool verifyEach = false;
 };
 
 } // namespace compiler

@@ -30,6 +30,10 @@ recoveryOutcomeName(RecoveryOutcome o)
 
 namespace {
 
+/** Pipeline flush of a context switch, virtualizing the region ID
+ *  (§IV-C). */
+constexpr Tick ctxSwitchPenalty = 400;
+
 /** Reject numMcs == 0 before the Noc member is built (it asserts). */
 unsigned
 checkedNumMcs(unsigned num_mcs)
@@ -46,7 +50,7 @@ System::System(const SystemConfig &cfg,
                const compiler::CompiledProgram &program,
                unsigned num_threads)
     : cfg_(cfg), program_(program),
-      noc_(checkedNumMcs(cfg.numMcs), cfg.nocHopLatency, cfg.topology)
+      noc_(checkedNumMcs(cfg.numMcs), nocHopLatency, cfg.topology)
 {
     LWSP_ASSERT(num_threads >= 1, "need at least one thread");
 
@@ -206,7 +210,7 @@ System::scheduleThreads(Tick now)
             runIndex_[c] = idx;
             // Context-switch penalty: virtualizing the region ID and
             // flushing the pipeline (§IV-C).
-            core.applyContextSwitch(now, cfg_.ctxSwitchPenalty);
+            core.applyContextSwitch(now, ctxSwitchPenalty);
             break;
         }
     }
@@ -246,26 +250,24 @@ System::resetStats()
 }
 
 /**
- * Advance the simulation until done() or cycle @p limit.
+ * Advance the simulation until done() or cycle @p limit: one loop for
+ * both engines.
  *
- * Event engine: the wakeup heap names the next cycle at which any
- * component acts; the clock jumps straight there and executes only the
- * due components. Jumps are bounded by the next schedule check whenever
- * a core is oversubscribed (so context switches land on identical
- * cycles) and by @p limit. done(), warmup progress and scheduling
- * decisions are all pure functions of component state, which is frozen
- * across a skipped window — and every external mutation re-arms its
- * target — so results are bit-identical to the cycle engine (asserted
- * by test_engine).
- *
- * Cycle engine: the legacy loop, preserved verbatim in
- * advanceCycleStepped().
+ * Each pass makes the scheduling and warmup decisions for the current
+ * cycle, then either executes it or jumps the clock to the next cycle at
+ * which anything can act: the wakeup heap's minimum under the event
+ * engine, bounded by @p limit and, whenever a core is oversubscribed, by
+ * the next schedule check (so context switches land on identical
+ * cycles). The cycle engine's nextEventTick() is always now(), so it
+ * never jumps and ticks every component every cycle. done(), warmup
+ * progress and scheduling decisions are all pure functions of component
+ * state, which is frozen across a skipped window — and every external
+ * mutation re-arms its target — so the two engines are bit-identical
+ * (asserted by test_engine).
  */
 bool
 System::advance(Tick limit)
 {
-    if (cfg_.engine == SimEngine::Cycle)
-        return advanceCycleStepped(limit);
     while (sim_.now() < limit) {
         if (done())
             return true;
@@ -277,39 +279,6 @@ System::advance(Tick limit)
         if (target > sim_.now()) {
             sim_.advanceTo(target);
             continue;
-        }
-        sim_.executeCycle();
-        if (watchArmed_ && execMem_.read(watchAddr_) != watchFrom_) {
-            watchServed_ = true;
-            watchTick_ = sim_.now();
-            return false;
-        }
-    }
-    return false;
-}
-
-/**
- * The legacy cycle-stepped hot loop: tick everyone every cycle; when
- * every component self-reports quiescence until some future cycle
- * (linear nextActiveTick() rescan), the clock fast-forwards there
- * instead of stepping through dead cycles one by one.
- */
-bool
-System::advanceCycleStepped(Tick limit)
-{
-    while (sim_.now() < limit) {
-        if (done())
-            return true;
-        scheduleThreads(sim_.now());
-        maybeEndWarmup();
-        if (cfg_.fastForwardEnabled) {
-            Tick target = std::min(sim_.nextActiveTick(), limit);
-            if (multiQueued_)
-                target = std::min(target, nextScheduleCheck_);
-            if (target > sim_.now() + 1) {
-                sim_.advanceTo(target);
-                continue;
-            }
         }
         sim_.executeCycle();
         if (watchArmed_ && execMem_.read(watchAddr_) != watchFrom_) {

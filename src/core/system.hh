@@ -363,7 +363,6 @@ class System : public cpu::MemPort
   private:
     bool done() const;
     bool advance(Tick limit);
-    bool advanceCycleStepped(Tick limit);
     void scheduleThreads(Tick now);
     void maybeEndWarmup();
     void executeCrashDrain(Tick now, int interrupt_after = -1);
@@ -396,7 +395,7 @@ class System : public cpu::MemPort
     std::vector<std::vector<ThreadId>> runQueues_;
     std::vector<std::size_t> runIndex_;
     Tick nextScheduleCheck_ = 0;
-    /** Any core oversubscribed? Then fast-forwards must stop at every
+    /** Any core oversubscribed? Then clock jumps must stop at every
      *  schedule check so context switches land on the same cycles. */
     bool multiQueued_ = false;
 

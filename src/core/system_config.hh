@@ -5,10 +5,11 @@
  *
  * Note on scaling: the paper fast-forwards 10B instructions in gem5 and
  * simulates 5B more; our workloads run 10^5-10^6 instructions end to end,
- * so cache capacities are scaled down ~64x (L2 16MB -> 256KB, DRAM cache
- * 4GB -> 8MB) to keep the hierarchy's hit-rate structure — L1-resident
- * vs L2-resident vs DRAM-cache-resident vs PM-bound — at the reduced
- * footprints. Latencies are Table I values converted to 2 GHz cycles.
+ * so cache capacities are scaled down (L2 16MB -> 256KB, DRAM cache
+ * 4GB -> 16MB per MC, mem::dramCacheConfig) to keep the hierarchy's
+ * hit-rate structure — L1-resident vs L2-resident vs DRAM-cache-resident
+ * vs PM-bound — at the reduced footprints. Latencies are Table I values
+ * converted to 2 GHz cycles.
  */
 
 #ifndef LWSP_CORE_SYSTEM_CONFIG_HH
@@ -61,17 +62,19 @@ schemeHasPersistPath(Scheme s)
     return s != Scheme::Baseline && s != Scheme::PspIdeal;
 }
 
+/** MC<->MC and router hop latency: 10 ns at 2 GHz. */
+inline constexpr Tick nocHopLatency = 20;
+
 struct SystemConfig
 {
     Scheme scheme = Scheme::LightWsp;
     unsigned numCores = 8;
 
-    cpu::CoreConfig core;                     ///< Table I pipeline widths
+    cpu::CoreConfig core;                     ///< SB/FEB, persist path
     mem::CacheConfig l1d{64 * 1024, 8, 4};    ///< 64KB/core, 8-way, 4 cyc
     mem::CacheConfig l2{256 * 1024, 16, 44};  ///< shared (scaled), 44 cyc
     mem::McConfig mc;                         ///< WPQ/PM/DRAM-cache knobs
     unsigned numMcs = 2;
-    Tick nocHopLatency = 20;                  ///< 10 ns MC<->MC / router hop
 
     /**
      * Control-plane fabric: flat router fan-out + all-to-all ACKs (the
@@ -83,9 +86,8 @@ struct SystemConfig
 
     mem::VictimPolicy victimPolicy = mem::VictimPolicy::Full;
 
-    /** Round-robin quantum + pipeline-flush penalty (threads > cores). */
+    /** Round-robin scheduling quantum (threads > cores). */
     Tick ctxQuantum = 20000;
-    Tick ctxSwitchPenalty = 400;
 
     std::uint64_t seed = 12345;
 
@@ -95,9 +97,9 @@ struct SystemConfig
     /**
      * Clock driver, initialised from the process default (`--engine`).
      * Event (default): discrete-event wakeup heap — idle components cost
-     * nothing per skipped cycle. Cycle: the legacy tick-everyone loop,
-     * kept selectable as the bit-identical ground truth for A/B
-     * verification (asserted by test_engine).
+     * nothing per skipped cycle. Cycle: the reference loop that ticks
+     * every component every cycle, kept selectable as the bit-identical
+     * ground truth for A/B verification (asserted by test_engine).
      */
     SimEngine engine = defaultSimEngine();
 
@@ -111,16 +113,6 @@ struct SystemConfig
      * of the scheduler.
      */
     bool verifyWakeups = false;
-
-    /**
-     * Cycle engine only: fast-forward the clock across cycles in which
-     * every component self-reports quiescence (Clocked::nextActiveTick).
-     * Results are bit-identical with it on or off (asserted by
-     * test_sweep); the switch exists for A/B verification and as a kill
-     * switch. The event engine supersedes it (per-component skipping)
-     * and ignores this flag.
-     */
-    bool fastForwardEnabled = true;
 
     /**
      * Retired-instruction count after which all statistics reset and the

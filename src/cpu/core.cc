@@ -7,6 +7,17 @@
 namespace lwsp {
 namespace cpu {
 
+namespace {
+
+// Table I pipeline: 4-wide issue and commit over a 224-entry ROB, and
+// the front-end refill after a branch misprediction.
+constexpr unsigned issueWidth = 4;
+constexpr unsigned commitWidth = 4;
+constexpr unsigned robEntries = 224;
+constexpr Tick branchMissPenalty = 14;
+
+} // namespace
+
 Core::Core(CoreId id, const CoreConfig &cfg, MemPort &port)
     : Clocked("core" + std::to_string(id)), id_(id), cfg_(cfg),
       port_(port), rng_(cfg.rngSeed + id * 0x9e37u)
@@ -112,7 +123,7 @@ Core::drainStoreBuffer(Tick now)
 void
 Core::retire(Tick now)
 {
-    for (unsigned n = 0; n < cfg_.commitWidth; ++n) {
+    for (unsigned n = 0; n < commitWidth; ++n) {
         if (waitingDurable_) {
             bool durable =
                 (cfg_.boundaryPolicy ==
@@ -215,8 +226,8 @@ Core::dispatch(Tick now)
     if (waitingDurable_)
         return;
 
-    for (unsigned n = 0; n < cfg_.issueWidth; ++n) {
-        if (rob_.size() >= cfg_.robEntries) {
+    for (unsigned n = 0; n < issueWidth; ++n) {
+        if (rob_.size() >= robEntries) {
             ++counters_.robFullCycles;
             return;
         }
@@ -251,7 +262,7 @@ Core::dispatch(Tick now)
 
         if (rec.isBranch && rng_.chance(cfg_.branchMissRate)) {
             ++counters_.branchMisses;
-            dispatchBlockedUntil_ = done + cfg_.branchMissPenalty;
+            dispatchBlockedUntil_ = done + branchMissPenalty;
         }
 
         rob_.push_back({done, rec});

@@ -44,9 +44,6 @@ namespace cpu {
 
 struct CoreConfig
 {
-    unsigned issueWidth = 4;
-    unsigned commitWidth = 4;
-    unsigned robEntries = 224;
     unsigned sbEntries = 56;
     std::size_t febEntries = 64;
 
@@ -65,7 +62,6 @@ struct CoreConfig
     unsigned hwRegionStores = 32;   ///< implicit region size (PPA/Capri)
 
     double branchMissRate = 0.02;
-    unsigned branchMissPenalty = 14;
     std::uint64_t rngSeed = 1;
 
     /**

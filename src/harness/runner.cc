@@ -211,7 +211,7 @@ persistenceEfficiency(const core::RunResult &r,
                  entries_per_region *
                      static_cast<double>(cfg.mc.pmWriteCycles) /
                      pmWriteBanking +
-                 2.0 * static_cast<double>(cfg.nocHopLatency));
+                 2.0 * static_cast<double>(core::nocHopLatency));
 
     double twait = static_cast<double>(r.boundaryWaitCycles) +
                    static_cast<double>(r.sbFullCycles) +

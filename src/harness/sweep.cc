@@ -67,53 +67,58 @@ SweepExecutor::SweepExecutor(unsigned jobs)
 {
 }
 
-template <typename Fn>
-void
-SweepExecutor::sweep(std::size_t n, Fn &&fn)
+std::vector<RunRecord>
+SweepExecutor::runPoints(std::size_t n,
+                         const std::function<PointRun(std::size_t)> &point)
 {
+    std::vector<PointRun> runs(n);
     auto start = std::chrono::steady_clock::now();
-    parallelFor(jobs_, n, std::forward<Fn>(fn));
+    parallelFor(jobs_, n, [&](std::size_t i) { runs[i] = point(i); });
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-    last_.jobs = jobs_;
-    last_.points = n;
-    last_.wallSeconds = secs;
+    last_ = {jobs_, n, secs, 0};
+    std::vector<RunRecord> out;
+    out.reserve(n);
+    for (PointRun &r : runs) {
+        last_.simulatedCycles += r.simulatedCycles;
+        // Serial insertion in input order keeps the record order (and
+        // so the report file) independent of worker scheduling.
+        if (recordedKeys_.insert(r.record.key).second)
+            records_.push_back(r.record);
+        out.push_back(std::move(r.record));
+    }
     total_.jobs = jobs_;
     total_.points += n;
     total_.wallSeconds += secs;
+    total_.simulatedCycles += last_.simulatedCycles;
+    return out;
 }
 
-void
-SweepExecutor::record(Runner &runner, const RunSpec &spec)
+namespace {
+
+/** Run @p spec through the Runner memo as one sweep point. */
+PointRun
+specPoint(Runner &runner, const RunSpec &spec)
 {
-    // Post-sweep bookkeeping on the calling thread: the memo makes the
-    // re-run instant, and serial insertion keeps the record order (and
-    // so the report file) independent of worker scheduling.
-    std::string key = specKey(spec);
-    if (!recordedKeys_.count(key))
-        keep({key, spec.workload, core::schemeName(spec.scheme),
-              runner.run(spec)});
+    RunOutcome o = runner.run(spec);
+    std::uint64_t cycles = o.result.cycles;
+    return {{specKey(spec), spec.workload, core::schemeName(spec.scheme),
+             std::move(o)},
+            cycles};
 }
 
-void
-SweepExecutor::keep(RunRecord rec)
-{
-    if (recordedKeys_.insert(rec.key).second)
-        records_.push_back(std::move(rec));
-}
+} // namespace
 
 std::vector<RunOutcome>
 SweepExecutor::runAll(Runner &runner, const std::vector<RunSpec> &specs)
 {
-    std::vector<RunOutcome> out(specs.size());
-    sweep(specs.size(), [&](std::size_t i) { out[i] = runner.run(specs[i]); });
-    last_.simulatedCycles = 0;
-    for (const auto &o : out)
-        last_.simulatedCycles += o.result.cycles;
-    total_.simulatedCycles += last_.simulatedCycles;
-    for (const auto &s : specs)
-        record(runner, s);
+    std::vector<RunOutcome> out;
+    out.reserve(specs.size());
+    for (RunRecord &r : runPoints(specs.size(), [&](std::size_t i) {
+             return specPoint(runner, specs[i]);
+         }))
+        out.push_back(std::move(r.outcome));
     return out;
 }
 
@@ -123,50 +128,16 @@ SweepExecutor::slowdowns(Runner &runner, const std::vector<RunSpec> &specs)
     // Phase the baselines in as explicit points: the memo dedupes them,
     // and claiming them up front lets distinct baselines simulate
     // concurrently instead of each hiding behind its first scheme point.
-    std::vector<RunSpec> all;
-    all.reserve(specs.size() * 2);
-    for (const auto &s : specs)
-        all.push_back(Runner::baselineSpec(s));
-    for (const auto &s : specs)
-        all.push_back(s);
-
-    std::vector<double> out(specs.size());
-    std::uint64_t cycles = 0;
-    std::mutex cycles_mutex;
-    sweep(all.size(), [&](std::size_t i) {
-        RunOutcome o = runner.run(all[i]);
-        if (i >= specs.size()) {
-            std::size_t p = i - specs.size();
-            Tick base = runner.run(Runner::baselineSpec(specs[p]))
-                            .result.cycles;
-            out[p] = static_cast<double>(o.result.cycles) /
-                     static_cast<double>(base);
-        }
-        std::lock_guard<std::mutex> lock(cycles_mutex);
-        cycles += o.result.cycles;
-    });
-    last_.simulatedCycles = cycles;
-    total_.simulatedCycles += cycles;
-    for (const auto &s : all)
-        record(runner, s);
-    return out;
-}
-
-std::vector<RunRecord>
-SweepExecutor::runPoints(std::size_t n,
-                         const std::function<PointRun(std::size_t)> &point)
-{
-    std::vector<PointRun> runs(n);
-    sweep(n, [&](std::size_t i) { runs[i] = point(i); });
-    std::vector<RunRecord> out;
-    out.reserve(n);
-    last_.simulatedCycles = 0;
-    for (auto &r : runs) {
-        last_.simulatedCycles += r.simulatedCycles;
-        keep(r.record);
-        out.push_back(std::move(r.record));
-    }
-    total_.simulatedCycles += last_.simulatedCycles;
+    const std::size_t n = specs.size();
+    std::vector<RunRecord> runs =
+        runPoints(2 * n, [&](std::size_t i) {
+            return specPoint(runner, i < n ? Runner::baselineSpec(specs[i])
+                                           : specs[i - n]);
+        });
+    std::vector<double> out(n);
+    for (std::size_t p = 0; p < n; ++p)
+        out[p] = static_cast<double>(runs[n + p].outcome.result.cycles) /
+                 static_cast<double>(runs[p].outcome.result.cycles);
     return out;
 }
 

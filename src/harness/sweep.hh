@@ -99,27 +99,29 @@ class SweepExecutor
     explicit SweepExecutor(unsigned jobs = 0);
 
     /**
-     * Execute every spec through @p runner. Result i corresponds to
-     * specs[i]; bit-identical to calling runner.run(specs[i]) in order.
+     * Execute every spec through @p runner, one runPoints point per
+     * spec. Result i corresponds to specs[i]; bit-identical to calling
+     * runner.run(specs[i]) in order.
      */
     std::vector<RunOutcome> runAll(Runner &runner,
                                    const std::vector<RunSpec> &specs);
 
     /**
      * Slowdown-vs-baseline for every spec (deterministic order). The
-     * Baseline runs are claimed as sweep points of their own first, so
-     * distinct baselines compute in parallel instead of serializing
+     * Baseline runs are claimed as runPoints points of their own first,
+     * so distinct baselines compute in parallel instead of serializing
      * behind the memo of whichever scheme point asked first.
      */
     std::vector<double> slowdowns(Runner &runner,
                                   const std::vector<RunSpec> &specs);
 
     /**
-     * Execute @p n points that are not paper-profile RunSpecs:
-     * point(i) simulates point i however it needs to and returns its
-     * record. Returns the records in input order; timing, telemetry and
-     * record retention are as for runAll. @p point runs on worker
-     * threads, so it may write only state owned by index i.
+     * Execute @p n points: point(i) simulates point i however it needs
+     * to and returns its record. Returns the records in input order,
+     * sets lastStats() and keeps each new key in runRecords(). The one
+     * sweep primitive: runAll and slowdowns are runPoints over RunSpecs.
+     * @p point runs on worker threads, so it may write only state owned
+     * by index i.
      */
     std::vector<RunRecord>
     runPoints(std::size_t n,
@@ -138,11 +140,6 @@ class SweepExecutor
     const std::vector<RunRecord> &runRecords() const { return records_; }
 
   private:
-    void record(Runner &runner, const RunSpec &spec);
-    void keep(RunRecord rec);
-    template <typename Fn>
-    void sweep(std::size_t n, Fn &&fn);
-
     unsigned jobs_;
     SweepStats last_;
     SweepStats total_;

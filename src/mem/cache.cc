@@ -22,9 +22,9 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
                   "tag lines live in raw zero pages");
     LWSP_ASSERT(cfg.assoc > 0, "cache assoc must be positive");
     LWSP_ASSERT(cfg.assoc <= maxAssoc, "cache assoc above ", maxAssoc);
-    LWSP_ASSERT(cfg.sizeBytes % (cfg.lineBytes * cfg.assoc) == 0,
+    LWSP_ASSERT(cfg.sizeBytes % (cachelineBytes * cfg.assoc) == 0,
                 "cache size not divisible into sets");
-    numSets_ = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
+    numSets_ = cfg.sizeBytes / (cachelineBytes * cfg.assoc);
     LWSP_ASSERT(isPowerOf2(numSets_), "cache sets must be a power of two");
     const std::size_t bytes = numSets_ * cfg.assoc * sizeof(Line);
     void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
@@ -38,7 +38,7 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
 std::size_t
 Cache::setIndex(Addr addr) const
 {
-    return (addr / cfg_.lineBytes) & (numSets_ - 1);
+    return (addr / cachelineBytes) & (numSets_ - 1);
 }
 
 bool

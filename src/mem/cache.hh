@@ -39,7 +39,6 @@ struct CacheConfig
     std::size_t sizeBytes = 64 * 1024;
     unsigned assoc = 8;
     unsigned latency = 4;          ///< hit latency in cycles
-    unsigned lineBytes = cachelineBytes;
 };
 
 class Cache
@@ -136,7 +135,7 @@ class Cache
         void operator()(Line *lines) const;
     };
 
-    Addr lineAddr(Addr addr) const { return alignDown(addr, cfg_.lineBytes); }
+    Addr lineAddr(Addr addr) const { return alignDown(addr, cachelineBytes); }
     std::size_t setIndex(Addr addr) const;
 
     std::string name_;

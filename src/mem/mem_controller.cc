@@ -13,7 +13,7 @@ MemController::MemController(McId id, const McConfig &cfg, MemImage &pm,
                              noc::Noc &noc_net)
     : Clocked("mc" + std::to_string(id)), id_(id), cfg_(cfg), pm_(pm),
       noc_(noc_net), treeAcks_(noc_net.isTree()), wpq_(cfg.wpqEntries),
-      dramCache_("mc" + std::to_string(id) + ".dramcache", cfg.dramCache)
+      dramCache_("mc" + std::to_string(id) + ".dramcache", dramCacheConfig)
 {
     LWSP_ASSERT(id < noc_.numMcs(), "MC id out of range");
     peersAll_.reset(noc_.numMcs());
@@ -445,7 +445,7 @@ MemController::nextActiveTick(Tick now) const
     // Not ready: only the WPQ-full deadlock fallback (awaited boundary
     // not yet arrived) can make progress, at the next drain slot. Any
     // other transition requires an inbound message or WPQ insertion —
-    // external stimuli by the fast-forward contract.
+    // external stimuli by the nextActiveTick contract.
     const RegionState *st = peek(drainCursor_);
     bool bdry_here = (st != nullptr && st->bdryArrived);
     if (wpq_.full() && !bdry_here)
@@ -464,7 +464,7 @@ MemController::serveLoadMiss(Addr addr, Tick now)
         auto dc = dramCache_.access(addr, false);
         // Queue behind earlier fetches: DDR bandwidth.
         Tick start = std::max(now, nextDcReadSlot_);
-        nextDcReadSlot_ = start + cfg_.dcReadInterval;
+        nextDcReadSlot_ = start + dcReadInterval;
         res.latency += (start - now) + dramCache_.latency();
         if (dc.hit) {
             res.dramCacheHit = true;
@@ -479,7 +479,7 @@ MemController::serveLoadMiss(Addr addr, Tick now)
     // must wait for the entry to flush and then re-read PM. PM media
     // bandwidth is far below DDR's, so fetches queue harder here.
     Tick pm_start = std::max(now, nextPmReadSlot_);
-    nextPmReadSlot_ = pm_start + cfg_.pmReadInterval;
+    nextPmReadSlot_ = pm_start + pmReadInterval;
     res.latency += (pm_start - now) + cfg_.pmReadCycles;
     if (cfg_.gatingEnabled && wpq_.search(addr & ~7ull)) {
         res.wpqHit = true;

@@ -45,6 +45,23 @@ namespace mem {
 
 class LrpoOracle;
 
+/**
+ * Each MC's DRAM cache (Optane memory mode): 16 MB per MC,
+ * direct-mapped, 100-cycle hits. Table I's 4 GB is scaled down with the
+ * workloads' footprints (see core/system_config.hh).
+ */
+inline constexpr CacheConfig dramCacheConfig{16ull * 1024 * 1024, 1, 100};
+
+/**
+ * Read-bandwidth modelling: minimum cycles between successive line
+ * fetches served by the DRAM cache (DDR4) and by PM media. The gap
+ * between the two is what makes streaming workloads suffer without a
+ * DRAM cache (the PSP-vs-WSP axis of Fig. 9).
+ */
+inline constexpr Tick dcReadInterval = 3;   ///< ~38 GB/s DDR4 per MC
+inline constexpr Tick pmReadInterval = 10;  ///< ~13 GB/s Optane reads per MC
+inline constexpr Tick pmWriteInterval = 12; ///< Optane line-write occupancy
+
 struct McConfig
 {
     std::size_t wpqEntries = 64;
@@ -53,16 +70,6 @@ struct McConfig
     Tick drainInterval = 1;         ///< cycles between WPQ drain rounds
     unsigned drainBurst = 2;        ///< entries flushed per round
     bool dramCacheEnabled = true;   ///< false models the ideal-PSP baseline
-    CacheConfig dramCache{16ull * 1024 * 1024, 1, 100};
-    /**
-     * Read-bandwidth modelling: minimum cycles between successive line
-     * fetches served by the DRAM cache (DDR4) and by PM media. The gap
-     * between the two is what makes streaming workloads suffer without a
-     * DRAM cache (the PSP-vs-WSP axis of Fig. 9).
-     */
-    Tick dcReadInterval = 3;        ///< ~38 GB/s DDR4 per MC
-    Tick pmReadInterval = 10;       ///< ~13 GB/s Optane reads per MC
-    Tick pmWriteInterval = 12;      ///< Optane line-write occupancy per MC
     /**
      * true  = paper-literal commit: region k+1 flushes only after region
      *         k's flush-ACK round completes on every MC;
@@ -139,7 +146,7 @@ class MemController : public Clocked, public McEndpoint
     pmWriteTraffic(Tick now)
     {
         nextPmReadSlot_ =
-            std::max(now, nextPmReadSlot_) + cfg_.pmWriteInterval;
+            std::max(now, nextPmReadSlot_) + pmWriteInterval;
     }
 
     // ---- Power failure ---------------------------------------------------

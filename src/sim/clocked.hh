@@ -5,7 +5,7 @@
  * LightWSP's queues (store buffer, front-end buffer, persist path, WPQ, NoC
  * links) are tightly coupled with back-pressure flowing the whole way from
  * the memory controller to the core pipeline, so every component models one
- * cycle of work in tick(). Under the legacy cycle-stepped engine the
+ * cycle of work in tick(). Under the reference cycle engine the
  * Simulator calls tick() on everyone every cycle; under the event-driven
  * engine each component self-schedules via nextActiveTick() and is woken
  * early by rearm() whenever an external method changes its state.

@@ -5,7 +5,7 @@
  * Each registered component owns one permanent slot, keyed by the cycle
  * at which it next wants to tick. Ties break on the slot index, so all
  * components due in the same cycle come off the heap in registration
- * order — exactly the order the legacy cycle-stepped engine ticks them,
+ * order — exactly the order the reference cycle engine ticks them,
  * which is what keeps the two engines bit-identical.
  *
  * Slots are never removed: re-arming a component is a decrease/increase

@@ -16,16 +16,17 @@
  *    cycle, and the per-cycle linear scan over all components is gone
  *    from the hot path entirely.
  *
- *  - Cycle: the legacy engine — tick everyone every cycle, with the
- *    caller optionally fast-forwarding across globally-quiescent windows
- *    via the linear nextActiveTick() scan. Kept selectable
+ *  - Cycle: the reference — tick every component every cycle. It reads
+ *    no nextActiveTick() self-report and skips nothing, so it shares
+ *    none of the scheduling code it checks. Kept selectable
  *    (--engine=cycle) as the ground truth for A/B verification.
  *
- * The linear scan also backs a debug cross-check (LWSP_VERIFY_WAKEUPS=1,
- * or SystemConfig::verifyWakeups): every time the event engine consults
- * the heap it asserts the heap minimum is never later than the full
- * rescan — an early key is just a spurious no-op wakeup, but a late key
- * is a missed event, i.e. a component changed state without re-arming.
+ * The linear nextActiveTick() scan backs a debug cross-check
+ * (LWSP_VERIFY_WAKEUPS=1, or SystemConfig::verifyWakeups): every time
+ * the event engine consults the heap it asserts the heap minimum is
+ * never later than the full rescan — an early key is just a spurious
+ * no-op wakeup, but a late key is a missed event, i.e. a component
+ * changed state without re-arming.
  */
 
 #ifndef LWSP_SIM_SIMULATOR_HH
@@ -47,7 +48,7 @@ namespace lwsp {
 enum class SimEngine : std::uint8_t
 {
     Event,  ///< discrete-event wakeup heap (default)
-    Cycle,  ///< legacy tick-everyone-every-cycle loop
+    Cycle,  ///< reference loop: tick everyone every cycle
 };
 
 /** SimEngine names, indexed by the enum (the --engine spelling). */
@@ -112,14 +113,14 @@ class Simulator : public Scheduler
 
     /**
      * Earliest cycle >= now() at which any component might act. Event
-     * engine: O(1) heap minimum. Cycle engine: the linear rescan over
-     * every component (the legacy fast-forward path).
+     * engine: O(1) heap minimum. Cycle engine: always now(), since the
+     * reference trusts no self-report.
      */
     Tick
     nextEventTick() const
     {
         if (engine_ == SimEngine::Cycle)
-            return nextActiveTick();
+            return now_;
         Tick next =
             queue_.empty() ? maxTick : std::max(now_, queue_.topTick());
         // A heap key EARLIER than the component's self-report is legal:
@@ -180,9 +181,9 @@ class Simulator : public Scheduler
     }
 
     /**
-     * Fast-forward the clock to @p target without ticking anything. Only
-     * legal when every component is provably inert over the skipped
-     * window (target <= nextEventTick()).
+     * Jump the clock to @p target without ticking anything. Only legal
+     * when every component is provably inert over the skipped window
+     * (target <= nextEventTick()).
      */
     void
     advanceTo(Tick target)
@@ -192,9 +193,8 @@ class Simulator : public Scheduler
     }
 
     /**
-     * Linear minimum over every component's nextActiveTick(). The cycle
-     * engine's fast-forward path, and the event engine's cross-check
-     * oracle — no longer on the event engine's hot path.
+     * Linear minimum over every component's nextActiveTick(): the event
+     * engine's cross-check oracle, on neither engine's hot path.
      */
     Tick
     nextActiveTick() const

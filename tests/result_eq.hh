@@ -1,8 +1,8 @@
 /**
  * @file
  * Field-by-field core::RunResult equality, shared by the determinism
- * tests (engine A/B, parallel == serial, fast-forward on/off). It walks
- * core::resultFields, so it checks every member, a new one included.
+ * tests (engine A/B, parallel == serial). It walks core::resultFields,
+ * so it checks every member, a new one included.
  */
 
 #ifndef LWSP_TESTS_RESULT_EQ_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine equivalence: the discrete-event scheduler (SimEngine::Event)
- * must be bit-identical to the legacy cycle-stepped loop
+ * must be bit-identical to the reference cycle-stepped loop
  * (SimEngine::Cycle). "Bit-identical" means every RunResult counter,
  * every dumped stat line, every registered-stat JSON byte, every trace
  * event and both memory images — across clean runs, oversubscribed
@@ -11,7 +11,8 @@
  * A separate test runs the event engine with verifyWakeups on, which
  * asserts at every scheduling decision that the wakeup heap's minimum
  * is never later than a full linear rescan — the "nobody changed state
- * without rearm()" cross-check.
+ * without rearm()" cross-check. Another pins that the cycle engine
+ * reads no self-report: it ticks every component every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -356,6 +357,37 @@ TEST(Engine, VerifyWakeupsCrossCheckPasses)
     cfg.applySchemeDefaults();
     auto sv = execute(cfg, prog, 6, SimEngine::Event);
     EXPECT_TRUE(sv.result.completed);
+}
+
+namespace {
+
+/** A component whose self-report says it never acts again. */
+class NeverDue : public Clocked
+{
+  public:
+    NeverDue() : Clocked("never-due") {}
+    void tick(Tick) override { ++ticks; }
+    Tick nextActiveTick(Tick) const override { return maxTick; }
+
+    unsigned ticks = 0;
+};
+
+} // namespace
+
+TEST(Engine, CycleReferenceNeverSkips)
+{
+    // The reference trusts no nextActiveTick() self-report: a component
+    // that claims to be idle forever still ticks every cycle, and the
+    // clock never jumps past the current cycle.
+    NeverDue idle;
+    Simulator sim;
+    sim.setEngine(SimEngine::Cycle);
+    sim.add(&idle);
+    for (unsigned n = 1; n <= 5; ++n) {
+        EXPECT_EQ(sim.nextEventTick(), sim.now());
+        sim.executeCycle();
+        EXPECT_EQ(idle.ticks, n);
+    }
 }
 
 /** Sets the process engine for one scope, restoring the old one. */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "mem/mem_controller.hh"
 #include "mem/mem_image.hh"
 
 using namespace lwsp;
@@ -211,7 +212,7 @@ TEST(Cache, CountsAndReset)
 // every dropped line and refill, including conflict evictions.
 TEST(Cache, UntouchedLinesReadInvalid)
 {
-    CacheConfig cfg{16ull * 1024 * 1024, 1, 100};
+    const CacheConfig cfg = dramCacheConfig;
     Cache c("dc", cfg);
     const Addr stride = cfg.sizeBytes;  // same set, other tag
     const Addr addrs[] = {0x0, 0x40, 0x12340, cfg.sizeBytes - 64};

@@ -5,10 +5,11 @@
  *  1. "parallel == serial, bit for bit": a SweepExecutor at any job
  *     count returns the same RunOutcome per spec (every counter, not
  *     just cycles) as a jobs=1 executor over a fresh Runner.
- *  2. Quiescence fast-forward is invisible: a System run with
- *     fastForwardEnabled=false matches one with it enabled on every
- *     statistic, across schemes, warmup, and oversubscribed threads
- *     (where context-switch timing caps the jump).
+ *  2. The event engine's clock jumps are invisible: a System run under
+ *     it matches the cycle engine, which ticks every component every
+ *     cycle, on every statistic, across schemes, warmup, and
+ *     oversubscribed threads (where context-switch timing caps the
+ *     jump).
  *
  * Plus the Runner memo: repeated runs of one spec hand back the cached
  * outcome, SweepExecutor::slowdowns agrees with the scalar
@@ -77,7 +78,7 @@ mixedSpecs()
 }
 
 /** Store-dense scratch profile (not in the paper registry) so the
- *  fast-forward tests control threads/cores/warmup directly. */
+ *  engine A/B tests control threads/cores/warmup directly. */
 workloads::WorkloadProfile
 scratchProfile(unsigned threads)
 {
@@ -103,7 +104,7 @@ scratchProfile(unsigned threads)
 
 core::RunResult
 runDirect(const workloads::WorkloadProfile &profile, core::Scheme scheme,
-          unsigned threads, unsigned cores, bool fast_forward,
+          unsigned threads, unsigned cores, SimEngine engine,
           std::uint64_t warmup_insts)
 {
     auto w = workloads::generate(profile);
@@ -112,11 +113,7 @@ runDirect(const workloads::WorkloadProfile &profile, core::Scheme scheme,
     spec.scheme = scheme;
     core::SystemConfig cfg = harness::makeConfig(profile, spec);
     cfg.numCores = cores;
-    // Pin the legacy engine: the event scheduler ignores
-    // fastForwardEnabled (it supersedes it), so the ff-on/ff-off A/B
-    // below would degenerate to event-vs-event and assert nothing.
-    cfg.engine = SimEngine::Cycle;
-    cfg.fastForwardEnabled = fast_forward;
+    cfg.engine = engine;
     cfg.warmupInsts = warmup_insts;
     auto prog = harness::prepareProgram(std::move(w), spec);
     core::System sys(cfg, prog, threads);
@@ -306,44 +303,46 @@ TEST(Sweep, MemoReturnsIdenticalOutcome)
     }
 }
 
-TEST(Sweep, FastForwardIsInvisibleAcrossSchemes)
+TEST(Sweep, EngineJumpsAreInvisibleAcrossSchemes)
 {
     setLogQuiet(true);
     auto profile = scratchProfile(1);
     for (core::Scheme s :
          {core::Scheme::Baseline, core::Scheme::Capri,
           core::Scheme::LightWsp}) {
-        auto off = runDirect(profile, s, 1, 1, false, 0);
-        auto on = runDirect(profile, s, 1, 1, true, 0);
-        ASSERT_TRUE(off.completed);
-        expectResultEq(off, on,
+        auto cycle = runDirect(profile, s, 1, 1, SimEngine::Cycle, 0);
+        auto event = runDirect(profile, s, 1, 1, SimEngine::Event, 0);
+        ASSERT_TRUE(cycle.completed);
+        expectResultEq(cycle, event,
                        std::string("scheme ") + core::schemeName(s));
     }
 }
 
-TEST(Sweep, FastForwardIsInvisibleWithWarmup)
+TEST(Sweep, EngineJumpsAreInvisibleWithWarmup)
 {
     setLogQuiet(true);
     auto profile = scratchProfile(4);
-    auto off = runDirect(profile, core::Scheme::LightWsp, 4, 4, false,
-                         /*warmup_insts=*/2000);
-    auto on = runDirect(profile, core::Scheme::LightWsp, 4, 4, true,
-                        /*warmup_insts=*/2000);
-    ASSERT_TRUE(off.completed);
-    expectResultEq(off, on, "4t with warmup");
+    auto cycle = runDirect(profile, core::Scheme::LightWsp, 4, 4,
+                           SimEngine::Cycle, /*warmup_insts=*/2000);
+    auto event = runDirect(profile, core::Scheme::LightWsp, 4, 4,
+                           SimEngine::Event, /*warmup_insts=*/2000);
+    ASSERT_TRUE(cycle.completed);
+    expectResultEq(cycle, event, "4t with warmup");
 }
 
-TEST(Sweep, FastForwardIsInvisibleWhenOversubscribed)
+TEST(Sweep, EngineJumpsAreInvisibleWhenOversubscribed)
 {
     setLogQuiet(true);
     // 6 threads on 2 cores: the scheduler's quantum decides when each
-    // core switches threads, so the fast-forward jump must stop at every
-    // schedule check to keep context switches on identical cycles.
+    // core switches threads, so the event engine's jump must stop at
+    // every schedule check to keep context switches on identical cycles.
     auto profile = scratchProfile(6);
-    auto off = runDirect(profile, core::Scheme::LightWsp, 6, 2, false, 0);
-    auto on = runDirect(profile, core::Scheme::LightWsp, 6, 2, true, 0);
-    ASSERT_TRUE(off.completed);
-    expectResultEq(off, on, "6 threads on 2 cores");
+    auto cycle = runDirect(profile, core::Scheme::LightWsp, 6, 2,
+                           SimEngine::Cycle, 0);
+    auto event = runDirect(profile, core::Scheme::LightWsp, 6, 2,
+                           SimEngine::Event, 0);
+    ASSERT_TRUE(cycle.completed);
+    expectResultEq(cycle, event, "6 threads on 2 cores");
 }
 
 TEST(Sweep, ParallelForCoversAllIndicesAndRethrows)
