@@ -255,7 +255,7 @@ System::resetStats()
  *
  * Each pass makes the scheduling and warmup decisions for the current
  * cycle, then either executes it or jumps the clock to the next cycle at
- * which anything can act: the wakeup heap's minimum under the event
+ * which anything can act: Simulator::nextEventTick() under the event
  * engine, bounded by @p limit and, whenever a core is oversubscribed, by
  * the next schedule check (so context switches land on identical
  * cycles). The cycle engine's nextEventTick() is always now(), so it

@@ -32,7 +32,7 @@
 #include "common/stats.hh"
 #include "cpu/thread_context.hh"
 #include "mem/persist.hh"
-#include "sim/clocked.hh"
+#include "sim/simulator.hh"
 
 namespace lwsp {
 

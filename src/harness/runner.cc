@@ -100,6 +100,15 @@ preparePoint(const RunSpec &spec)
     return pt;
 }
 
+core::RunResult
+runToCompletion(core::System &sys, const RunSpec &spec)
+{
+    core::RunResult res = sys.run();
+    LWSP_ASSERT(res.completed, "run hit the cycle cap at cycle ",
+                sys.now(), ": ", specKey(spec));
+    return res;
+}
+
 RunOutcome
 Runner::runUncached(const RunSpec &spec)
 {
@@ -109,10 +118,7 @@ Runner::runUncached(const RunSpec &spec)
     out.compileStats = pt.prog.stats;
 
     core::System sys(pt.cfg, pt.prog, pt.threads);
-    out.result = sys.run();
-    if (!out.result.completed)
-        warn("run did not complete: ", spec.workload, " on ",
-             core::schemeName(spec.scheme));
+    out.result = runToCompletion(sys, spec);
     return out;
 }
 

@@ -111,6 +111,13 @@ struct PreparedPoint
 
 PreparedPoint preparePoint(const RunSpec &spec);
 
+/**
+ * Run @p sys, built from @p spec's point, to the end of its program. A
+ * run that hits the config's cycle cap (a live-lock, or a cap too low
+ * for the point) is never a result: it panics naming specKey(spec).
+ */
+core::RunResult runToCompletion(core::System &sys, const RunSpec &spec);
+
 class Runner
 {
   public:

@@ -30,7 +30,7 @@
 #include "mem/mem_image.hh"
 #include "mem/persist.hh"
 #include "mem/wpq.hh"
-#include "sim/clocked.hh"
+#include "sim/simulator.hh"
 
 namespace lwsp {
 namespace noc {

@@ -59,8 +59,8 @@
 #include "fault/fault.hh"
 #include "mem/persist.hh"
 #include "noc/topology.hh"
-#include "sim/clocked.hh"
 #include "sim/delay_line.hh"
+#include "sim/simulator.hh"
 #include "trace/sink.hh"
 
 namespace lwsp {

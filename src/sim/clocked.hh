@@ -21,21 +21,7 @@
 
 namespace lwsp {
 
-class Clocked;
-
-/**
- * Wakeup sink the event-driven Simulator implements. Components never
- * talk to it directly — they call Clocked::rearm() on themselves.
- */
-class Scheduler
-{
-  public:
-    /** Re-evaluate @p c's wakeup time after an external state change. */
-    virtual void touch(Clocked &c) = 0;
-
-  protected:
-    ~Scheduler() = default;
-};
+class Simulator;
 
 /** A component advanced once per core clock cycle (when active). */
 class Clocked
@@ -79,22 +65,18 @@ class Clocked
 
   protected:
     /**
-     * Notify the scheduler that external state changed and the cached
-     * wakeup time may be stale. Cheap no-op under the cycle-stepped
-     * engine (and before registration). Call at the end of every
-     * externally-invoked mutating method.
+     * Notify the Simulator that external state changed and the cached
+     * wakeup time may be stale (Simulator::touch). Cheap no-op under
+     * the cycle engine (and before registration). Call at the end of
+     * every externally-invoked mutating method. Defined after Simulator
+     * in sim/simulator.hh, which every component header includes.
      */
-    void
-    rearm()
-    {
-        if (sched_ != nullptr)
-            sched_->touch(*this);
-    }
+    void rearm();
 
   private:
     friend class Simulator;
-    Scheduler *sched_ = nullptr;   ///< set at Simulator::add()
-    std::uint32_t schedIdx_ = 0;   ///< this component's event-queue slot
+    Simulator *sim_ = nullptr;     ///< set at Simulator::add()
+    std::uint32_t schedIdx_ = 0;   ///< registration index (lane bit, heap slot)
 
     std::string name_;
 };

@@ -1,15 +1,17 @@
 /**
  * @file
- * Indexed binary min-heap over component wakeup times.
+ * Indexed binary min-heap over component wakeup times: the event
+ * engine's sleeper lane.
  *
- * Each registered component owns one permanent slot, keyed by the cycle
- * at which it next wants to tick. Ties break on the slot index, so all
- * components due in the same cycle come off the heap in registration
- * order — exactly the order the reference cycle engine ticks them,
- * which is what keeps the two engines bit-identical.
- *
- * Slots are never removed: re-arming a component is a decrease/increase
- * key on its slot (O(log n)), and querying the earliest wakeup is O(1).
+ * Each registered component owns one permanent slot. A component that
+ * sleeps past the next cycle keys its slot at the cycle it next wants
+ * to tick; one in the Simulator's due lane parks its slot at maxTick,
+ * where it costs nothing until it falls asleep again. Slots are never
+ * removed: re-arming is a decrease/increase key (O(log n)), the
+ * earliest wakeup is O(1), and forEachDue() finds every slot due by a
+ * cycle without popping any of them. Tick order within a cycle is not
+ * the heap's business: the Simulator walks its due bitset in
+ * registration order.
  */
 
 #ifndef LWSP_SIM_EVENT_QUEUE_HH
@@ -49,12 +51,17 @@ class EventQueue
         return key_[heap_.front()];
     }
 
-    /** Slot index owning the earliest tick; requires non-empty. */
-    std::uint32_t
-    topIndex() const
+    /**
+     * Call @p f(slot) for every slot keyed at or before @p t, in no
+     * particular order, popping nothing: a walk of the heap's key <= t
+     * prefix, which stops at the first later key on each path.
+     */
+    template <typename F>
+    void
+    forEachDue(Tick t, F &&f) const
     {
-        LWSP_ASSERT(!heap_.empty(), "topIndex on empty queue");
-        return heap_.front();
+        if (!heap_.empty() && key_[heap_.front()] <= t)
+            walkDue(0, t, f);
     }
 
     /** Current armed tick of slot @p idx. */
@@ -81,12 +88,22 @@ class EventQueue
     }
 
   private:
-    /** Heap order: (tick, index), so same-cycle pops follow
-     *  registration order. */
     bool
     before(std::uint32_t a, std::uint32_t b) const
     {
-        return key_[a] != key_[b] ? key_[a] < key_[b] : a < b;
+        return key_[a] < key_[b];
+    }
+
+    /** forEachDue() below heap position @p hole, whose key is <= t. */
+    template <typename F>
+    void
+    walkDue(std::uint32_t hole, Tick t, F &f) const
+    {
+        f(heap_[hole]);
+        for (std::uint32_t child = 2 * hole + 1;
+             child <= 2 * hole + 2 && child < heap_.size(); ++child)
+            if (key_[heap_[child]] <= t)
+                walkDue(child, t, f);
     }
 
     void

@@ -2,19 +2,25 @@
  * @file
  * The top-level clock driver, with two interchangeable engines.
  *
- * Owns no components (they are owned by the System being simulated); holds
- * raw registration pointers plus a wakeup heap with one slot per component.
+ * Owns no components (they are owned by the System being simulated);
+ * holds raw registration pointers plus the event engine's two lanes.
  *
  * Engines (results are bit-identical, asserted by test_engine):
  *
- *  - Event (default): discrete-event scheduling. Each component's slot in
- *    the wakeup heap is keyed by its own nextActiveTick(); executing a
- *    cycle pops and ticks exactly the due components (registration order
- *    within the cycle, via the heap's (tick, index) key) and re-arms each
- *    from its post-tick self-report. External mutations re-arm through
- *    Clocked::rearm() -> touch(). Idle components cost zero per skipped
- *    cycle, and the per-cycle linear scan over all components is gone
- *    from the hot path entirely.
+ *  - Event (default): discrete-event scheduling over two lanes.
+ *     - Due lane: a dense bitset, one bit per component in registration
+ *       order, of the components due this cycle, plus a second bitset
+ *       collecting those due next cycle. A component busy every cycle
+ *       lives here and never touches the heap.
+ *     - Sleeper lane: an indexed heap (EventQueue) keyed by the cycle
+ *       each sleeping component next wants to tick.
+ *    A cycle first lets the sleepers due now join the due bitset (a walk
+ *    of the heap's due prefix; nothing is popped), then ticks the due
+ *    components in registration order with count-trailing-zeros and
+ *    re-arms each from its post-tick nextActiveTick(): due next cycle
+ *    joins the next bitset, a later cycle keys the heap. External
+ *    mutations re-arm through Clocked::rearm() -> touch(). Idle
+ *    components cost nothing per skipped cycle.
  *
  *  - Cycle: the reference — tick every component every cycle. It reads
  *    no nextActiveTick() self-report and skips nothing, so it shares
@@ -23,7 +29,7 @@
  *
  * The linear nextActiveTick() scan backs a debug cross-check
  * (LWSP_VERIFY_WAKEUPS=1, or SystemConfig::verifyWakeups): every time
- * the event engine consults the heap it asserts the heap minimum is
+ * the event engine would skip cycles it asserts its next wakeup is
  * never later than the full rescan — an early key is just a spurious
  * no-op wakeup, but a late key is a missed event, i.e. a component
  * changed state without re-arming.
@@ -34,6 +40,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <vector>
 
@@ -47,7 +54,7 @@ namespace lwsp {
 /** Which clock driver advances the components. */
 enum class SimEngine : std::uint8_t
 {
-    Event,  ///< discrete-event wakeup heap (default)
+    Event,  ///< due bitset + sleeper heap (default)
     Cycle,  ///< reference loop: tick everyone every cycle
 };
 
@@ -81,7 +88,7 @@ setDefaultSimEngine(SimEngine e)
     detail::processEngine.store(e, std::memory_order_relaxed);
 }
 
-class Simulator : public Scheduler
+class Simulator
 {
   public:
     Simulator() = default;
@@ -89,7 +96,7 @@ class Simulator : public Scheduler
     /** Select the engine; call before the first executeCycle(). */
     void setEngine(SimEngine e) { engine_ = e; }
 
-    /** Enable the heap-vs-rescan cross-check (event engine only). */
+    /** Enable the lanes-vs-rescan cross-check (event engine only). */
     void
     setVerifyWakeups(bool v)
     {
@@ -101,11 +108,14 @@ class Simulator : public Scheduler
     add(Clocked *component)
     {
         LWSP_ASSERT(component != nullptr, "null component");
-        component->sched_ = this;
-        // Armed at the current cycle: every component runs its first
+        component->sim_ = this;
+        // Due at the current cycle: every component runs its first
         // tick, matching the cycle engine's unconditional cycle 0.
-        component->schedIdx_ = queue_.add(now_);
+        component->schedIdx_ = queue_.add(maxTick);
         components_.push_back(component);
+        due_.resize((components_.size() + 63) / 64);
+        next_.resize(due_.size());
+        due_[component->schedIdx_ / 64] |= bitOf(component->schedIdx_);
     }
 
     /** Current cycle (the next cycle to execute). */
@@ -113,34 +123,34 @@ class Simulator : public Scheduler
 
     /**
      * Earliest cycle >= now() at which any component might act. Event
-     * engine: O(1) heap minimum. Cycle engine: always now(), since the
-     * reference trusts no self-report.
+     * engine: now() while the due bitset is non-empty, else the heap
+     * minimum. Cycle engine: always now(), since the reference trusts
+     * no self-report.
      */
     Tick
     nextEventTick() const
     {
-        if (engine_ == SimEngine::Cycle)
+        if (engine_ == SimEngine::Cycle || anyDue())
             return now_;
         Tick next =
             queue_.empty() ? maxTick : std::max(now_, queue_.topTick());
-        // A heap key EARLIER than the component's self-report is legal:
+        // A wakeup EARLIER than the component's self-report is legal:
         // the component wakes, no-ops (nextActiveTick contract) and
-        // re-arms — e.g. the conservative arm-at-registration, or a
-        // state change that postponed work without rearm(). A key LATER
-        // than the self-report is a missed wakeup: some external
-        // mutation advanced the component's schedule without rearm().
+        // re-arms — e.g. a state change that postponed work without
+        // rearm(). One LATER than the self-report is a missed wakeup:
+        // some external mutation advanced the component's schedule
+        // without rearm().
         if (verify_ && next > nextActiveTick()) {
             std::uint32_t bad = 0;
             for (std::uint32_t i = 0;
                  i < static_cast<std::uint32_t>(components_.size()); ++i) {
                 const Clocked *c = components_[i];
-                if (queue_.keyOf(i) >
-                    std::max(c->nextActiveTick(now_), now_))
+                if (wakeOf(i) > std::max(c->nextActiveTick(now_), now_))
                     bad = i;
             }
             LWSP_ASSERT(false,
-                        "missed wakeup: component ", bad, " heap key ",
-                        queue_.keyOf(bad), " is past its self-reported ",
+                        "missed wakeup: component ", bad, " wakeup ",
+                        wakeOf(bad), " is past its self-reported ",
                         components_[bad]->nextActiveTick(now_),
                         " at cycle ", now_,
                         " — state changed without rearm()");
@@ -149,11 +159,11 @@ class Simulator : public Scheduler
     }
 
     /**
-     * Execute one cycle. Event engine: tick exactly the due components,
-     * re-arming each afterwards; a component touched mid-cycle by an
-     * already-ticked peer joins this cycle iff its slot index is still
-     * ahead of the tick in progress (see touch()). Cycle engine: tick
-     * everyone.
+     * Execute one cycle. Event engine: tick exactly the due components
+     * in registration order, re-arming each afterwards; a component
+     * touched mid-cycle by an already-ticked peer joins this cycle iff
+     * its index is still ahead of the tick in progress (see touch()).
+     * Cycle engine: tick everyone.
      */
     void
     executeCycle()
@@ -166,17 +176,34 @@ class Simulator : public Scheduler
             return;
         }
         inCycle_ = true;
-        while (!queue_.empty() && queue_.topTick() <= t) {
-            curIdx_ = queue_.topIndex();
-            Clocked *c = components_[curIdx_];
-            c->tick(t);
-            // Self-touches during the tick are folded into this re-arm;
-            // the contract guarantees the result is strictly past t.
-            Tick next = c->nextActiveTick(t + 1);
-            LWSP_ASSERT(next > t, "component re-armed in the past");
-            queue_.set(curIdx_, next);
+        // Sleepers due now join the bitset but keep their heap key
+        // until their post-tick re-arm moves them.
+        queue_.forEachDue(t, [this](std::uint32_t i) {
+            due_[i / 64] |= bitOf(i);
+        });
+        // Bits behind the cursor are clear and touch() only sets bits
+        // ahead of it, so the lowest set bit is always the next tick.
+        for (std::size_t w = 0; w < due_.size(); ++w) {
+            while (due_[w] != 0) {
+                curIdx_ = static_cast<std::uint32_t>(
+                    w * 64 + std::countr_zero(due_[w]));
+                due_[w] &= due_[w] - 1;
+                Clocked *c = components_[curIdx_];
+                c->tick(t);
+                // Self-touches during the tick are folded into this
+                // re-arm; the contract guarantees it is strictly past t.
+                // The walk cleared the due bit and no touch set the next
+                // one, so only the new lane needs writing.
+                Tick next = c->nextActiveTick(t + 1);
+                LWSP_ASSERT(next > t, "component re-armed in the past");
+                const bool busy = next == t + 1;
+                if (busy)
+                    next_[w] |= bitOf(curIdx_);
+                queue_.set(curIdx_, busy ? maxTick : next);
+            }
         }
         inCycle_ = false;
+        due_.swap(next_);
         ++now_;
     }
 
@@ -208,7 +235,6 @@ class Simulator : public Scheduler
         return std::max(next, now_);
     }
 
-    // ---- Scheduler --------------------------------------------------------
     /**
      * Re-arm @p c after an external mutation (Clocked::rearm()).
      *
@@ -217,13 +243,14 @@ class Simulator : public Scheduler
      *  - outside a cycle, re-evaluate from the current cycle;
      *  - mid-cycle, a component *ahead* of the tick in progress may
      *    still join this cycle (the cycle engine would tick it after
-     *    the mutating peer);
+     *    the mutating peer), or leave it if its work moved later;
      *  - a component at or *behind* the tick in progress re-evaluates
      *    from the next cycle: the cycle engine already ran (or provably
      *    no-op'd) its slot this cycle before the mutation happened.
+     * place() then moves it to the lane its next tick calls for.
      */
     void
-    touch(Clocked &c) override
+    touch(Clocked &c)
     {
         if (engine_ != SimEngine::Event)
             return;
@@ -235,18 +262,81 @@ class Simulator : public Scheduler
             if (idx < curIdx_)
                 base = now_ + 1;
         }
-        queue_.set(idx, std::max(c.nextActiveTick(base), base));
+        place(idx, std::max(c.nextActiveTick(base), base));
     }
 
   private:
+    static constexpr std::uint64_t
+    bitOf(std::uint32_t idx)
+    {
+        return std::uint64_t{1} << (idx % 64);
+    }
+
+    bool
+    anyDue() const
+    {
+        return std::any_of(due_.begin(), due_.end(),
+                           [](std::uint64_t w) { return w != 0; });
+    }
+
+    /** Cycle component @p idx next ticks at as the lanes hold it
+     *  (outside a cycle): now() in the due bitset, else its heap key. */
+    Tick
+    wakeOf(std::uint32_t idx) const
+    {
+        return (due_[idx / 64] & bitOf(idx)) != 0 ? now_
+                                                  : queue_.keyOf(idx);
+    }
+
+    /**
+     * touch()'s lane move: put component @p idx, wherever it is, in the
+     * lane for its next tick @p n >= now(), and clear it from the others:
+     *  - n == now(): the due bitset. A woken sleeper keeps its due heap
+     *    key until its post-tick re-arm, which re-keys it anyway;
+     *  - n == now() + 1 mid-cycle: the next-cycle bitset;
+     *  - otherwise: a heap key at n.
+     * A lane member's heap key is parked at maxTick.
+     */
+    void
+    place(std::uint32_t idx, Tick n)
+    {
+        std::uint64_t &due = due_[idx / 64];
+        std::uint64_t &next = next_[idx / 64];
+        const std::uint64_t bit = bitOf(idx);
+        Tick key = maxTick;
+        if (n == now_) {
+            due |= bit;
+            next &= ~bit;
+            if (queue_.keyOf(idx) <= now_)
+                return;
+        } else if (n == now_ + 1 && inCycle_) {
+            due &= ~bit;
+            next |= bit;
+        } else {
+            due &= ~bit;
+            next &= ~bit;
+            key = n;
+        }
+        queue_.set(idx, key);
+    }
+
     Tick now_ = 0;
     std::vector<Clocked *> components_;
-    EventQueue queue_;
+    std::vector<std::uint64_t> due_;   ///< due lane, this cycle
+    std::vector<std::uint64_t> next_;  ///< due lane, next cycle
+    EventQueue queue_;                 ///< sleeper lane
     SimEngine engine_ = SimEngine::Event;
     bool verify_ = false;
     bool inCycle_ = false;
     std::uint32_t curIdx_ = 0;
 };
+
+inline void
+Clocked::rearm()
+{
+    if (sim_ != nullptr)
+        sim_->touch(*this);
+}
 
 } // namespace lwsp
 

@@ -9,16 +9,26 @@
  * injection and fuzzer-generated programs.
  *
  * A separate test runs the event engine with verifyWakeups on, which
- * asserts at every scheduling decision that the wakeup heap's minimum
+ * asserts whenever the engine would skip cycles that its next wakeup
  * is never later than a full linear rescan — the "nobody changed state
  * without rearm()" cross-check. Another pins that the cycle engine
  * reads no self-report: it ticks every component every cycle.
+ *
+ * The Lanes tests drive a bare Simulator with scripted components and
+ * compare the exact (component, cycle) tick log against a hand-written
+ * one: lane moves, the mid-cycle touch() rules, a due bitset wider than
+ * one word, and the verify cross-check.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -339,8 +349,8 @@ TEST(Engine, FaultInjectionMatches)
 TEST(Engine, VerifyWakeupsCrossCheckPasses)
 {
     setLogQuiet(true);
-    // verifyWakeups asserts heap-minimum <= linear-rescan at every
-    // scheduling decision; a missing rearm() aborts the run.
+    // verifyWakeups asserts next-wakeup <= linear-rescan before every
+    // jump; a missing rearm() aborts the run.
     auto p = prepare("is", core::Scheme::LightWsp);
     p.cfg.verifyWakeups = true;
     auto ev = execute(p.cfg, p.prog, p.threads, SimEngine::Event);
@@ -387,6 +397,216 @@ TEST(Engine, CycleReferenceNeverSkips)
         EXPECT_EQ(sim.nextEventTick(), sim.now());
         sim.executeCycle();
         EXPECT_EQ(idle.ticks, n);
+    }
+}
+
+namespace {
+
+/** (component id, cycle) of every tick, in execution order. */
+using TickLog = std::vector<std::pair<int, Tick>>;
+
+/**
+ * A component that wants to tick at the cycles in `due`, plus once per
+ * poke() still pending. Each tick is logged; `actions[t]` runs at the
+ * end of its tick at cycle t, to mutate peers mid-cycle.
+ */
+class Scripted : public Clocked
+{
+  public:
+    Scripted(int id, TickLog &log, std::set<Tick> due = {})
+        : Clocked("scripted"), due(std::move(due)), id_(id), log_(log)
+    {
+    }
+
+    void
+    tick(Tick now) override
+    {
+        log_.emplace_back(id_, now);
+        if (pending_ > 0)
+            --pending_;
+        if (auto it = actions.find(now); it != actions.end())
+            it->second();
+    }
+
+    Tick
+    nextActiveTick(Tick now) const override
+    {
+        if (pending_ > 0)
+            return now;
+        auto it = due.lower_bound(now);
+        return it == due.end() ? maxTick : *it;
+    }
+
+    /** External mutation: one tick's more work, re-armed. */
+    void
+    poke()
+    {
+        ++pending_;
+        rearm();
+    }
+
+    /** The same mutation without rearm(): a wakeup the engine misses. */
+    void pokeUnarmed() { ++pending_; }
+
+    /** Move the scripted tick at @p from to @p to, re-armed. */
+    void
+    postpone(Tick from, Tick to)
+    {
+        due.erase(from);
+        due.insert(to);
+        rearm();
+    }
+
+    std::set<Tick> due;
+    std::map<Tick, std::function<void()>> actions;
+
+  private:
+    int id_;
+    TickLog &log_;
+    unsigned pending_ = 0;
+};
+
+/** Drive @p sim to cycle @p end as System::advance does: execute a
+ *  due cycle, jump an idle stretch. */
+void
+runUntil(Simulator &sim, Tick end)
+{
+    while (sim.now() < end) {
+        Tick next = std::min(sim.nextEventTick(), end);
+        if (next > sim.now())
+            sim.advanceTo(next);
+        else
+            sim.executeCycle();
+    }
+}
+
+} // namespace
+
+TEST(Lanes, BusySleepingBusy)
+{
+    // Every component ticks at cycle 0; afterwards only when due. A runs
+    // every cycle, sleeps over 3..5 while B wakes once, then runs again.
+    TickLog log;
+    Scripted a(0, log, {1, 2, 6, 7});
+    Scripted b(1, log, {3});
+    Simulator sim;
+    sim.add(&a);
+    sim.add(&b);
+    runUntil(sim, 4);
+    EXPECT_EQ(sim.nextEventTick(), 6u);
+    runUntil(sim, 20);
+    EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {0, 1}, {0, 2}, {1, 3},
+                            {0, 6}, {0, 7}}));
+    EXPECT_EQ(sim.nextEventTick(), maxTick);
+}
+
+TEST(Lanes, MidCycleTouchAheadJoinsBehindWaits)
+{
+    // P (index 1) pokes both neighbours during its tick at cycle 5. Y is
+    // ahead of P, so the cycle engine would tick it after P this cycle;
+    // X is behind, its slot already passed, so it ticks next cycle.
+    TickLog log;
+    Scripted x(0, log);
+    Scripted p(1, log, {5});
+    Scripted y(2, log);
+    p.actions[5] = [&] {
+        x.poke();
+        y.poke();
+    };
+    Simulator sim;
+    for (Scripted *c : {&x, &p, &y})
+        sim.add(c);
+    runUntil(sim, 20);
+    EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {2, 0}, {1, 5}, {2, 5},
+                            {0, 6}}));
+}
+
+TEST(Lanes, TouchPostponesComponentDueThisCycle)
+{
+    // At cycle 5 both Q1 (busy, in the due lane) and Q2 (a sleeper the
+    // heap woke) are due. P ticks first and moves their work later: Q1
+    // to the next cycle, Q2 to cycle 8. Neither may tick at 5.
+    TickLog log;
+    Scripted p(0, log, {5});
+    Scripted q1(1, log, {3, 4, 5});
+    Scripted q2(2, log, {5});
+    p.actions[5] = [&] {
+        q1.postpone(5, 6);
+        q2.postpone(5, 8);
+    };
+    Simulator sim;
+    for (Scripted *c : {&p, &q1, &q2})
+        sim.add(c);
+    runUntil(sim, 20);
+    EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {2, 0}, {1, 3}, {1, 4},
+                            {0, 5}, {1, 6}, {2, 8}}));
+}
+
+TEST(Lanes, DueBitsetSpansWords)
+{
+    // 70 components: the due bitset needs two words. Component 69 is
+    // busy over 1..3. At cycle 2, 5 pokes 65 (ahead, next word) and 66
+    // pokes 6 (behind, previous word).
+    constexpr int n = 70;
+    TickLog log;
+    std::vector<std::unique_ptr<Scripted>> cs;
+    for (int i = 0; i < n; ++i)
+        cs.push_back(std::make_unique<Scripted>(i, log));
+    cs[5]->due = {2};
+    cs[66]->due = {2};
+    cs[69]->due = {1, 2, 3};
+    cs[5]->actions[2] = [&] { cs[65]->poke(); };
+    cs[66]->actions[2] = [&] { cs[6]->poke(); };
+    Simulator sim;
+    for (auto &c : cs)
+        sim.add(c.get());
+    runUntil(sim, 20);
+
+    TickLog want;
+    for (int i = 0; i < n; ++i)
+        want.emplace_back(i, 0);
+    want.insert(want.end(), {{69, 1},
+                             {5, 2}, {65, 2}, {66, 2}, {69, 2},
+                             {6, 3}, {69, 3}});
+    EXPECT_EQ(log, want);
+}
+
+TEST(Lanes, VerifyCatchesUnarmedMutationFromTheDueLane)
+{
+    // B works every cycle through 3; at cycle 2 its tick hands A, asleep
+    // in the heap, one tick of work. Re-armed, A ticks at 3 (it is
+    // behind B). Unarmed, the engine would never tick A again: once the
+    // due lane empties, the verify rescan must catch the missed wakeup.
+    for (bool armed : {true, false}) {
+        TickLog log;
+        Scripted a(0, log);
+        Scripted b(1, log, {1, 2, 3});
+        b.actions[2] = [&] {
+            if (armed)
+                a.poke();
+            else
+                a.pokeUnarmed();
+        };
+        Simulator sim;
+        sim.setVerifyWakeups(true);
+        sim.add(&a);
+        sim.add(&b);
+        if (armed) {
+            runUntil(sim, 20);
+            EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {1, 1}, {1, 2},
+                                    {0, 3}, {1, 3}}));
+            continue;
+        }
+        try {
+            runUntil(sim, 20);
+            FAIL() << "unarmed mutation went unnoticed";
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find("missed wakeup: "
+                                                 "component 0"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(sim.now(), 4u);
     }
 }
 

@@ -1,14 +1,15 @@
 /**
  * @file
  * Harness tests: result tables (geomeans, suite grouping, CSV), run-spec
- * configuration plumbing, baseline caching, the persistence-efficiency
- * formula, and the baselines' analytic models.
+ * configuration plumbing, baseline caching, the cycle-cap error, the
+ * persistence-efficiency formula, and the baselines' analytic models.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "baselines/baselines.hh"
 #include "harness/report.hh"
@@ -137,6 +138,28 @@ TEST(Runner, BaselineIsCachedAcrossCalls)
     double a = runner.slowdownVsBaseline(spec);
     double b = runner.slowdownVsBaseline(spec);
     EXPECT_DOUBLE_EQ(a, b);  // deterministic + cached baseline
+}
+
+TEST(Runner, CycleCapIsAnErrorNamingTheSpec)
+{
+    setLogQuiet(true);
+    const RunSpec spec{.workload = "is"};
+    PreparedPoint pt = preparePoint(spec);
+    pt.cfg.maxCycles = 4000;
+    core::System sys(pt.cfg, pt.prog, pt.threads);
+    try {
+        runToCompletion(sys, spec);
+        FAIL() << "a run stopped by the cycle cap returned a result";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(specKey(spec)),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The same point under its own cap completes and returns normally.
+    PreparedPoint full = preparePoint(spec);
+    core::System ok(full.cfg, full.prog, full.threads);
+    EXPECT_TRUE(runToCompletion(ok, spec).completed);
 }
 
 TEST(Efficiency, BoundsAndDirection)
