@@ -96,19 +96,19 @@ struct SystemConfig
 
     /**
      * Clock driver, initialised from the process default (`--engine`).
-     * Event (default): a due bitset for busy components and a wakeup
-     * heap for sleepers — idle components cost nothing per skipped
-     * cycle. Cycle: the reference loop that ticks
-     * every component every cycle, kept selectable as the bit-identical
-     * ground truth for A/B verification (asserted by test_engine).
+     * Event (default): one wake tick per component, so sleepers are
+     * skipped and idle stretches jumped. Cycle: the reference loop that
+     * ticks every component every cycle, kept selectable as the
+     * bit-identical ground truth for A/B verification (asserted by
+     * test_engine).
      */
     SimEngine engine = defaultSimEngine();
 
     /**
      * Event engine debug cross-check: assert whenever the engine would
      * skip cycles that its next wakeup is never later than the full
-     * linear rescan over all components (a late key is a missed
-     * event — somebody changed state without rearm(); an early key is
+     * linear rescan over all components (a late wake tick is a missed
+     * event — somebody changed state without rearm(); an early one is
      * only a spurious no-op wakeup and is legal). Also enabled by
      * LWSP_VERIFY_WAKEUPS=1 in the environment — the LWSP_VERIFY_EACH
      * of the scheduler.

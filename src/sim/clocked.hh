@@ -76,7 +76,7 @@ class Clocked
   private:
     friend class Simulator;
     Simulator *sim_ = nullptr;     ///< set at Simulator::add()
-    std::uint32_t schedIdx_ = 0;   ///< registration index (lane bit, heap slot)
+    std::uint32_t schedIdx_ = 0;   ///< registration index (wake-tick slot)
 
     std::string name_;
 };

@@ -3,24 +3,20 @@
  * The top-level clock driver, with two interchangeable engines.
  *
  * Owns no components (they are owned by the System being simulated);
- * holds raw registration pointers plus the event engine's two lanes.
+ * holds raw registration pointers plus the event engine's wake ticks.
  *
  * Engines (results are bit-identical, asserted by test_engine):
  *
- *  - Event (default): discrete-event scheduling over two lanes.
- *     - Due lane: a dense bitset, one bit per component in registration
- *       order, of the components due this cycle, plus a second bitset
- *       collecting those due next cycle. A component busy every cycle
- *       lives here and never touches the heap.
- *     - Sleeper lane: an indexed heap (EventQueue) keyed by the cycle
- *       each sleeping component next wants to tick.
- *    A cycle first lets the sleepers due now join the due bitset (a walk
- *    of the heap's due prefix; nothing is popped), then ticks the due
- *    components in registration order with count-trailing-zeros and
- *    re-arms each from its post-tick nextActiveTick(): due next cycle
- *    joins the next bitset, a later cycle keys the heap. External
- *    mutations re-arm through Clocked::rearm() -> touch(). Idle
- *    components cost nothing per skipped cycle.
+ *  - Event (default): discrete-event scheduling over one array of wake
+ *    ticks, one entry per component in registration order: the cycle
+ *    it next wants to tick. A cycle walks the array in order, ticks
+ *    every component whose entry is due and re-arms it from its
+ *    post-tick nextActiveTick(). External mutations re-arm through
+ *    Clocked::rearm() -> touch(), a single store. A due flag, set by
+ *    any wake tick stored for the next cycle to execute, keeps busy
+ *    stretches from scanning the array: only while it is clear does
+ *    nextEventTick() take the array's minimum, the target of a clock
+ *    jump. Idle components cost one compare per executed cycle.
  *
  *  - Cycle: the reference — tick every component every cycle. It reads
  *    no nextActiveTick() self-report and skips nothing, so it shares
@@ -30,9 +26,9 @@
  * The linear nextActiveTick() scan backs a debug cross-check
  * (LWSP_VERIFY_WAKEUPS=1, or SystemConfig::verifyWakeups): every time
  * the event engine would skip cycles it asserts its next wakeup is
- * never later than the full rescan — an early key is just a spurious
- * no-op wakeup, but a late key is a missed event, i.e. a component
- * changed state without re-arming.
+ * never later than the full rescan — an early wake tick is just a
+ * spurious no-op wakeup, but a late one is a missed event, i.e. a
+ * component changed state without re-arming.
  */
 
 #ifndef LWSP_SIM_SIMULATOR_HH
@@ -40,21 +36,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/clocked.hh"
-#include "sim/event_queue.hh"
 
 namespace lwsp {
 
 /** Which clock driver advances the components. */
 enum class SimEngine : std::uint8_t
 {
-    Event,  ///< due bitset + sleeper heap (default)
+    Event,  ///< wake-tick array (default)
     Cycle,  ///< reference loop: tick everyone every cycle
 };
 
@@ -96,7 +90,7 @@ class Simulator
     /** Select the engine; call before the first executeCycle(). */
     void setEngine(SimEngine e) { engine_ = e; }
 
-    /** Enable the lanes-vs-rescan cross-check (event engine only). */
+    /** Enable the wake-ticks-vs-rescan cross-check (event engine only). */
     void
     setVerifyWakeups(bool v)
     {
@@ -109,13 +103,12 @@ class Simulator
     {
         LWSP_ASSERT(component != nullptr, "null component");
         component->sim_ = this;
+        component->schedIdx_ = static_cast<std::uint32_t>(wake_.size());
+        components_.push_back(component);
         // Due at the current cycle: every component runs its first
         // tick, matching the cycle engine's unconditional cycle 0.
-        component->schedIdx_ = queue_.add(maxTick);
-        components_.push_back(component);
-        due_.resize((components_.size() + 63) / 64);
-        next_.resize(due_.size());
-        due_[component->schedIdx_ / 64] |= bitOf(component->schedIdx_);
+        wake_.push_back(now_);
+        mayBeDue_ = true;
     }
 
     /** Current cycle (the next cycle to execute). */
@@ -123,17 +116,19 @@ class Simulator
 
     /**
      * Earliest cycle >= now() at which any component might act. Event
-     * engine: now() while the due bitset is non-empty, else the heap
-     * minimum. Cycle engine: always now(), since the reference trusts
-     * no self-report.
+     * engine: now() while the due flag is set, else the minimum wake
+     * tick. Cycle engine: always now(), since the reference trusts no
+     * self-report.
      */
     Tick
     nextEventTick() const
     {
-        if (engine_ == SimEngine::Cycle || anyDue())
+        if (engine_ == SimEngine::Cycle || mayBeDue_)
             return now_;
-        Tick next =
-            queue_.empty() ? maxTick : std::max(now_, queue_.topTick());
+        Tick next = maxTick;
+        for (Tick w : wake_)
+            next = std::min(next, w);
+        next = std::max(next, now_);
         // A wakeup EARLIER than the component's self-report is legal:
         // the component wakes, no-ops (nextActiveTick contract) and
         // re-arms — e.g. a state change that postponed work without
@@ -145,12 +140,12 @@ class Simulator
             for (std::uint32_t i = 0;
                  i < static_cast<std::uint32_t>(components_.size()); ++i) {
                 const Clocked *c = components_[i];
-                if (wakeOf(i) > std::max(c->nextActiveTick(now_), now_))
+                if (wake_[i] > std::max(c->nextActiveTick(now_), now_))
                     bad = i;
             }
             LWSP_ASSERT(false,
                         "missed wakeup: component ", bad, " wakeup ",
-                        wakeOf(bad), " is past its self-reported ",
+                        wake_[bad], " is past its self-reported ",
                         components_[bad]->nextActiveTick(now_),
                         " at cycle ", now_,
                         " — state changed without rearm()");
@@ -176,34 +171,21 @@ class Simulator
             return;
         }
         inCycle_ = true;
-        // Sleepers due now join the bitset but keep their heap key
-        // until their post-tick re-arm moves them.
-        queue_.forEachDue(t, [this](std::uint32_t i) {
-            due_[i / 64] |= bitOf(i);
-        });
-        // Bits behind the cursor are clear and touch() only sets bits
-        // ahead of it, so the lowest set bit is always the next tick.
-        for (std::size_t w = 0; w < due_.size(); ++w) {
-            while (due_[w] != 0) {
-                curIdx_ = static_cast<std::uint32_t>(
-                    w * 64 + std::countr_zero(due_[w]));
-                due_[w] &= due_[w] - 1;
-                Clocked *c = components_[curIdx_];
-                c->tick(t);
-                // Self-touches during the tick are folded into this
-                // re-arm; the contract guarantees it is strictly past t.
-                // The walk cleared the due bit and no touch set the next
-                // one, so only the new lane needs writing.
-                Tick next = c->nextActiveTick(t + 1);
-                LWSP_ASSERT(next > t, "component re-armed in the past");
-                const bool busy = next == t + 1;
-                if (busy)
-                    next_[w] |= bitOf(curIdx_);
-                queue_.set(curIdx_, busy ? maxTick : next);
-            }
+        mayBeDue_ = false;
+        for (curIdx_ = 0; curIdx_ < wake_.size(); ++curIdx_) {
+            if (wake_[curIdx_] > t)
+                continue;
+            Clocked *c = components_[curIdx_];
+            c->tick(t);
+            // Self-touches during the tick are folded into this
+            // re-arm; the contract guarantees it is strictly past t.
+            Tick next = c->nextActiveTick(t + 1);
+            LWSP_ASSERT(next > t, "component re-armed in the past");
+            wake_[curIdx_] = next;
+            if (next == t + 1)
+                mayBeDue_ = true;
         }
         inCycle_ = false;
-        due_.swap(next_);
         ++now_;
     }
 
@@ -247,7 +229,11 @@ class Simulator
      *  - a component at or *behind* the tick in progress re-evaluates
      *    from the next cycle: the cycle engine already ran (or provably
      *    no-op'd) its slot this cycle before the mutation happened.
-     * place() then moves it to the lane its next tick calls for.
+     * The touch stores the wake tick, and one due by the next cycle to
+     * execute sets the due flag (mid-cycle, one at now() is ticked by
+     * the walk in progress and leaves the flag set harmlessly). A
+     * postponing touch leaves the flag as it was: if it goes stale, the
+     * next cycle ticks nothing and clears it.
      */
     void
     touch(Clocked &c)
@@ -262,72 +248,20 @@ class Simulator
             if (idx < curIdx_)
                 base = now_ + 1;
         }
-        place(idx, std::max(c.nextActiveTick(base), base));
+        const Tick n = std::max(c.nextActiveTick(base), base);
+        wake_[idx] = n;
+        if (n <= now_ + (inCycle_ ? 1 : 0))
+            mayBeDue_ = true;
     }
 
   private:
-    static constexpr std::uint64_t
-    bitOf(std::uint32_t idx)
-    {
-        return std::uint64_t{1} << (idx % 64);
-    }
-
-    bool
-    anyDue() const
-    {
-        return std::any_of(due_.begin(), due_.end(),
-                           [](std::uint64_t w) { return w != 0; });
-    }
-
-    /** Cycle component @p idx next ticks at as the lanes hold it
-     *  (outside a cycle): now() in the due bitset, else its heap key. */
-    Tick
-    wakeOf(std::uint32_t idx) const
-    {
-        return (due_[idx / 64] & bitOf(idx)) != 0 ? now_
-                                                  : queue_.keyOf(idx);
-    }
-
-    /**
-     * touch()'s lane move: put component @p idx, wherever it is, in the
-     * lane for its next tick @p n >= now(), and clear it from the others:
-     *  - n == now(): the due bitset. A woken sleeper keeps its due heap
-     *    key until its post-tick re-arm, which re-keys it anyway;
-     *  - n == now() + 1 mid-cycle: the next-cycle bitset;
-     *  - otherwise: a heap key at n.
-     * A lane member's heap key is parked at maxTick.
-     */
-    void
-    place(std::uint32_t idx, Tick n)
-    {
-        std::uint64_t &due = due_[idx / 64];
-        std::uint64_t &next = next_[idx / 64];
-        const std::uint64_t bit = bitOf(idx);
-        Tick key = maxTick;
-        if (n == now_) {
-            due |= bit;
-            next &= ~bit;
-            if (queue_.keyOf(idx) <= now_)
-                return;
-        } else if (n == now_ + 1 && inCycle_) {
-            due &= ~bit;
-            next |= bit;
-        } else {
-            due &= ~bit;
-            next &= ~bit;
-            key = n;
-        }
-        queue_.set(idx, key);
-    }
-
     Tick now_ = 0;
     std::vector<Clocked *> components_;
-    std::vector<std::uint64_t> due_;   ///< due lane, this cycle
-    std::vector<std::uint64_t> next_;  ///< due lane, next cycle
-    EventQueue queue_;                 ///< sleeper lane
+    std::vector<Tick> wake_;  ///< registration index -> next wake tick
     SimEngine engine_ = SimEngine::Event;
     bool verify_ = false;
     bool inCycle_ = false;
+    bool mayBeDue_ = false;   ///< some wake tick may be <= the next cycle
     std::uint32_t curIdx_ = 0;
 };
 

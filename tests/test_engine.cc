@@ -14,10 +14,11 @@
  * without rearm()" cross-check. Another pins that the cycle engine
  * reads no self-report: it ticks every component every cycle.
  *
- * The Lanes tests drive a bare Simulator with scripted components and
- * compare the exact (component, cycle) tick log against a hand-written
- * one: lane moves, the mid-cycle touch() rules, a due bitset wider than
- * one word, and the verify cross-check.
+ * The Scheduler tests drive a bare Simulator with scripted components
+ * and compare the exact (component, cycle) tick log against a
+ * hand-written one: busy and sleeping re-arms, the touch() rules
+ * between cycles and mid-cycle, a postponement that leaves the due flag
+ * stale, more than 64 components, and the verify cross-check.
  */
 
 #include <gtest/gtest.h>
@@ -482,7 +483,7 @@ runUntil(Simulator &sim, Tick end)
 
 } // namespace
 
-TEST(Lanes, BusySleepingBusy)
+TEST(Scheduler, BusySleepingBusy)
 {
     // Every component ticks at cycle 0; afterwards only when due. A runs
     // every cycle, sleeps over 3..5 while B wakes once, then runs again.
@@ -500,7 +501,7 @@ TEST(Lanes, BusySleepingBusy)
     EXPECT_EQ(sim.nextEventTick(), maxTick);
 }
 
-TEST(Lanes, MidCycleTouchAheadJoinsBehindWaits)
+TEST(Scheduler, MidCycleTouchAheadJoinsBehindWaits)
 {
     // P (index 1) pokes both neighbours during its tick at cycle 5. Y is
     // ahead of P, so the cycle engine would tick it after P this cycle;
@@ -521,11 +522,11 @@ TEST(Lanes, MidCycleTouchAheadJoinsBehindWaits)
                             {0, 6}}));
 }
 
-TEST(Lanes, TouchPostponesComponentDueThisCycle)
+TEST(Scheduler, TouchPostponesComponentDueThisCycle)
 {
-    // At cycle 5 both Q1 (busy, in the due lane) and Q2 (a sleeper the
-    // heap woke) are due. P ticks first and moves their work later: Q1
-    // to the next cycle, Q2 to cycle 8. Neither may tick at 5.
+    // At cycle 5 both Q1 (busy, re-armed every cycle) and Q2 (a sleeper
+    // since cycle 0) are due. P ticks first and moves their work later:
+    // Q1 to the next cycle, Q2 to cycle 8. Neither may tick at 5.
     TickLog log;
     Scripted p(0, log, {5});
     Scripted q1(1, log, {3, 4, 5});
@@ -542,11 +543,51 @@ TEST(Lanes, TouchPostponesComponentDueThisCycle)
                             {0, 5}, {1, 6}, {2, 8}}));
 }
 
-TEST(Lanes, DueBitsetSpansWords)
+TEST(Scheduler, PokeBetweenCyclesWakesSleeperNow)
 {
-    // 70 components: the due bitset needs two words. Component 69 is
-    // busy over 1..3. At cycle 2, 5 pokes 65 (ahead, next word) and 66
-    // pokes 6 (behind, previous word).
+    // After cycle 3 everyone sleeps and the clock jumps to 10. Pokes
+    // made there, outside any cycle, are due at now() — B's as much as
+    // A's, though B is poked first and sits later in registration order.
+    TickLog log;
+    Scripted a(0, log);
+    Scripted b(1, log, {3});
+    Simulator sim;
+    sim.add(&a);
+    sim.add(&b);
+    runUntil(sim, 10);
+    EXPECT_EQ(sim.now(), 10u);
+    b.poke();
+    a.poke();
+    EXPECT_EQ(sim.nextEventTick(), 10u);
+    runUntil(sim, 20);
+    EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {1, 3}, {0, 10}, {1, 10}}));
+    EXPECT_EQ(sim.nextEventTick(), maxTick);
+}
+
+TEST(Scheduler, PostponingTheOnlyNextCycleWakeIsHarmless)
+{
+    // At cycle 4 Q ticks and re-arms for 5, the only wake due next
+    // cycle. P, ticking after it, postpones that work to 9. The due
+    // flag set by Q's re-arm is now stale: cycle 5 ticks nobody, and
+    // from then on the clock jumps straight to 9.
+    TickLog log;
+    Scripted q(0, log, {4, 5});
+    Scripted p(1, log, {4});
+    p.actions[4] = [&] { q.postpone(5, 9); };
+    Simulator sim;
+    sim.add(&q);
+    sim.add(&p);
+    runUntil(sim, 6);
+    EXPECT_EQ(sim.nextEventTick(), 9u);
+    runUntil(sim, 20);
+    EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {0, 4}, {1, 4}, {0, 9}}));
+}
+
+TEST(Scheduler, SeventyComponents)
+{
+    // 70 components, more than one 64-bit word's worth. Component 69 is
+    // busy over 1..3. At cycle 2, 5 pokes 65 (ahead, 60 slots on) and
+    // 66 pokes 6 (behind, 60 slots back).
     constexpr int n = 70;
     TickLog log;
     std::vector<std::unique_ptr<Scripted>> cs;
@@ -571,12 +612,12 @@ TEST(Lanes, DueBitsetSpansWords)
     EXPECT_EQ(log, want);
 }
 
-TEST(Lanes, VerifyCatchesUnarmedMutationFromTheDueLane)
+TEST(Scheduler, VerifyCatchesUnarmedMutationFromABusyPeer)
 {
     // B works every cycle through 3; at cycle 2 its tick hands A, asleep
-    // in the heap, one tick of work. Re-armed, A ticks at 3 (it is
-    // behind B). Unarmed, the engine would never tick A again: once the
-    // due lane empties, the verify rescan must catch the missed wakeup.
+    // since cycle 0, one tick of work. Re-armed, A ticks at 3 (it is
+    // behind B). Unarmed, the engine would never tick A again: once B
+    // sleeps too, the verify rescan must catch the missed wakeup.
     for (bool armed : {true, false}) {
         TickLog log;
         Scripted a(0, log);
