@@ -12,7 +12,7 @@ namespace mem {
 MemController::MemController(McId id, const McConfig &cfg, MemImage &pm,
                              noc::Noc &noc_net)
     : Clocked("mc" + std::to_string(id)), id_(id), cfg_(cfg), pm_(pm),
-      noc_(noc_net), treeAcks_(noc_net.isTree()), wpq_(cfg.wpqEntries),
+      noc_(noc_net), wpq_(cfg.wpqEntries),
       dramCache_("mc" + std::to_string(id) + ".dramcache", dramCacheConfig)
 {
     LWSP_ASSERT(id < noc_.numMcs(), "MC id out of range");
@@ -124,19 +124,13 @@ MemController::accept(const PersistEntry &e, Tick now)
 }
 
 void
-MemController::sendToPeers(McMsg::Type type, RegionId r, Tick now)
+MemController::ackRound(McMsg::Type type, RegionId r, Tick now)
 {
     McMsg msg;
     msg.type = type;
     msg.region = r;
     msg.from = id_;
-    if (treeAcks_) {
-        // One ACK up the aggregation tree; the completed round comes
-        // back as the root's BdryAllAcked / FlushAllAcked announcement.
-        noc_.ackUp(id_, msg, now);
-        return;
-    }
-    noc_.sendToPeers(id_, msg, now);
+    noc_.ackRound(id_, msg, now);
 }
 
 void
@@ -148,8 +142,16 @@ MemController::receive(const McMsg &msg, Tick now)
                     msg.type == McMsg::Type::FlushAllAcked,
                 "mc", id_, ": boundary message for retired region ",
                 msg.region);
+    // A root announcement (tree fabric) is every peer's ACK at once.
+    const bool all = msg.type == McMsg::Type::BdryAllAcked ||
+                     msg.type == McMsg::Type::FlushAllAcked;
+    RegionState &st = state(msg.region);
+    // bcastLatency is sampled below when this message completes an
+    // arrived region's bdry-ACK round, which only an arrival or a
+    // bdry-ACK can do.
+    bool was_complete = true;
     switch (msg.type) {
-      case McMsg::Type::BdryArrival: {
+      case McMsg::Type::BdryArrival:
         if (cfg_.oracle)
             cfg_.oracle->onBdryArrival(id_, msg.region, now);
         trace::emitIf<trace::Category::Boundary>(
@@ -157,67 +159,49 @@ MemController::receive(const McMsg &msg, Tick now)
             {now, trace::EventType::BoundaryBcastRecv,
              static_cast<std::int32_t>(id_), 0, msg.region, 0, 0,
              msg.from});
-        RegionState &st = state(msg.region);
         st.bdryArrived = true;
         st.bdryArrivedAt = now;
-        if (bdryAcksComplete(st))
-            counters_.bcastLatency.sample(0);
+        was_complete = false;  // a round done before arrival took 0 cycles
         if (!st.bdryAckSent) {
             st.bdryAckSent = true;
-            sendToPeers(McMsg::Type::BdryAck, msg.region, now);
+            ackRound(McMsg::Type::BdryAck, msg.region, now);
         }
         // Fallback ends once the awaited boundary shows up; the undo log
         // is retained until the region is provably committed (ready).
         if (fallbackActive_ && msg.region == drainCursor_)
             fallbackActive_ = false;
         break;
-      }
       case McMsg::Type::BdryAck:
-        if (cfg_.oracle)
-            cfg_.oracle->onBdryAck(id_, msg.region, msg.from);
+      case McMsg::Type::BdryAllAcked:
+        if (cfg_.oracle) {
+            if (all)
+                cfg_.oracle->onBdryAllAcked(id_, msg.region);
+            else
+                cfg_.oracle->onBdryAck(id_, msg.region, msg.from);
+        }
         trace::emitIf<trace::Category::Boundary>(
             cfg_.sink,
             {now, trace::EventType::BoundaryAck,
              static_cast<std::int32_t>(id_), 0, msg.region, 0, 0,
-             msg.from});
-        {
-            RegionState &st = state(msg.region);
-            bool was_complete = bdryAcksComplete(st);
+             all ? noc_.numMcs() : msg.from});
+        was_complete = bdryAcksComplete(st);
+        if (all)
+            st.bdryAcks.setAll();
+        else
             st.bdryAcks.set(msg.from);
-            if (!was_complete && st.bdryArrived &&
-                bdryAcksComplete(st)) {
-                counters_.bcastLatency.sample(
-                    static_cast<double>(now - st.bdryArrivedAt));
-            }
-        }
         break;
       case McMsg::Type::FlushAck:
-        state(msg.region).flushAcks.set(msg.from);
-        maybeAdvanceFlushId(now);
-        break;
-      case McMsg::Type::BdryAllAcked: {
-        // Tree-fabric root announcement: every MC's bdry-ACK for this
-        // region aggregated. Stands in for the flat all-to-all round.
-        if (cfg_.oracle)
-            cfg_.oracle->onBdryAllAcked(id_, msg.region);
-        trace::emitIf<trace::Category::Boundary>(
-            cfg_.sink,
-            {now, trace::EventType::BoundaryAck,
-             static_cast<std::int32_t>(id_), 0, msg.region, 0, 0,
-             noc_.numMcs()});
-        RegionState &st = state(msg.region);
-        bool was_complete = st.allBdryAcked;
-        st.allBdryAcked = true;
-        if (!was_complete && st.bdryArrived) {
-            counters_.bcastLatency.sample(
-                static_cast<double>(now - st.bdryArrivedAt));
-        }
-        break;
-      }
       case McMsg::Type::FlushAllAcked:
-        state(msg.region).allFlushAcked = true;
+        if (all)
+            st.flushAcks.setAll();
+        else
+            st.flushAcks.set(msg.from);
         maybeAdvanceFlushId(now);
         break;
+    }
+    if (!was_complete && st.bdryArrived && bdryAcksComplete(st)) {
+        counters_.bcastLatency.sample(
+            static_cast<double>(now - st.bdryArrivedAt));
     }
     rearm();
 }
@@ -326,7 +310,7 @@ MemController::finishLocalFlush(RegionId r, Tick now)
         cfg_.sink,
         {now, trace::EventType::WpqDrainDone,
          static_cast<std::int32_t>(id_), 0, r, 0, 0, wpq_.size()});
-    sendToPeers(McMsg::Type::FlushAck, r, now);
+    ackRound(McMsg::Type::FlushAck, r, now);
     maybeAdvanceFlushId(now);
 }
 

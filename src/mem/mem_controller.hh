@@ -5,9 +5,12 @@
  * The controller realises lazy region-level persist ordering (LRPO,
  * paper §III-B/IV-B): it learns the execution order of regions from
  * boundary broadcasts, exchanges bdry-ACKs and flush-ACKs with its peer
- * MCs, and releases WPQ entries to PM strictly in region-ID order. It also
- * owns this channel's DRAM cache (Optane-memory-mode style) and serves
- * LLC load misses with the parallel PM-read + WPQ CAM search of §IV-H.
+ * MCs, and releases WPQ entries to PM strictly in region-ID order. The
+ * exchange never asks which fabric carries it: each ACK round is one
+ * `Noc::ackRound` call, and a tree root's announcement is read as every
+ * peer's ACK (noc/noc.hh). The controller also owns this channel's DRAM
+ * cache (Optane-memory-mode style) and serves LLC load misses with the
+ * parallel PM-read + WPQ CAM search of §IV-H.
  *
  * Deadlock resolution (§IV-D): when the WPQ fills while the boundary of
  * the region being drained has not arrived, the controller flushes that
@@ -271,10 +274,13 @@ class MemController : public Clocked, public McEndpoint
     struct RegionState
     {
         bool bdryArrived = false;
-        DynBitset bdryAcks;           ///< per-peer bdry-ACKs (flat fabric)
-        DynBitset flushAcks;          ///< flush-ACKs incl. self (flat)
-        bool allBdryAcked = false;    ///< root announcement (tree fabric)
-        bool allFlushAcked = false;   ///< root announcement (tree fabric)
+        /**
+         * One bit per MC whose bdry-ACK / flush-ACK has been observed
+         * (flushAcks includes our own). A root announcement sets them
+         * all at once.
+         */
+        DynBitset bdryAcks;
+        DynBitset flushAcks;
         bool localFlushDone = false;
         bool bdryAckSent = false;
         Tick bdryArrivedAt = 0;       ///< stats-only (bcastLatency)
@@ -319,19 +325,18 @@ class MemController : public Clocked, public McEndpoint
     bool
     bdryAcksComplete(const RegionState &st) const
     {
-        return treeAcks_ ? st.allBdryAcked
-                         : st.bdryAcks.containsAll(peersAll_);
+        return st.bdryAcks.containsAll(peersAll_);
     }
 
     /** Every MC's flush-ACK for the region has been observed. */
     bool
     flushAcksComplete(const RegionState &st) const
     {
-        return treeAcks_ ? st.allFlushAcked
-                         : st.flushAcks.containsAll(peersAll_);
+        return st.flushAcks.containsAll(peersAll_);
     }
 
-    void sendToPeers(McMsg::Type type, RegionId r, Tick now);
+    /** Hand our @p type ACK round for region @p r to the fabric. */
+    void ackRound(McMsg::Type type, RegionId r, Tick now);
 
     /** Mark region @p r locally flushed; exchange flush-ACKs; advance. */
     void finishLocalFlush(RegionId r, Tick now);
@@ -372,14 +377,6 @@ class MemController : public Clocked, public McEndpoint
     const McConfig cfg_;
     MemImage &pm_;
     noc::Noc &noc_;
-    /**
-     * ACKs ride a tree aggregation fabric (noc/topology.hh): instead of
-     * all-to-all peer unicasts the MC hands a single ACK to its leaf
-     * uplink (`Noc::ackUp`) and learns round completion from the root's
-     * BdryAllAcked / FlushAllAcked announcements. noc_.isTree(), cached
-     * for the hot path; false for one MC (a one-leaf tree is flat).
-     */
-    const bool treeAcks_;
     DynBitset peersAll_;  ///< every MC id except our own
     Wpq wpq_;
     Cache dramCache_;

@@ -53,10 +53,10 @@ struct McMsg
         BdryAck,       ///< "I have received boundary <region>"
         FlushAck,      ///< "I have flushed all my entries of <region>"
         /**
-         * Tree-fabric root announcements (see noc/topology.hh): every
-         * MC's BdryAck/FlushAck for <region> has aggregated to the root,
-         * which broadcasts the completed round back down in place of the
-         * flat fabric's all-to-all ACK exchange.
+         * Tree-fabric root announcements (see noc/noc.hh): every MC's
+         * BdryAck/FlushAck for <region> has aggregated to the root,
+         * which sends the completed round back down. An MC reads one as
+         * every peer's ACK of that type at once.
          */
         BdryAllAcked,
         FlushAllAcked,

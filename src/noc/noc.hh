@@ -8,10 +8,19 @@
  * `deliverAllNow()` drains them so in-flight ACKs still reach their
  * targets, while anything a core had in flight simply dies with the core.
  *
- * Two fabrics (see topology.hh):
+ * The Noc is the only module that knows the fabric's shape. Its send
+ * API is two calls: the router's `broadcastBoundary`, and an MC's
+ * `ackRound`, which hands one ACK round to whichever fabric is built.
+ * Every message reaches an MC through one port (`deliver`), so an MC
+ * only ever sees BdryArrival, a peer's BdryAck/FlushAck, or a root
+ * announcement it reads as every peer's ACK at once.
+ *
+ * Two fabrics (see topology.hh), sharing one array of links into MCs
+ * and switch stages (`downLinks_`):
  *
  *  - Flat (default, the paper's machine): a dedicated router->MC link per
- *    MC; ACKs are all-to-all MC unicasts (O(MCs^2) messages per region).
+ *    MC; an ACK round is one unicast per peer (O(MCs^2) messages per
+ *    region).
  *
  *  - Tree (radix r): boundary broadcasts descend a complete r-ary tree
  *    of switch stages, one hop latency per level; ACKs ascend it, each
@@ -38,6 +47,9 @@
  * injector armed but all probabilities zero, every copy is delivered
  * before its deadline and the pending entry is erased on arrival —
  * timing and traces are bit-identical to the fire-and-forget path.
+ * Armed or not, a broadcast takes one path: arming only stamps the
+ * `bcastId` and files the pending entry first, and every copy leaves
+ * through `sendCopy`, which rolls a fate only for a stamped copy.
  *
  * Delivery tracking uses a size-checked DynBitset shared by the retry
  * path and `deliverAllNow` — the old single-`uint64_t` mask made
@@ -81,7 +93,7 @@ class Noc : public Clocked
             upLinks_.resize(shape_->numNodes());
             aggSlots_.resize(shape_->numNodes());
         } else {
-            inboxes_.resize(num_mcs);
+            downLinks_.resize(num_mcs);
         }
     }
 
@@ -101,48 +113,28 @@ class Noc : public Clocked
     unsigned numMcs() const { return numMcs_; }
     bool isTree() const { return shape_ != nullptr; }
 
-    /** MC-to-MC unicast (flat-mode ACKs). */
-    void
-    send(McId to, const mem::McMsg &msg, Tick now)
-    {
-        LWSP_ASSERT(!isTree(), "unicast send on a tree fabric");
-        LWSP_ASSERT(to < inboxes_.size(), "bad MC id");
-        push(inboxes_[to], now, hopLatency_, msg);
-        ++counters_.messagesSent;
-        rearm();
-    }
-
     /**
-     * One flat ACK round: MC @p from unicasts @p msg to every peer, in
-     * ascending MC order, with a single re-arm — the same pushes and
-     * messagesSent as one send() per peer.
+     * MC @p from's bdry-ACK or flush-ACK round for @p msg. Flat: one
+     * unicast per peer, in ascending MC order. Tree: one ACK onto the
+     * MC's leaf uplink; interior nodes aggregate it on the way up and
+     * the root announces the completed round to every MC.
      */
     void
-    sendToPeers(McId from, const mem::McMsg &msg, Tick now)
+    ackRound(McId from, const mem::McMsg &msg, Tick now)
     {
-        LWSP_ASSERT(!isTree(), "peer round on a tree fabric");
         LWSP_ASSERT(from < numMcs_, "bad MC id");
         if (numMcs_ == 1)
             return;  // no peers: nothing sent, nothing to re-arm
-        for (McId mc = 0; mc < numMcs_; ++mc) {
-            if (mc != from)
-                push(inboxes_[mc], now, hopLatency_, msg);
+        if (isTree()) {
+            push(upLinks_[from], now, hopLatency_, msg);
+            ++counters_.messagesSent;
+        } else {
+            for (McId mc = 0; mc < numMcs_; ++mc) {
+                if (mc != from)
+                    push(downLinks_[mc], now, hopLatency_, msg);
+            }
+            counters_.messagesSent += numMcs_ - 1;
         }
-        counters_.messagesSent += numMcs_ - 1;
-        rearm();
-    }
-
-    /**
-     * Tree-mode ACK ingress: MC @p from hands its BdryAck/FlushAck to its
-     * leaf's uplink; interior nodes aggregate on the way to the root.
-     */
-    void
-    ackUp(McId from, const mem::McMsg &msg, Tick now)
-    {
-        LWSP_ASSERT(isTree(), "ackUp on a flat fabric");
-        LWSP_ASSERT(from < numMcs_, "bad MC id");
-        push(upLinks_[from], now, hopLatency_, msg);
-        ++counters_.messagesSent;
         rearm();
     }
 
@@ -153,33 +145,23 @@ class Noc : public Clocked
         mem::McMsg msg;
         msg.type = mem::McMsg::Type::BdryArrival;
         msg.region = region;
-        if (faults_ == nullptr) {
-            if (isTree()) {
-                forwardDown(shape_->root(), msg, now, false);
-            } else {
-                for (McId mc = 0; mc < inboxes_.size(); ++mc)
-                    send(mc, msg, now);
-            }
-            ++counters_.boundariesBroadcast;
-            rearm();
-            return;
+        bool pin_drop = false;
+        if (faults_ != nullptr) {
+            // The pending entry exists before the copies leave: tree
+            // forwarding consults it to prune delivered subtrees.
+            msg.bcastId = nextBcastId_++;
+            PendingBcast &pb = pending_.emplace_back();
+            pb.msg = msg;
+            pb.pending.reset(numMcs_);
+            pb.pending.setAll();
+            pb.deadline = now + retryTimeout_;
+            pin_drop = faults_->pinnedBcastDrop(now);
         }
-        msg.bcastId = nextBcastId_++;
-        PendingBcast pb;
-        pb.msg = msg;
-        pb.pending.reset(numMcs_);
-        pb.pending.setAll();
-        pb.deadline = now + retryTimeout_;
-        bool pin_drop = faults_->pinnedBcastDrop(now);
         if (isTree()) {
-            // The pending entry must exist before the descent so interior
-            // forwarding can consult it for subtree pruning.
-            pending_.push_back(pb);
             forwardDown(shape_->root(), msg, now, pin_drop);
         } else {
-            for (McId mc = 0; mc < inboxes_.size(); ++mc)
-                sendFaultyTo(inboxes_[mc], msg, now, pin_drop);
-            pending_.push_back(pb);
+            for (McId mc = 0; mc < numMcs_; ++mc)
+                sendCopy(downLinks_[mc], msg, now, pin_drop);
         }
         ++counters_.boundariesBroadcast;
         rearm();
@@ -188,25 +170,13 @@ class Noc : public Clocked
     void
     tick(Tick now) override
     {
-        if (isTree()) {
-            for (unsigned n = 0; n < downLinks_.size(); ++n) {
-                while (downLinks_[n].headReady(now))
-                    handleDownAt(n, downLinks_[n].pop(), now);
-            }
-            for (unsigned n = 0; n < upLinks_.size(); ++n) {
-                while (upLinks_[n].headReady(now))
-                    aggregateAt(shape_->parent(n), n, upLinks_[n].pop(),
-                                now);
-            }
-        } else {
-            for (McId mc = 0; mc < inboxes_.size(); ++mc) {
-                while (inboxes_[mc].headReady(now)) {
-                    mem::McMsg msg = inboxes_[mc].pop();
-                    if (msg.bcastId != 0 && !markDelivered(msg.bcastId, mc))
-                        continue;  // duplicate copy: filtered at the port
-                    endpoints_.at(mc)->receive(msg, now);
-                }
-            }
+        for (unsigned n = 0; n < downLinks_.size(); ++n) {
+            while (downLinks_[n].headReady(now))
+                handleDownAt(n, downLinks_[n].pop(), now);
+        }
+        for (unsigned n = 0; n < upLinks_.size(); ++n) {
+            while (upLinks_[n].headReady(now))
+                aggregateAt(shape_->parent(n), n, upLinks_[n].pop(), now);
         }
         recomputeHeadTick();
         if (faults_ != nullptr && !pending_.empty())
@@ -235,7 +205,7 @@ class Noc : public Clocked
     nextActiveTickByRescan(Tick now) const
     {
         Tick next = maxTick;
-        for (const auto *links : {&inboxes_, &downLinks_, &upLinks_}) {
+        for (const auto *links : {&downLinks_, &upLinks_}) {
             for (const auto &link : *links) {
                 if (!link.empty())
                     next = std::min(next,
@@ -259,35 +229,28 @@ class Noc : public Clocked
     void
     deliverAllNow(Tick now)
     {
-        if (isTree()) {
-            bool again = true;
-            while (again) {
-                again = false;
-                for (unsigned n = 0; n < downLinks_.size(); ++n) {
-                    while (!downLinks_[n].empty()) {
-                        handleDownAt(n, downLinks_[n].pop(), now,
-                                     /*reliable=*/true);
-                        again = true;
-                    }
-                }
-                for (unsigned n = 0; n < upLinks_.size(); ++n) {
-                    while (!upLinks_[n].empty()) {
-                        aggregateAt(shape_->parent(n), n,
-                                    upLinks_[n].pop(), now);
-                        again = true;
-                    }
+        // A tree drains to quiescence; a flat fabric takes one pass, so
+        // an ACK pushed to an MC the pass already emptied waits for the
+        // drain loop's next call (the storm benches' drain-interrupt
+        // budgets count those calls).
+        bool again;
+        do {
+            again = false;
+            for (unsigned n = 0; n < downLinks_.size(); ++n) {
+                while (!downLinks_[n].empty()) {
+                    handleDownAt(n, downLinks_[n].pop(), now,
+                                 /*reliable=*/true);
+                    again = true;
                 }
             }
-        } else {
-            for (McId mc = 0; mc < inboxes_.size(); ++mc) {
-                while (!inboxes_[mc].empty()) {
-                    mem::McMsg msg = inboxes_[mc].pop();
-                    if (msg.bcastId != 0 && !markDelivered(msg.bcastId, mc))
-                        continue;  // duplicate copy: filtered at the port
-                    endpoints_.at(mc)->receive(msg, now);
+            for (unsigned n = 0; n < upLinks_.size(); ++n) {
+                while (!upLinks_[n].empty()) {
+                    aggregateAt(shape_->parent(n), n, upLinks_[n].pop(),
+                                now);
+                    again = true;
                 }
             }
-        }
+        } while (again && isTree());
         recomputeHeadTick();
         if (faults_ != nullptr) {
             for (const auto &pb : pending_) {
@@ -348,7 +311,7 @@ class Noc : public Clocked
     recomputeHeadTick()
     {
         headTick_ = maxTick;
-        for (const auto *links : {&inboxes_, &downLinks_, &upLinks_}) {
+        for (const auto *links : {&downLinks_, &upLinks_}) {
             for (const auto &link : *links) {
                 if (!link.empty())
                     headTick_ = std::min(headTick_, link.headReadyTick());
@@ -377,14 +340,23 @@ class Noc : public Clocked
         unsigned attempts = 0;
     };
 
-    /** Send one broadcast copy through the fault injector's fate roll. */
+    /**
+     * Send one broadcast copy down @p line. A fault-armed copy
+     * (bcastId != 0) rolls the injector's fate, unless @p reliable
+     * (battery-backed forwarding in the crash drain); anything else —
+     * a fault-null broadcast, a root announcement — is one plain push.
+     */
     void
-    sendFaultyTo(DelayLine<mem::McMsg> &line, const mem::McMsg &msg,
-                 Tick now, bool pin_drop)
+    sendCopy(DelayLine<mem::McMsg> &line, const mem::McMsg &msg, Tick now,
+             bool pin_drop, bool reliable = false)
     {
+        ++counters_.messagesSent;
+        if (msg.bcastId == 0 || reliable) {
+            push(line, now, hopLatency_, msg);
+            return;
+        }
         fault::BcastFate fate =
             pin_drop ? fault::BcastFate::Drop : faults_->bcastFate();
-        ++counters_.messagesSent;
         switch (fate) {
           case fault::BcastFate::Deliver:
             push(line, now, hopLatency_, msg);
@@ -415,45 +387,46 @@ class Noc : public Clocked
     }
 
     /**
-     * Tree: push @p msg onto every child link of @p node. Fault-armed
-     * broadcasts (bcastId != 0) roll a fate per link and skip subtrees
-     * with no undelivered MC left; control traffic (fault-null
-     * broadcasts, AllAcked announcements) always rides reliably.
-     * @p reliable forces battery-mode forwarding during the crash drain.
+     * Tree: send @p msg down every child link of @p node. A fault-armed
+     * broadcast skips subtrees with no undelivered MC left.
      */
     void
     forwardDown(unsigned node, const mem::McMsg &msg, Tick now,
                 bool pin_drop, bool reliable = false)
     {
+        const PendingBcast *pb =
+            msg.bcastId != 0 ? findPending(msg.bcastId) : nullptr;
         for (unsigned c : shape_->children(node)) {
-            if (msg.bcastId != 0) {
-                const PendingBcast *pb = findPending(msg.bcastId);
-                if (pb == nullptr ||
-                    !pb->pending.intersects(shape_->leavesUnder(c)))
-                    continue;  // every MC below already has a copy
-                if (!reliable) {
-                    sendFaultyTo(downLinks_[c], msg, now, pin_drop);
-                    continue;
-                }
-            }
-            push(downLinks_[c], now, hopLatency_, msg);
-            ++counters_.messagesSent;
+            if (msg.bcastId != 0 &&
+                (pb == nullptr ||
+                 !pb->pending.intersects(shape_->leavesUnder(c))))
+                continue;  // every MC below already has a copy
+            sendCopy(downLinks_[c], msg, now, pin_drop, reliable);
         }
     }
 
-    /** Tree: a message surfaced at @p node on its downlink. */
+    /**
+     * A message surfaced at the end of node @p node's downlink: an MC's
+     * port (node ids below numMcs_ on either fabric), or a tree switch
+     * stage that forwards it on.
+     */
     void
     handleDownAt(unsigned node, const mem::McMsg &msg, Tick now,
                  bool reliable = false)
     {
-        if (shape_->isLeaf(node)) {
-            McId mc = static_cast<McId>(node);
-            if (msg.bcastId != 0 && !markDelivered(msg.bcastId, mc))
-                return;  // duplicate copy: filtered at the port
-            endpoints_.at(mc)->receive(msg, now);
-            return;
-        }
-        forwardDown(node, msg, now, /*pin_drop=*/false, reliable);
+        if (node < numMcs_)
+            deliver(static_cast<McId>(node), msg, now);
+        else
+            forwardDown(node, msg, now, /*pin_drop=*/false, reliable);
+    }
+
+    /** MC @p mc's port: filter a duplicate broadcast copy, else receive. */
+    void
+    deliver(McId mc, const mem::McMsg &msg, Tick now)
+    {
+        if (msg.bcastId != 0 && !markDelivered(msg.bcastId, mc))
+            return;  // this MC already has a copy
+        endpoints_.at(mc)->receive(msg, now);
     }
 
     /**
@@ -539,7 +512,7 @@ class Noc : public Clocked
             } else {
                 for (McId mc = 0; mc < numMcs_; ++mc) {
                     if (pb.pending.test(mc))
-                        sendFaultyTo(inboxes_[mc], pb.msg, now, false);
+                        sendCopy(downLinks_[mc], pb.msg, now, false);
                 }
             }
             // Exponential backoff, capped so deadlines stay sane.
@@ -553,7 +526,6 @@ class Noc : public Clocked
 
     Tick hopLatency_;
     unsigned numMcs_;
-    std::vector<DelayLine<mem::McMsg>> inboxes_;  ///< flat: router->MC
     std::vector<mem::McEndpoint *> endpoints_;
     Counters counters_;
 
@@ -564,10 +536,14 @@ class Noc : public Clocked
      */
     Tick headTick_ = maxTick;
 
+    /**
+     * The link into node n, indexed by n. Flat: the router's link to
+     * MC n. Tree: the link from parent(n) down to n (root unused).
+     */
+    std::vector<DelayLine<mem::McMsg>> downLinks_;
+
     // Tree-mode fabric (null/empty on a flat fabric).
     std::unique_ptr<TreeShape> shape_;
-    /** Link from parent(n) down to node n, indexed by n (root unused). */
-    std::vector<DelayLine<mem::McMsg>> downLinks_;
     /** Link from node n up to parent(n), indexed by n (root unused). */
     std::vector<DelayLine<mem::McMsg>> upLinks_;
     /**

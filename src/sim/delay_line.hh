@@ -1,19 +1,17 @@
 /**
  * @file
- * A latency- and capacity-modelled FIFO used for the persist path, NoC links
- * and memory response channels.
+ * A latency-modelled FIFO: the NoC's links (noc/noc.hh).
  *
  * Payloads pushed at cycle T with latency L become visible at the head no
  * earlier than cycle T+L. FIFO order is preserved regardless of per-item
- * latency (items cannot overtake), matching the paper's FIFO persist path
- * (footnote 6: "Based on FIFO buffer, store orders are guaranteed").
+ * latency (items cannot overtake), so a link delivers its messages in the
+ * order they were sent.
  */
 
 #ifndef LWSP_SIM_DELAY_LINE_HH
 #define LWSP_SIM_DELAY_LINE_HH
 
 #include <deque>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -25,25 +23,12 @@ class DelayLine
 {
   public:
     /**
-     * @param capacity maximum in-flight items (0 = unbounded)
-     */
-    explicit DelayLine(std::size_t capacity = 0) : capacity_(capacity) {}
-
-    /** @return true if another item can be pushed. */
-    bool
-    canPush() const
-    {
-        return capacity_ == 0 || items_.size() < capacity_;
-    }
-
-    /**
      * Enqueue @p item at cycle @p now, ready at now + @p latency (but never
      * before the item currently at the tail, preserving FIFO arrival order).
      */
     void
     push(Tick now, Tick latency, T item)
     {
-        LWSP_ASSERT(canPush(), "DelayLine overflow");
         Tick ready = now + latency;
         if (!items_.empty() && items_.back().ready > ready)
             ready = items_.back().ready;
@@ -55,14 +40,6 @@ class DelayLine
     headReady(Tick now) const
     {
         return !items_.empty() && items_.front().ready <= now;
-    }
-
-    /** Peek the head item; requires headReady(). */
-    const T &
-    front() const
-    {
-        LWSP_ASSERT(!items_.empty(), "DelayLine::front on empty line");
-        return items_.front().item;
     }
 
     /** Pop the head item; requires non-empty. */
@@ -84,19 +61,6 @@ class DelayLine
     }
 
     bool empty() const { return items_.empty(); }
-    std::size_t size() const { return items_.size(); }
-    std::size_t capacity() const { return capacity_; }
-
-    /** Iterate all in-flight items oldest-first (for CAM searches). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &slot : items_)
-            fn(slot.item);
-    }
-
-    void clear() { items_.clear(); }
 
   private:
     struct Slot
@@ -105,7 +69,6 @@ class DelayLine
         T item;
     };
 
-    std::size_t capacity_;
     std::deque<Slot> items_;
 };
 

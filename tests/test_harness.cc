@@ -237,7 +237,7 @@ TEST(Noc, HopLatencyAndDelivery)
     msg.type = McMsg::Type::BdryAck;
     msg.region = 3;
     msg.from = 0;
-    net.send(1, msg, 10);
+    net.ackRound(0, msg, 10);  // MC 0's only peer is MC 1
     for (Tick t = 10; t < 30; ++t)
         net.tick(t);
     ASSERT_EQ(s1.got.size(), 1u);

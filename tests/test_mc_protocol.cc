@@ -3,6 +3,8 @@
  * LRPO protocol tests on scripted memory controllers: region-ordered
  * flushing across two MCs, bdry/flush-ACK exchanges, flush-ID advance,
  * deadlock fallback with undo, and the crash-drain consistency rules.
+ * The fallback, crash-drain and region-ring cases also run on 4 MCs
+ * under a radix-2 tree, where rounds complete by root announcement.
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +12,31 @@
 #include "mem/mem_controller.hh"
 #include "mem/mem_image.hh"
 #include "noc/noc.hh"
+#include "noc/topology.hh"
 #include "trace/sink.hh"
 
 using namespace lwsp;
 using namespace lwsp::mem;
 
 namespace {
+
+/** A fabric the protocol runs on: its MC count and topology. */
+struct Fabric
+{
+    const char *name;
+    unsigned numMcs;
+    noc::TopologyConfig topo;
+};
+
+/**
+ * The two fabrics every fallback and crash-drain case runs on: the
+ * paper's flat 2-MC machine, and 4 MCs on a radix-2 tree, where ACKs
+ * climb two switch stages and rounds complete by root announcement.
+ */
+const Fabric kFabrics[] = {
+    {"flat", 2, {}},
+    {"tree2", 4, {noc::TopologyConfig::Kind::Tree, 2}},
+};
 
 struct Rig
 {
@@ -24,8 +45,9 @@ struct Rig
     std::vector<std::unique_ptr<MemController>> mcs;
     Tick now = 0;
 
-    explicit Rig(McConfig cfg = {}, unsigned num_mcs = 2)
-        : net(num_mcs, /*hop=*/5)
+    explicit Rig(McConfig cfg = {}, unsigned num_mcs = 2,
+                 noc::TopologyConfig topo = {})
+        : net(num_mcs, /*hop=*/5, topo)
     {
         std::vector<McEndpoint *> eps;
         for (McId i = 0; i < num_mcs; ++i) {
@@ -35,6 +57,8 @@ struct Rig
         }
         net.attach(std::move(eps));
     }
+
+    Rig(McConfig cfg, const Fabric &f) : Rig(cfg, f.numMcs, f.topo) {}
 
     void
     tick(unsigned cycles = 1)
@@ -155,139 +179,164 @@ TEST(McProtocol, EntriesSpreadAcrossMcsBothFlush)
 
 TEST(McProtocol, CrashDiscardsUnbroadcastRegion)
 {
-    Rig rig;
-    rig.accept(0, rig.store(0x1000, 11, 1));
-    rig.net.broadcastBoundary(1, rig.now);
-    rig.tick(50);
-    rig.accept(0, rig.store(0x2000, 22, 2));  // boundary 2 never sent
-    rig.crash();
-    EXPECT_EQ(rig.pm.read(0x1000), 11u);
-    EXPECT_EQ(rig.pm.read(0x2000), 0u);
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        Rig rig({}, f);
+        rig.accept(0, rig.store(0x1000, 11, 1));
+        rig.net.broadcastBoundary(1, rig.now);
+        rig.tick(50);
+        rig.accept(0, rig.store(0x2000, 22, 2));  // boundary 2 never sent
+        rig.crash();
+        EXPECT_EQ(rig.pm.read(0x1000), 11u);
+        EXPECT_EQ(rig.pm.read(0x2000), 0u);
+    }
 }
 
 TEST(McProtocol, CrashCompletesInFlightAckedRegion)
 {
-    Rig rig;
-    rig.accept(0, rig.store(0x1000, 11, 1));
-    rig.net.broadcastBoundary(1, rig.now);
-    // Crash immediately: the broadcast + ACKs are in flight but battery
-    // delivery must still commit region 1.
-    rig.crash();
-    EXPECT_EQ(rig.pm.read(0x1000), 11u);
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        Rig rig({}, f);
+        rig.accept(0, rig.store(0x1000, 11, 1));
+        rig.net.broadcastBoundary(1, rig.now);
+        // Crash immediately: the broadcast + ACKs are in flight but
+        // battery delivery must still commit region 1.
+        rig.crash();
+        EXPECT_EQ(rig.pm.read(0x1000), 11u);
+    }
 }
 
 TEST(McProtocol, DeadlockFallbackMakesProgress)
 {
-    McConfig cfg;
-    cfg.wpqEntries = 4;
-    Rig rig(cfg);
-    // Fill the WPQ with region-2 entries while region 1's boundary never
-    // arrives: the fallback must undo-log-flush the oldest present
-    // region so the (blocked) paths can move again.
-    for (unsigned i = 0; i < 4; ++i)
-        rig.accept(0, rig.store(0x1000 + 128 * i, i + 1, 2));
-    EXPECT_TRUE(rig.mcs[0]->wpq().full());
-    rig.tick(40);
-    EXPECT_TRUE(rig.mcs[0]->inFallback());
-    EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
-    EXPECT_FALSE(rig.mcs[0]->wpq().full());  // room was made
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        McConfig cfg;
+        cfg.wpqEntries = 4;
+        Rig rig(cfg, f);
+        // Fill the WPQ with region-2 entries while region 1's boundary
+        // never arrives: the fallback must undo-log-flush the oldest
+        // present region so the (blocked) paths can move again.
+        for (unsigned i = 0; i < 4; ++i)
+            rig.accept(0, rig.store(0x1000 + 128 * i, i + 1, 2));
+        EXPECT_TRUE(rig.mcs[0]->wpq().full());
+        rig.tick(40);
+        EXPECT_TRUE(rig.mcs[0]->inFallback());
+        EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
+        EXPECT_FALSE(rig.mcs[0]->wpq().full());  // room was made
+    }
 }
 
 TEST(McProtocol, FallbackRolledBackOnCrash)
 {
-    McConfig cfg;
-    cfg.wpqEntries = 2;
-    Rig rig(cfg);
-    rig.pm.write(0x1000, 7);  // pre-image
-    rig.accept(0, rig.store(0x1000, 99, 2));
-    rig.accept(0, rig.store(0x1080, 98, 2));
-    rig.tick(40);  // fallback flushes region 2 with undo logging
-    EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
-    EXPECT_EQ(rig.pm.read(0x1000), 99u);  // speculatively in PM
-    rig.crash();  // region 2 never became ready
-    EXPECT_EQ(rig.pm.read(0x1000), 7u);   // rolled back to pre-image
-    EXPECT_EQ(rig.pm.read(0x1080), 0u);
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        McConfig cfg;
+        cfg.wpqEntries = 2;
+        Rig rig(cfg, f);
+        rig.pm.write(0x1000, 7);  // pre-image
+        rig.accept(0, rig.store(0x1000, 99, 2));
+        rig.accept(0, rig.store(0x1080, 98, 2));
+        rig.tick(40);  // fallback flushes region 2 with undo logging
+        EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
+        EXPECT_EQ(rig.pm.read(0x1000), 99u);  // speculatively in PM
+        rig.crash();  // region 2 never became ready
+        EXPECT_EQ(rig.pm.read(0x1000), 7u);   // rolled back to pre-image
+        EXPECT_EQ(rig.pm.read(0x1080), 0u);
+    }
 }
 
 TEST(McProtocol, FallbackKeptWhenRegionCommits)
 {
-    McConfig cfg;
-    cfg.wpqEntries = 2;
-    Rig rig(cfg);
-    rig.accept(0, rig.store(0x1000, 99, 1));
-    rig.accept(0, rig.store(0x1080, 98, 1));
-    rig.tick(40);  // fallback may flush region 1 early
-    rig.net.broadcastBoundary(1, rig.now);
-    rig.tick(80);
-    rig.crash();
-    EXPECT_EQ(rig.pm.read(0x1000), 99u);  // committed, undo dropped
-    EXPECT_EQ(rig.pm.read(0x1080), 98u);
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        McConfig cfg;
+        cfg.wpqEntries = 2;
+        Rig rig(cfg, f);
+        rig.accept(0, rig.store(0x1000, 99, 1));
+        rig.accept(0, rig.store(0x1080, 98, 1));
+        rig.tick(40);  // fallback may flush region 1 early
+        rig.net.broadcastBoundary(1, rig.now);
+        rig.tick(80);
+        rig.crash();
+        EXPECT_EQ(rig.pm.read(0x1000), 99u);  // committed, undo dropped
+        EXPECT_EQ(rig.pm.read(0x1080), 98u);
+    }
 }
 
 TEST(McProtocol, LateOlderWriteAbsorbedIntoFallbackPreImage)
 {
-    McConfig cfg;
-    cfg.wpqEntries = 2;
-    Rig rig(cfg);
-    // Region 5's write to X fallback-flushes; region 1's write to X
-    // arrives later. PM must keep region 5's value, and a crash that
-    // commits only region 1 must expose region 1's value.
-    rig.accept(0, rig.store(0x1000, 55, 5));
-    rig.accept(0, rig.store(0x1080, 54, 5));
-    rig.tick(40);  // fallback writes X=55
-    EXPECT_EQ(rig.pm.read(0x1000), 55u);
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        McConfig cfg;
+        cfg.wpqEntries = 2;
+        Rig rig(cfg, f);
+        // Region 5's write to X fallback-flushes; region 1's write to X
+        // arrives later. PM must keep region 5's value, and a crash
+        // that commits only region 1 must expose region 1's value.
+        rig.accept(0, rig.store(0x1000, 55, 5));
+        rig.accept(0, rig.store(0x1080, 54, 5));
+        rig.tick(40);  // fallback writes X=55
+        EXPECT_EQ(rig.pm.read(0x1000), 55u);
 
-    rig.accept(0, rig.store(0x1000, 11, 1));
-    rig.net.broadcastBoundary(1, rig.now);
-    rig.tick(80);  // region 1 commits; its X write is absorbed
-    EXPECT_EQ(rig.pm.read(0x1000), 55u);  // younger value stays in PM
+        rig.accept(0, rig.store(0x1000, 11, 1));
+        rig.net.broadcastBoundary(1, rig.now);
+        rig.tick(80);  // region 1 commits; its X write is absorbed
+        EXPECT_EQ(rig.pm.read(0x1000), 55u);  // younger value stays in PM
 
-    rig.crash();  // region 5 never committed
-    EXPECT_EQ(rig.pm.read(0x1000), 11u);  // region 1's value restored
+        rig.crash();  // region 5 never committed
+        EXPECT_EQ(rig.pm.read(0x1000), 11u);  // region 1's value restored
+    }
 }
 
 TEST(McProtocol, CapacityOneWpqFlushesAndFallsBack)
 {
-    McConfig cfg;
-    cfg.wpqEntries = 1;
-    Rig rig(cfg);
-    // Normal path with the minimal queue: one entry, boundary, flush.
-    rig.accept(0, rig.store(0x1000, 11, 1));
-    EXPECT_TRUE(rig.mcs[0]->wpq().full());
-    rig.net.broadcastBoundary(1, rig.now);
-    rig.tick(50);
-    EXPECT_EQ(rig.pm.read(0x1000), 11u);
-    EXPECT_TRUE(rig.mcs[0]->wpq().empty());
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        McConfig cfg;
+        cfg.wpqEntries = 1;
+        Rig rig(cfg, f);
+        // Normal path with the minimal queue: one entry, boundary, flush.
+        rig.accept(0, rig.store(0x1000, 11, 1));
+        EXPECT_TRUE(rig.mcs[0]->wpq().full());
+        rig.net.broadcastBoundary(1, rig.now);
+        rig.tick(50);
+        EXPECT_EQ(rig.pm.read(0x1000), 11u);
+        EXPECT_TRUE(rig.mcs[0]->wpq().empty());
 
-    // A single unboundaried entry saturates the queue: the §IV-D
-    // fallback must still make room.
-    rig.accept(0, rig.store(0x2000, 22, 3));
-    EXPECT_TRUE(rig.mcs[0]->wpq().full());
-    rig.tick(40);
-    EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
-    EXPECT_FALSE(rig.mcs[0]->wpq().full());
+        // A single unboundaried entry saturates the queue: the §IV-D
+        // fallback must still make room.
+        rig.accept(0, rig.store(0x2000, 22, 3));
+        EXPECT_TRUE(rig.mcs[0]->wpq().full());
+        rig.tick(40);
+        EXPECT_GT(rig.mcs[0]->counters().fallbackFlushes, 0u);
+        EXPECT_FALSE(rig.mcs[0]->wpq().full());
 
-    rig.crash();  // region 3 never committed: undo must restore
-    EXPECT_EQ(rig.pm.read(0x2000), 0u);
-    EXPECT_EQ(rig.pm.read(0x1000), 11u);
+        rig.crash();  // region 3 never committed: undo must restore
+        EXPECT_EQ(rig.pm.read(0x2000), 0u);
+        EXPECT_EQ(rig.pm.read(0x1000), 11u);
+    }
 }
 
 TEST(McProtocol, CrashDrainWithEmptyQueue)
 {
-    Rig rig;
-    // Crash with nothing ever accepted: the drain must terminate
-    // immediately and leave PM untouched.
-    rig.crash();
-    EXPECT_EQ(rig.mcs[0]->counters().flushedEntries, 0u);
+    for (const Fabric &f : kFabrics) {
+        SCOPED_TRACE(f.name);
+        Rig rig({}, f);
+        // Crash with nothing ever accepted: the drain must terminate
+        // immediately and leave PM untouched.
+        rig.crash();
+        EXPECT_EQ(rig.mcs[0]->counters().flushedEntries, 0u);
 
-    // Boundary-only traffic (empty regions) then crash: the battery
-    // drain still commits the broadcast prefix without any PM writes.
-    Rig rig2;
-    for (RegionId r = 1; r <= 3; ++r)
-        rig2.net.broadcastBoundary(r, rig2.now);
-    rig2.crash();
-    EXPECT_GE(rig2.mcs[0]->flushId(), 4u);
-    EXPECT_EQ(rig2.mcs[0]->counters().flushedEntries, 0u);
+        // Boundary-only traffic (empty regions) then crash: the battery
+        // drain still commits the broadcast prefix without any PM
+        // writes.
+        Rig rig2({}, f);
+        for (RegionId r = 1; r <= 3; ++r)
+            rig2.net.broadcastBoundary(r, rig2.now);
+        rig2.crash();
+        EXPECT_GE(rig2.mcs[0]->flushId(), 4u);
+        EXPECT_EQ(rig2.mcs[0]->counters().flushedEntries, 0u);
+    }
 }
 
 TEST(McProtocol, RegionStoresExactlyWpqCapacity)
@@ -382,40 +431,55 @@ TEST(McProtocol, StrictModeStillCorrect)
 // second WpqDrainDone and a second flush-ACK round (a known defect kept
 // for output identity). Those stale re-finishes used to leave one map
 // entry behind per region. The region ring must stay bounded by the
-// regions in flight however many regions commit.
+// regions in flight however many regions commit, on either fabric.
 TEST(McProtocol, RegionRingStaysBounded)
 {
     constexpr RegionId kRegions = 200;
-    trace::TraceSink sink(1 << 14, trace::categoryBit(trace::Category::Wpq));
-    McConfig cfg;
-    cfg.strictFlushAcks = true;
-    cfg.sink = &sink;
-    Rig rig(cfg);
-    std::size_t peak = 0;
-    for (RegionId r = 1; r <= kRegions; ++r) {
-        rig.accept(r % 2, rig.store(0x1000 + r * 64, r, r));
-        rig.net.broadcastBoundary(r, rig.now);
-        rig.tick(40);
-        for (const auto &mc : rig.mcs)
-            peak = std::max(peak, mc->liveRegionSlots());
+    struct Want
+    {
+        unsigned drainDone;     ///< WpqDrainDone events per region
+        std::size_t liveSlots;  ///< each MC's live ring slots at the end
+        std::size_t peak;       ///< most live slots any MC ever held
+    };
+    // One WpqDrainDone per MC plus each MC's stale re-finish. The tree's
+    // slower rounds keep up to 11 regions in flight at 40-cycle spacing.
+    const Want wants[] = {{4, 0, 1}, {8, 0, 11}};
+    for (std::size_t i = 0; i < std::size(kFabrics); ++i) {
+        const Fabric &f = kFabrics[i];
+        const Want &want = wants[i];
+        SCOPED_TRACE(f.name);
+        trace::TraceSink sink(1 << 14,
+                              trace::categoryBit(trace::Category::Wpq));
+        McConfig cfg;
+        cfg.strictFlushAcks = true;
+        cfg.sink = &sink;
+        Rig rig(cfg, f);
+        std::size_t peak = 0;
+        for (RegionId r = 1; r <= kRegions; ++r) {
+            rig.accept(r % f.numMcs, rig.store(0x1000 + r * 64, r, r));
+            rig.net.broadcastBoundary(r, rig.now);
+            for (unsigned c = 0; c < 40; ++c) {
+                rig.tick();
+                for (const auto &mc : rig.mcs)
+                    peak = std::max(peak, mc->liveRegionSlots());
+            }
+        }
+        rig.tick(5000);
+        ASSERT_FALSE(sink.wrapped());
+        std::vector<unsigned> drain_done(kRegions + 1);
+        for (const trace::Event &e : sink.snapshot()) {
+            if (e.type == trace::EventType::WpqDrainDone)
+                ++drain_done.at(e.region);
+        }
+        for (RegionId r = 1; r <= kRegions; ++r)
+            EXPECT_EQ(drain_done[r], want.drainDone) << "region " << r;
+        for (const auto &mc : rig.mcs) {
+            EXPECT_EQ(mc->flushId(), kRegions + 1);
+            EXPECT_EQ(mc->drainCursor(), kRegions + 1);
+            EXPECT_EQ(mc->liveRegionSlots(), want.liveSlots);
+        }
+        EXPECT_EQ(peak, want.peak) << "the ring grew with the regions";
     }
-    rig.tick(5000);
-    ASSERT_FALSE(sink.wrapped());
-    std::vector<unsigned> drain_done(kRegions + 1);
-    for (const trace::Event &e : sink.snapshot()) {
-        if (e.type == trace::EventType::WpqDrainDone)
-            ++drain_done.at(e.region);
-    }
-    for (RegionId r = 1; r <= kRegions; ++r) {
-        // One per MC, plus each MC's stale re-finish of the region.
-        EXPECT_EQ(drain_done[r], 4u) << "region " << r;
-    }
-    for (const auto &mc : rig.mcs) {
-        EXPECT_EQ(mc->flushId(), kRegions + 1);
-        EXPECT_EQ(mc->drainCursor(), kRegions + 1);
-        EXPECT_LE(mc->liveRegionSlots(), 2u);
-    }
-    EXPECT_LE(peak, 32u) << "the ring grew with the regions committed";
 }
 
 TEST(McProtocol, WpqTraceSeesFlushKinds)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Scale-out machine-model tests: DynBitset, tree-topology geometry,
- * the >= 64-MC broadcast-mask regression, sharded address interleaving
- * and flat-vs-tree protocol equivalence.
+ * the >= 64-MC broadcast-mask regression, the NoC's cached wakeups and
+ * ACK-round census, sharded address interleaving, flat-vs-tree protocol
+ * equivalence and the 8-MC fabric's pinned figures.
  *
  * The headline regression here is historical: broadcast delivery used
  * to be tracked in one `uint64_t` mask, making `1ull << mc` undefined
@@ -15,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/bitset.hh"
@@ -300,29 +304,143 @@ TEST(MaskRegression, FaultFreeBroadcastAt65Mcs)
     }
 }
 
-// ---- NoC wakeups: the cached head tick ------------------------------------
+// ---- NoC wakeups and the ACK plane's census -------------------------------
 
 namespace {
 
-/** Answers every boundary with its ACK, as an MC does: pushes mid-tick. */
+/**
+ * Every ACK round the walk below hands to Noc::ackRound, checked against
+ * what the MCs receive. Flat: a round owes each peer one unicast, in
+ * send order, no sooner than a hop after it was sent (unless the crash
+ * drain delivers it early), and nothing to its sender. Tree: MCs see
+ * only root announcements, and finish() checks that every MC got the
+ * same number per (type, region), no more than the rounds the
+ * least-active MC sent, and at least one when every MC sent one.
+ */
+struct AckCensus
+{
+    using Type = mem::McMsg::Type;
+    using Key = std::pair<Type, RegionId>;
+
+    noc::Noc &net;
+    bool tree;
+    unsigned mcs;
+    Tick hop;
+    bool draining = false;  ///< inside the walk's deliverAllNow
+    /** Flat: (round, send tick) still owed to each MC, oldest first. */
+    std::vector<std::deque<std::pair<mem::McMsg, Tick>>> owed;
+    /** Tree: rounds sent and announcements received, per MC. */
+    std::map<Key, std::vector<unsigned>> sent, announced;
+    unsigned errors = 0;
+    std::string firstError;
+
+    AckCensus(noc::Noc &n, bool is_tree, unsigned num_mcs, Tick hop_latency)
+        : net(n), tree(is_tree), mcs(num_mcs), hop(hop_latency),
+          owed(num_mcs)
+    {
+    }
+
+    void
+    fail(const std::string &what)
+    {
+        if (errors++ == 0)
+            firstError = what;
+    }
+
+    std::vector<unsigned> &
+    perMc(std::map<Key, std::vector<unsigned>> &m, Key k)
+    {
+        auto &v = m[k];
+        v.resize(mcs);
+        return v;
+    }
+
+    void
+    round(McId from, const mem::McMsg &msg, Tick now)
+    {
+        if (tree) {
+            ++perMc(sent, {msg.type, msg.region})[from];
+        } else {
+            for (McId mc = 0; mc < mcs; ++mc) {
+                if (mc != from)
+                    owed[mc].emplace_back(msg, now);
+            }
+        }
+        net.ackRound(from, msg, now);
+    }
+
+    void
+    received(McId at, const mem::McMsg &msg, Tick now)
+    {
+        auto where = [&] {
+            return "mc" + std::to_string(at) + " at " + std::to_string(now) +
+                   ": region " + std::to_string(msg.region);
+        };
+        if (tree) {
+            if (msg.type == Type::BdryAllAcked)
+                ++perMc(announced, {Type::BdryAck, msg.region})[at];
+            else if (msg.type == Type::FlushAllAcked)
+                ++perMc(announced, {Type::FlushAck, msg.region})[at];
+            else
+                fail(where() + ": a peer ACK on a tree");
+            return;
+        }
+        if (owed[at].empty())
+            return fail(where() + ": an ACK nobody sent it");
+        auto [want, sent_at] = owed[at].front();
+        owed[at].pop_front();
+        if (msg.type != want.type || msg.region != want.region ||
+            msg.from != want.from)
+            fail(where() + ": ACKs out of send order");
+        else if (!draining && now < sent_at + hop)
+            fail(where() + ": arrived before its hop");
+    }
+
+    /** After the fabric has drained: every owed ACK arrived. */
+    void
+    finish()
+    {
+        for (McId mc = 0; mc < mcs; ++mc) {
+            if (!owed[mc].empty())
+                fail("mc" + std::to_string(mc) + " never got " +
+                     std::to_string(owed[mc].size()) + " ACK(s)");
+        }
+        for (auto &[key, got] : announced) {
+            if (!sent.count(key))
+                fail("an announcement for a round nobody sent");
+        }
+        for (auto &[key, by_mc] : sent) {
+            const unsigned least =
+                *std::min_element(by_mc.begin(), by_mc.end());
+            const auto &got = perMc(announced, key);
+            const std::string what = "region " + std::to_string(key.second);
+            if (static_cast<unsigned>(std::count(got.begin(), got.end(),
+                                                 got[0])) != mcs)
+                fail(what + ": MCs got different announcement counts");
+            else if (got[0] > least || (least > 0 && got[0] == 0))
+                fail(what + ": " + std::to_string(got[0]) +
+                     " announcements for " + std::to_string(least) +
+                     " rounds from the least-active MC");
+        }
+    }
+};
+
+/** Answers every boundary with its ACK round, as an MC does: mid-tick. */
 struct AckingEndpoint : mem::McEndpoint
 {
-    noc::Noc *net = nullptr;
+    AckCensus *census = nullptr;
     McId id = 0;
 
     void
     receive(const mem::McMsg &msg, Tick now) override
     {
         if (msg.type != mem::McMsg::Type::BdryArrival)
-            return;
+            return census->received(id, msg, now);
         mem::McMsg ack;
         ack.type = mem::McMsg::Type::BdryAck;
         ack.region = msg.region;
         ack.from = id;
-        if (net->isTree())
-            net->ackUp(id, ack, now);
-        else
-            net->sendToPeers(id, ack, now);
+        census->round(id, ack, now);
     }
 };
 
@@ -334,14 +452,16 @@ struct AckingEndpoint : mem::McEndpoint
 // is itself late, so this seeded walk compares the cached answer with a
 // full rescan after every call that can push or pop, on both fabrics, at
 // 4, 8 and 64 MCs, with perfect and with lossy (retrying) broadcasts.
+// The same walk takes the ACK plane's census (AckCensus).
 TEST(NocWakeup, CachedHeadMatchesRescan)
 {
+    constexpr Tick kHop = 5;
     for (const char *topo_tok : {"flat", "tree4"}) {
         for (unsigned mcs : {4u, 8u, 64u}) {
             for (bool lossy : {false, true}) {
                 noc::TopologyConfig topo;
                 ASSERT_TRUE(noc::TopologyConfig::parse(topo_tok, topo));
-                noc::Noc net(mcs, 5, topo);
+                noc::Noc net(mcs, kHop, topo);
                 fault::FaultConfig fc;
                 fc.enabled = true;
                 fc.seed = 11;
@@ -349,10 +469,11 @@ TEST(NocWakeup, CachedHeadMatchesRescan)
                 fault::FaultInjector inj(fc, 1);
                 if (lossy)
                     net.setFaultInjector(&inj);
+                AckCensus census(net, topo.isTree(), mcs, kHop);
                 std::vector<AckingEndpoint> eps(mcs);
                 std::vector<mem::McEndpoint *> ptrs;
                 for (McId i = 0; i < mcs; ++i) {
-                    eps[i].net = &net;
+                    eps[i].census = &census;
                     eps[i].id = i;
                     ptrs.push_back(&eps[i]);
                 }
@@ -362,13 +483,15 @@ TEST(NocWakeup, CachedHeadMatchesRescan)
                 Tick now = 0;
                 RegionId region = 1;
                 unsigned calls = 0, crashes = 0;
+                const std::string point = std::string(topo_tok) + "/" +
+                                          std::to_string(mcs) +
+                                          (lossy ? "/loss100" : "");
                 auto check = [&](const char *what) {
                     ++calls;
                     ASSERT_EQ(net.nextActiveTick(now),
                               net.nextActiveTickByRescan(now))
-                        << topo_tok << "/" << mcs
-                        << (lossy ? "/loss100" : "") << " after " << what
-                        << " (call " << calls << ") at " << now;
+                        << point << " after " << what << " (call "
+                        << calls << ") at " << now;
                 };
                 check("construction");
                 for (unsigned step = 0; step < 3000; ++step) {
@@ -379,23 +502,9 @@ TEST(NocWakeup, CachedHeadMatchesRescan)
                     msg.from = static_cast<McId>(rng.below(mcs));
                     switch (rng.below(8)) {
                       case 0:
-                        if (net.isTree()) {
-                            net.ackUp(msg.from, msg, now);
-                            check("ackUp");
-                        } else {
-                            net.send(static_cast<McId>(rng.below(mcs)),
-                                     msg, now);
-                            check("send");
-                        }
-                        break;
                       case 1:
-                        if (net.isTree()) {
-                            net.ackUp(msg.from, msg, now);
-                            check("ackUp");
-                        } else {
-                            net.sendToPeers(msg.from, msg, now);
-                            check("sendToPeers");
-                        }
+                        census.round(msg.from, msg, now);
+                        check("ackRound");
                         break;
                       case 2:
                         net.broadcastBoundary(region++, now);
@@ -403,7 +512,9 @@ TEST(NocWakeup, CachedHeadMatchesRescan)
                         break;
                       case 7:
                         if (rng.below(16) == 0) {
+                            census.draining = true;
                             net.deliverAllNow(now);
+                            census.draining = false;
                             ++crashes;
                             check("deliverAllNow");
                             break;
@@ -423,6 +534,15 @@ TEST(NocWakeup, CachedHeadMatchesRescan)
                     EXPECT_GT(inj.bcastDrops, 0u)
                         << "loss axis never fired (weak test)";
                 }
+                // Drain what is still in flight; a flat drain is one
+                // pass, so repeat until the fabric is empty.
+                census.draining = true;
+                do {
+                    net.deliverAllNow(now);
+                } while (net.nextActiveTick(now) != maxTick);
+                census.finish();
+                EXPECT_EQ(census.errors, 0u)
+                    << point << ": " << census.firstError;
             }
         }
     }
@@ -584,5 +704,52 @@ TEST(TreeFabric, CrashRecoveryAt16McsTree)
         EXPECT_EQ(
             pds::checkSemantics(b.spec, b.ops, res.sys->execImage()), "")
             << "crash at " << num << "/8";
+    }
+}
+
+// ---- The fabric's exact numbers --------------------------------------------
+
+// Every fabric figure a run reports, pinned on one small pds point at 8
+// MCs: flat and radix-4 tree, fault-free and with 10% per-copy
+// broadcast loss. fig23's CSV pins the same figures at bench scale in
+// CI; these pins keep them in tier-1, so a change to the NoC or to the
+// MC's ACK path cannot move a cycle or a message count silently.
+TEST(FabricPins, EightMcsFlatAndTreeWithAndWithoutLoss)
+{
+    struct Pin
+    {
+        const char *topo;
+        bool lossy;
+        Tick cycles;
+        std::uint64_t nocMessages;
+        std::uint64_t bcastRetries;
+        double bcastLatencyMax;
+        std::uint64_t regionsCommitted;
+    };
+    const Pin pins[] = {
+        {"flat", false, 3040, 15120, 0, 20, 123},
+        {"flat", true, 3534, 15235, 79, 1140, 124},
+        {"tree4", false, 3120, 6236, 0, 80, 118},
+        {"tree4", true, 13228, 6437, 99, 10160, 118},
+    };
+    for (const Pin &p : pins) {
+        noc::TopologyConfig topo;
+        ASSERT_TRUE(noc::TopologyConfig::parse(p.topo, topo));
+        PdsBuilt b = buildPds(8, topo);
+        if (p.lossy) {
+            b.cfg.faults.enabled = true;
+            b.cfg.faults.seed = 23;
+            b.cfg.faults.bcastLossPm = 100;
+        }
+        core::System sys(b.cfg, b.prog, 1);
+        auto r = sys.run();
+        const std::string what =
+            std::string(p.topo) + (p.lossy ? "/loss100" : "");
+        ASSERT_TRUE(r.completed) << what;
+        EXPECT_EQ(r.cycles, p.cycles) << what;
+        EXPECT_EQ(r.nocMessages, p.nocMessages) << what;
+        EXPECT_EQ(r.bcastRetries, p.bcastRetries) << what;
+        EXPECT_EQ(r.bcastLatencyMax, p.bcastLatencyMax) << what;
+        EXPECT_EQ(r.regionsCommitted, p.regionsCommitted) << what;
     }
 }
