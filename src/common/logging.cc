@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <mutex>
+#include <string_view>
 
 namespace lwsp {
 
@@ -28,6 +30,14 @@ std::uint64_t
 suppressedWarnings()
 {
     return quietWarnings.load(std::memory_order_relaxed);
+}
+
+bool
+envSwitch(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v != nullptr && std::string_view(v) != "" &&
+           std::string_view(v) != "0";
 }
 
 namespace detail {

@@ -93,6 +93,13 @@ void setLogQuiet(bool quiet);
 /** warn() calls quiet mode has suppressed since the process started. */
 std::uint64_t suppressedWarnings();
 
+/**
+ * A debug switch read from the environment (LWSP_VERIFY_EACH,
+ * LWSP_VERIFY_WAKEUPS): on when @p name is set to anything but the empty
+ * string or "0".
+ */
+bool envSwitch(const char *name);
+
 /** panic() unless @p cond holds. */
 #define LWSP_ASSERT(cond, ...)                                              \
     do {                                                                    \

@@ -30,20 +30,20 @@
 namespace lwsp {
 
 /**
- * Parse @p text as a plain unsigned decimal into @p out. Digits only: an
- * empty value, a sign, whitespace, trailing characters or a value that
- * does not fit in T is rejected. Returns false, leaving @p out
- * untouched, on rejection.
+ * Parse @p text as a plain unsigned number in @p base (decimal unless
+ * given) into @p out. Digits only: an empty value, a sign, a prefix,
+ * whitespace, trailing characters or a value that does not fit in T is
+ * rejected. Returns false, leaving @p out untouched, on rejection.
  */
 template <typename T>
 bool
-parseUnsigned(std::string_view text, T &out)
+parseUnsigned(std::string_view text, T &out, int base = 10)
 {
     static_assert(std::is_unsigned_v<T> && !std::is_same_v<T, bool>,
                   "parseUnsigned targets unsigned integer fields");
     const char *end = text.data() + text.size();
     T v{};
-    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    auto [ptr, ec] = std::from_chars(text.data(), end, v, base);
     if (ec != std::errc() || ptr != end)
         return false;
     out = v;

@@ -1,7 +1,6 @@
 #include "compiler.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/wsp_checker.hh"
@@ -25,10 +24,7 @@ namespace {
 bool
 envVerifyEach()
 {
-    static const bool on = [] {
-        const char *v = std::getenv("LWSP_VERIFY_EACH");
-        return v != nullptr && *v != '\0' && std::string(v) != "0";
-    }();
+    static const bool on = envSwitch("LWSP_VERIFY_EACH");
     return on;
 }
 

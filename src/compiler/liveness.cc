@@ -22,63 +22,23 @@ ModuleLiveness::ModuleLiveness(const Module &m)
 RegMask
 ModuleLiveness::instUse(FuncId f, const Instruction &inst) const
 {
-    (void)f;
-    switch (inst.op) {
-      case Opcode::Movi:
-        return 0;
-      case Opcode::Mov:
-      case Opcode::AddI:
-      case Opcode::MulI:
-      case Opcode::Load:
-      case Opcode::LockAcq:
-      case Opcode::LockRel:
-      case Opcode::CkptStore:
-        return regBit(inst.rs1);
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Store:
-      case Opcode::AtomicAdd:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        return regBit(inst.rs1) | regBit(inst.rs2);
-      case Opcode::Fma:
-        return regBit(inst.rs1) | regBit(inst.rs2) | regBit(inst.rd);
-      case Opcode::Call:
-        return funcUse_.at(inst.callee) | regBit(spReg);
-      case Opcode::Ret:
-        return funcLiveOut_.at(f) | regBit(spReg);
-      case Opcode::Jmp:
-      case Opcode::Halt:
-      case Opcode::Fence:
-      case Opcode::Boundary:
-      case Opcode::Nop:
-        return 0;
-    }
-    return 0;
+    RegMask use = readRegs(inst);
+    if (inst.op == Opcode::Call)
+        use |= funcUse_.at(inst.callee);
+    else if (inst.op == Opcode::Ret)
+        use |= funcLiveOut_.at(f);
+    return use;
 }
 
 RegMask
 ModuleLiveness::instDef(const Instruction &inst) const
 {
-    if (writesReg(inst.op))
-        return regBit(inst.rd);
-    switch (inst.op) {
-      case Opcode::Call:
-        return funcDef_.at(inst.callee) | regBit(spReg);
-      case Opcode::Ret:
-        return regBit(spReg);
-      default:
-        return 0;
-    }
+    const OpInfo &row = opInfo(inst.op);
+    RegMask def = (row.has(WritesRd) ? regBit(inst.rd) : 0) |
+                  (row.has(TouchesSp) ? regBit(spReg) : 0);
+    if (inst.op == Opcode::Call)
+        def |= funcDef_.at(inst.callee);
+    return def;
 }
 
 void

@@ -25,19 +25,11 @@
 namespace lwsp {
 namespace compiler {
 
-/** Bitmask over the 16 architectural registers. */
-using RegMask = std::uint32_t;
-
-/** Stack-pointer register reserved by the Call/Ret convention. */
-constexpr ir::Reg spReg = 15;
+using ir::RegMask;
+using ir::regBit;
+using ir::spReg;
 
 constexpr RegMask allRegs = (1u << ir::numGprs) - 1;
-
-constexpr RegMask
-regBit(ir::Reg r)
-{
-    return 1u << r;
-}
 
 class ModuleLiveness
 {

@@ -389,15 +389,12 @@ insertCheckpoints(Module &m, bool prune_constants,
                     if (prune_constants)
                         stored &= ~constMask(cstate);
                     d &= ~stored;
-                } else if (inst.op == Opcode::Call) {
-                    // The callee checkpoints what it dirties, but may
-                    // prune its live-outs into recipes at its *own*
-                    // sites: their slots can come back stale. Ret's
-                    // stack pop redefines sp afterwards.
-                    d |= live.funcDef(inst.callee) | regBit(spReg);
-                } else if (inst.op == Opcode::Ret) {
-                    d |= regBit(spReg);
                 } else {
+                    // A Call dirties all its callee defines: the callee
+                    // checkpoints what it dirties, but may prune its
+                    // live-outs into recipes at its *own* sites, so
+                    // their slots can come back stale. Call and Ret
+                    // also redefine sp.
                     d |= live.instDef(inst);
                 }
                 consts.transfer(inst, cstate);
@@ -457,10 +454,6 @@ insertCheckpoints(Module &m, bool prune_constants,
                         ++inserted;
                         d &= ~regBit(r);
                     }
-                } else if (inst.op == Opcode::Call) {
-                    d |= live.funcDef(inst.callee) | regBit(spReg);
-                } else if (inst.op == Opcode::Ret) {
-                    d |= regBit(spReg);
                 } else {
                     d |= live.instDef(inst);
                 }

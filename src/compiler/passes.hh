@@ -55,25 +55,14 @@ boundaryKind(const ir::Instruction &inst)
 }
 
 /**
- * @return true if @p inst produces a persist-path entry at run time
- * (data store, atomic, checkpoint store, or the implicit return-address
- * push performed by Call). Boundary PC-stores are accounted separately via
- * the threshold's reserved slot.
+ * @return true if @p inst produces a persist-path entry at run time (its
+ * row's PersistEntry flag). Boundary PC-stores are accounted separately
+ * via the threshold's reserved slot.
  */
 inline bool
 isPersistEntry(const ir::Instruction &inst)
 {
-    switch (inst.op) {
-      case ir::Opcode::Store:
-      case ir::Opcode::AtomicAdd:
-      case ir::Opcode::CkptStore:
-      case ir::Opcode::Call:
-      case ir::Opcode::LockAcq:
-      case ir::Opcode::LockRel:
-        return true;
-      default:
-        return false;
-    }
+    return ir::opInfo(inst.op).has(ir::PersistEntry);
 }
 
 /**

@@ -116,7 +116,7 @@ System::System(const SystemConfig &cfg,
         threads_.back()->reset(0);
         // Each thread's first region opens at cycle 0 on its home core;
         // later begins are emitted at boundary retirement.
-        trace::emitIf<trace::Category::Region>(
+        trace::emitIf(
             traceSink_.get(),
             {0, trace::EventType::RegionBegin,
              static_cast<std::int32_t>(t % cfg_.numCores), t,
@@ -135,7 +135,6 @@ System::System(const SystemConfig &cfg,
     }
 
     sim_.setEngine(cfg_.engine);
-    sim_.setVerifyWakeups(cfg_.verifyWakeups);
     for (auto &core : cores_)
         sim_.add(core.get());
     sim_.add(&noc_);
@@ -201,7 +200,7 @@ System::scheduleThreads(Tick now)
             cpu::ThreadContext *cand = threads_[queue[idx]].get();
             if (cand->halted() || cand == cur || cand->wouldBlock())
                 continue;
-            trace::emitIf<trace::Category::Sched>(
+            trace::emitIf(
                 traceSink_.get(),
                 {now, trace::EventType::CtxSwitch,
                  static_cast<std::int32_t>(c), cand->tid(), invalidRegion,
@@ -348,7 +347,7 @@ System::executeCrashDrain(Tick now, int interrupt_after)
     if (drainFinished_)
         return;
     crashed_ = true;
-    trace::emitIf<trace::Category::Power>(
+    trace::emitIf(
         traceSink_.get(),
         {now, trace::EventType::PowerFailure, -1, 0, invalidRegion, 0, 0,
          interrupt_after >= 0 ? static_cast<std::uint64_t>(interrupt_after)
@@ -386,7 +385,7 @@ System::executeCrashDrain(Tick now, int interrupt_after)
         crashReport_.bcastRetries = noc_.counters().bcastRetries;
         crashReport_.bcastLostAtCrash = noc_.bcastLostAtCrash();
     }
-    trace::emitIf<trace::Category::Power>(
+    trace::emitIf(
         traceSink_.get(),
         {now, trace::EventType::CrashDrainEnd, -1, 0, invalidRegion, 0, 0,
          static_cast<std::uint64_t>(iters)});
@@ -446,7 +445,7 @@ System::injectCrashFaults(Tick now)
             e.ecc = 1;
         }
         ++crashReport_.wpqDamaged;
-        trace::emitIf<trace::Category::Power>(
+        trace::emitIf(
             traceSink_.get(),
             {now, trace::EventType::FaultInjected,
              static_cast<std::int32_t>(m), e.thread, e.region, e.addr,
@@ -472,7 +471,7 @@ System::injectCrashFaults(Tick now)
         McId m = static_cast<McId>(inj.rng().below(mcs_.size()));
         mcs_[m]->setCrashStall(fc.mcStallIters);
         crashReport_.stallsInjected += fc.mcStallIters;
-        trace::emitIf<trace::Category::Power>(
+        trace::emitIf(
             traceSink_.get(),
             {now, trace::EventType::FaultInjected,
              static_cast<std::int32_t>(m), 0, invalidRegion, 0, 3,
@@ -507,7 +506,7 @@ System::injectPostDrainFaults(Tick now)
             pm_.write(a, pm_.read(a) ^ 0xdead'beef'0bad'c0deull);
             pm_.poison(a);
             ++crashReport_.poisonedWords;
-            trace::emitIf<trace::Category::Power>(
+            trace::emitIf(
                 traceSink_.get(),
                 {now, trace::EventType::FaultInjected, -1, 0,
                  invalidRegion, a, 4, 0});
@@ -530,7 +529,7 @@ System::injectPostDrainFaults(Tick now)
             Addr a = program_.layout.regSlot(t, r);
             pm_.write(a, pm_.read(a) ^ (1ull << inj.rng().below(64)));
             ++crashReport_.silentFlips;
-            trace::emitIf<trace::Category::Power>(
+            trace::emitIf(
                 traceSink_.get(),
                 {now, trace::EventType::FaultInjected, -1, t,
                  invalidRegion, a, 5, r});
@@ -588,14 +587,14 @@ System::recover(const SystemConfig &cfg,
         // positions that were just overwritten; restart the trace at
         // the recovered image.
         sys->traceSink_->clear();
-        trace::emitIf<trace::Category::Power>(
+        trace::emitIf(
             sys->traceSink_.get(),
             {0, trace::EventType::Recovery, -1, 0, invalidRegion, 0, 0,
              num_threads});
         for (ThreadId t = 0; t < num_threads; ++t) {
             if (sys->threads_[t]->halted())
                 continue;
-            trace::emitIf<trace::Category::Region>(
+            trace::emitIf(
                 sys->traceSink_.get(),
                 {0, trace::EventType::RegionBegin,
                  static_cast<std::int32_t>(t % cfg.numCores), t,
@@ -703,7 +702,7 @@ System::recoverChecked(const SystemConfig &cfg,
     // Default lineage: one failure survived. walkLifetime(), which
     // chains crash/recover rounds, overwrites the running total.
     res.sys->setRecoveryLineage(res.outcome, 1);
-    trace::emitIf<trace::Category::Power>(
+    trace::emitIf(
         res.sys->traceSink_.get(),
         {0, trace::EventType::RecoveryVerdict, -1, 0, invalidRegion, 0,
          static_cast<std::uint64_t>(res.outcome), res.maskedPoisonRegs});
@@ -730,7 +729,7 @@ System::loadLatency(CoreId core_id, Addr addr, Tick now)
         });
     }
     if (r1.evictedDirty) {
-        trace::emitIf<trace::Category::Cache>(
+        trace::emitIf(
             traceSink_.get(),
             {now, trace::EventType::CacheWriteback,
              static_cast<std::int32_t>(core_id), 0, invalidRegion,
@@ -742,7 +741,7 @@ System::loadLatency(CoreId core_id, Addr addr, Tick now)
     lat += l2_->latency();
     auto r2 = l2_->access(addr, false);
     if (r2.evictedDirty) {
-        trace::emitIf<trace::Category::Cache>(
+        trace::emitIf(
             traceSink_.get(),
             {now, trace::EventType::CacheWriteback, -1, 0, invalidRegion,
              r2.evictedLine, 0, 0});
@@ -779,7 +778,7 @@ System::storeAccess(CoreId core_id, Addr addr, Tick now)
     if (res.blocked)
         return false;
     if (res.evictedDirty) {
-        trace::emitIf<trace::Category::Cache>(
+        trace::emitIf(
             traceSink_.get(),
             {now, trace::EventType::CacheWriteback,
              static_cast<std::int32_t>(core_id), 0, invalidRegion,

@@ -105,17 +105,6 @@ struct SystemConfig
     SimEngine engine = defaultSimEngine();
 
     /**
-     * Event engine debug cross-check: assert whenever the engine would
-     * skip cycles that its next wakeup is never later than the full
-     * linear rescan over all components (a late wake tick is a missed
-     * event — somebody changed state without rearm(); an early one is
-     * only a spurious no-op wakeup and is legal). Also enabled by
-     * LWSP_VERIFY_WAKEUPS=1 in the environment — the LWSP_VERIFY_EACH
-     * of the scheduler.
-     */
-    bool verifyWakeups = false;
-
-    /**
      * Retired-instruction count after which all statistics reset and the
      * cycle baseline restarts — stands in for the paper's 10B-instruction
      * fast-forward that warms the DRAM cache before measurement.

@@ -61,7 +61,7 @@ Core::persistEgress(Tick now)
     // FIFO path has been accepted — the ordering LRPO relies on.
     if (head.entry.isBoundary) {
         port_.broadcastBoundary(head.entry.broadcastRegion, now);
-        trace::emitIf<trace::Category::Boundary>(
+        trace::emitIf(
             cfg_.sink,
             {now, trace::EventType::BoundaryBcastSend,
              static_cast<std::int32_t>(id_), head.entry.thread,
@@ -149,7 +149,7 @@ Core::retire(Tick now)
             ++counters_.storesRetired;
             ++storesSinceBoundary_;
             if (cfg_.serveMarkAddr != 0 && rec.addr == cfg_.serveMarkAddr) {
-                trace::emitIf<trace::Category::Serve>(
+                trace::emitIf(
                     cfg_.sink,
                     {now, trace::EventType::ServeMark,
                      static_cast<std::int32_t>(id_), rec.thread, rec.region,
@@ -166,14 +166,14 @@ Core::retire(Tick now)
                 static_cast<double>(instsSinceBoundary_));
             counters_.regionStores.sample(
                 static_cast<double>(storesSinceBoundary_));
-            trace::emitIf<trace::Category::Region>(
+            trace::emitIf(
                 cfg_.sink,
                 {now, trace::EventType::RegionClose,
                  static_cast<std::int32_t>(id_), rec.thread,
                  rec.broadcastRegion, rec.addr, rec.value,
                  instsSinceBoundary_});
             if (rec.nextRegion != invalidRegion) {
-                trace::emitIf<trace::Category::Region>(
+                trace::emitIf(
                     cfg_.sink,
                     {now, trace::EventType::RegionBegin,
                      static_cast<std::int32_t>(id_), rec.thread,
@@ -187,7 +187,7 @@ Core::retire(Tick now)
                 durableRegion_ = rec.region;
             }
         } else if (rec.op == ir::Opcode::CkptStore) {
-            trace::emitIf<trace::Category::Checkpoint>(
+            trace::emitIf(
                 cfg_.sink,
                 {now, trace::EventType::CheckpointStore,
                  static_cast<std::int32_t>(id_), rec.thread, rec.region,

@@ -28,7 +28,7 @@ struct ExecRecord
 {
     ir::Opcode op = ir::Opcode::Nop;
 
-    compiler::RegMask srcRegs = 0;  ///< registers read (dependences)
+    compiler::RegMask srcRegs = 0;  ///< registers read (ir::readRegs)
     int dstReg = -1;                ///< register written, -1 if none
     unsigned aluLatency = 1;
 

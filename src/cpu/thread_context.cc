@@ -4,8 +4,6 @@ namespace lwsp {
 namespace cpu {
 
 using namespace ir;
-using compiler::regBit;
-using compiler::spReg;
 
 ThreadContext::ThreadContext(const compiler::CompiledProgram &program,
                              ThreadId tid, mem::MemImage &memory,
@@ -63,6 +61,7 @@ ThreadContext::baseRecord(const Instruction &inst) const
     rec.op = inst.op;
     rec.thread = tid_;
     rec.region = region_;
+    rec.srcRegs = readRegs(inst);
     rec.aluLatency = executeLatency(inst.op);
     return rec;
 }
@@ -82,7 +81,6 @@ ThreadContext::step(ExecRecord &rec)
         regs_[inst.rd] = v;
         rec.dstReg = inst.rd;
     };
-    auto use = [&](Reg r) { rec.srcRegs |= regBit(r); };
 
     switch (inst.op) {
       case Opcode::Movi:
@@ -90,7 +88,6 @@ ThreadContext::step(ExecRecord &rec)
         advance();
         break;
       case Opcode::Mov:
-        use(inst.rs1);
         setRd(rs1());
         advance();
         break;
@@ -103,8 +100,6 @@ ThreadContext::step(ExecRecord &rec)
       case Opcode::Xor:
       case Opcode::Shl:
       case Opcode::Shr: {
-        use(inst.rs1);
-        use(inst.rs2);
         std::uint64_t a = rs1(), b = rs2(), v = 0;
         switch (inst.op) {
           case Opcode::Add: v = a + b; break;
@@ -123,24 +118,18 @@ ThreadContext::step(ExecRecord &rec)
         break;
       }
       case Opcode::AddI:
-        use(inst.rs1);
         setRd(rs1() + static_cast<std::uint64_t>(inst.imm));
         advance();
         break;
       case Opcode::MulI:
-        use(inst.rs1);
         setRd(rs1() * static_cast<std::uint64_t>(inst.imm));
         advance();
         break;
       case Opcode::Fma:
-        use(inst.rs1);
-        use(inst.rs2);
-        use(inst.rd);
         setRd(rs1() * rs2() + regs_[inst.rd]);
         advance();
         break;
       case Opcode::Load: {
-        use(inst.rs1);
         Addr addr = rs1() + static_cast<std::uint64_t>(inst.imm);
         setRd(mem_.read(addr & ~7ull));
         rec.isLoad = true;
@@ -149,8 +138,6 @@ ThreadContext::step(ExecRecord &rec)
         break;
       }
       case Opcode::Store: {
-        use(inst.rs1);
-        use(inst.rs2);
         Addr addr = (rs1() + static_cast<std::uint64_t>(inst.imm)) & ~7ull;
         mem_.write(addr, rs2());
         rec.isStore = true;
@@ -166,8 +153,6 @@ ThreadContext::step(ExecRecord &rec)
       // reflects the coherence order of racing atomics and lock
       // hand-offs. The sync op's store is tagged with the *new* region.
       case Opcode::AtomicAdd: {
-        use(inst.rs1);
-        use(inst.rs2);
         Addr addr = (rs1() + static_cast<std::uint64_t>(inst.imm)) & ~7ull;
         std::uint64_t v = mem_.read(addr) + rs2();
         mem_.write(addr, v);
@@ -184,7 +169,6 @@ ThreadContext::step(ExecRecord &rec)
         break;
       }
       case Opcode::LockAcq: {
-        use(inst.rs1);
         Addr addr = (rs1() + static_cast<std::uint64_t>(inst.imm)) & ~7ull;
         if (!locks_.tryAcquire(addr, tid_))
             return StepStatus::Blocked;
@@ -201,7 +185,6 @@ ThreadContext::step(ExecRecord &rec)
         break;
       }
       case Opcode::LockRel: {
-        use(inst.rs1);
         Addr addr = (rs1() + static_cast<std::uint64_t>(inst.imm)) & ~7ull;
         locks_.release(addr, tid_);
         mem_.write(addr, 0);
@@ -240,8 +223,6 @@ ThreadContext::step(ExecRecord &rec)
       case Opcode::Bne:
       case Opcode::Blt:
       case Opcode::Bge: {
-        use(inst.rs1);
-        use(inst.rs2);
         bool taken = false;
         switch (inst.op) {
           case Opcode::Beq: taken = rs1() == rs2(); break;
@@ -265,7 +246,6 @@ ThreadContext::step(ExecRecord &rec)
         rec.isStore = true;
         rec.addr = sp;
         rec.value = encodePc(ret);
-        rec.srcRegs |= regBit(spReg);
         rec.dstReg = spReg;
         pc_ = {inst.callee, 0, 0};
         break;
@@ -276,7 +256,6 @@ ThreadContext::step(ExecRecord &rec)
         regs_[spReg] = sp + 8;
         rec.isLoad = true;
         rec.addr = sp;
-        rec.srcRegs |= regBit(spReg);
         rec.dstReg = spReg;
         pc_ = decodePc(word);
         break;
@@ -306,7 +285,6 @@ ThreadContext::step(ExecRecord &rec)
         break;
       }
       case Opcode::CkptStore: {
-        use(inst.rs1);
         Addr slot = program_.layout.regSlot(tid_, inst.rs1);
         mem_.write(slot, rs1());
         rec.isStore = true;

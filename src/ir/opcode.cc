@@ -5,53 +5,13 @@
 namespace lwsp {
 namespace ir {
 
-namespace {
-
-struct NameEntry
-{
-    Opcode op;
-    const char *lexeme;
-};
-
-constexpr NameEntry nameTable[] = {
-    {Opcode::Movi, "movi"},       {Opcode::Mov, "mov"},
-    {Opcode::Add, "add"},         {Opcode::Sub, "sub"},
-    {Opcode::Mul, "mul"},         {Opcode::Div, "div"},
-    {Opcode::And, "and"},         {Opcode::Or, "or"},
-    {Opcode::Xor, "xor"},         {Opcode::Shl, "shl"},
-    {Opcode::Shr, "shr"},         {Opcode::AddI, "addi"},
-    {Opcode::MulI, "muli"},       {Opcode::Fma, "fma"},
-    {Opcode::Load, "load"},       {Opcode::Store, "store"},
-    {Opcode::Jmp, "jmp"},         {Opcode::Beq, "beq"},
-    {Opcode::Bne, "bne"},         {Opcode::Blt, "blt"},
-    {Opcode::Bge, "bge"},         {Opcode::Call, "call"},
-    {Opcode::Ret, "ret"},         {Opcode::Halt, "halt"},
-    {Opcode::Fence, "fence"},     {Opcode::AtomicAdd, "atomicadd"},
-    {Opcode::LockAcq, "lockacq"}, {Opcode::LockRel, "lockrel"},
-    {Opcode::Boundary, "boundary"},
-    {Opcode::CkptStore, "ckptstore"},
-    {Opcode::Nop, "nop"},
-};
-
-} // namespace
-
-const char *
-opcodeName(Opcode op)
-{
-    for (const auto &e : nameTable) {
-        if (e.op == op)
-            return e.lexeme;
-    }
-    return "<bad-opcode>";
-}
-
 Opcode
 opcodeFromName(const char *mnemonic, bool &ok)
 {
-    for (const auto &e : nameTable) {
-        if (std::strcmp(e.lexeme, mnemonic) == 0) {
+    for (const OpInfo &row : detail::opTable) {
+        if (std::strcmp(row.name, mnemonic) == 0) {
             ok = true;
-            return e.op;
+            return row.op;
         }
     }
     ok = false;

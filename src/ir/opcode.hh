@@ -9,12 +9,21 @@
  * boundaries (paper §III-D). Two opcodes exist only as compiler output:
  * Boundary (the PC-checkpointing store delimiting a region) and CkptStore
  * (a live-out register checkpoint store).
+ *
+ * The instruction set is declared once, as one OpInfo row per opcode:
+ * mnemonic, operand list, flags and latency class. The predicates below,
+ * the text printer and parser, the verifier, compiler liveness and the
+ * core's read sets all read that row.
  */
 
 #ifndef LWSP_IR_OPCODE_HH
 #define LWSP_IR_OPCODE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <span>
 
 namespace lwsp {
 namespace ir {
@@ -67,117 +76,165 @@ enum class Opcode : std::uint8_t
     Nop,
 };
 
-/** @return true if @p op writes a destination register. */
-constexpr bool
-writesReg(Opcode op)
+/** Number of opcodes (rows of the instruction table). */
+constexpr unsigned numOpcodes = static_cast<unsigned>(Opcode::Nop) + 1;
+
+/** One operand of an instruction's text form. */
+enum class Operand : std::uint8_t
 {
-    switch (op) {
-      case Opcode::Movi:
-      case Opcode::Mov:
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::AddI:
-      case Opcode::MulI:
-      case Opcode::Fma:
-      case Opcode::Load:
-        return true;
-      default:
-        return false;
+    Rd,        ///< "rN": the destination register
+    Rs1,       ///< "rN": the first source register
+    Rs2,       ///< "rN": the second source register
+    Imm,       ///< a signed immediate (Boundary: the site id)
+    Mem,       ///< "[rN+imm]": base register rs1 plus offset imm
+    Target,    ///< "bN": the branch target block
+    Fallthru,  ///< "bN": the conditional branch's fallthrough block
+    Callee,    ///< "@name": the called function
+    Kind,      ///< a BoundaryKind name, carried in rd
+};
+
+/** An opcode's properties: bit flags of OpInfo::flags. */
+enum OpFlag : std::uint8_t
+{
+    WritesRd = 1u << 0,      ///< writes its destination register
+    ReadsRd = 1u << 1,       ///< also reads rd (Fma's accumulator)
+    TouchesSp = 1u << 2,     ///< reads and writes sp (Call/Ret)
+    Terminator = 1u << 3,    ///< ends a basic block
+    CondBranch = 1u << 4,    ///< conditional branch (has a fallthrough)
+    Sync = 1u << 5,          ///< synchronization operation (§III-D)
+    /** Puts an entry on the persist path at run time: a data store, an
+     *  atomic, a lock-word store, a checkpoint store or Call's
+     *  return-address push. Boundary PC-stores are counted apart, in
+     *  the store threshold's reserved slot. */
+    PersistEntry = 1u << 6,
+};
+
+/**
+ * One row of the instruction table: everything the printer, parser,
+ * verifier, liveness and the core's dependence tracking know about an
+ * opcode. Execution semantics live in ThreadContext::step and
+ * constprop; the static checker (src/analysis) keeps its own cases.
+ */
+struct OpInfo
+{
+    static constexpr unsigned maxOperands = 4;
+
+    constexpr OpInfo(Opcode o, const char *mnemonic,
+                     std::initializer_list<Operand> form, unsigned f,
+                     unsigned lat)
+        : op(o), name(mnemonic), flags(static_cast<std::uint8_t>(f)),
+          latency(static_cast<std::uint8_t>(lat))
+    {
+        for (Operand x : form) {
+            operands[numOperands++] = x;
+            readsRs1 |= x == Operand::Rs1 || x == Operand::Mem;
+            readsRs2 |= x == Operand::Rs2;
+        }
     }
+
+    constexpr bool has(OpFlag f) const { return (flags & f) != 0; }
+
+    constexpr std::span<const Operand>
+    form() const
+    {
+        return {operands, numOperands};
+    }
+
+    Opcode op;
+    const char *name;                  ///< the mnemonic
+    Operand operands[maxOperands]{};   ///< the text form, in order
+    std::uint8_t numOperands = 0;
+    std::uint8_t flags;                ///< OpFlag bits
+    /** Execution latency class in cycles (loads get theirs from the
+     *  memory system). */
+    std::uint8_t latency;
+    bool readsRs1 = false;  ///< derived: an Rs1 or Mem operand
+    bool readsRs2 = false;  ///< derived: an Rs2 operand
+};
+
+namespace detail {
+
+using enum Operand;
+
+inline constexpr OpInfo opTable[] = {
+    // {op, mnemonic, operands in text order, flags, latency}
+    {Opcode::Movi, "movi", {Rd, Imm}, WritesRd, 1},
+    {Opcode::Mov, "mov", {Rd, Rs1}, WritesRd, 1},
+    {Opcode::Add, "add", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::Sub, "sub", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::Mul, "mul", {Rd, Rs1, Rs2}, WritesRd, 3},
+    {Opcode::Div, "div", {Rd, Rs1, Rs2}, WritesRd, 12},
+    {Opcode::And, "and", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::Or, "or", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::Xor, "xor", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::Shl, "shl", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::Shr, "shr", {Rd, Rs1, Rs2}, WritesRd, 1},
+    {Opcode::AddI, "addi", {Rd, Rs1, Imm}, WritesRd, 1},
+    {Opcode::MulI, "muli", {Rd, Rs1, Imm}, WritesRd, 3},
+    {Opcode::Fma, "fma", {Rd, Rs1, Rs2}, WritesRd | ReadsRd, 4},
+    {Opcode::Load, "load", {Rd, Mem}, WritesRd, 1},
+    {Opcode::Store, "store", {Mem, Rs2}, PersistEntry, 1},
+    {Opcode::Jmp, "jmp", {Target}, Terminator, 1},
+    {Opcode::Beq, "beq", {Rs1, Rs2, Target, Fallthru},
+     Terminator | CondBranch, 1},
+    {Opcode::Bne, "bne", {Rs1, Rs2, Target, Fallthru},
+     Terminator | CondBranch, 1},
+    {Opcode::Blt, "blt", {Rs1, Rs2, Target, Fallthru},
+     Terminator | CondBranch, 1},
+    {Opcode::Bge, "bge", {Rs1, Rs2, Target, Fallthru},
+     Terminator | CondBranch, 1},
+    {Opcode::Call, "call", {Callee}, TouchesSp | PersistEntry, 1},
+    {Opcode::Ret, "ret", {}, TouchesSp | Terminator, 1},
+    {Opcode::Halt, "halt", {}, Terminator, 1},
+    {Opcode::Fence, "fence", {}, Sync, 1},
+    {Opcode::AtomicAdd, "atomicadd", {Mem, Rs2}, Sync | PersistEntry, 1},
+    {Opcode::LockAcq, "lockacq", {Mem}, Sync | PersistEntry, 1},
+    {Opcode::LockRel, "lockrel", {Mem}, Sync | PersistEntry, 1},
+    {Opcode::Boundary, "boundary", {Kind, Imm}, 0, 1},
+    {Opcode::CkptStore, "ckptstore", {Rs1}, PersistEntry, 1},
+    {Opcode::Nop, "nop", {}, 0, 1},
+};
+
+static_assert(std::size(opTable) == numOpcodes,
+              "one instruction-table row per Opcode");
+static_assert([] {
+    for (unsigned i = 0; i < numOpcodes; ++i) {
+        if (opTable[i].op != static_cast<Opcode>(i))
+            return false;
+    }
+    return true;
+}(), "instruction-table rows follow the Opcode enum's order");
+
+} // namespace detail
+
+/** The instruction-table row of @p op. */
+constexpr const OpInfo &
+opInfo(Opcode op)
+{
+    return detail::opTable[static_cast<std::size_t>(op)];
 }
 
+/** @return true if @p op writes a destination register. */
+constexpr bool writesReg(Opcode op) { return opInfo(op).has(WritesRd); }
+
 /** @return true if @p op ends a basic block. */
-constexpr bool
-isTerminator(Opcode op)
-{
-    switch (op) {
-      case Opcode::Jmp:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Ret:
-      case Opcode::Halt:
-        return true;
-      default:
-        return false;
-    }
-}
+constexpr bool isTerminator(Opcode op) { return opInfo(op).has(Terminator); }
 
 /** @return true if @p op is a conditional branch (has a fallthrough). */
 constexpr bool
 isConditionalBranch(Opcode op)
 {
-    switch (op) {
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/**
- * @return true if @p op is a store that travels the persist path
- * (regular stores, checkpoint stores, boundary PC-stores, atomics).
- */
-constexpr bool
-isPersistentStore(Opcode op)
-{
-    switch (op) {
-      case Opcode::Store:
-      case Opcode::CkptStore:
-      case Opcode::Boundary:
-      case Opcode::AtomicAdd:
-        return true;
-      default:
-        return false;
-    }
+    return opInfo(op).has(CondBranch);
 }
 
 /** @return true if @p op is a synchronization operation (§III-D). */
-constexpr bool
-isSynchronization(Opcode op)
-{
-    switch (op) {
-      case Opcode::Fence:
-      case Opcode::AtomicAdd:
-      case Opcode::LockAcq:
-      case Opcode::LockRel:
-        return true;
-      default:
-        return false;
-    }
-}
+constexpr bool isSynchronization(Opcode op) { return opInfo(op).has(Sync); }
 
 /** Execution latency class in cycles for the timing model. */
-constexpr unsigned
-executeLatency(Opcode op)
-{
-    switch (op) {
-      case Opcode::Mul:
-      case Opcode::MulI:
-        return 3;
-      case Opcode::Div:
-        return 12;
-      case Opcode::Fma:
-        return 4;
-      default:
-        return 1;  // loads get their latency from the memory system
-    }
-}
+constexpr unsigned executeLatency(Opcode op) { return opInfo(op).latency; }
 
 /** Stable mnemonic for printing/parsing. */
-const char *opcodeName(Opcode op);
+constexpr const char *opcodeName(Opcode op) { return opInfo(op).name; }
 
 /** Parse a mnemonic; returns Nop and sets @p ok false on failure. */
 Opcode opcodeFromName(const char *mnemonic, bool &ok);

@@ -34,6 +34,18 @@ using Reg = std::uint8_t;
 constexpr BlockId invalidBlock = ~0u;
 constexpr FuncId invalidFunc = ~0u;
 
+/** Bitmask over the 16 architectural registers. */
+using RegMask = std::uint32_t;
+
+/** Stack-pointer register reserved by the Call/Ret convention. */
+constexpr Reg spReg = 15;
+
+constexpr RegMask
+regBit(Reg r)
+{
+    return 1u << r;
+}
+
 /**
  * One LightIR instruction. A single POD covers every opcode; unused fields
  * are zero. See Opcode documentation for per-opcode operand meaning.
@@ -175,6 +187,24 @@ struct Instruction
         return i;
     }
 };
+
+/**
+ * Registers @p inst reads by itself, from its instruction-table row: the
+ * register operands, rd when the row reads it (Fma) and sp for Call/Ret.
+ * What a callee or a caller reads beyond that is liveness's business.
+ */
+inline RegMask
+readRegs(const Instruction &inst)
+{
+    // Branch-free: the interpreter calls this for every instruction, and
+    // a branch on the row's bits would mispredict as the opcode changes.
+    const OpInfo &row = opInfo(inst.op);
+    auto all = [](bool on) { return RegMask{0} - on; };
+    return (regBit(inst.rs1) & all(row.readsRs1)) |
+           (regBit(inst.rs2) & all(row.readsRs2)) |
+           (regBit(inst.rd) & all(row.has(ReadsRd))) |
+           (regBit(spReg) & all(row.has(TouchesSp)));
+}
 
 /** A straight-line sequence of instructions ending in one terminator. */
 class BasicBlock

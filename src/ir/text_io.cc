@@ -1,111 +1,51 @@
 #include "text_io.hh"
 
 #include <cctype>
+#include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "common/parse.hh"
+
 namespace lwsp {
 namespace ir {
-
-namespace {
-
-std::string
-regName(Reg r)
-{
-    // Built via append rather than `"r" + std::to_string(...)`: GCC 12's
-    // -Wrestrict false-positives on that operator+ chain at -O2+.
-    std::string out("r");
-    out += std::to_string(static_cast<unsigned>(r));
-    return out;
-}
-
-std::string
-memOperand(Reg base, std::int64_t off)
-{
-    // Always emit '+' (even for negative offsets, "[r2+-8]") so the
-    // tokenizer can split on it unconditionally.
-    std::ostringstream os;
-    os << '[' << regName(base) << '+' << off << ']';
-    return os.str();
-}
-
-} // namespace
 
 std::string
 formatInstruction(const Module &m, const Instruction &inst)
 {
     std::ostringstream os;
-    os << opcodeName(inst.op);
-    switch (inst.op) {
-      case Opcode::Movi:
-        os << ' ' << regName(inst.rd) << ", " << inst.imm;
-        break;
-      case Opcode::Mov:
-        os << ' ' << regName(inst.rd) << ", " << regName(inst.rs1);
-        break;
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::Fma:
-        os << ' ' << regName(inst.rd) << ", " << regName(inst.rs1) << ", "
-           << regName(inst.rs2);
-        break;
-      case Opcode::AddI:
-      case Opcode::MulI:
-        os << ' ' << regName(inst.rd) << ", " << regName(inst.rs1) << ", "
-           << inst.imm;
-        break;
-      case Opcode::Load:
-        os << ' ' << regName(inst.rd) << ", "
-           << memOperand(inst.rs1, inst.imm);
-        break;
-      case Opcode::Store:
-        os << ' ' << memOperand(inst.rs1, inst.imm) << ", "
-           << regName(inst.rs2);
-        break;
-      case Opcode::AtomicAdd:
-        os << ' ' << memOperand(inst.rs1, inst.imm) << ", "
-           << regName(inst.rs2);
-        break;
-      case Opcode::LockAcq:
-      case Opcode::LockRel:
-        os << ' ' << memOperand(inst.rs1, inst.imm);
-        break;
-      case Opcode::Jmp:
-        os << " b" << inst.target;
-        break;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        os << ' ' << regName(inst.rs1) << ", " << regName(inst.rs2)
-           << ", b" << inst.target << ", b" << inst.fallthru;
-        break;
-      case Opcode::Call:
-        os << " @" << m.function(inst.callee).name();
-        break;
-      case Opcode::CkptStore:
-        os << ' ' << regName(inst.rs1);
-        break;
-      case Opcode::Boundary:
-        // Kind (rd) and site id (imm) are recovery metadata: dropping
-        // them in the text form would change what the program means.
-        os << ' '
-           << boundaryKindName(static_cast<BoundaryKind>(inst.rd))
-           << ", " << inst.imm;
-        break;
-      case Opcode::Ret:
-      case Opcode::Halt:
-      case Opcode::Fence:
-      case Opcode::Nop:
-        break;
+    const OpInfo &row = opInfo(inst.op);
+    os << row.name;
+    auto reg = [&](Reg r) { os << 'r' << static_cast<unsigned>(r); };
+    const char *sep = " ";
+    for (Operand x : row.form()) {
+        os << sep;
+        sep = ", ";
+        switch (x) {
+          case Operand::Rd: reg(inst.rd); break;
+          case Operand::Rs1: reg(inst.rs1); break;
+          case Operand::Rs2: reg(inst.rs2); break;
+          case Operand::Imm: os << inst.imm; break;
+          case Operand::Mem:
+            // Always emit '+' (even for negative offsets, "[r2+-8]") so
+            // the parser can split on it unconditionally.
+            os << '[';
+            reg(inst.rs1);
+            os << '+' << inst.imm << ']';
+            break;
+          case Operand::Target: os << 'b' << inst.target; break;
+          case Operand::Fallthru: os << 'b' << inst.fallthru; break;
+          case Operand::Callee:
+            os << '@' << m.function(inst.callee).name();
+            break;
+          case Operand::Kind:
+            // A Boundary's kind (rd) and site id (imm) are recovery
+            // metadata: dropping them in the text form would change what
+            // the program means.
+            os << boundaryKindName(static_cast<BoundaryKind>(inst.rd));
+            break;
+        }
     }
     return os.str();
 }
@@ -139,33 +79,25 @@ moduleToString(const Module &m)
 
 namespace {
 
-/** Splits a line into bare tokens, treating , [ ] + as separators but
- *  keeping '-' attached to numbers. "[r2+8]" -> "r2" "8". */
+/** Splits a line into tokens at whitespace, ',' and ':'; a memory
+ *  operand "[r2+8]" stays one token. */
 std::vector<std::string>
 tokenize(const std::string &line)
 {
     std::vector<std::string> out;
     std::string cur;
-    auto flush = [&] {
-        if (!cur.empty()) {
-            out.push_back(cur);
-            cur.clear();
-        }
-    };
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (c == ';')
-            break;
+    for (char c : line.substr(0, line.find(';'))) {
         if (std::isspace(static_cast<unsigned char>(c)) || c == ',' ||
-            c == '[' || c == ']' || c == ':') {
-            flush();
-        } else if (c == '+') {
-            flush();
+            c == ':') {
+            if (!cur.empty())
+                out.push_back(std::move(cur));
+            cur.clear();
         } else {
             cur.push_back(c);
         }
     }
-    flush();
+    if (!cur.empty())
+        out.push_back(std::move(cur));
     return out;
 }
 
@@ -184,33 +116,69 @@ parseError(int line_no, const std::string &msg)
     fatal("IR parse error at line ", line_no, ": ", msg);
 }
 
-Reg
-parseReg(const std::string &tok, int line_no)
+/**
+ * A whole token as a number: an optional '-' (when @p negative_ok), then
+ * decimal digits or 0x and hex digits. Returns its two's-complement bits;
+ * a negative value reaches down to INT64_MIN.
+ */
+std::uint64_t
+parseNumber(const std::string &tok, int line_no, bool negative_ok)
 {
-    if (tok.size() < 2 || tok[0] != 'r')
-        parseError(line_no, "expected register, got '" + tok + "'");
-    unsigned long v = std::stoul(tok.substr(1));
-    if (v >= numGprs)
-        parseError(line_no, "register out of range: " + tok);
-    return static_cast<Reg>(v);
+    std::string_view digits = tok;
+    const bool neg = negative_ok && digits.starts_with('-');
+    if (neg)
+        digits.remove_prefix(1);
+    const bool hex = digits.starts_with("0x");
+    std::uint64_t mag = 0;
+    if (!parseUnsigned(digits.substr(hex ? 2 : 0), mag, hex ? 16 : 10) ||
+        (neg && mag > 1ull << 63))
+        parseError(line_no, "expected number, got '" + tok + "'");
+    return neg ? 0 - mag : mag;
 }
 
 std::int64_t
 parseImm(const std::string &tok, int line_no)
 {
-    try {
-        return static_cast<std::int64_t>(std::stoll(tok, nullptr, 0));
-    } catch (...) {
-        parseError(line_no, "expected immediate, got '" + tok + "'");
-    }
+    std::uint64_t v = parseNumber(tok, line_no, true);
+    if (!tok.starts_with('-') &&
+        v > static_cast<std::uint64_t>(INT64_MAX))
+        parseError(line_no, "immediate out of range: " + tok);
+    return static_cast<std::int64_t>(v);
+}
+
+Reg
+parseReg(const std::string &tok, int line_no)
+{
+    unsigned v = 0;
+    if (!tok.starts_with('r') ||
+        !parseUnsigned(std::string_view(tok).substr(1), v))
+        parseError(line_no, "expected register, got '" + tok + "'");
+    if (v >= numGprs)
+        parseError(line_no, "register out of range: " + tok);
+    return static_cast<Reg>(v);
+}
+
+/** A memory operand "[rN+imm]" into @p inst's rs1 and imm. */
+void
+parseMem(const std::string &tok, int line_no, Instruction &inst)
+{
+    const std::size_t plus = tok.find('+');
+    if (!tok.starts_with('[') || !tok.ends_with(']') ||
+        plus == std::string::npos)
+        parseError(line_no, "expected '[rN+imm]', got '" + tok + "'");
+    inst.rs1 = parseReg(tok.substr(1, plus - 1), line_no);
+    inst.imm = parseImm(tok.substr(plus + 1, tok.size() - plus - 2),
+                        line_no);
 }
 
 BlockId
 parseBlockRef(const std::string &tok, int line_no)
 {
-    if (tok.size() < 2 || tok[0] != 'b')
+    BlockId b = 0;
+    if (!tok.starts_with('b') ||
+        !parseUnsigned(std::string_view(tok).substr(1), b))
         parseError(line_no, "expected block ref, got '" + tok + "'");
-    return static_cast<BlockId>(std::stoul(tok.substr(1)));
+    return b;
 }
 
 } // namespace
@@ -235,6 +203,8 @@ parseModule(const std::string &text)
         if (toks[0] == "func") {
             if (toks.size() != 2 || toks[1].empty() || toks[1][0] != '@')
                 parseError(line_no, "expected 'func @name'");
+            if (m->findFunction(toks[1].substr(1)) != invalidFunc)
+                parseError(line_no, "function " + toks[1] + " repeats");
             fn = &m->addFunction(toks[1].substr(1));
             bb = nullptr;
             continue;
@@ -243,26 +213,30 @@ parseModule(const std::string &text)
             if (!fn || toks.size() != 3)
                 parseError(line_no, "expected 'trip bN count'");
             fn->loopTripCounts()[parseBlockRef(toks[1], line_no)] =
-                static_cast<std::uint64_t>(parseImm(toks[2], line_no));
+                parseNumber(toks[2], line_no, false);
             continue;
         }
         if (toks[0] == "block") {
             if (!fn)
                 parseError(line_no, "block outside function");
-            if (toks.size() != 2)
+            BlockId want = 0;
+            if (toks.size() != 2 || !parseUnsigned(toks[1], want))
                 parseError(line_no, "expected 'block N:'");
-            BlockId want = static_cast<BlockId>(std::stoul(toks[1]));
-            while (fn->numBlocks() <= want)
-                fn->addBlock();
-            bb = &fn->block(want);
+            // Blocks are numbered densely: the next new one, or one to
+            // reopen.
+            if (want > fn->numBlocks())
+                parseError(line_no, "block " + toks[1] + " skips block " +
+                                        std::to_string(fn->numBlocks()));
+            bb = want == fn->numBlocks() ? &fn->addBlock()
+                                         : &fn->block(want);
             continue;
         }
         if (toks[0] == "data") {
             if (toks.size() != 3)
                 parseError(line_no, "expected 'data addr value'");
             m->initialData().emplace_back(
-                static_cast<Addr>(parseImm(toks[1], line_no)),
-                static_cast<std::uint64_t>(parseImm(toks[2], line_no)));
+                parseNumber(toks[1], line_no, false),
+                parseNumber(toks[2], line_no, true));
             continue;
         }
 
@@ -274,118 +248,50 @@ parseModule(const std::string &text)
         if (!ok)
             parseError(line_no, "unknown opcode '" + toks[0] + "'");
 
+        const OpInfo &row = opInfo(op);
         Instruction inst;
         inst.op = op;
-        auto need = [&](std::size_t n) {
-            if (toks.size() != n + 1)
-                parseError(line_no, "wrong operand count for " + toks[0]);
-        };
-        switch (op) {
-          case Opcode::Movi:
-            need(2);
-            inst.rd = parseReg(toks[1], line_no);
-            inst.imm = parseImm(toks[2], line_no);
-            break;
-          case Opcode::Mov:
-            need(2);
-            inst.rd = parseReg(toks[1], line_no);
-            inst.rs1 = parseReg(toks[2], line_no);
-            break;
-          case Opcode::Add:
-          case Opcode::Sub:
-          case Opcode::Mul:
-          case Opcode::Div:
-          case Opcode::And:
-          case Opcode::Or:
-          case Opcode::Xor:
-          case Opcode::Shl:
-          case Opcode::Shr:
-          case Opcode::Fma:
-            need(3);
-            inst.rd = parseReg(toks[1], line_no);
-            inst.rs1 = parseReg(toks[2], line_no);
-            inst.rs2 = parseReg(toks[3], line_no);
-            break;
-          case Opcode::AddI:
-          case Opcode::MulI:
-            need(3);
-            inst.rd = parseReg(toks[1], line_no);
-            inst.rs1 = parseReg(toks[2], line_no);
-            inst.imm = parseImm(toks[3], line_no);
-            break;
-          case Opcode::Load:
-            need(3);
-            inst.rd = parseReg(toks[1], line_no);
-            inst.rs1 = parseReg(toks[2], line_no);
-            inst.imm = parseImm(toks[3], line_no);
-            break;
-          case Opcode::Store:
-          case Opcode::AtomicAdd:
-            need(3);
-            inst.rs1 = parseReg(toks[1], line_no);
-            inst.imm = parseImm(toks[2], line_no);
-            inst.rs2 = parseReg(toks[3], line_no);
-            break;
-          case Opcode::LockAcq:
-          case Opcode::LockRel:
-            need(2);
-            inst.rs1 = parseReg(toks[1], line_no);
-            inst.imm = parseImm(toks[2], line_no);
-            break;
-          case Opcode::Jmp:
-            need(1);
-            inst.target = parseBlockRef(toks[1], line_no);
-            break;
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Bge:
-            need(4);
-            inst.rs1 = parseReg(toks[1], line_no);
-            inst.rs2 = parseReg(toks[2], line_no);
-            inst.target = parseBlockRef(toks[3], line_no);
-            inst.fallthru = parseBlockRef(toks[4], line_no);
-            break;
-          case Opcode::Call: {
-            need(1);
-            if (toks[1].empty() || toks[1][0] != '@')
-                parseError(line_no, "expected '@callee'");
-            pending_calls.push_back({fn->id(), bb->id(),
-                                     bb->insts().size(),
-                                     toks[1].substr(1), line_no});
-            break;
-          }
-          case Opcode::CkptStore:
-            need(1);
-            inst.rs1 = parseReg(toks[1], line_no);
-            break;
-          case Opcode::Boundary: {
-            // 'boundary [kind [, site-id]]': the bare and kind-only
-            // forms are accepted for hand-written and legacy modules;
-            // printModule always emits both operands. Unknown kind
-            // names are rejected rather than defaulted — a module
-            // claiming a kind we do not have is corrupt.
-            if (toks.size() > 3)
-                parseError(line_no, "wrong operand count for boundary");
-            if (toks.size() >= 2) {
+        // One token per operand. Boundary's operands may be left off for
+        // hand-written and legacy modules ("boundary" is func-entry at
+        // site 0); printModule always emits both.
+        const std::size_t have = toks.size() - 1;
+        if (have != row.numOperands &&
+            !(op == Opcode::Boundary && have < row.numOperands))
+            parseError(line_no, "wrong operand count for " + toks[0]);
+        for (std::size_t i = 0; i < have; ++i) {
+            const std::string &tok = toks[i + 1];
+            switch (row.operands[i]) {
+              case Operand::Rd: inst.rd = parseReg(tok, line_no); break;
+              case Operand::Rs1: inst.rs1 = parseReg(tok, line_no); break;
+              case Operand::Rs2: inst.rs2 = parseReg(tok, line_no); break;
+              case Operand::Imm: inst.imm = parseImm(tok, line_no); break;
+              case Operand::Mem: parseMem(tok, line_no, inst); break;
+              case Operand::Target:
+                inst.target = parseBlockRef(tok, line_no);
+                break;
+              case Operand::Fallthru:
+                inst.fallthru = parseBlockRef(tok, line_no);
+                break;
+              case Operand::Callee:
+                // Resolved once every function is known.
+                if (!tok.starts_with('@'))
+                    parseError(line_no, "expected '@callee'");
+                pending_calls.push_back({fn->id(), bb->id(),
+                                         bb->insts().size(), tok.substr(1),
+                                         line_no});
+                break;
+              case Operand::Kind: {
+                // Unknown kind names are rejected rather than defaulted:
+                // a module claiming a kind we do not have is corrupt.
                 bool kind_ok = false;
-                BoundaryKind k =
-                    boundaryKindFromName(toks[1].c_str(), kind_ok);
+                BoundaryKind k = boundaryKindFromName(tok.c_str(), kind_ok);
                 if (!kind_ok)
-                    parseError(line_no, "unknown boundary kind '" +
-                                            toks[1] + "'");
+                    parseError(line_no,
+                               "unknown boundary kind '" + tok + "'");
                 inst.rd = static_cast<Reg>(k);
+                break;
+              }
             }
-            if (toks.size() == 3)
-                inst.imm = parseImm(toks[2], line_no);
-            break;
-          }
-          case Opcode::Ret:
-          case Opcode::Halt:
-          case Opcode::Fence:
-          case Opcode::Nop:
-            need(0);
-            break;
         }
         bb->append(inst);
     }

@@ -20,7 +20,11 @@
  *     ret
  *   data 0x1000 42
  * @endcode
- * Comments start with ';' and run to end of line.
+ * Comments start with ';' and run to end of line. Each instruction's
+ * operands follow its instruction-table row (ir/opcode.hh). Registers
+ * (rN), numbers (decimal, or 0x and hex digits, with an optional '-'),
+ * block refs (bN) and block ids are read as whole tokens, and a block id
+ * names an existing block or the next new one.
  */
 
 #ifndef LWSP_IR_TEXT_IO_HH
@@ -46,7 +50,7 @@ std::string moduleToString(const Module &m);
 
 /**
  * Parse a module from text. Throws FatalError with a line-numbered message
- * on malformed input.
+ * on malformed input. Does not verify: verifyModule() checks what parses.
  */
 std::unique_ptr<Module> parseModule(const std::string &text);
 

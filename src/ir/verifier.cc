@@ -56,60 +56,42 @@ verifyModule(const Module &m)
                     problems.push_back(where +
                                        ": terminator before end of block");
                 }
-                if (writesReg(inst.op))
-                    checkReg(inst.rd, where, problems);
-                switch (inst.op) {
-                  case Opcode::Mov:
-                  case Opcode::AddI:
-                  case Opcode::MulI:
-                  case Opcode::Load:
-                  case Opcode::LockAcq:
-                  case Opcode::LockRel:
-                  case Opcode::CkptStore:
-                    checkReg(inst.rs1, where, problems);
-                    break;
-                  case Opcode::Add:
-                  case Opcode::Sub:
-                  case Opcode::Mul:
-                  case Opcode::Div:
-                  case Opcode::And:
-                  case Opcode::Or:
-                  case Opcode::Xor:
-                  case Opcode::Shl:
-                  case Opcode::Shr:
-                  case Opcode::Fma:
-                  case Opcode::Store:
-                  case Opcode::AtomicAdd:
-                  case Opcode::Beq:
-                  case Opcode::Bne:
-                  case Opcode::Blt:
-                  case Opcode::Bge:
-                    checkReg(inst.rs1, where, problems);
-                    checkReg(inst.rs2, where, problems);
-                    break;
-                  default:
-                    break;
-                }
-                if (inst.op == Opcode::Jmp ||
-                    isConditionalBranch(inst.op)) {
-                    if (inst.target >= fn.numBlocks())
-                        problems.push_back(where +
-                                           ": branch target out of range");
-                }
-                if (isConditionalBranch(inst.op) &&
-                    inst.fallthru >= fn.numBlocks()) {
-                    problems.push_back(where +
-                                       ": fallthrough out of range");
-                }
-                if (inst.op == Opcode::Call &&
-                    inst.callee >= m.numFunctions()) {
-                    problems.push_back(where + ": callee out of range");
-                }
-                if (inst.op == Opcode::Boundary &&
-                    !isValidBoundaryKind(inst.rd)) {
-                    problems.push_back(
-                        where + ": invalid boundary kind " +
-                        std::to_string(inst.rd));
+                for (Operand x : opInfo(inst.op).form()) {
+                    switch (x) {
+                      case Operand::Rd:
+                        checkReg(inst.rd, where, problems);
+                        break;
+                      case Operand::Rs1:
+                      case Operand::Mem:
+                        checkReg(inst.rs1, where, problems);
+                        break;
+                      case Operand::Rs2:
+                        checkReg(inst.rs2, where, problems);
+                        break;
+                      case Operand::Imm:
+                        break;
+                      case Operand::Target:
+                        if (inst.target >= fn.numBlocks())
+                            problems.push_back(
+                                where + ": branch target out of range");
+                        break;
+                      case Operand::Fallthru:
+                        if (inst.fallthru >= fn.numBlocks())
+                            problems.push_back(
+                                where + ": fallthrough out of range");
+                        break;
+                      case Operand::Callee:
+                        if (inst.callee >= m.numFunctions())
+                            problems.push_back(where +
+                                               ": callee out of range");
+                        break;
+                      case Operand::Kind:
+                        if (!isValidBoundaryKind(inst.rd))
+                            problems.push_back(
+                                where + ": invalid boundary kind " +
+                                std::to_string(inst.rd));
+                        break;
+                    }
                 }
             }
         }

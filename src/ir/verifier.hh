@@ -17,9 +17,9 @@ namespace ir {
 /**
  * Check module well-formedness:
  *  - every block ends in exactly one terminator, with none mid-block;
- *  - branch targets and fallthroughs reference existing blocks;
- *  - call targets reference existing functions;
- *  - register operands are < numGprs;
+ *  - every operand its instruction-table row names is in range:
+ *    registers < numGprs, branch targets and fallthroughs existing
+ *    blocks, callees existing functions, Boundary kinds valid ones;
  *  - the module has an entry function whose entry block exists.
  *
  * @return list of human-readable problems (empty means valid)

@@ -115,7 +115,7 @@ MemController::accept(const PersistEntry &e, Tick now)
         cfg_.oracle->onAccept(id_, e, wpq_.size(), cfg_.wpqEntries,
                               fallbackActive_, now);
     }
-    trace::emitIf<trace::Category::Wpq>(
+    trace::emitIf(
         cfg_.sink,
         {now, trace::EventType::WpqEnqueue,
          static_cast<std::int32_t>(id_), e.thread, e.region, e.addr,
@@ -154,7 +154,7 @@ MemController::receive(const McMsg &msg, Tick now)
       case McMsg::Type::BdryArrival:
         if (cfg_.oracle)
             cfg_.oracle->onBdryArrival(id_, msg.region, now);
-        trace::emitIf<trace::Category::Boundary>(
+        trace::emitIf(
             cfg_.sink,
             {now, trace::EventType::BoundaryBcastRecv,
              static_cast<std::int32_t>(id_), 0, msg.region, 0, 0,
@@ -179,7 +179,7 @@ MemController::receive(const McMsg &msg, Tick now)
             else
                 cfg_.oracle->onBdryAck(id_, msg.region, msg.from);
         }
-        trace::emitIf<trace::Category::Boundary>(
+        trace::emitIf(
             cfg_.sink,
             {now, trace::EventType::BoundaryAck,
              static_cast<std::int32_t>(id_), 0, msg.region, 0, 0,
@@ -216,7 +216,7 @@ MemController::maybeAdvanceFlushId(Tick now)
         state(flushId_).clear();
         if (cfg_.oracle)
             cfg_.oracle->onCommit(id_, flushId_, now);
-        trace::emitIf<trace::Category::Region>(
+        trace::emitIf(
             cfg_.sink,
             {now, trace::EventType::RegionPersist,
              static_cast<std::int32_t>(id_), 0, flushId_, 0, 0, 0});
@@ -232,7 +232,7 @@ MemController::traceEvent(int kind, Addr addr, std::uint64_t value,
 {
     if (cfg_.oracle)
         cfg_.oracle->onFlush(id_, kind, addr, value, region, now);
-    trace::emitIf<trace::Category::Wpq>(
+    trace::emitIf(
         cfg_.sink,
         {now, trace::EventType::WpqRelease,
          static_cast<std::int32_t>(id_), 0, region, addr, value,
@@ -306,7 +306,7 @@ MemController::finishLocalFlush(RegionId r, Tick now)
         return;
     st.localFlushDone = true;
     st.flushAcks.set(id_);
-    trace::emitIf<trace::Category::Wpq>(
+    trace::emitIf(
         cfg_.sink,
         {now, trace::EventType::WpqDrainDone,
          static_cast<std::int32_t>(id_), 0, r, 0, 0, wpq_.size()});

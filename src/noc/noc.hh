@@ -518,7 +518,7 @@ class Noc : public Clocked
             // Exponential backoff, capped so deadlines stay sane.
             unsigned shift = std::min(pb.attempts, 6u);
             pb.deadline = now + (retryTimeout_ << shift);
-            trace::emitIf<trace::Category::Boundary>(
+            trace::emitIf(
                 sink_, {now, trace::EventType::BcastRetry, -1, 0,
                         pb.msg.region, 0, pb.msg.bcastId, pb.attempts});
         }

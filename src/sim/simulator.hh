@@ -23,12 +23,12 @@
  *    none of the scheduling code it checks. Kept selectable
  *    (--engine=cycle) as the ground truth for A/B verification.
  *
- * The linear nextActiveTick() scan backs a debug cross-check
- * (LWSP_VERIFY_WAKEUPS=1, or SystemConfig::verifyWakeups): every time
- * the event engine would skip cycles it asserts its next wakeup is
- * never later than the full rescan — an early wake tick is just a
- * spurious no-op wakeup, but a late one is a missed event, i.e. a
- * component changed state without re-arming.
+ * The linear nextActiveTick() scan backs a debug cross-check, armed by
+ * LWSP_VERIFY_WAKEUPS=1 in the environment when the Simulator is built
+ * (unset, empty or 0 is off): every time the event engine would skip
+ * cycles it asserts its next wakeup is never later than the full rescan
+ * — an early wake tick is just a spurious no-op wakeup, but a late one
+ * is a missed event, i.e. a component changed state without re-arming.
  */
 
 #ifndef LWSP_SIM_SIMULATOR_HH
@@ -36,7 +36,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
 #include "common/logging.hh"
@@ -89,13 +88,6 @@ class Simulator
 
     /** Select the engine; call before the first executeCycle(). */
     void setEngine(SimEngine e) { engine_ = e; }
-
-    /** Enable the wake-ticks-vs-rescan cross-check (event engine only). */
-    void
-    setVerifyWakeups(bool v)
-    {
-        verify_ = v || std::getenv("LWSP_VERIFY_WAKEUPS") != nullptr;
-    }
 
     /** Register a component; same-cycle ticks follow registration order. */
     void
@@ -259,7 +251,8 @@ class Simulator
     std::vector<Clocked *> components_;
     std::vector<Tick> wake_;  ///< registration index -> next wake tick
     SimEngine engine_ = SimEngine::Event;
-    bool verify_ = false;
+    /** The wake-ticks-vs-rescan cross-check (event engine only). */
+    bool verify_ = envSwitch("LWSP_VERIFY_WAKEUPS");
     bool inCycle_ = false;
     bool mayBeDue_ = false;   ///< some wake tick may be <= the next cycle
     std::uint32_t curIdx_ = 0;

@@ -19,6 +19,7 @@
 #define LWSP_TRACE_EVENTS_HH
 
 #include <cstdint>
+#include <iterator>
 
 #include "common/types.hh"
 
@@ -104,43 +105,70 @@ enum class EventType : std::uint8_t
 constexpr std::uint8_t numEventTypes =
     static_cast<std::uint8_t>(EventType::ServeMark) + 1;
 
-/** The Category an EventType belongs to. */
-constexpr Category
-categoryOf(EventType t)
+/** Which unit an event's `unit` field numbers. */
+enum class UnitScope : std::uint8_t
 {
-    switch (t) {
-      case EventType::RegionBegin:
-      case EventType::RegionClose:
-      case EventType::RegionPersist:
-        return Category::Region;
-      case EventType::BoundaryBcastSend:
-      case EventType::BoundaryBcastRecv:
-      case EventType::BoundaryAck:
-      case EventType::BcastRetry:
-        return Category::Boundary;
-      case EventType::WpqEnqueue:
-      case EventType::WpqRelease:
-      case EventType::WpqDrainDone:
-        return Category::Wpq;
-      case EventType::CacheWriteback:
-        return Category::Cache;
-      case EventType::CheckpointStore:
-        return Category::Checkpoint;
-      case EventType::PowerFailure:
-      case EventType::CrashDrainEnd:
-      case EventType::Recovery:
-      case EventType::FaultInjected:
-      case EventType::RecoveryVerdict:
-        return Category::Power;
-      case EventType::CtxSwitch:
-        return Category::Sched;
-      case EventType::ServeMark:
-        return Category::Serve;
+    None,  ///< no unit (or -1)
+    Core,  ///< a core index
+    Mc,    ///< a memory-controller index
+};
+
+/** One row of the event vocabulary. */
+struct EventInfo
+{
+    EventType type;
+    const char *name;    ///< the lwsp_trace / Perfetto spelling
+    Category category;   ///< what the sink mask filters on
+    UnitScope unit;      ///< what `unit` numbers (Perfetto track layout)
+};
+
+namespace detail {
+
+using enum EventType;
+using enum UnitScope;
+using C = Category;
+
+inline constexpr EventInfo eventTable[] = {
+    {RegionBegin, "region-begin", C::Region, Core},
+    {RegionClose, "region-close", C::Region, Core},
+    {RegionPersist, "region-persist", C::Region, Mc},
+    {BoundaryBcastSend, "bdry-send", C::Boundary, Core},
+    {BoundaryBcastRecv, "bdry-recv", C::Boundary, Mc},
+    {BoundaryAck, "bdry-ack", C::Boundary, Mc},
+    {WpqEnqueue, "wpq-enqueue", C::Wpq, Mc},
+    {WpqRelease, "wpq-release", C::Wpq, Mc},
+    {WpqDrainDone, "wpq-drain-done", C::Wpq, Mc},
+    {CacheWriteback, "cache-writeback", C::Cache, Core},
+    {CheckpointStore, "ckpt-store", C::Checkpoint, Core},
+    {PowerFailure, "power-failure", C::Power, None},
+    {CrashDrainEnd, "crash-drain-end", C::Power, None},
+    {Recovery, "recovery", C::Power, None},
+    {CtxSwitch, "ctx-switch", C::Sched, Core},
+    {BcastRetry, "bcast-retry", C::Boundary, None},
+    {FaultInjected, "fault-injected", C::Power, Mc},  // damaged/stalled MC
+    {RecoveryVerdict, "recovery-verdict", C::Power, None},
+    {ServeMark, "serve-mark", C::Serve, Core},
+};
+
+static_assert(std::size(eventTable) == numEventTypes,
+              "one vocabulary row per EventType");
+static_assert([] {
+    for (unsigned i = 0; i < numEventTypes; ++i) {
+        if (eventTable[i].type != static_cast<EventType>(i))
+            return false;
     }
-    return Category::Power;
+    return true;
+}(), "vocabulary rows follow the EventType enum's order");
+
+} // namespace detail
+
+/** The vocabulary row of @p t. */
+constexpr const EventInfo &
+eventInfo(EventType t)
+{
+    return detail::eventTable[static_cast<std::uint8_t>(t)];
 }
 
-const char *eventTypeName(EventType t);
 const char *categoryName(Category c);
 
 /** Parse "region", "wpq", ... (case-sensitive); 0 on failure. */

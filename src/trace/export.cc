@@ -169,52 +169,13 @@ filterByMask(const std::vector<Event> &events, std::uint32_t mask)
     std::vector<Event> out;
     out.reserve(events.size());
     for (const Event &e : events) {
-        if (mask & categoryBit(categoryOf(e.type)))
+        if (mask & categoryBit(eventInfo(e.type).category))
             out.push_back(e);
     }
     return out;
 }
 
 // ---- Summary ---------------------------------------------------------------
-
-namespace {
-
-/** Is the event's unit a core index (vs an MC index)? */
-bool
-coreScoped(EventType t)
-{
-    switch (t) {
-      case EventType::RegionBegin:
-      case EventType::RegionClose:
-      case EventType::BoundaryBcastSend:
-      case EventType::CacheWriteback:
-      case EventType::CheckpointStore:
-      case EventType::CtxSwitch:
-      case EventType::ServeMark:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-mcScoped(EventType t)
-{
-    switch (t) {
-      case EventType::RegionPersist:
-      case EventType::BoundaryBcastRecv:
-      case EventType::BoundaryAck:
-      case EventType::WpqEnqueue:
-      case EventType::WpqRelease:
-      case EventType::WpqDrainDone:
-      case EventType::FaultInjected:  // unit = damaged/stalled MC (or -1)
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
 
 TraceSummary
 summarize(const std::vector<Event> &events)
@@ -231,9 +192,9 @@ summarize(const std::vector<Event> &events)
         ++s.perType[static_cast<std::uint8_t>(e.type)];
         if (e.unit >= 0) {
             auto u = static_cast<unsigned>(e.unit) + 1;
-            if (coreScoped(e.type))
+            if (eventInfo(e.type).unit == UnitScope::Core)
                 s.numCores = std::max(s.numCores, u);
-            else if (mcScoped(e.type))
+            else if (eventInfo(e.type).unit == UnitScope::Mc)
                 s.numMcs = std::max(s.numMcs, u);
         }
     }
@@ -279,8 +240,9 @@ writePerfetto(std::ostream &os, const std::vector<Event> &events)
     auto trackOf = [&](const Event &e) {
         if (e.unit < 0)
             return sysTid;
-        return mcScoped(e.type) ? static_cast<int>(sum.numCores) + e.unit
-                                : e.unit;
+        return eventInfo(e.type).unit == UnitScope::Mc
+                   ? static_cast<int>(sum.numCores) + e.unit
+                   : e.unit;
     };
 
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -315,7 +277,7 @@ writePerfetto(std::ostream &os, const std::vector<Event> &events)
 
     for (const Event &e : events) {
         int tid = trackOf(e);
-        const char *cat = categoryName(categoryOf(e.type));
+        const char *cat = categoryName(eventInfo(e.type).category);
         switch (e.type) {
           case EventType::RegionBegin:
             ++depth[tid];
@@ -363,7 +325,7 @@ writePerfetto(std::ostream &os, const std::vector<Event> &events)
           }
           default:
             w.open('i', e.tick, tid);
-            os << ",\"name\":\"" << eventTypeName(e.type)
+            os << ",\"name\":\"" << eventInfo(e.type).name
                << (e.region != invalidRegion
                        ? " r" + std::to_string(e.region)
                        : std::string())
@@ -394,7 +356,7 @@ writeText(std::ostream &os, const std::vector<Event> &events)
 {
     for (const Event &e : events) {
         os << std::setw(10) << e.tick << ' ' << std::left << std::setw(16)
-           << eventTypeName(e.type) << std::right << " unit=" << e.unit
+           << eventInfo(e.type).name << std::right << " unit=" << e.unit
            << " thr=" << e.thread;
         if (e.region != invalidRegion)
             os << " region=" << e.region;

@@ -53,9 +53,9 @@ cmdInfo(const char *path)
     for (std::uint8_t t = 0; t < numEventTypes; ++t) {
         if (s.perType[t] == 0)
             continue;
-        auto type = static_cast<EventType>(t);
-        std::printf("  %-16s %10zu  (%s)\n", eventTypeName(type),
-                    s.perType[t], categoryName(categoryOf(type)));
+        const EventInfo &row = eventInfo(static_cast<EventType>(t));
+        std::printf("  %-16s %10zu  (%s)\n", row.name, s.perType[t],
+                    categoryName(row.category));
     }
     return 0;
 }

@@ -57,7 +57,7 @@ class TraceSink
     void
     emit(const Event &e)
     {
-        if (!wants(categoryOf(e.type)))
+        if (!wants(eventInfo(e.type).category))
             return;
         ring_[head_] = e;
         head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
@@ -107,9 +107,8 @@ class TraceSink
 
 /**
  * Emit helper for component hook sites: the null-sink test, then the
- * run-time mask inside emit(). @p C names the site's category.
+ * run-time mask inside emit().
  */
-template <Category C>
 inline void
 emitIf(TraceSink *sink, const Event &e)
 {

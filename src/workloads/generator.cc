@@ -311,7 +311,13 @@ loadModule(const std::string &what)
             fatal("cannot open '", what, "'");
         std::stringstream ss;
         ss << in.rdbuf();
-        return ir::parseModule(ss.str());
+        // A hand-written file is outside input: its faults are the
+        // user's, reported as errors rather than as simulator bugs.
+        auto m = ir::parseModule(ss.str());
+        auto problems = ir::verifyModule(*m);
+        if (!problems.empty())
+            fatal("'", what, "': ", problems.front());
+        return m;
     }
     return generateByName(what).module;
 }

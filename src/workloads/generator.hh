@@ -63,7 +63,8 @@ Workload generateByName(const std::string &name);
 /**
  * The module a command line names: a LightIR text file when @p what
  * ends in `.lir` (ir/text_io.hh), else the paper app of that name.
- * fatal() when the file cannot be read or no app has that name.
+ * fatal() when the file cannot be read, does not parse or verify, or
+ * no app has that name.
  */
 std::unique_ptr<ir::Module> loadModule(const std::string &what);
 

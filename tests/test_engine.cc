@@ -8,7 +8,7 @@
  * scheduling, crash drains (single and double failure), hardware fault
  * injection and fuzzer-generated programs.
  *
- * A separate test runs the event engine with verifyWakeups on, which
+ * A separate test runs the event engine with LWSP_VERIFY_WAKEUPS=1, which
  * asserts whenever the engine would skip cycles that its next wakeup
  * is never later than a full linear rescan — the "nobody changed state
  * without rearm()" cross-check. Another pins that the cycle engine
@@ -23,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -347,13 +349,42 @@ TEST(Engine, FaultInjectionMatches)
 
 // ---- Scheduler self-check and harness plumbing -----------------------------
 
+namespace {
+
+/** Sets an environment variable for one scope, restoring the old value. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            saved_ = old;
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (saved_)
+            ::setenv(name_, saved_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> saved_;
+};
+
+} // namespace
+
 TEST(Engine, VerifyWakeupsCrossCheckPasses)
 {
     setLogQuiet(true);
-    // verifyWakeups asserts next-wakeup <= linear-rescan before every
+    // The cross-check asserts next-wakeup <= linear-rescan before every
     // jump; a missing rearm() aborts the run.
+    ScopedEnv verify("LWSP_VERIFY_WAKEUPS", "1");
     auto p = prepare("is", core::Scheme::LightWsp);
-    p.cfg.verifyWakeups = true;
     auto ev = execute(p.cfg, p.prog, p.threads, SimEngine::Event);
     EXPECT_TRUE(ev.result.completed);
 
@@ -364,7 +395,6 @@ TEST(Engine, VerifyWakeupsCrossCheckPasses)
     core::SystemConfig cfg;
     cfg.scheme = core::Scheme::LightWsp;
     cfg.numCores = 2;
-    cfg.verifyWakeups = true;
     cfg.applySchemeDefaults();
     auto sv = execute(cfg, prog, 6, SimEngine::Event);
     EXPECT_TRUE(sv.result.completed);
@@ -618,6 +648,7 @@ TEST(Scheduler, VerifyCatchesUnarmedMutationFromABusyPeer)
     // since cycle 0, one tick of work. Re-armed, A ticks at 3 (it is
     // behind B). Unarmed, the engine would never tick A again: once B
     // sleeps too, the verify rescan must catch the missed wakeup.
+    ScopedEnv verify("LWSP_VERIFY_WAKEUPS", "1");
     for (bool armed : {true, false}) {
         TickLog log;
         Scripted a(0, log);
@@ -629,7 +660,6 @@ TEST(Scheduler, VerifyCatchesUnarmedMutationFromABusyPeer)
                 a.pokeUnarmed();
         };
         Simulator sim;
-        sim.setVerifyWakeups(true);
         sim.add(&a);
         sim.add(&b);
         if (armed) {
@@ -648,6 +678,24 @@ TEST(Scheduler, VerifyCatchesUnarmedMutationFromABusyPeer)
                 << e.what();
         }
         EXPECT_EQ(sim.now(), 4u);
+    }
+}
+
+TEST(Scheduler, VerifyOffWhenVariableIsZero)
+{
+    // LWSP_VERIFY_WAKEUPS=0 means off, as LWSP_VERIFY_EACH=0 does: the
+    // same unarmed mutation goes unnoticed, and A never ticks again.
+    for (const char *off : {"0", ""}) {
+        ScopedEnv verify("LWSP_VERIFY_WAKEUPS", off);
+        TickLog log;
+        Scripted a(0, log);
+        Scripted b(1, log, {1, 2, 3});
+        b.actions[2] = [&] { a.pokeUnarmed(); };
+        Simulator sim;
+        sim.add(&a);
+        sim.add(&b);
+        EXPECT_NO_THROW(runUntil(sim, 20)) << "'" << off << "'";
+        EXPECT_EQ(log, (TickLog{{0, 0}, {1, 0}, {1, 1}, {1, 2}, {1, 3}}));
     }
 }
 

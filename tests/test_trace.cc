@@ -374,12 +374,9 @@ TEST(TraceSinkTest, EmitIfIsNullSafe)
 {
     // The hook-site helper must be callable with a null sink (the
     // tracing-off configuration) without any effect.
-    emitIf<Category::Region>(nullptr,
-                             {0, EventType::RegionBegin, 0, 0, 1, 0, 0,
-                              0});
+    emitIf(nullptr, {0, EventType::RegionBegin, 0, 0, 1, 0, 0, 0});
     TraceSink sink(4);
-    emitIf<Category::Region>(&sink, {0, EventType::RegionBegin, 0, 0, 1,
-                                     0, 0, 0});
+    emitIf(&sink, {0, EventType::RegionBegin, 0, 0, 1, 0, 0, 0});
     EXPECT_EQ(sink.emitted(), 1u);
 }
 
@@ -395,7 +392,7 @@ TEST(TraceEvents, NamesAndParseRoundTrip)
     }
     EXPECT_EQ(parseCategory("no-such-category"), 0u);
     for (std::uint8_t t = 0; t < numEventTypes; ++t) {
-        const char *n = eventTypeName(static_cast<EventType>(t));
+        const char *n = eventInfo(static_cast<EventType>(t)).name;
         ASSERT_NE(n, nullptr);
         EXPECT_GT(std::string(n).size(), 0u);
     }
@@ -465,7 +462,7 @@ TEST(TraceSystem, RuntimeMaskLimitsSystemTrace)
     auto reg = runTiny(1, true, categoryBit(Category::Region));
     ASSERT_FALSE(reg.events.empty());
     for (const auto &e : reg.events)
-        EXPECT_EQ(categoryOf(e.type), Category::Region);
+        EXPECT_EQ(eventInfo(e.type).category, Category::Region);
     EXPECT_LT(reg.events.size(), all.events.size());
     EXPECT_EQ(reg.events.size(),
               filterByMask(all.events,
